@@ -1,7 +1,8 @@
 # Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time).
+# all hits the second time, and a malformed QASM file that every
+# circuit-reading subcommand must refuse with exit 1, not crash on).
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -37,18 +38,30 @@ check:
 	  --plan /tmp/paqoc_sweep.plan | grep -q 'interp hit rate 100.0%' \
 	  || (echo "check: warm sweep recompile not all interp hits" && exit 1)
 	@rm -f /tmp/paqoc_sweep.plan
+	@printf 'OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n' > /tmp/paqoc_bad.qasm
+	@for cmd in compile export-ir mine compile-sweep; do \
+	  _build/default/bin/paqoc_cli.exe $$cmd /tmp/paqoc_bad.qasm \
+	    $$([ $$cmd = export-ir ] && echo /tmp/paqoc_bad.json) \
+	    > /dev/null 2> /tmp/paqoc_bad.err; rc=$$?; \
+	  [ $$rc = 1 ] && grep -q '^error: QASM parse error' /tmp/paqoc_bad.err \
+	    || { echo "check: $$cmd on malformed QASM exited $$rc:"; \
+	         cat /tmp/paqoc_bad.err; exit 1; }; \
+	done
+	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
 	$(MAKE) check-ir
 	$(MAKE) check-daemon
 
 # Daemon round trip: serve in the background, compile the suite through
-# it cold and warm plus one sweep, hold the client tables byte-identical
-# to the in-process ones, then SIGTERM and require a clean drain — exit
-# 0 and a compacted cache file (pure snapshot, no '+' journal tail)
-# whose bytes match the in-process run's (the daemon's sweep freeze
-# publishes its anchor pulses, so the same sweep is mirrored into the
-# in-process cache before comparing). The banner lines are the one
-# permitted difference (they name the transport), so they are filtered
-# first.
+# it cold and warm, then two single compiles (qaoa, and qft under
+# accqoc-n3d3) and one sweep, hold the client output byte-identical to
+# the in-process runs', then SIGTERM and require a clean drain — exit 0
+# and a compacted cache file (pure snapshot, no '+' journal tail) whose
+# bytes match the in-process run's (the single compiles and the sweep
+# freeze publish pulses into the daemon cache, so they are mirrored
+# into the in-process cache before comparing). The banner lines are the
+# one permitted difference (they name the transport), so they are
+# filtered first; so is a single compile's "compile cost" line, which
+# includes the search's wall-clock time.
 check-daemon:
 	dune build bin/paqoc_cli.exe
 	@rm -f /tmp/paqoc_dm.sock /tmp/paqoc_dm.db /tmp/paqoc_dm_inproc.db
@@ -81,6 +94,18 @@ check-daemon:
 	grep -q 'hit rate 100.0%' /tmp/paqoc_dm_warm.txt \
 	  || { echo "check-daemon: warm daemon suite not all cache hits"; \
 	       kill $$pid; exit 1; }; \
+	for args in "qaoa" "qft -s accqoc-n3d3"; do \
+	  _build/default/bin/paqoc_cli.exe compile $$args \
+	    --cache /tmp/paqoc_dm_inproc.db \
+	    | grep -v '^compile cost\|^pulse cache' \
+	    > /tmp/paqoc_dm_one_local.txt || { kill $$pid; exit 1; }; \
+	  _build/default/bin/paqoc_cli.exe compile $$args \
+	    --connect /tmp/paqoc_dm.sock | grep -v '^compile cost' \
+	    > /tmp/paqoc_dm_one.txt || { kill $$pid; exit 1; }; \
+	  diff /tmp/paqoc_dm_one_local.txt /tmp/paqoc_dm_one.txt \
+	    || { echo "check-daemon: compile $$args diverged from in-process"; \
+	         kill $$pid; exit 1; }; \
+	done; \
 	_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep 2 \
 	  | grep -v '^sweeping' > /tmp/paqoc_dm_sweep_local.txt \
 	  || { kill $$pid; exit 1; }; \
@@ -105,8 +130,9 @@ check-daemon:
 	@rm -f /tmp/paqoc_dm.sock /tmp/paqoc_dm.db /tmp/paqoc_dm_inproc.db \
 	  /tmp/paqoc_dm_inproc.txt /tmp/paqoc_dm_cold.txt /tmp/paqoc_dm_warm.txt \
 	  /tmp/paqoc_dm_serve.txt /tmp/paqoc_dm_sweep.txt \
-	  /tmp/paqoc_dm_sweep_local.txt
-	@echo "check-daemon: daemon table and cache byte-identical; clean drain"
+	  /tmp/paqoc_dm_sweep_local.txt /tmp/paqoc_dm_one.txt \
+	  /tmp/paqoc_dm_one_local.txt
+	@echo "check-daemon: daemon output and cache byte-identical; clean drain"
 
 # Pulse-IR export gate: a two-qubit QASM circuit exported on the QOC
 # backend must self-verify (every waveform re-simulates to its recorded

@@ -236,30 +236,20 @@ let ablation_decoherence () =
   let rows =
     List.concat_map
       (fun name ->
-        let physical =
-          (Suite.transpiled_small (Suite.find name)).Transpile.physical
-        in
+        let rows, cols = Suite.small_grid (Suite.find name) in
         List.map
-          (fun (label, run_compile) ->
-            let gen = Gen.model_default () in
-            let grouped, latency = run_compile gen physical in
+          (fun scheme ->
+            let c = compile ~rows ~cols scheme name in
             let f t2 =
-              Paqoc_pulse.Simulator.noisy_fidelity ~noise:(noise t2) gen grouped
+              Paqoc_pulse.Simulator.noisy_fidelity ~noise:(noise t2)
+                c.Service.gen c.Service.grouped
             in
-            [ name; label;
-              Printf.sprintf "%.0f" latency;
+            [ name; scheme_name scheme;
+              Printf.sprintf "%.0f" c.Service.result.Protocol.latency;
               Printf.sprintf "%.3f" (f 60_000.0);
               Printf.sprintf "%.3f" (f 20_000.0);
               Printf.sprintf "%.3f" (f 8_000.0) ])
-          [ ( "accqoc_n3d3",
-              fun gen c ->
-                let r = Accqoc.compile ~slicer:Slicer.accqoc_n3d3 gen c in
-                (r.Accqoc.grouped, r.Accqoc.latency) );
-            ( "paqoc(M=0)",
-              fun gen c ->
-                let r = Paqoc.compile ~scheme:Paqoc.paqoc_m0 gen c in
-                (r.Paqoc.grouped, r.Paqoc.latency) )
-          ])
+          [ Protocol.Acc3; Protocol.M0 ])
       [ "simon"; "rd32_270"; "bb84" ]
   in
   table

@@ -1,85 +1,43 @@
-(* Shared machinery for the evaluation harness: scheme runners, result
-   records, and plain-text table/series rendering. *)
+(* Shared machinery for the evaluation harness: scheme runs through
+   Service.compile, and plain-text table/series rendering. *)
 
 module Circuit = Paqoc_circuit.Circuit
 module Transpile = Paqoc_topology.Transpile
 module Gen = Paqoc_pulse.Generator
-module Accqoc = Paqoc_accqoc.Accqoc
-module Slicer = Paqoc_accqoc.Slicer
-module Miner = Paqoc_mining.Miner
-module Apa = Paqoc_mining.Apa
+module Protocol = Paqoc_pulse.Protocol
+module Service = Paqoc_service.Service
 module Suite = Paqoc_benchmarks.Suite
 
-type scheme = Acc3 | Acc5 | M0 | Mtuned | Minf
-
-let schemes = [ Acc3; Acc5; M0; Mtuned; Minf ]
+let schemes = Protocol.[ Acc3; Acc5; M0; Mtuned; Minf ]
 
 let scheme_name = function
-  | Acc3 -> "accqoc_n3d3"
-  | Acc5 -> "accqoc_n3d5"
-  | M0 -> "paqoc(M=0)"
-  | Mtuned -> "paqoc(M=tuned)"
-  | Minf -> "paqoc(M=inf)"
+  | Protocol.Acc3 -> "accqoc_n3d3"
+  | Protocol.Acc5 -> "accqoc_n3d5"
+  | Protocol.M0 -> "paqoc(M=0)"
+  | Protocol.Mtuned -> "paqoc(M=tuned)"
+  | Protocol.Minf -> "paqoc(M=inf)"
 
-type run = {
-  latency : float;
-  esp : float;
-  compile_seconds : float;
-  n_groups : int;
-  pulses_generated : int;
-  cache_hits : int;
-  grouped : Circuit.t;
-}
-
-let paqoc_scheme mode =
-  { Paqoc.paqoc_m0 with
-    apa_mode = mode;
-    miner = { Miner.default_config with min_support = 3 }
-  }
-
-(* Each (scheme, benchmark) pair gets a fresh generator: compilation cost
-   is measured from a cold pulse database, as the paper does. *)
-let run_scheme ?gen scheme (physical : Circuit.t) =
-  let gen = match gen with Some g -> g | None -> Gen.model_default () in
-  match scheme with
-  | Acc3 | Acc5 ->
-    let slicer = if scheme = Acc3 then Slicer.accqoc_n3d3 else Slicer.accqoc_n3d5 in
-    let r = Accqoc.compile ~slicer gen physical in
-    { latency = r.Accqoc.latency;
-      esp = r.Accqoc.esp;
-      compile_seconds = r.Accqoc.compile_seconds;
-      n_groups = r.Accqoc.n_groups;
-      pulses_generated = r.Accqoc.pulses_generated;
-      cache_hits = r.Accqoc.cache_hits;
-      grouped = r.Accqoc.grouped
-    }
-  | M0 | Mtuned | Minf ->
-    let mode =
-      match scheme with
-      | M0 -> Apa.M_zero
-      | Mtuned -> Apa.M_tuned
-      | Minf | Acc3 | Acc5 -> Apa.M_inf
-    in
-    let r = Paqoc.compile ~scheme:(paqoc_scheme mode) gen physical in
-    { latency = r.Paqoc.latency;
-      esp = r.Paqoc.esp;
-      compile_seconds = r.Paqoc.compile_seconds;
-      n_groups = r.Paqoc.n_groups;
-      pulses_generated = r.Paqoc.pulses_generated;
-      cache_hits = r.Paqoc.cache_hits;
-      grouped = r.Paqoc.grouped
+(* One benchmark under one scheme on a rows x cols grid (default: the
+   paper's 5x5 lattice). Every call compiles through a fresh generator,
+   so compilation cost is measured from a cold pulse database, as the
+   paper does. *)
+let compile ?(rows = 5) ?(cols = 5) scheme name =
+  Service.compile ~deadline:None
+    { Protocol.default_compile with
+      Protocol.circuit = Protocol.Benchmark name;
+      scheme;
+      rows;
+      cols
     }
 
 (* memoised sweep results: figs 10, 11, 12 and 14 share one sweep *)
-let sweep_cache : (string * scheme, run) Hashtbl.t = Hashtbl.create 128
+let sweep_cache = Hashtbl.create 128
 
 let sweep_run name scheme =
   match Hashtbl.find_opt sweep_cache (name, scheme) with
   | Some r -> r
   | None ->
-    let entry = Suite.find name in
-    let physical = (Suite.transpiled entry).Transpile.physical in
-    let r = run_scheme scheme physical in
+    let r = (compile scheme name).Service.result in
     Hashtbl.replace sweep_cache (name, scheme) r;
     r
 

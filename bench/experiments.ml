@@ -161,7 +161,7 @@ let sweep_table ~title ~metric ~fmt ~better_is ~id () =
   let rows =
     List.map
       (fun name ->
-        let base = sweep_run name Acc3 in
+        let base = sweep_run name Protocol.Acc3 in
         name
         :: List.map
              (fun s ->
@@ -177,7 +177,8 @@ let sweep_table ~title ~metric ~fmt ~better_is ~id () =
            let ratios =
              List.map
                (fun name ->
-                 metric (sweep_run name s) /. metric (sweep_run name Acc3))
+                 metric (sweep_run name s)
+                 /. metric (sweep_run name Protocol.Acc3))
                benchmark_names
            in
            fmt (geomean ratios))
@@ -191,14 +192,14 @@ let sweep_table ~title ~metric ~fmt ~better_is ~id () =
 let fig10 () =
   sweep_table ~id:"fig10"
     ~title:"Normalised circuit latency, 17 benchmarks x 5 schemes"
-    ~metric:(fun r -> r.latency)
+    ~metric:(fun r -> r.Protocol.latency)
     ~fmt:(Printf.sprintf "%.2f")
     ~better_is:"lower is better. Paper: paqoc(M=0) mean ~0.46, M=inf ~0.60." ()
 
 let fig11 () =
   sweep_table ~id:"fig11"
     ~title:"Normalised circuit compilation time"
-    ~metric:(fun r -> r.compile_seconds)
+    ~metric:(fun r -> r.Protocol.compile_seconds)
     ~fmt:(Printf.sprintf "%.2f")
     ~better_is:"lower is better. Paper: paqoc(M=inf) mean ~0.57." ()
 
@@ -207,11 +208,12 @@ let fig12 () =
   let rows =
     List.map
       (fun name ->
-        let base = sweep_run name Acc3 in
+        let base = sweep_run name Protocol.Acc3 in
         name
         :: List.map
              (fun s ->
-               Printf.sprintf "%.3f" ((sweep_run name s).esp /. base.esp))
+               Printf.sprintf "%.3f"
+                 ((sweep_run name s).Protocol.esp /. base.Protocol.esp))
              schemes)
       benchmark_names
   in
@@ -221,7 +223,9 @@ let fig12 () =
          (fun s ->
            let ratios =
              List.map
-               (fun name -> (sweep_run name s).esp /. (sweep_run name Acc3).esp)
+               (fun name ->
+                 (sweep_run name s).Protocol.esp
+                 /. (sweep_run name Protocol.Acc3).Protocol.esp)
                benchmark_names
            in
            Printf.sprintf "%.3f" (geomean ratios))
@@ -288,10 +292,10 @@ let fig14 () =
   let points =
     List.map
       (fun name ->
-        let entry = Suite.find name in
-        let physical = (Suite.transpiled entry).Transpile.physical in
-        let r = sweep_run name Minf in
-        (name, float_of_int (Circuit.n_gates physical), r.compile_seconds))
+        let r = sweep_run name Protocol.Minf in
+        ( name,
+          float_of_int r.Protocol.physical_gates,
+          r.Protocol.compile_seconds ))
       benchmark_names
   in
   let rows =
@@ -357,13 +361,12 @@ let table2 ?(fast = false) () =
   let rows =
     List.map
       (fun name ->
-        let entry = Suite.find name in
-        let physical = (Suite.transpiled_small entry).Transpile.physical in
+        let rows, cols = Suite.small_grid (Suite.find name) in
         name
         :: List.map
              (fun s ->
-               let r = run_scheme s physical in
-               let f = Sim.circuit_fidelity qoc r.grouped in
+               let c = compile ~rows ~cols s name in
+               let f = Sim.circuit_fidelity qoc c.Service.grouped in
                Printf.sprintf "%5.2f%%" (100.0 *. f))
              schemes)
       names

@@ -10,13 +10,15 @@
      export-ir     compile and export the pulse program as paqoc-ir v1 JSON
      mine          show the frequent subcircuits of a circuit
      benchmarks    list the built-in Table I benchmarks
-     pulse         run GRAPE for a named gate and print the waveform summary *)
+     pulse         run GRAPE for a named gate and print the waveform summary
+
+   Every compile goes through Service.compile, in-process or inside a
+   paqoc serve daemon (--connect): the subcommands only build the
+   Protocol request and print the result. *)
 
 open Cmdliner
 module Circuit = Paqoc_circuit.Circuit
 module Gate = Paqoc_circuit.Gate
-module Qasm = Paqoc_circuit.Qasm
-module Coupling = Paqoc_topology.Coupling
 module Device = Paqoc_topology.Device
 module Transpile = Paqoc_topology.Transpile
 module Gen = Paqoc_pulse.Generator
@@ -25,9 +27,6 @@ module Protocol = Paqoc_pulse.Protocol
 module Server = Paqoc_pulse.Server
 module Service = Paqoc_service.Service
 module Suite = Paqoc_benchmarks.Suite
-module Accqoc = Paqoc_accqoc.Accqoc
-module Slicer = Paqoc_accqoc.Slicer
-module Apa = Paqoc_mining.Apa
 module Miner = Paqoc_mining.Miner
 module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
@@ -107,15 +106,24 @@ let with_observability ~metrics ~trace f =
   | None -> ());
   r
 
-let load_circuit input =
-  if Sys.file_exists input then Qasm.parse_file input
-  else
-    match Suite.find input with
-    | entry -> entry.Suite.build ()
-    | exception Not_found ->
-      Printf.eprintf
-        "error: %s is neither a QASM file nor a built-in benchmark\n" input;
-      exit 1
+(* Run [f], reporting what a compile can raise: a request the compiler
+   cannot serve exits 1 with the same text the daemon refuses it with, a
+   blown budget exits 124, any other reported failure exits 1. *)
+let or_exit f =
+  try f () with
+  | Protocol.Bad_request msg | Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
+  | Protocol.Deadline_exceeded ->
+    Printf.eprintf "error: deadline exceeded\n";
+    exit 124
+
+(* A file path becomes inline QASM — the daemon never reads client
+   paths; anything else is a benchmark name Service resolves. *)
+let request_circuit input =
+  if Sys.file_exists input then
+    Protocol.Qasm (In_channel.with_open_bin input In_channel.input_all)
+  else Protocol.Benchmark input
 
 let grid_of_spec = function
   | "5x5" -> (5, 5)
@@ -132,9 +140,9 @@ let grid_of_spec = function
       exit 1)
 
 (* --device accepts a registry device name first (lattice, heavy-hex,
-   square, ring), then a bare RxC grid spec. The wire carries the name
-   (or the grid dimensions); the in-process paths resolve through
-   Service.resolve_device so the CLI and the daemon cannot disagree. *)
+   square, ring), then a bare RxC grid spec. The request carries the
+   name (or the grid dimensions) and Service.resolve_device resolves it
+   on either transport, so the CLI and the daemon cannot disagree. *)
 let device_spec_parts spec =
   match Device.find spec with
   | Some _ -> (Some spec, 5, 5)
@@ -142,17 +150,10 @@ let device_spec_parts spec =
     let rows, cols = grid_of_spec spec in
     (None, rows, cols)
 
-let resolve_device spec ~drift_seed ~drift_epoch =
-  if drift_seed < 0 || drift_epoch < 0 then begin
-    Printf.eprintf "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
-      drift_seed drift_epoch;
-    exit 1
-  end;
-  let name, rows, cols = device_spec_parts spec in
-  try Service.resolve_device ~device:name ~rows ~cols ~drift_seed ~drift_epoch
-  with Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
+let device_label (req : Protocol.compile_request) =
+  match req.Protocol.device with
+  | Some name -> name
+  | None -> Printf.sprintf "%dx%d" req.Protocol.rows req.Protocol.cols
 
 (* Printed only when the resolved device differs physically from the
    paper's lattice, so default-device output stays byte-identical. *)
@@ -193,9 +194,9 @@ let cache_arg =
         ~doc:
           "Shared cross-run pulse cache, a journaled paqoc-pulse-db v3 \
            file: created if missing, consulted before any synthesis, and \
-           appended to (crash-safely) as new pulses are priced. Unlike \
-           $(b,--db), entries become durable as they are generated and \
-           one cache file can back many compilations.")
+           appended to (crash-safely) as new pulses are priced, so one \
+           cache file can back many compilations. An older v1/v2 \
+           pulse-database file is migrated in place.")
 
 let canonical_arg =
   Arg.(
@@ -216,92 +217,32 @@ let canonical_arg =
 let with_cache cache_file f =
   match cache_file with
   | None -> f None
-  | Some path -> (
-    try
-      Paqoc_pulse.Cache.with_file path (fun c ->
-          (* a Ctrl-C / SIGTERM mid-run must still compact-and-close the
-             journal: register the cache with the interrupt-cleanup
-             registry for the duration of the work (close is idempotent,
-             so the normal with_file close after an un-fired handler is
-             fine) *)
-          Server.Cleanup.register_cache c;
-          Server.Cleanup.install_handlers ();
-          Fun.protect
-            ~finally:(fun () -> Server.Cleanup.unregister_cache c)
-            (fun () ->
-              let r = f (Some c) in
-              let s = Paqoc_pulse.Cache.stats c in
-              Printf.printf
-                "pulse cache     : %s (%d entries; %d hits / %d misses, %d \
-                 published)\n"
-                path
-                (Paqoc_pulse.Cache.size c)
-                s.Paqoc_pulse.Cache.hits s.Paqoc_pulse.Cache.misses
-                s.Paqoc_pulse.Cache.publishes;
-              r))
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1)
-
-(* One compilation under a named scheme; shared by compile and
-   compile-suite. *)
-let run_scheme scheme ~max_n ~top_k ~jobs ?(search = `Incremental) ?cache
-    ?deadline gen physical =
-  match scheme with
-  | `Acc3 | `Acc5 ->
-    (* the AccQOC baseline has no stage-boundary deadline plumbing;
-       enforce the budget at its entry at least *)
-    (match deadline with
-    | Some d when Clock.now_s () > d -> raise Protocol.Deadline_exceeded
-    | _ -> ());
-    let slicer =
-      if scheme = `Acc3 then Slicer.accqoc_n3d3 else Slicer.accqoc_n3d5
-    in
-    let r = Accqoc.compile ~slicer ~jobs ?cache gen physical in
-    ( r.Accqoc.latency, r.Accqoc.esp, r.Accqoc.compile_seconds,
-      r.Accqoc.n_groups, r.Accqoc.fallbacks, r.Accqoc.grouped )
-  | (`M0 | `Mtuned | `Minf) as m ->
-    let mode =
-      match m with
-      | `M0 -> Apa.M_zero
-      | `Mtuned -> Apa.M_tuned
-      | `Minf -> Apa.M_inf
-    in
-    let scheme =
-      { Paqoc.paqoc_m0 with
-        apa_mode = mode;
-        merger = { Paqoc.Merger.default_config with max_n; top_k }
-      }
-    in
-    let r = Paqoc.compile ~scheme ~jobs ~search ?cache ?deadline gen physical in
-    ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
-      r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
+  | Some path ->
+    Paqoc_pulse.Cache.with_file path (fun c ->
+        (* a Ctrl-C / SIGTERM mid-run must still compact-and-close the
+           journal: register the cache with the interrupt-cleanup
+           registry for the duration of the work (close is idempotent,
+           so the normal with_file close after an un-fired handler is
+           fine) *)
+        Server.Cleanup.register_cache c;
+        Server.Cleanup.install_handlers ();
+        Fun.protect
+          ~finally:(fun () -> Server.Cleanup.unregister_cache c)
+          (fun () ->
+            let r = f (Some c) in
+            let s = Paqoc_pulse.Cache.stats c in
+            Printf.printf
+              "pulse cache     : %s (%d entries; %d hits / %d misses, %d \
+               published)\n"
+              path
+              (Paqoc_pulse.Cache.size c)
+              s.Paqoc_pulse.Cache.hits s.Paqoc_pulse.Cache.misses
+              s.Paqoc_pulse.Cache.publishes;
+            r))
 
 (* ------------------------------------------------------------------ *)
 (* Daemon client plumbing (--connect)                                  *)
 (* ------------------------------------------------------------------ *)
-
-let proto_scheme = function
-  | `M0 -> Protocol.M0
-  | `Mtuned -> Protocol.Mtuned
-  | `Minf -> Protocol.Minf
-  | `Acc3 -> Protocol.Acc3
-  | `Acc5 -> Protocol.Acc5
-
-let proto_search = function
-  | `Incremental -> Protocol.Incremental
-  | `Reference -> Protocol.Reference
-
-let proto_backend = function
-  | `Model -> Protocol.Model
-  | `Qoc -> Protocol.Qoc
-
-(* A file path becomes inline QASM on the wire — the daemon never reads
-   client paths; anything else is a benchmark name the daemon resolves. *)
-let proto_circuit input =
-  if Sys.file_exists input then
-    Protocol.Qasm (In_channel.with_open_bin input In_channel.input_all)
-  else Protocol.Benchmark input
 
 let refusal_to_string = function
   | Protocol.Overloaded -> "daemon overloaded (admission queue full)"
@@ -350,41 +291,153 @@ let connect_arg =
            The daemon's shared pulse cache serves all requests, so warm \
            circuits come back without any synthesis.")
 
+(* --cache and --inject configure the daemon process (paqoc serve takes
+   them); every other rejected flag only means something in-process *)
 let reject_with_connect flags =
-  match List.find_opt (fun (_, set) -> set) flags with
+  match List.find_opt snd flags with
   | Some (name, _) ->
-    Printf.eprintf
-      "error: %s cannot be combined with --connect (it belongs to the \
-       daemon process; pass it to paqoc serve)\n"
-      name;
+    Printf.eprintf "error: %s cannot be combined with --connect (%s)\n" name
+      (if name = "--cache" || name = "--inject" then
+         "it belongs to the daemon process; pass it to paqoc serve"
+       else "it is in-process only");
     exit 1
   | None -> ()
 
-let scheme_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("paqoc-m0", `M0); ("paqoc-mtuned", `Mtuned);
-               ("paqoc-minf", `Minf); ("accqoc-n3d3", `Acc3);
-               ("accqoc-n3d5", `Acc5) ])
-        `M0
-    & info [ "s"; "scheme" ] ~docv:"SCHEME"
-        ~doc:
-          "Compilation scheme: paqoc-m0, paqoc-mtuned, paqoc-minf, \
-           accqoc-n3d3 or accqoc-n3d5.")
+(* ------------------------------------------------------------------ *)
+(* The compile request                                                 *)
+(* ------------------------------------------------------------------ *)
 
-let search_arg =
+let deadline_arg =
   Arg.(
     value
-    & opt (enum [ ("incremental", `Incremental); ("reference", `Reference) ])
-        `Incremental
-    & info [ "search" ] ~docv:"IMPL"
+    & opt (some float) None
+    & info [ "deadline-seconds" ] ~docv:"S"
         ~doc:
-          "Criticality-search implementation: $(b,incremental) (default; \
-           the engine-backed fast path) or $(b,reference) (the original \
-           full-reanalysis loop). Both produce identical circuits and \
-           tables — the switch exists so the equivalence is checkable \
-           end to end.")
+          "Wall-clock budget for the whole compile or sweep (exit 124 \
+           once exceeded): a compile aborts at its next stage boundary, \
+           a sweep before its next iteration. With $(b,--connect) the \
+           budget travels with the request and is enforced by the \
+           daemon (queue time counts).")
+
+(* --device/--drift-seed/--drift-epoch/--jobs/--backend, shared by every
+   compiling subcommand: the default request with those fields set *)
+let target_term =
+  let device =
+    Arg.(
+      value & opt string "5x5"
+      & info [ "d"; "device" ] ~docv:"DEV"
+          ~doc:
+            "Target device: a registry name ($(b,lattice), \
+             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
+             spec, e.g. 5x5 (the paper's platform) or 2x4. Non-default \
+             devices namespace every shared-cache key with their content \
+             hash, so pulses never leak across devices.")
+  in
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for parallel pulse generation (deterministic: \
+             any N produces the same schedules, cache bytes, sweep plans \
+             and IR as N=1).")
+  in
+  let backend =
+    Arg.(
+      value
+      & opt (enum [ ("model", Protocol.Model); ("qoc", Protocol.Qoc) ])
+          Protocol.Model
+      & info [ "backend" ] ~docv:"B"
+          ~doc:
+            "Pulse engine: $(b,model) (analytic latency model, instant; \
+             exported IR carries prices only) or $(b,qoc) (real GRAPE \
+             searches; slow, small circuits only; exported IR carries \
+             sampled waveforms and is self-verifying).")
+  in
+  let make spec drift_seed drift_epoch jobs backend =
+    if jobs < 1 then begin
+      Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
+      exit 1
+    end;
+    if drift_seed < 0 || drift_epoch < 0 then begin
+      Printf.eprintf
+        "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
+        drift_seed drift_epoch;
+      exit 1
+    end;
+    let device, rows, cols = device_spec_parts spec in
+    { Protocol.default_compile with
+      Protocol.backend;
+      rows;
+      cols;
+      jobs;
+      device;
+      drift_seed;
+      drift_epoch
+    }
+  in
+  Term.(
+    const make $ device $ drift_seed_arg $ drift_epoch_arg $ jobs $ backend)
+
+(* The request compile, compile-suite and export-ir send (the caller
+   fills in the circuit); only compile exposes the search knobs and the
+   deadline ([knobs]). *)
+let request_term ~knobs =
+  let scheme =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("paqoc-m0", Protocol.M0); ("paqoc-mtuned", Protocol.Mtuned);
+               ("paqoc-minf", Protocol.Minf); ("accqoc-n3d3", Protocol.Acc3);
+               ("accqoc-n3d5", Protocol.Acc5) ])
+          Protocol.M0
+      & info [ "s"; "scheme" ] ~docv:"SCHEME"
+          ~doc:
+            "Compilation scheme: paqoc-m0, paqoc-mtuned, paqoc-minf, \
+             accqoc-n3d3 or accqoc-n3d5.")
+  in
+  let search =
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("incremental", Protocol.Incremental);
+               ("reference", Protocol.Reference) ])
+          Protocol.Incremental
+      & info [ "search" ] ~docv:"IMPL"
+          ~doc:
+            "Criticality-search implementation: $(b,incremental) \
+             (default; the engine-backed fast path) or $(b,reference) \
+             (the original full-reanalysis loop). Both produce identical \
+             circuits and tables — the switch exists so the equivalence \
+             is checkable end to end.")
+  in
+  let knobs =
+    if not knobs then Term.const Fun.id
+    else
+      let d = Protocol.default_compile in
+      let max_n =
+        Arg.(
+          value & opt int d.Protocol.max_n
+          & info [ "max-qubits" ] ~docv:"N"
+              ~doc:"Qubit cap for customized/APA gates (the paper's maxN).")
+      in
+      let top_k =
+        Arg.(
+          value & opt int d.Protocol.top_k
+          & info [ "top-k" ] ~docv:"K"
+              ~doc:"Merges committed per search iteration (the paper's topK).")
+      in
+      Term.(
+        const (fun max_n top_k deadline_s req ->
+            { req with Protocol.max_n; top_k; deadline_s })
+        $ max_n $ top_k $ deadline_arg)
+  in
+  let make scheme search canonical knobs target =
+    knobs { target with Protocol.scheme; search; canonical }
+  in
+  Term.(const make $ scheme $ search $ canonical_arg $ knobs $ target_term)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -397,56 +450,8 @@ let compile_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"CIRCUIT" ~doc:"QASM file or built-in benchmark name.")
   in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4. Non-default \
-             devices namespace every shared-cache key with their content \
-             hash, so pulses never leak across devices.")
-  in
-  let max_n =
-    Arg.(
-      value & opt int 3
-      & info [ "max-qubits" ] ~docv:"N"
-          ~doc:"Qubit cap for customized/APA gates (the paper's maxN).")
-  in
-  let top_k =
-    Arg.(
-      value & opt int 1
-      & info [ "top-k" ] ~docv:"K"
-          ~doc:"Merges committed per search iteration (the paper's topK).")
-  in
   let show_groups =
     Arg.(value & flag & info [ "show-groups" ] ~doc:"Print the final gate groups.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for parallel pulse generation (deterministic: \
-             any N produces the same schedule and pulse database as N=1).")
-  in
-  let db =
-    Arg.(
-      value & opt (some string) None
-      & info [ "db" ] ~docv:"FILE"
-          ~doc:
-            "Pulse-database file: loaded before compiling (if it exists) \
-             and saved afterwards — the paper's persistent offline table.")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
   in
   let retries =
     Arg.(
@@ -465,17 +470,6 @@ let compile_cmd =
             "Wall-clock budget per synthesis task; once exceeded the task \
              degrades to the fallback instead of retrying.")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-seconds" ] ~docv:"S"
-          ~doc:
-            "Whole-compile wall-clock budget; once exceeded the pipeline \
-             aborts at the next stage boundary (exit 124). With \
-             $(b,--connect) the budget travels with the request and is \
-             enforced by the daemon (queue time counts).")
-  in
   let emit_ir_arg =
     Arg.(
       value
@@ -488,12 +482,13 @@ let compile_cmd =
              waveforms and is self-verifying — see $(b,paqoc \
              export-ir) and docs/pulse-ir.md). In-process only.")
   in
-  let print_result (r : Protocol.compile_result) input =
+  let print_result ?device input (r : Protocol.compile_result) =
     Printf.printf
       "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
        gates (%d swaps inserted)\n"
       input r.Protocol.logical_qubits r.Protocol.device_qubits
       r.Protocol.physical_gates r.Protocol.swaps_added;
+    Option.iter print_device device;
     Printf.printf "circuit latency : %.0f dt\n" r.Protocol.latency;
     Printf.printf "estimated ESP   : %.4f\n" r.Protocol.esp;
     Printf.printf "compile cost    : %.1f s (modeled QOC time)\n"
@@ -505,148 +500,56 @@ let compile_cmd =
          latency penalty included above)\n"
         r.Protocol.fallbacks
   in
-  let run input scheme search device drift_seed drift_epoch max_n top_k
-      show_groups jobs db cache_file canonical backend retries task_seconds
-      connect deadline_s emit_ir inject metrics trace =
-    if jobs < 1 then begin
-      Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 1
-    end;
+  let run input req show_groups cache_file retries task_seconds connect
+      emit_ir inject metrics trace =
     if retries < 1 then begin
       Printf.eprintf "error: --retries must be >= 1 (got %d)\n" retries;
       exit 1
     end;
+    let req = { req with Protocol.circuit = request_circuit input } in
     match connect with
     | Some sock ->
       reject_with_connect
-        [ ("--db", db <> None); ("--cache", cache_file <> None);
-          ("--show-groups", show_groups); ("--inject", inject <> None);
-          ("--emit-ir", emit_ir <> None);
+        [ ("--cache", cache_file <> None); ("--show-groups", show_groups);
+          ("--inject", inject <> None); ("--emit-ir", emit_ir <> None);
           ("--retries", retries <> Gen.default_retry.Gen.max_attempts);
           ("--task-seconds", task_seconds <> None) ];
       with_observability ~metrics ~trace @@ fun () ->
-      let dev_name, rows, cols = device_spec_parts device in
-      let req =
-        { Protocol.circuit = proto_circuit input;
-          scheme = proto_scheme scheme;
-          search = proto_search search;
-          backend = proto_backend backend;
-          rows;
-          cols;
-          max_n;
-          top_k;
-          jobs;
-          canonical;
-          device = dev_name;
-          drift_seed;
-          drift_epoch;
-          deadline_s
-        }
-      in
-      (try
-         Server.with_connection sock (fun fd ->
-             print_result (rpc_compile fd req) input)
-       with Failure msg ->
-         Printf.eprintf "error: %s\n" msg;
-         exit 1)
-    | None -> (
+      or_exit @@ fun () ->
+      Server.with_connection sock (fun fd ->
+          print_result input (rpc_compile fd req))
+    | None ->
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
-      let logical = load_circuit input in
-      let dev = resolve_device device ~drift_seed ~drift_epoch in
-      let coupling = Device.coupling dev in
-      let t = Transpile.run ~coupling logical in
-      let physical = t.Transpile.physical in
-      Printf.printf
-        "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
-         gates (%d swaps inserted)\n"
-        input logical.Circuit.n_qubits
-        (Coupling.n_qubits coupling)
-        (Circuit.n_gates physical) t.Transpile.swaps_added;
-      print_device dev;
+      or_exit @@ fun () ->
+      with_cache cache_file @@ fun cache ->
       let retry =
-        { Gen.default_retry with
-          Gen.max_attempts = retries;
-          Gen.task_seconds
-        }
+        { Gen.default_retry with Gen.max_attempts = retries; task_seconds }
       in
-      let gen =
-        match backend with
-        | `Model -> Gen.model_default ~retry ()
-        | `Qoc -> Gen.qoc_default ~retry ()
+      let deadline =
+        Option.map (fun s -> Clock.now_s () +. s) req.Protocol.deadline_s
       in
-      Gen.set_canonical gen canonical;
-      Gen.set_device gen dev;
-      (match db with
-      | Some file when Sys.file_exists file -> (
-        try
-          Gen.load_database gen file;
-          Printf.printf "pulse database: loaded %d entries from %s\n"
-            (Gen.database_size gen) file
-        with Failure msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-      | _ -> ());
-      let deadline = Option.map (fun s -> Clock.now_s () +. s) deadline_s in
-      let latency, esp, seconds, groups, fallbacks, grouped =
-        match
-          with_cache cache_file (fun cache ->
-              run_scheme scheme ~max_n ~top_k ~jobs ~search ?cache ?deadline
-                gen physical)
-        with
-        | r -> r
-        | exception Protocol.Deadline_exceeded ->
-          Printf.eprintf "error: deadline exceeded\n";
-          exit 124
-      in
-      Printf.printf "circuit latency : %.0f dt\n" latency;
-      Printf.printf "estimated ESP   : %.4f\n" esp;
-      Printf.printf "compile cost    : %.1f s (modeled QOC time)\n" seconds;
-      Printf.printf "pulse episodes  : %d\n" groups;
-      if fallbacks > 0 then
-        Printf.printf
-          "fallback groups : %d (QOC failed; decomposed default-basis \
-           pulses, latency penalty included above)\n"
-          fallbacks;
+      let c = Service.compile ?cache ~retry ~deadline req in
+      print_result ~device:c.Service.device input c.Service.result;
       if show_groups then
         List.iteri
           (fun i (g : Gate.app) ->
             Printf.printf "  group %3d: %s\n" i (Gate.app_to_string g))
-          grouped.Circuit.gates;
-      (match emit_ir with
-      | None -> ()
-      | Some file -> (
-        try
-          let ir =
-            Pulse_ir.of_report ~device:dev ~gen ~grouped ~latency ~esp
-          in
+          c.Service.grouped.Circuit.gates;
+      Option.iter
+        (fun file ->
+          let ir = Pulse_ir.of_compiled c in
           Pulse_ir.save ir file;
           Printf.printf "pulse IR        : %s (%d instructions)\n" file
-            (List.length ir.Pulse_ir.schedule)
-        with Failure msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1));
-      match db with
-      | Some file -> (
-        try
-          Gen.save_database gen file;
-          Printf.printf "pulse database: saved %d entries to %s\n"
-            (Gen.database_size gen) file
-        with Failure msg ->
-          (* the save is atomic, so a failure (I/O or injected) leaves any
-             existing database intact; report it and fail the run *)
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
-      | None -> ())
+            (List.length ir.Pulse_ir.schedule))
+        emit_ir
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Transpile and compile a circuit to a pulse schedule.")
     Term.(
-      const run $ input $ scheme_arg $ search_arg $ device $ drift_seed_arg
-      $ drift_epoch_arg $ max_n $ top_k $ show_groups $ jobs $ db
-      $ cache_arg $ canonical_arg $ backend $ retries $ task_seconds
-      $ connect_arg $ deadline_arg $ emit_ir_arg $ inject_arg $ metrics_arg
-      $ trace_arg)
+      const run $ input $ request_term ~knobs:true $ show_groups $ cache_arg
+      $ retries $ task_seconds $ connect_arg $ emit_ir_arg $ inject_arg
+      $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile-suite                                                       *)
@@ -658,60 +561,9 @@ let compile_cmd =
    fraction of its pulse lookups answered by earlier compilations (or a
    previous run of the suite, when --cache names an existing file). *)
 let compile_suite_cmd =
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for parallel pulse generation (deterministic: \
-             any N produces the same schedules and the same cache bytes \
-             as N=1).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
-  in
-  let run scheme search device drift_seed drift_epoch jobs cache_file
-      canonical backend connect inject metrics trace =
-    if jobs < 1 then begin
-      Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    if drift_seed < 0 || drift_epoch < 0 then begin
-      Printf.eprintf
-        "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
-        drift_seed drift_epoch;
-      exit 1
-    end;
-    let dev_name, rows, cols = device_spec_parts device in
+  let run req cache_file connect inject metrics trace =
     let mk_req (e : Suite.entry) =
-      { Protocol.default_compile with
-        Protocol.circuit = Protocol.Benchmark e.Suite.name;
-        scheme = proto_scheme scheme;
-        search = proto_search search;
-        backend = proto_backend backend;
-        rows;
-        cols;
-        jobs;
-        canonical;
-        device = dev_name;
-        drift_seed;
-        drift_epoch
-      }
+      { req with Protocol.circuit = Protocol.Benchmark e.Suite.name }
     in
     (* both paths print through Service's formatters from the same
        result record, so the table bytes cannot depend on the transport *)
@@ -736,19 +588,17 @@ let compile_suite_cmd =
         [ ("--cache", cache_file <> None); ("--inject", inject <> None) ];
       with_observability ~metrics ~trace @@ fun () ->
       Printf.printf "compiling %d benchmarks via daemon %s (jobs %d)\n"
-        (List.length Suite.all) sock jobs;
-      (try
-         Server.with_connection sock (fun fd ->
-             print_table (fun e -> rpc_compile fd (mk_req e)))
-       with Failure msg ->
-         Printf.eprintf "error: %s\n" msg;
-         exit 1)
+        (List.length Suite.all) sock req.Protocol.jobs;
+      or_exit @@ fun () ->
+      Server.with_connection sock (fun fd ->
+          print_table (fun e -> rpc_compile fd (mk_req e)))
     | None ->
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
+      or_exit @@ fun () ->
       with_cache cache_file @@ fun cache ->
       Printf.printf "compiling %d benchmarks on %s (jobs %d%s)\n"
-        (List.length Suite.all) device jobs
+        (List.length Suite.all) (device_label req) req.Protocol.jobs
         (match cache_file with
         | Some p -> Printf.sprintf ", cache %s" p
         | None -> ", no cache");
@@ -760,9 +610,8 @@ let compile_suite_cmd =
          "Compile every Table I benchmark against one shared pulse cache \
           and report per-benchmark cache hit rates.")
     Term.(
-      const run $ scheme_arg $ search_arg $ device $ drift_seed_arg
-      $ drift_epoch_arg $ jobs $ cache_arg $ canonical_arg $ backend
-      $ connect_arg $ inject_arg $ metrics_arg $ trace_arg)
+      const run $ request_term ~knobs:false $ cache_arg $ connect_arg
+      $ inject_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile-sweep                                                       *)
@@ -822,32 +671,6 @@ let compile_sweep_cmd =
       & info [ "anchors" ] ~docv:"N"
           ~doc:"Seeded anchor angles per parameter slot (>= 2).")
   in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the freeze's anchor batch (deterministic: \
-             any N produces the same plan bytes as N=1).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (analytic latency model, instant) or \
-             $(b,qoc) (real GRAPE searches; slow, small circuits only).")
-  in
   let plan_arg =
     Arg.(
       value
@@ -859,17 +682,6 @@ let compile_sweep_cmd =
              after the sweep, so fallback-adopted anchors survive across \
              runs. In-process only.")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-seconds" ] ~docv:"S"
-          ~doc:
-            "Whole-sweep wall-clock budget, checked before every \
-             iteration (exit 124). With $(b,--connect) the budget travels \
-             with the request and is enforced by the daemon (queue time \
-             counts).")
-  in
   let parse_angles_file path =
     let parse_binding lineno tok =
       match String.index_opt tok '=' with
@@ -879,20 +691,15 @@ let compile_sweep_cmd =
         match float_of_string_opt v with
         | Some v -> (name, v)
         | None ->
-          Printf.eprintf "error: %s:%d: bad angle value in %s\n" path lineno
-            tok;
-          exit 1)
+          Printf.ksprintf failwith "%s:%d: bad angle value in %s" path lineno
+            tok)
       | _ ->
-        Printf.eprintf
-          "error: %s:%d: expected param=value bindings, got %s\n" path
-          lineno tok;
-        exit 1
+        Printf.ksprintf failwith "%s:%d: expected param=value bindings, got %s"
+          path lineno tok
     in
     let lines =
       try In_channel.with_open_text path In_channel.input_lines
-      with Sys_error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
+      with Sys_error msg -> failwith msg
     in
     let iterations =
       List.concat
@@ -908,25 +715,9 @@ let compile_sweep_cmd =
                       (String.split_on_char ' ' line)) ])
            lines)
     in
-    if iterations = [] then begin
-      Printf.eprintf "error: %s holds no sweep iterations\n" path;
-      exit 1
-    end;
+    if iterations = [] then
+      Printf.ksprintf failwith "%s holds no sweep iterations" path;
     iterations
-  in
-  let sweep_circuit input =
-    if Sys.file_exists input then Qasm.parse_file input
-    else
-      match Suite.sweep_find input with
-      | e -> e.Suite.sweep_build ()
-      | exception Not_found ->
-        Printf.eprintf
-          "error: %s is neither a QASM file nor a sweep benchmark \
-           (expected one of: %s)\n"
-          input
-          (String.concat ", "
-             (List.map (fun e -> e.Suite.sweep_name) Suite.sweeps));
-        exit 1
   in
   let print_sweep (s : Protocol.sweep_result) =
     Printf.printf "sweep plan      : %d free parameters, %d anchors, %d \
@@ -942,19 +733,8 @@ let compile_sweep_cmd =
       s.Protocol.iterations;
     print_string (Service.sweep_totals s)
   in
-  let run input sweep_n seed angles_file interp_tol anchors device
-      drift_seed drift_epoch jobs backend cache_file plan connect deadline_s
-      inject metrics trace =
-    if jobs < 1 then begin
-      Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    if drift_seed < 0 || drift_epoch < 0 then begin
-      Printf.eprintf
-        "error: --drift-seed/--drift-epoch must be >= 0 (got %d/%d)\n"
-        drift_seed drift_epoch;
-      exit 1
-    end;
+  let run input sweep_n seed angles_file interp_tol anchors target cache_file
+      plan connect deadline_s inject metrics trace =
     if anchors < 2 then begin
       Printf.eprintf "error: --anchors must be >= 2 (got %d)\n" anchors;
       exit 1
@@ -963,30 +743,33 @@ let compile_sweep_cmd =
       Printf.eprintf "error: --interp-tol must be > 0 (got %g)\n" interp_tol;
       exit 1
     end;
-    let dev_name, rows, cols = device_spec_parts device in
+    let circuit = request_circuit input in
     (* angles are generated client-side in both transports: the circuit's
        free parameters are a pure function of the benchmark, so the
        daemon request carries exactly the bindings an in-process run
        would use *)
     let angles =
+      or_exit @@ fun () ->
       match angles_file with
       | Some path -> parse_angles_file path
       | None ->
-        let params = Circuit.free_params (sweep_circuit input) in
+        let params =
+          Circuit.free_params (Service.resolve_sweep_circuit circuit)
+        in
         Paqoc.Variational.sweep_angles ~seed ~n:sweep_n params
     in
     let req =
-      { Protocol.rc_circuit = proto_circuit input;
-        rc_backend = proto_backend backend;
-        rc_rows = rows;
-        rc_cols = cols;
-        rc_jobs = jobs;
+      { Protocol.rc_circuit = circuit;
+        rc_backend = target.Protocol.backend;
+        rc_rows = target.Protocol.rows;
+        rc_cols = target.Protocol.cols;
+        rc_jobs = target.Protocol.jobs;
         rc_anchors = anchors;
         rc_interp_tol = interp_tol;
         rc_angles = angles;
-        rc_device = dev_name;
-        rc_drift_seed = drift_seed;
-        rc_drift_epoch = drift_epoch;
+        rc_device = target.Protocol.device;
+        rc_drift_seed = target.Protocol.drift_seed;
+        rc_drift_epoch = target.Protocol.drift_epoch;
         rc_deadline_s = deadline_s
       }
     in
@@ -998,33 +781,24 @@ let compile_sweep_cmd =
       with_observability ~metrics ~trace @@ fun () ->
       Printf.printf "sweeping %s via daemon %s (%d iterations)\n" input sock
         (List.length angles);
-      (try
-         Server.with_connection sock (fun fd ->
-             print_sweep (rpc_sweep fd req))
-       with Failure msg ->
-         Printf.eprintf "error: %s\n" msg;
-         exit 1)
+      or_exit @@ fun () ->
+      Server.with_connection sock (fun fd -> print_sweep (rpc_sweep fd req))
     | None -> (
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
+      or_exit @@ fun () ->
       with_cache cache_file @@ fun cache ->
       Printf.printf "sweeping %s on %s (%d iterations, tol %g%s)\n" input
-        device (List.length angles) interp_tol
+        (device_label target) (List.length angles) interp_tol
         (match plan with
         | Some p -> Printf.sprintf ", plan %s" p
         | None -> "");
       let deadline = Option.map (fun s -> Clock.now_s () +. s) deadline_s in
       match Service.sweep_handle ?cache ?plan_path:plan ~deadline req with
       | s -> print_sweep s
-      | exception Protocol.Deadline_exceeded ->
-        Printf.eprintf "error: deadline exceeded\n";
-        exit 124
       | exception Paqoc.Variational.Unbound_parameters missing ->
         Printf.eprintf "error: sweep bindings miss plan parameters: %s\n"
           (String.concat ", " missing);
-        exit 1
-      | exception Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
         exit 1)
   in
   Cmd.v
@@ -1036,9 +810,8 @@ let compile_sweep_cmd =
           to real synthesis.")
     Term.(
       const run $ input $ sweep_n $ seed $ angles_file $ interp_tol
-      $ anchors $ device $ drift_seed_arg $ drift_epoch_arg $ jobs
-      $ backend $ cache_arg $ plan_arg $ connect_arg $ deadline_arg
-      $ inject_arg $ metrics_arg $ trace_arg)
+      $ anchors $ target_term $ cache_arg $ plan_arg $ connect_arg
+      $ deadline_arg $ inject_arg $ metrics_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export-ir                                                           *)
@@ -1060,33 +833,6 @@ let export_ir_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"FILE" ~doc:"Output paqoc-ir v1 JSON file.")
   in
-  let device =
-    Arg.(
-      value & opt string "5x5"
-      & info [ "d"; "device" ] ~docv:"DEV"
-          ~doc:
-            "Target device: a registry name ($(b,lattice), \
-             $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for pulse generation (deterministic: any N \
-             exports byte-identical IR).")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("model", `Model); ("qoc", `Qoc) ]) `Model
-      & info [ "backend" ] ~docv:"B"
-          ~doc:
-            "Pulse engine: $(b,model) (prices only, no waveforms in the \
-             IR) or $(b,qoc) (real GRAPE; the IR carries sampled \
-             waveforms and is self-verifying).")
-  in
   let check =
     Arg.(
       value & flag
@@ -1103,37 +849,19 @@ let export_ir_cmd =
           ~doc:"Max |recorded - re-simulated| fidelity drift $(b,--check) \
                 accepts.")
   in
-  let run input output scheme search device drift_seed drift_epoch jobs
-      backend cache_file canonical check tol =
-    if jobs < 1 then begin
-      Printf.eprintf "error: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    let logical = load_circuit input in
-    let dev = resolve_device device ~drift_seed ~drift_epoch in
-    let t = Transpile.run ~coupling:(Device.coupling dev) logical in
-    let gen =
-      match backend with
-      | `Model -> Gen.model_default ()
-      | `Qoc -> Gen.qoc_default ()
-    in
-    Gen.set_canonical gen canonical;
-    Gen.set_device gen dev;
-    let latency, esp, _seconds, groups, fallbacks, grouped =
+  let run input output req cache_file check tol =
+    or_exit @@ fun () ->
+    let req = { req with Protocol.circuit = request_circuit input } in
+    let c =
       with_cache cache_file (fun cache ->
-          run_scheme scheme ~max_n:3 ~top_k:1 ~jobs ~search ?cache gen
-            t.Transpile.physical)
+          Service.compile ?cache ~deadline:None req)
     in
-    (try
-       Pulse_ir.save
-         (Pulse_ir.of_report ~device:dev ~gen ~grouped ~latency ~esp)
-         output
-     with Failure msg ->
-       Printf.eprintf "error: %s\n" msg;
-       exit 1);
+    Pulse_ir.save (Pulse_ir.of_compiled c) output;
     Printf.printf
       "pulse IR        : %s (%d instructions, %d fallbacks, device %s)\n"
-      output groups fallbacks (Device.name dev);
+      output c.Service.result.Protocol.episodes
+      c.Service.result.Protocol.fallbacks
+      (Device.name c.Service.device);
     if check then begin
       match Pulse_ir.load output with
       | Error e ->
@@ -1159,9 +887,8 @@ let export_ir_cmd =
           $(b,--check), parse the file back and re-simulate every \
           waveform against its recorded fidelity.")
     Term.(
-      const run $ input $ output $ scheme_arg $ search_arg $ device
-      $ drift_seed_arg $ drift_epoch_arg $ jobs $ backend $ cache_arg
-      $ canonical_arg $ check $ tol)
+      const run $ input $ output $ request_term ~knobs:false $ cache_arg
+      $ check $ tol)
 
 (* ------------------------------------------------------------------ *)
 (* mine                                                                *)
@@ -1187,7 +914,9 @@ let mine_cmd =
                 the logical one.")
   in
   let run input support transpile_first =
-    let c = load_circuit input in
+    let c =
+      or_exit (fun () -> Service.resolve_circuit (request_circuit input))
+    in
     let c =
       if transpile_first then (Transpile.run c).Transpile.physical else c
     in

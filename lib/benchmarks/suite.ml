@@ -137,16 +137,19 @@ let transpiled entry =
 
 let small_cache : (string, Transpile.t) Hashtbl.t = Hashtbl.create 32
 
+let small_grid entry =
+  let n = (entry.build ()).Circuit.n_qubits in
+  let rows = int_of_float (ceil (sqrt (float_of_int n))) in
+  (rows, (n + rows - 1) / rows)
+
 let transpiled_small entry =
   match Hashtbl.find_opt small_cache entry.name with
   | Some t -> t
   | None ->
-    let c = entry.build () in
-    let n = c.Circuit.n_qubits in
-    let rows = int_of_float (ceil (sqrt (float_of_int n))) in
-    let cols = (n + rows - 1) / rows in
-    let device = Coupling.grid ~rows ~cols in
-    let t = Transpile.run ~coupling:device c in
+    let rows, cols = small_grid entry in
+    let t =
+      Transpile.run ~coupling:(Coupling.grid ~rows ~cols) (entry.build ())
+    in
     Hashtbl.replace small_cache entry.name t;
     t
 

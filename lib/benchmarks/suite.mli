@@ -49,9 +49,13 @@ val table3_names : string list
     grid and lowers it to the hardware basis; results are memoised. *)
 val transpiled : entry -> Paqoc_topology.Transpile.t
 
-(** [transpiled_small entry] routes onto a device that is just large
-    enough (smallest grid that fits), used where whole-circuit unitaries
-    or state vectors must stay tractable. *)
+(** [small_grid entry] is the smallest near-square [(rows, cols)] grid
+    that fits the benchmark's logical qubits. *)
+val small_grid : entry -> int * int
+
+(** [transpiled_small entry] routes onto the {!small_grid} device, used
+    where whole-circuit unitaries or state vectors must stay
+    tractable; results are memoised. *)
 val transpiled_small : entry -> Paqoc_topology.Transpile.t
 
 (** [observation_corpus ()] extracts, from all transpiled benchmarks

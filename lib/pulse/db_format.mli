@@ -1,5 +1,5 @@
 (** The on-disk pulse-database formats, shared by {!Generator} (the
-    per-run [--db] table) and {!Cache} (the cross-run shared cache).
+    per-generator snapshot) and {!Cache} (the cross-run shared cache).
 
     Three versions of one line-oriented text format exist
     (see [docs/pulse-db-format.md] for the byte-level specification):

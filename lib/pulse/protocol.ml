@@ -4,6 +4,7 @@
    file is a pure(ish) value transformer that tests can hit directly. *)
 
 exception Deadline_exceeded
+exception Bad_request of string
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

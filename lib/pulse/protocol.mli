@@ -230,6 +230,13 @@ type response =
     maps it to the [deadline_exceeded] wire error. *)
 exception Deadline_exceeded
 
+(** The typed refusal of a request the compiler cannot serve (unknown
+    benchmark or device, malformed QASM, a circuit wider than its
+    device, out-of-range knobs): raised while resolving a request,
+    before any compile work. {!Server} maps it to the [bad_request] wire
+    error; every other handler exception stays [internal]. *)
+exception Bad_request of string
+
 (** {1 Codecs} *)
 
 val request_to_json : request -> json

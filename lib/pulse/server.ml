@@ -191,7 +191,10 @@ let dispatch t ~deadline_s ~wrap run =
         locked t.slock (fun () ->
             t.errors <- t.errors + 1;
             Obs.count "server.error");
-        Protocol.Refused (Protocol.Internal (Printexc.to_string e))
+        Protocol.Refused
+          (match e with
+          | Protocol.Bad_request msg -> Protocol.Bad_request msg
+          | e -> Protocol.Internal (Printexc.to_string e))
     in
     locked t.slock (fun () ->
         t.inflight <- t.inflight - 1;

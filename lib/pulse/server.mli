@@ -49,8 +49,9 @@ type config = {
 val default_config : socket_path:string -> config
 
 (** One compile. [deadline] is an absolute {!Paqoc_obs.Clock} time; the
-    handler may raise {!Protocol.Deadline_exceeded} (mapped to the typed
-    wire error) or any other exception (mapped to [internal]). Runs on a
+    handler may raise {!Protocol.Deadline_exceeded} or
+    {!Protocol.Bad_request} (each mapped to its typed wire error) or any
+    other exception (mapped to [internal]). Runs on a
     pool worker domain (or inline on the connection thread at
     [jobs <= 1]); one handler call never sees another's generator, but
     all calls share whatever cache the handler closes over. *)

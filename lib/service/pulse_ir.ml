@@ -76,7 +76,7 @@ type t = {
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_report ~device ~gen ~grouped ~latency ~esp =
+let of_compiled { Service.result; device; gen; grouped } =
   let replays = Gen.canonical_replays gen in
   let t0 = ref 0.0 in
   let schedule =
@@ -142,8 +142,8 @@ let of_report ~device ~gen ~grouped ~latency ~esp =
     device_qubits = Device.n_qubits device;
     synthesis_mu = Device.synthesis_mu device;
     drive_bound = Device.drive_bound device;
-    latency;
-    esp;
+    latency = result.Protocol.latency;
+    esp = result.Protocol.esp;
     schedule
   }
 
@@ -152,16 +152,11 @@ let of_report ~device ~gen ~grouped ~latency ~esp =
 (* ------------------------------------------------------------------ *)
 
 let reference_golden () =
-  let logical = (Paqoc_benchmarks.Suite.find "qaoa").Paqoc_benchmarks.Suite.build () in
-  let device = Device.lattice in
-  let t =
-    Paqoc_topology.Transpile.run ~coupling:(Device.coupling device) logical
-  in
-  let gen = Gen.model_default () in
-  Gen.set_device gen device;
-  let r = Paqoc.compile gen t.Paqoc_topology.Transpile.physical in
-  of_report ~device ~gen ~grouped:r.Paqoc.grouped ~latency:r.Paqoc.latency
-    ~esp:r.Paqoc.esp
+  of_compiled
+    (Service.compile ~deadline:None
+       { Protocol.default_compile with
+         Protocol.circuit = Protocol.Benchmark "qaoa"
+       })
 
 let fl b x = Printf.bprintf b "%.17g" x
 let js b s = Buffer.add_string b (Protocol.json_to_string (Protocol.Str s))

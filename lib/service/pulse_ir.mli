@@ -32,7 +32,7 @@ val version : string
     [Class_replay] marks a pulse borrowed from an equivalence-class
     representative ({!Paqoc_pulse.Generator.canonical_replays});
     [Interp] is reserved for anchor-interpolated variational exports
-    (accepted by the reader, never emitted by {!of_report}). *)
+    (accepted by the reader, never emitted by {!of_compiled}). *)
 type provenance = Synthesized | Fallback | Class_replay | Interp
 
 val provenance_name : provenance -> string
@@ -75,24 +75,20 @@ type t = {
   schedule : instruction list;
 }
 
-(** [of_report ~device ~gen ~grouped ~latency ~esp] builds the IR for a
-    finished compile: [grouped] is the report's grouped circuit and
-    [gen] the generator that compiled it (every group's outcome is read
-    back with {!Paqoc_pulse.Generator.peek}; class-tier replays are
-    marked from {!Paqoc_pulse.Generator.canonical_replays}).
-    @raise Failure when a group of [grouped] was never priced by [gen]
-    (the circuit and generator do not belong together). *)
-val of_report :
-  device:Paqoc_topology.Device.t ->
-  gen:Paqoc_pulse.Generator.t ->
-  grouped:Paqoc_circuit.Circuit.t ->
-  latency:float ->
-  esp:float ->
-  t
+(** [of_compiled c] builds the IR for a finished {!Service.compile}: one
+    instruction per group of [c.grouped], each group's outcome read back
+    from [c.gen] with {!Paqoc_pulse.Generator.peek} (class-tier replays
+    are marked from {!Paqoc_pulse.Generator.canonical_replays}), the
+    device metadata from [c.device] and the whole-circuit price from
+    [c.result].
+    @raise Failure when a group was never priced by [c.gen] (the
+    circuit and generator do not belong together). *)
+val of_compiled : Service.compiled -> t
 
 (** [reference_golden ()] is the IR of the repository's golden export:
-    the [qaoa] benchmark compiled with the default scheme on the default
-    device with the model backend — the value behind
+    the [qaoa] benchmark compiled through {!Service.compile} with the
+    default request (default scheme and device, model backend) — the
+    value behind
     [test/golden/ir_qaoa.json] (written by [make update-golden],
     compared byte-for-byte by the device test battery). *)
 val reference_golden : unit -> t

@@ -14,15 +14,23 @@ module Slicer = Paqoc_accqoc.Slicer
 module Apa = Paqoc_mining.Apa
 module Clock = Paqoc_obs.Clock
 
+(* Resolution errors are the client's fault, so they raise the typed
+   refusal the server answers with [bad_request]; anything else a
+   request hits (a failed journal append, a pool crash) stays
+   [internal]. *)
+let bad_request fmt =
+  Printf.ksprintf (fun msg -> raise (Protocol.Bad_request msg)) fmt
+
+let parse_qasm src =
+  try Qasm.parse src
+  with Qasm.Parse_error msg -> bad_request "QASM parse error: %s" msg
+
 let resolve_circuit = function
   | Protocol.Benchmark name -> (
     match Suite.find name with
     | e -> e.Suite.build ()
-    | exception Not_found ->
-      failwith (Printf.sprintf "unknown benchmark %s" name))
-  | Protocol.Qasm src -> (
-    try Qasm.parse src
-    with Qasm.Parse_error msg -> failwith ("QASM parse error: " ^ msg))
+    | exception Not_found -> bad_request "unknown benchmark %s" name)
+  | Protocol.Qasm src -> parse_qasm src
 
 let check_deadline = function
   | Some d when Clock.now_s () > d -> raise Protocol.Deadline_exceeded
@@ -37,18 +45,16 @@ let check_deadline = function
    one epoch later than it asked for. *)
 let resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch =
   if drift_seed < 0 || drift_epoch < 0 then
-    failwith
-      (Printf.sprintf "drift seed/epoch must be >= 0 (got %d/%d)" drift_seed
-         drift_epoch);
+    bad_request "drift seed/epoch must be >= 0 (got %d/%d)" drift_seed
+      drift_epoch;
   let base =
     match device with
     | Some name -> (
       match Device.find name with
       | Some d -> d
       | None ->
-        failwith
-          (Printf.sprintf "unknown device %s (expected one of: %s)" name
-             (String.concat ", " (List.map Device.name Device.all))))
+        bad_request "unknown device %s (expected one of: %s)" name
+          (String.concat ", " (List.map Device.name Device.all)))
     | None -> Device.grid ~rows ~cols
   in
   let drift_epoch =
@@ -56,39 +62,56 @@ let resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch =
   in
   Drift.apply ~seed:drift_seed ~epoch:drift_epoch base
 
-let handle ?cache ~deadline (req : Protocol.compile_request) =
+(* SABRE cannot route a circuit wider than its device: refuse it here
+   rather than let the router raise. *)
+let transpile dev (logical : Circuit.t) =
+  let coupling = Device.coupling dev in
+  if logical.Circuit.n_qubits > Coupling.n_qubits coupling then
+    bad_request "circuit needs %d qubits but device %s has %d"
+      logical.Circuit.n_qubits (Device.name dev) (Coupling.n_qubits coupling);
+  Transpile.run ~coupling logical
+
+(* A fresh generator per request: no cross-request database aliasing,
+   and its [pulses_generated] is exactly this request's work. All reuse
+   flows through the shared cache (and, for sweeps, the frozen plan). *)
+let fresh_gen ?retry backend dev =
+  let gen =
+    match backend with
+    | Protocol.Model -> Gen.model_default ?retry ()
+    | Protocol.Qoc -> Gen.qoc_default ?retry ()
+  in
+  Gen.set_device gen dev;
+  gen
+
+type compiled = {
+  result : Protocol.compile_result;
+  device : Device.t;
+  gen : Gen.t;
+  grouped : Circuit.t;
+}
+
+let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
   if req.Protocol.rows < 1 || req.Protocol.cols < 1 then
-    failwith
-      (Printf.sprintf "bad device grid %dx%d" req.Protocol.rows
-         req.Protocol.cols);
+    bad_request "bad device grid %dx%d" req.Protocol.rows req.Protocol.cols;
   if req.Protocol.jobs < 1 then
-    failwith (Printf.sprintf "jobs must be >= 1 (got %d)" req.Protocol.jobs);
+    bad_request "jobs must be >= 1 (got %d)" req.Protocol.jobs;
   if req.Protocol.max_n < 1 || req.Protocol.top_k < 1 then
-    failwith "max_qubits and top_k must be >= 1";
+    bad_request "max_qubits and top_k must be >= 1";
   let logical = resolve_circuit req.Protocol.circuit in
   let dev =
     resolve_device ~device:req.Protocol.device ~rows:req.Protocol.rows
       ~cols:req.Protocol.cols ~drift_seed:req.Protocol.drift_seed
       ~drift_epoch:req.Protocol.drift_epoch
   in
-  let coupling = Device.coupling dev in
-  let t = Transpile.run ~coupling logical in
+  let t = transpile dev logical in
   let physical = t.Transpile.physical in
-  (* fresh generator per request: no cross-request database aliasing, and
-     [synthesized] below is exactly this request's work. All reuse flows
-     through the shared cache. *)
-  let gen =
-    match req.Protocol.backend with
-    | Protocol.Model -> Gen.model_default ()
-    | Protocol.Qoc -> Gen.qoc_default ()
-  in
+  let gen = fresh_gen ?retry req.Protocol.backend dev in
   (* the generator is fresh, so this scopes the equivalence-class tier
      to exactly this request — both the PAQOC and AccQOC paths *)
   Gen.set_canonical gen req.Protocol.canonical;
-  Gen.set_device gen dev;
   let stats0 = Option.map Cache.stats cache in
   let jobs = req.Protocol.jobs in
-  let latency, esp, compile_seconds, episodes, fallbacks =
+  let latency, esp, compile_seconds, episodes, fallbacks, grouped =
     match req.Protocol.scheme with
     | Protocol.Acc3 | Protocol.Acc5 ->
       (* the AccQOC baseline has no stage-boundary deadline plumbing;
@@ -100,7 +123,7 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
       in
       let r = Accqoc.compile ~slicer ~jobs ?cache gen physical in
       ( r.Accqoc.latency, r.Accqoc.esp, r.Accqoc.compile_seconds,
-        r.Accqoc.n_groups, r.Accqoc.fallbacks )
+        r.Accqoc.n_groups, r.Accqoc.fallbacks, r.Accqoc.grouped )
     | (Protocol.M0 | Protocol.Mtuned | Protocol.Minf) as m ->
       let mode =
         match m with
@@ -125,7 +148,7 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
       in
       let r = Paqoc.compile ~scheme ~jobs ~search ?cache ?deadline gen physical in
       ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
-        r.Paqoc.n_groups, r.Paqoc.fallbacks )
+        r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
   in
   let cache_hits, cache_misses =
     match (cache, stats0) with
@@ -134,19 +157,24 @@ let handle ?cache ~deadline (req : Protocol.compile_request) =
       ( s1.Cache.hits - s0.Cache.hits, s1.Cache.misses - s0.Cache.misses )
     | _ -> (0, 0)
   in
-  { Protocol.latency;
-    esp;
-    compile_seconds;
-    episodes;
-    fallbacks;
-    synthesized = Gen.pulses_generated gen;
-    cache_hits;
-    cache_misses;
-    logical_qubits = logical.Circuit.n_qubits;
-    device_qubits = Coupling.n_qubits coupling;
-    physical_gates = Circuit.n_gates physical;
-    swaps_added = t.Transpile.swaps_added
-  }
+  let result =
+    { Protocol.latency;
+      esp;
+      compile_seconds;
+      episodes;
+      fallbacks;
+      synthesized = Gen.pulses_generated gen;
+      cache_hits;
+      cache_misses;
+      logical_qubits = logical.Circuit.n_qubits;
+      device_qubits = Coupling.n_qubits (Device.coupling dev);
+      physical_gates = Circuit.n_gates physical;
+      swaps_added = t.Transpile.swaps_added
+    }
+  in
+  { result; device = dev; gen; grouped }
+
+let handle ?cache ~deadline req = (compile ?cache ~deadline req).result
 
 let handler ?cache () ~deadline req = handle ?cache ~deadline req
 
@@ -165,14 +193,10 @@ let resolve_sweep_circuit = function
     match Suite.sweep_find name with
     | e -> e.Suite.sweep_build ()
     | exception Not_found ->
-      failwith
-        (Printf.sprintf "unknown sweep benchmark %s (expected one of: %s)"
-           name
-           (String.concat ", "
-              (List.map (fun e -> e.Suite.sweep_name) Suite.sweeps))))
-  | Protocol.Qasm src -> (
-    try Qasm.parse src
-    with Qasm.Parse_error msg -> failwith ("QASM parse error: " ^ msg))
+      bad_request "unknown sweep benchmark %s (expected one of: %s)" name
+        (String.concat ", "
+           (List.map (fun e -> e.Suite.sweep_name) Suite.sweeps)))
+  | Protocol.Qasm src -> parse_qasm src
 
 (* Frozen compile plans are what makes the daemon worth connecting to
    for sweeps: the expensive freeze (grouping search + anchor synthesis)
@@ -209,46 +233,33 @@ let plan_entry key =
 
 let sweep_handle ?cache ?plan_path ~deadline (req : Protocol.recompile_request) =
   if req.Protocol.rc_rows < 1 || req.Protocol.rc_cols < 1 then
-    failwith
-      (Printf.sprintf "bad device grid %dx%d" req.Protocol.rc_rows
-         req.Protocol.rc_cols);
+    bad_request "bad device grid %dx%d" req.Protocol.rc_rows
+      req.Protocol.rc_cols;
   if req.Protocol.rc_jobs < 1 then
-    failwith
-      (Printf.sprintf "jobs must be >= 1 (got %d)" req.Protocol.rc_jobs);
+    bad_request "jobs must be >= 1 (got %d)" req.Protocol.rc_jobs;
   if req.Protocol.rc_anchors < 2 then
-    failwith
-      (Printf.sprintf "anchors must be >= 2 (got %d)" req.Protocol.rc_anchors);
+    bad_request "anchors must be >= 2 (got %d)" req.Protocol.rc_anchors;
   if not (req.Protocol.rc_interp_tol > 0.0) then
-    failwith "interp_tol must be positive";
+    bad_request "interp_tol must be positive";
   check_deadline deadline;
   let dev =
     resolve_device ~device:req.Protocol.rc_device ~rows:req.Protocol.rc_rows
       ~cols:req.Protocol.rc_cols ~drift_seed:req.Protocol.rc_drift_seed
       ~drift_epoch:req.Protocol.rc_drift_epoch
   in
-  (* fresh generator per request, exactly like [handle]; all
-     cross-request reuse flows through the shared cache and the frozen
-     plan *)
-  let fresh_gen () =
-    let gen =
-      match req.Protocol.rc_backend with
-      | Protocol.Model -> Gen.model_default ()
-      | Protocol.Qoc -> Gen.qoc_default ()
-    in
+  let sweep_gen () =
+    let gen = fresh_gen req.Protocol.rc_backend dev in
     Gen.set_shared_cache gen cache;
-    Gen.set_device gen dev;
     gen
   in
   let freeze_plan () =
-    let logical = resolve_sweep_circuit req.Protocol.rc_circuit in
-    let coupling = Device.coupling dev in
-    let t = Transpile.run ~coupling logical in
+    let t = transpile dev (resolve_sweep_circuit req.Protocol.rc_circuit) in
     V.freeze ~anchors:req.Protocol.rc_anchors ~jobs:req.Protocol.rc_jobs
       (V.prepare t.Transpile.physical)
-      (fresh_gen ())
+      (sweep_gen ())
   in
   let run_sweep plan =
-    let gen = fresh_gen () in
+    let gen = sweep_gen () in
     let static_slots, param_slots, multi_slots = V.plan_slot_kinds plan in
     (* explicit fold: iterations must run in request order (anchor
        adoption and cache publication are stateful) *)

@@ -1,35 +1,61 @@
-(** The daemon's compile brain: one {!Paqoc_pulse.Protocol} request in,
-    one result out.
+(** The one compile path: one {!Paqoc_pulse.Protocol} request in, one
+    result out.
+
+    Every compilation of a circuit — the daemon's requests, the CLI's
+    in-process [compile], [compile-suite] and [export-ir], the
+    evaluation harness and the pulse-IR golden — goes through {!compile},
+    which holds the product's only {!Paqoc_pulse.Protocol.scheme} →
+    [Paqoc.compile] / [Accqoc.compile] dispatch. The CLI and the daemon
+    agree byte for byte because they run the same function on the same
+    request record, not because a check diffs their outputs.
 
     {!Paqoc_pulse.Server} is deliberately transport-only — it cannot
     depend on the compiler, which sits {e above} the pulse layer in the
     library graph. This module closes the loop from the top: it resolves
     a wire-level {!Paqoc_pulse.Protocol.compile_request} (benchmark name
     or inline QASM) into a circuit, transpiles it onto the requested
-    grid, runs the selected scheme through a {b fresh generator} against
-    the shared cache, and packs everything the CLI prints into the
-    {!Paqoc_pulse.Protocol.compile_result} — which is how the
-    daemon-served [compile-suite] table comes out byte-identical to the
-    in-process one: both sides print the same record through the same
-    formatters below.
+    device, runs the selected scheme through a {b fresh generator}
+    against the shared cache, and packs everything the CLI prints into
+    the {!Paqoc_pulse.Protocol.compile_result}; the [compile-suite]
+    table formatters below print that record on both transports.
 
     A fresh generator per request keeps requests isolated (no
     cross-request pulse-database aliasing, deterministic per-request
     [synthesized] counts); all cross-request reuse flows through the
-    shared {!Paqoc_pulse.Cache}, exactly like the suite driver's
-    cross-benchmark dedup. *)
+    shared {!Paqoc_pulse.Cache}.
+
+    Requests the compiler cannot serve — an unknown benchmark, sweep
+    benchmark or device, malformed QASM, a circuit wider than its
+    device, out-of-range knobs — raise
+    {!Paqoc_pulse.Protocol.Bad_request} before any compile work; the
+    server answers them with the [bad_request] wire error and the CLI
+    exits 1 with the same text. *)
+
+(** [resolve_circuit c] builds a request's logical circuit: a built-in
+    benchmark by name, or inline QASM source.
+    @raise Paqoc_pulse.Protocol.Bad_request on an unknown benchmark or a
+    QASM parse error. *)
+val resolve_circuit : Paqoc_pulse.Protocol.circuit -> Paqoc_circuit.Circuit.t
+
+(** [resolve_sweep_circuit c] is {!resolve_circuit} for sweeps: names
+    resolve among the parameterised sweep benchmarks, whose angles stay
+    symbolic.
+    @raise Paqoc_pulse.Protocol.Bad_request on an unknown sweep
+    benchmark or a QASM parse error. *)
+val resolve_sweep_circuit :
+  Paqoc_pulse.Protocol.circuit -> Paqoc_circuit.Circuit.t
 
 (** [resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch] is the
-    one device-resolution path for every request kind (and the CLI's
-    in-process commands): a registry name ([device = Some _],
-    {!Paqoc_topology.Device.find}) wins; [None] is the uniform ad-hoc
-    [rows x cols] grid. Calibration drift
+    one device-resolution path for every request kind: a registry name
+    ([device = Some _], {!Paqoc_topology.Device.find}) wins; [None] is
+    the uniform ad-hoc [rows x cols] grid. Calibration drift
     ({!Paqoc_topology.Drift.apply}) is applied last, so the returned
     device's hash — and therefore its shared-cache namespace — already
     reflects the epoch. An armed
     {!Paqoc_pulse.Faultin.Drift_shock} fault resolves one epoch later
     than requested (the unannounced-recalibration scenario).
-    @raise Failure on an unknown device name or negative seed/epoch. *)
+    @raise Paqoc_pulse.Protocol.Bad_request on an unknown device name or
+    negative seed/epoch. *)
 val resolve_device :
   device:string option ->
   rows:int ->
@@ -38,16 +64,40 @@ val resolve_device :
   drift_epoch:int ->
   Paqoc_topology.Device.t
 
-(** [handle ?cache ~deadline req] compiles one request. [deadline] is an
-    absolute {!Paqoc_obs.Clock} time forwarded to the pipeline's
-    stage-boundary checks. The request's device is resolved with
-    {!resolve_device} and pinned on the fresh generator, so its pulses
-    live under the device's cache namespace.
+(** A finished compile: the wire result plus what only an in-process
+    caller can use — the resolved device, the request's generator (its
+    pulse database holds every group's outcome, which is what
+    {!Pulse_ir.of_compiled} exports) and the final grouped circuit. *)
+type compiled = {
+  result : Paqoc_pulse.Protocol.compile_result;
+  device : Paqoc_topology.Device.t;
+  gen : Paqoc_pulse.Generator.t;
+  grouped : Paqoc_circuit.Circuit.t;
+}
+
+(** [compile ?cache ?retry ~deadline req] compiles one request:
+    resolve the circuit and device, transpile, dispatch on
+    [req.scheme] through a fresh generator pinned to the device (so its
+    pulses live under the device's cache namespace), and count this
+    request's shared-cache hits and misses. [retry] is the fresh
+    generator's synthesis retry policy (default
+    {!Paqoc_pulse.Generator.default_retry}); it is not a request field
+    because only in-process callers set it. [deadline] is an absolute
+    {!Paqoc_obs.Clock} time forwarded to the pipeline's stage-boundary
+    checks.
     @raise Paqoc_pulse.Protocol.Deadline_exceeded when the budget
     expires at a stage boundary.
-    @raise Failure on an unresolvable request (unknown benchmark or
-    device, QASM parse error, bad grid/knobs) — the server maps it to a
-    typed wire error. *)
+    @raise Paqoc_pulse.Protocol.Bad_request on a request the compiler
+    cannot serve (see above). *)
+val compile :
+  ?cache:Paqoc_pulse.Cache.t ->
+  ?retry:Paqoc_pulse.Generator.retry ->
+  deadline:float option ->
+  Paqoc_pulse.Protocol.compile_request ->
+  compiled
+
+(** [handle ?cache ~deadline req] is [(compile ?cache ~deadline req).result]
+    — the daemon's view of a compile. *)
 val handle :
   ?cache:Paqoc_pulse.Cache.t ->
   deadline:float option ->
@@ -81,8 +131,10 @@ val handler :
     across runs.
     @raise Paqoc_pulse.Protocol.Deadline_exceeded when the budget
     expires (checked at entry and before every iteration).
-    @raise Failure on an unresolvable request (unknown sweep benchmark,
-    bad grid/anchors/tolerance, corrupt plan sidecar).
+    @raise Paqoc_pulse.Protocol.Bad_request on an unresolvable request
+    (unknown sweep benchmark or device, a circuit wider than its
+    device, bad grid/anchors/tolerance).
+    @raise Failure on a corrupt plan sidecar.
     @raise Paqoc.Variational.Unbound_parameters when an iteration's
     bindings miss a plan parameter. *)
 val sweep_handle :

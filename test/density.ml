@@ -1,9 +1,23 @@
+(* Exact open-system simulation on density matrices: the test oracle
+   for the quantum-trajectory sampler in [Simulator.noisy_fidelity].
+
+   The sampler is fast but stochastic; this module evolves the full
+   density matrix through the compiled schedule with per-qubit Pauli
+   channels applied exactly, giving the trajectory average in closed
+   form (at [4^n] memory, so capped at 6 qubits). Channel model
+   (matching the sampler): over a window of length [t] a qubit suffers
+   an error with probability [p = 1 - exp(-t/T2)], which is [Z] with
+   weight 2/3 and [X] with weight 1/3. *)
+
 module Cx = Paqoc_linalg.Cx
 module Cmat = Paqoc_linalg.Cmat
 module Cvec = Paqoc_linalg.Cvec
 module Gate = Paqoc_circuit.Gate
 module Circuit = Paqoc_circuit.Circuit
 module Dag = Paqoc_circuit.Dag
+module Generator = Paqoc_pulse.Generator
+module Pricing = Paqoc_pulse.Pricing
+module Simulator = Paqoc_pulse.Simulator
 
 type t = Cmat.t
 
@@ -15,10 +29,12 @@ let dim rho = Cmat.rows rho
 
 let trace rho = Cx.re (Cmat.trace rho)
 
+(* conjugate by [u] lifted onto [wires] *)
 let apply_unitary rho u ~wires ~n_qubits =
   let full = Cmat.embed ~n_qubits u ~on:wires in
   Cmat.mul full (Cmat.mul rho (Cmat.adjoint full))
 
+(* (1-p) rho + p (2/3 Z rho Z + 1/3 X rho X) on one qubit *)
 let apply_pauli_channel rho ~qubit ~n_qubits ~p =
   if p <= 0.0 then rho
   else begin
@@ -47,6 +63,9 @@ let fidelity_to_pure rho psi =
   done;
   Cx.re !acc
 
+(* the exact counterpart of [Simulator.noisy_fidelity]: evolve |0..0>
+   through [c]'s compiled schedule with the Pauli channel applied per
+   busy/idle window, and report fidelity to the ideal final state *)
 let noisy_fidelity ?(t2 = Simulator.default_noise.Simulator.t2) gen
     (c : Circuit.t) =
   let n = c.Circuit.n_qubits in

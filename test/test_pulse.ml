@@ -476,8 +476,6 @@ let noise_tests =
            with Invalid_argument _ -> true))
   ]
 
-module Density = Paqoc_pulse.Density
-
 let density_tests =
   [ case "pure-state density matrix basics" (fun () ->
         let psi = Cvec.normalize (Cvec.of_list [ Cx.one; Cx.i ]) in

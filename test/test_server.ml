@@ -24,10 +24,11 @@ let tmp_name suffix =
 
 (* Run a daemon around [f]: server on its own thread, [f] gets the socket
    path, shutdown + join always happen. *)
-let with_server ?cache ?on_close ?(config_of = fun c -> c) handler f =
+let with_server ?cache ?on_close ?sweep ?(config_of = fun c -> c) handler f
+    =
   let socket_path = tmp_name ".sock" in
   let config = config_of (Server.default_config ~socket_path) in
-  let t = Server.create ?cache ?on_close config handler in
+  let t = Server.create ?cache ?on_close ?sweep config handler in
   let thread = Thread.create Server.run t in
   Fun.protect
     ~finally:(fun () ->
@@ -562,6 +563,47 @@ let test_warm_daemon_synthesizes_nothing () =
   check_true "warm run all hits" (warm.Protocol.cache_hits > 0);
   check_float "same latency" warm.Protocol.latency cold.Protocol.latency
 
+(* Requests the compiler cannot serve are the client's fault: the real
+   compile and sweep handlers refuse them as bad requests (not internal
+   errors) before any compile work, and the daemon keeps serving. *)
+let test_unservable_requests_are_bad_requests () =
+  with_server ~sweep:(Service.sweep_handler ()) (Service.handler ())
+  @@ fun socket t ->
+  Server.with_connection socket @@ fun fd ->
+  let refused label expected request =
+    match Server.rpc fd request with
+    | Protocol.Refused (Protocol.Bad_request msg) ->
+      Alcotest.(check string) label expected msg
+    | Protocol.Refused e ->
+      Alcotest.failf "%s: refused as %s" label (Protocol.error_name e)
+    | _ -> Alcotest.failf "%s: compiled" label
+  in
+  let compile circuit rows =
+    Protocol.Compile
+      { Protocol.default_compile with
+        Protocol.circuit;
+        rows;
+        cols = rows
+      }
+  in
+  refused "unknown benchmark" "unknown benchmark nosuch"
+    (compile (Protocol.Benchmark "nosuch") 5);
+  refused "malformed QASM" "QASM parse error: line 2: unsupported gate foo"
+    (compile (Protocol.Qasm "qreg q[1];\nfoo q[0];\n") 5);
+  refused "too-small grid" "circuit needs 16 qubits but device 3x3 has 9"
+    (compile (Protocol.Benchmark "qft") 3);
+  refused "sweep on a too-small grid"
+    "circuit needs 10 qubits but device 1x2 has 2"
+    (Protocol.Recompile
+       { Protocol.default_recompile with
+         Protocol.rc_rows = 1;
+         rc_cols = 2
+       });
+  check_int "each refusal counted" 4 (Server.stats t).Protocol.errors;
+  match Server.rpc fd Protocol.Ping with
+  | Protocol.Pong -> ()
+  | _ -> Alcotest.fail "daemon should keep serving after bad requests"
+
 let test_idle_timeout_stops () =
   let cfg c = { c with Server.idle_timeout_s = Some 0.05 } in
   let socket_path = tmp_name ".sock" in
@@ -608,4 +650,7 @@ let suite =
     slow_case "identity: daemon rows byte-identical to in-process"
       test_client_matches_inprocess;
     slow_case "identity: warm daemon serves entirely from cache"
-      test_warm_daemon_synthesizes_nothing ]
+      test_warm_daemon_synthesizes_nothing;
+    case "server: unservable requests are refused as bad requests"
+      test_unservable_requests_are_bad_requests
+  ]
