@@ -17,6 +17,7 @@ module Gen = Paqoc_pulse.Generator
 module Suite = Paqoc_benchmarks.Suite
 module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
+module Json = Paqoc_obs.Json
 
 let qaoa_physical =
   lazy
@@ -199,26 +200,21 @@ let run_bench_json ?(path = "BENCH_scaling.json") ?(workers = [ 1; 2; 4 ]) () =
         (jobs, wall, sum_gen))
       workers
   in
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"scaling\",\"tasks\":%d,\"runs\":["
-    (List.length batch);
-  List.iteri
-    (fun i (jobs, wall, sum_gen) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"jobs\":%d,\"wall_s\":%.6f,\"accounted_gen_s\":%.6f}" jobs wall
-        sum_gen)
-    runs;
-  Printf.bprintf buf "],\"metrics\":%s}\n" (Obs.report_json ());
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Obs.reset ();
-  Printf.printf "  bench entry written to %s\n%!" path
+  Common.write_entry path ~bench:"scaling"
+    [ ("tasks", Json.int (List.length batch));
+      ( "runs",
+        Json.Arr
+          (List.map
+             (fun (jobs, wall, sum_gen) ->
+               Json.Obj
+                 [ ("jobs", Json.int jobs);
+                   ("wall_s", Json.Num wall);
+                   ("accounted_gen_s", Json.Num sum_gen)
+                 ])
+             runs) );
+      ("metrics", Obs.report ())
+    ];
+  Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_grape.json: per-iteration GRAPE cost at 2/4/8 dimensions       *)
@@ -266,25 +262,22 @@ let run_bench_grape ?(path = "BENCH_grape.json") ?(phase = "current")
   Printf.printf "\n%s\nGRAPE  per-iteration microbench (2/4/8-dim)\n%s\n"
     (String.make 78 '=') (String.make 78 '=');
   let runs = List.map (run_grape_case ~iters ~repeats) grape_cases in
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"grape\",\"runs\":[";
-  List.iteri
-    (fun i (name, dim, n_slices, iters, repeats, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"phase\":%S,\"case\":%S,\"dim\":%d,\"n_slices\":%d,\"iters\":%d,\
-         \"repeats\":%d,\"ns_per_iter\":%.1f}"
-        phase name dim n_slices iters repeats ns)
-    runs;
-  Buffer.add_string buf "]}\n";
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Printf.printf "  bench entry written to %s\n%!" path
+  Common.write_entry path ~bench:"grape"
+    [ ( "runs",
+        Json.Arr
+          (List.map
+             (fun (name, dim, n_slices, iters, repeats, ns) ->
+               Json.Obj
+                 [ ("phase", Json.Str phase);
+                   ("case", Json.Str name);
+                   ("dim", Json.int dim);
+                   ("n_slices", Json.int n_slices);
+                   ("iters", Json.int iters);
+                   ("repeats", Json.int repeats);
+                   ("ns_per_iter", Json.Num ns)
+                 ])
+             runs) )
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_cache.json: cold vs warm suite compile through the shared cache *)
@@ -355,41 +348,39 @@ let run_bench_cache ?(path = "BENCH_cache.json") () =
   in
   Printf.printf "  synthesis skip rate (warm vs cold): %.1f%%\n%!"
     (100.0 *. skip_rate);
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"cache\",\"benchmarks\":%d,\
-     \"runs\":["
-    (List.length Suite.all);
-  List.iteri
-    (fun i (phase, wall, synth, hits, misses, canonical, per) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let rate h m =
-        if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-      in
-      Printf.bprintf buf
-        "{\"phase\":%S,\"wall_s\":%.6f,\"synthesized\":%d,\"cache_hits\":%d,\
-         \"cache_misses\":%d,\"hit_rate\":%.4f,\"canonical_hits\":%d,\
-         \"canonical_hit_rate\":%.4f,\"per_benchmark\":["
-        phase wall synth hits misses (rate hits misses) canonical
-        (rate canonical (hits - canonical + misses));
-      List.iteri
-        (fun j (name, s, h, m, c) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf
-            "{\"name\":%S,\"synthesized\":%d,\"cache_hits\":%d,\
-             \"hit_rate\":%.4f,\"canonical_hits\":%d}"
-            name s h (rate h m) c)
-        per;
-      Buffer.add_string buf "]}")
-    [ cold; warm ];
-  Printf.bprintf buf "],\"synthesis_skip_rate\":%.4f}\n" skip_rate;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Printf.printf "  bench entry written to %s\n%!" path
+  let rate h m =
+    if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
+  in
+  let run_json (phase, wall, synth, hits, misses, canonical, per) =
+    Json.Obj
+      [ ("phase", Json.Str phase);
+        ("wall_s", Json.Num wall);
+        ("synthesized", Json.int synth);
+        ("cache_hits", Json.int hits);
+        ("cache_misses", Json.int misses);
+        ("hit_rate", Json.Num (rate hits misses));
+        ("canonical_hits", Json.int canonical);
+        ( "canonical_hit_rate",
+          Json.Num (rate canonical (hits - canonical + misses)) );
+        ( "per_benchmark",
+          Json.Arr
+            (List.map
+               (fun (name, s, h, m, c) ->
+                 Json.Obj
+                   [ ("name", Json.Str name);
+                     ("synthesized", Json.int s);
+                     ("cache_hits", Json.int h);
+                     ("hit_rate", Json.Num (rate h m));
+                     ("canonical_hits", Json.int c)
+                   ])
+               per) )
+      ]
+  in
+  Common.write_entry path ~bench:"cache"
+    [ ("benchmarks", Json.int (List.length Suite.all));
+      ("runs", Json.Arr [ run_json cold; run_json warm ]);
+      ("synthesis_skip_rate", Json.Num skip_rate)
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_devices.json: per-device suite compile + cache isolation      *)
@@ -491,39 +482,43 @@ let run_bench_devices ?(path = "BENCH_devices.json") () =
   Printf.printf
     "  gates: every warm miss regenerated (no lost pulses); drift forced a \
      full cold resynthesis\n%!";
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"devices\",\"benchmarks\":%d,\
-     \"devices\":["
-    (List.length Suite.all);
-  List.iteri
-    (fun i (dev, cold, warm) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"name\":%S,\"hash\":%S,\"qubits\":%d,\"runs\":[" (Device.name dev)
-        (Device.hash dev) (Device.n_qubits dev);
-      List.iteri
-        (fun j (phase, (wall, synth, hits, misses)) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf
-            "{\"phase\":%S,\"wall_s\":%.6f,\"synthesized\":%d,\
-             \"cache_hits\":%d,\"cache_misses\":%d,\"hit_rate\":%.4f}"
-            phase wall synth hits misses (rate hits misses))
-        [ ("cold", cold); ("warm", warm) ];
-      Buffer.add_string buf "]}")
-    per_device;
+  let run_json (phase, (wall, synth, hits, misses)) =
+    Json.Obj
+      [ ("phase", Json.Str phase);
+        ("wall_s", Json.Num wall);
+        ("synthesized", Json.int synth);
+        ("cache_hits", Json.int hits);
+        ("cache_misses", Json.int misses);
+        ("hit_rate", Json.Num (rate hits misses))
+      ]
+  in
   let drift_wall, drift_synth, drift_hits, drift_misses = drift in
-  Printf.bprintf buf
-    "],\"drift\":{\"seed\":1,\"epoch\":1,\"wall_s\":%.6f,\"synthesized\":%d,\
-     \"cache_hits\":%d,\"cache_misses\":%d},\"isolated\":true}\n"
-    drift_wall drift_synth drift_hits drift_misses;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Printf.printf "  bench entry written to %s\n%!" path
+  Common.write_entry path ~bench:"devices"
+    [ ("benchmarks", Json.int (List.length Suite.all));
+      ( "devices",
+        Json.Arr
+          (List.map
+             (fun (dev, cold, warm) ->
+               Json.Obj
+                 [ ("name", Json.Str (Device.name dev));
+                   ("hash", Json.Str (Device.hash dev));
+                   ("qubits", Json.int (Device.n_qubits dev));
+                   ( "runs",
+                     Json.Arr
+                       [ run_json ("cold", cold); run_json ("warm", warm) ] )
+                 ])
+             per_device) );
+      ( "drift",
+        Json.Obj
+          [ ("seed", Json.int 1);
+            ("epoch", Json.int 1);
+            ("wall_s", Json.Num drift_wall);
+            ("synthesized", Json.int drift_synth);
+            ("cache_hits", Json.int drift_hits);
+            ("cache_misses", Json.int drift_misses)
+          ] );
+      ("isolated", Json.Bool true)
+    ]
 
 let run () =
   Printf.printf "\n%s\nMICRO  bechamel kernels (one per table/figure)\n%s\n"

@@ -26,11 +26,6 @@
                                                      shared-cache suite
                                                      entry (default
                                                      BENCH_cache.json)
-     dune exec bench/micro_main.exe -- --bench-search[=PATH]
-                                                  -- emit the reference-vs-
-                                                     incremental search
-                                                     trajectory (default
-                                                     BENCH_search.json)
      dune exec bench/micro_main.exe -- --bench-serve[=PATH]
                                                   -- emit the resident-daemon
                                                      entry: warm requests/sec,
@@ -76,7 +71,6 @@ let () =
   let bench_json = flag_value "bench-json" args in
   let bench_grape = flag_value "bench-grape" args in
   let bench_cache = flag_value "bench-cache" args in
-  let bench_search = flag_value "bench-search" args in
   let bench_serve = flag_value "bench-serve" args in
   let bench_sweep = flag_value "bench-sweep" args in
   let bench_devices = flag_value "bench-devices" args in
@@ -91,17 +85,16 @@ let () =
     | ws -> ws
   in
   (match
-     (bench_devices, bench_sweep, bench_serve, bench_search, bench_cache,
-      bench_grape, bench_json)
+     (bench_devices, bench_sweep, bench_serve, bench_cache, bench_grape,
+      bench_json)
    with
-  | Some path, _, _, _, _, _, _ -> Micro.run_bench_devices ?path ()
-  | None, Some path, _, _, _, _, _ -> Sweep.run_bench_sweep ?path ()
-  | None, None, Some path, _, _, _, _ -> Serve.run_bench_serve ?path ()
-  | None, None, None, Some path, _, _, _ -> Search.run_bench_search ?path ()
-  | None, None, None, None, Some path, _, _ -> Micro.run_bench_cache ?path ()
-  | None, None, None, None, None, Some path, _ ->
+  | Some path, _, _, _, _, _ -> Micro.run_bench_devices ?path ()
+  | None, Some path, _, _, _, _ -> Sweep.run_bench_sweep ?path ()
+  | None, None, Some path, _, _, _ -> Serve.run_bench_serve ?path ()
+  | None, None, None, Some path, _, _ -> Micro.run_bench_cache ?path ()
+  | None, None, None, None, Some path, _ ->
     Micro.run_bench_grape ?path ?phase ?iters ?repeats ()
-  | None, None, None, None, None, None, Some path ->
+  | None, None, None, None, None, Some path ->
     Micro.run_bench_json ?path ~workers ()
-  | None, None, None, None, None, None, None -> Micro.run_scaling ~workers ());
+  | None, None, None, None, None, None -> Micro.run_scaling ~workers ());
   if kernels then Micro.run ()

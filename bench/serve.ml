@@ -22,6 +22,7 @@ module Cache = Paqoc_pulse.Cache
 module Service = Paqoc_service.Service
 module Suite = Paqoc_benchmarks.Suite
 module Clock = Paqoc_obs.Clock
+module Json = Paqoc_obs.Json
 
 type pass = {
   phase : string;  (** "cold" / "warm" *)
@@ -130,15 +131,19 @@ let warm_suite_walls ~tries cache =
   done;
   (!j1, !j4)
 
-let bprint_pass buf i (p : pass) =
-  if i > 0 then Buffer.add_char buf ',';
-  Printf.bprintf buf
-    "{\"phase\":%S,\"wall_s\":%.6f,\"requests\":%d,\
-     \"requests_per_s\":%.4f,\"p50_ms\":%.4f,\"p95_ms\":%.4f,\
-     \"synthesized\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\
-     \"hit_rate\":%.6f}"
-    p.phase p.wall_s p.requests p.requests_per_s p.p50_ms p.p95_ms
-    p.synthesized p.cache_hits p.cache_misses p.hit_rate
+let pass_json (p : pass) =
+  Json.Obj
+    [ ("phase", Json.Str p.phase);
+      ("wall_s", Json.Num p.wall_s);
+      ("requests", Json.int p.requests);
+      ("requests_per_s", Json.Num p.requests_per_s);
+      ("p50_ms", Json.Num p.p50_ms);
+      ("p95_ms", Json.Num p.p95_ms);
+      ("synthesized", Json.int p.synthesized);
+      ("cache_hits", Json.int p.cache_hits);
+      ("cache_misses", Json.int p.cache_misses);
+      ("hit_rate", Json.Num p.hit_rate)
+    ]
 
 let run_bench_serve ?(path = "BENCH_serve.json") () =
   Printf.printf
@@ -200,20 +205,11 @@ let run_bench_serve ?(path = "BENCH_serve.json") () =
          "warm --jobs 4 suite is %.2fx the --jobs 1 wall (budget 1.10x) — \
           idle worker domains are being paid for again; refusing to write %s"
          ratio path);
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"serve\",\"benchmarks\":%d,\
-     \"runs\":["
-    (List.length Suite.all);
-  List.iteri (bprint_pass buf) [ cold; warm ];
-  Printf.bprintf buf
-    "],\"warm_jobs1_wall_s\":%.6f,\"warm_jobs4_wall_s\":%.6f,\
-     \"warm_jobs_ratio\":%.4f,\"byte_identical\":true}\n"
-    jobs1 jobs4 ratio;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Printf.printf "  bench entry written to %s\n%!" path
+  Common.write_entry path ~bench:"serve"
+    [ ("benchmarks", Json.int (List.length Suite.all));
+      ("runs", Json.Arr [ pass_json cold; pass_json warm ]);
+      ("warm_jobs1_wall_s", Json.Num jobs1);
+      ("warm_jobs4_wall_s", Json.Num jobs4);
+      ("warm_jobs_ratio", Json.Num ratio);
+      ("byte_identical", Json.Bool true)
+    ]

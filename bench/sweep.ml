@@ -32,6 +32,7 @@ module Dnn = Paqoc_benchmarks.Dnn
 module Coupling = Paqoc_topology.Coupling
 module Transpile = Paqoc_topology.Transpile
 module Clock = Paqoc_obs.Clock
+module Json = Paqoc_obs.Json
 
 let seed = 11
 let model_iterations = 32
@@ -218,28 +219,32 @@ let run_bench_sweep ?(path = "BENCH_sweep.json") () =
           measured fidelity by %.3g — refusing to write %s"
          replay_err path);
 
-  let buf = Buffer.create 1024 in
-  let bprint_run buf i phase tol iters (p : fast_pass) =
-    if i > 0 then Buffer.add_char buf ',';
-    Printf.bprintf buf
-      "{\"phase\":%S,\"tol\":%.0e,\"iterations\":%d,\"interp\":%d,\
-       \"fallback\":%d,\"resynth\":%d,\"checks\":%d,\"max_drift\":%.3e}"
-      phase tol iters p.interp p.fallback p.resynth p.n_checks p.max_drift
+  let run_json phase tol iters (p : fast_pass) =
+    Json.Obj
+      [ ("phase", Json.Str phase);
+        ("tol", Json.Num tol);
+        ("iterations", Json.int iters);
+        ("interp", Json.int p.interp);
+        ("fallback", Json.int p.fallback);
+        ("resynth", Json.int p.resynth);
+        ("checks", Json.int p.n_checks);
+        ("max_drift", Json.Num p.max_drift)
+      ]
   in
-  Printf.bprintf buf
-    "{\"schema\":\"paqoc-bench v1\",\"bench\":\"sweep\",\"seed\":%d,\
-     \"anchors\":5,\"qoc_anchors\":%d,\"freeze_s\":%.6f,\
-     \"full_iter_s\":%.6f,\"fast_iter_s\":%.6f,\"speedup\":%.4f,\
-     \"interp_hit_rate\":%.6f,\"runs\":["
-    seed qoc_anchors freeze_s full_iter_s fast_iter_s speedup hit_rate;
-  bprint_run buf 0 "model" drift_tol model_iterations fast;
-  bprint_run buf 1 "qoc-strict" drift_tol qoc_iterations strict;
-  bprint_run buf 2 "qoc-loose" loose_tol qoc_iterations loose;
-  Printf.bprintf buf "],\"qoc_replay_err\":%.3e}\n" replay_err;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Sys.rename tmp path;
-  Printf.printf "  bench entry written to %s\n%!" path
+  Common.write_entry path ~bench:"sweep"
+    [ ("seed", Json.int seed);
+      ("anchors", Json.int 5);
+      ("qoc_anchors", Json.int qoc_anchors);
+      ("freeze_s", Json.Num freeze_s);
+      ("full_iter_s", Json.Num full_iter_s);
+      ("fast_iter_s", Json.Num fast_iter_s);
+      ("speedup", Json.Num speedup);
+      ("interp_hit_rate", Json.Num hit_rate);
+      ( "runs",
+        Json.Arr
+          [ run_json "model" drift_tol model_iterations fast;
+            run_json "qoc-strict" drift_tol qoc_iterations strict;
+            run_json "qoc-loose" loose_tol qoc_iterations loose
+          ] );
+      ("qoc_replay_err", Json.Num replay_err)
+    ]

@@ -397,22 +397,6 @@ let request_term ~knobs =
             "Compilation scheme: paqoc-m0, paqoc-mtuned, paqoc-minf, \
              accqoc-n3d3 or accqoc-n3d5.")
   in
-  let search =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("incremental", Protocol.Incremental);
-               ("reference", Protocol.Reference) ])
-          Protocol.Incremental
-      & info [ "search" ] ~docv:"IMPL"
-          ~doc:
-            "Criticality-search implementation: $(b,incremental) \
-             (default; the engine-backed fast path) or $(b,reference) \
-             (the original full-reanalysis loop). Both produce identical \
-             circuits and tables — the switch exists so the equivalence \
-             is checkable end to end.")
-  in
   let knobs =
     if not knobs then Term.const Fun.id
     else
@@ -434,10 +418,10 @@ let request_term ~knobs =
             { req with Protocol.max_n; top_k; deadline_s })
         $ max_n $ top_k $ deadline_arg)
   in
-  let make scheme search canonical knobs target =
-    knobs { target with Protocol.scheme; search; canonical }
+  let make scheme canonical knobs target =
+    knobs { target with Protocol.scheme; canonical }
   in
-  Term.(const make $ scheme $ search $ canonical_arg $ knobs $ target_term)
+  Term.(const make $ scheme $ canonical_arg $ knobs $ target_term)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)

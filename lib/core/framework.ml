@@ -78,8 +78,8 @@ let check_deadline deadline =
     raise Paqoc_pulse.Protocol.Deadline_exceeded
   | _ -> ()
 
-let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?(search = `Incremental) ?cache
-    ?canonical ?deadline gen (c : Circuit.t) =
+let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?cache ?canonical ?deadline gen
+    (c : Circuit.t) =
   with_shared_cache ?cache gen @@ fun () ->
   with_canonical ?canonical gen @@ fun () ->
   Obs.with_span "paqoc.compile" @@ fun () ->
@@ -126,9 +126,7 @@ let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?(search = `Incremental) ?cache
   let grouped, merge_stats =
     if scheme.enable_merger then
       Obs.with_span "paqoc.search" (fun () ->
-          match search with
-          | `Incremental -> Merger.run ~config:scheme.merger ~jobs gen pre
-          | `Reference -> Merger.run_reference ~config:scheme.merger gen pre)
+          Merger.run ~config:scheme.merger ~jobs gen pre)
     else begin
       let crit = Criticality.analyze gen pre in
       ( pre,

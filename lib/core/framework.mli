@@ -53,19 +53,13 @@ type report = {
   merge_stats : Merger.stats;
 }
 
-(** [compile ?scheme ?jobs ?search ?cache gen c] compiles physical
+(** [compile ?scheme ?jobs ?cache gen c] compiles physical
     circuit [c]. Default scheme is [paqoc_m0]. [jobs] (default 1) is the
     worker-domain count for the parallel stages — the offline APA pulse
     pre-computation, the final episode sweep, and the incremental
     search's candidate exploration; results are identical to the serial
     run ({!Paqoc_pulse.Generator.generate_batch}'s determinism
     guarantee, and {!Merger.run}'s).
-
-    [search] picks the criticality-search implementation:
-    [`Incremental] (default) is {!Merger.run}; [`Reference] is
-    {!Merger.run_reference}, the slow oracle — same results, kept
-    selectable so the end-to-end equivalence can be checked from the
-    CLI ([make check-search-golden]).
 
     [cache] scopes a shared cross-run {!Paqoc_pulse.Cache} to this
     compile: groups already priced there skip synthesis, and freshly
@@ -91,7 +85,6 @@ type report = {
 val compile :
   ?scheme:scheme ->
   ?jobs:int ->
-  ?search:[ `Incremental | `Reference ] ->
   ?cache:Paqoc_pulse.Cache.t ->
   ?canonical:bool ->
   ?deadline:float ->

@@ -43,21 +43,13 @@ type stats = {
     at any [jobs] runs at [jobs = 1] speed (commit order stays
     deterministic — results are identical at any [jobs]). The decision
     sequence, the generated pulse keys and order, the returned circuit
-    and the statistics are all exactly those of {!run_reference}; the
-    differential battery in test_search holds the two bit-identical. *)
+    and the statistics are all exactly those of the original
+    full-reanalysis loop (one {!Criticality.analyze} per iteration and
+    per attempted contraction), which the test suite keeps as its oracle
+    ([test/reference_search.ml]) and holds bit-identical to this one. *)
 val run :
   ?config:config ->
   ?jobs:int ->
-  Paqoc_pulse.Generator.t ->
-  Paqoc_circuit.Circuit.t ->
-  Paqoc_circuit.Circuit.t * stats
-
-(** [run_reference ?config gen c] is the original (pre-incremental)
-    search loop, kept as the oracle the fast path is tested against:
-    one full {!Criticality.analyze} per iteration and per attempted
-    contraction. Same results, asymptotically slower. *)
-val run_reference :
-  ?config:config ->
   Paqoc_pulse.Generator.t ->
   Paqoc_circuit.Circuit.t ->
   Paqoc_circuit.Circuit.t * stats

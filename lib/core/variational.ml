@@ -841,15 +841,8 @@ let plan_of_string text =
 
 let save_plan plan path =
   let rendered = plan_to_string plan in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc rendered;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
+  Paqoc_obs.Atomic_file.write ~what:"Variational.save_plan" path (fun oc ->
+      output_string oc rendered)
 
 let load_plan path =
   match

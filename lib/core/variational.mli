@@ -172,8 +172,9 @@ val plan_to_string : plan -> string
 
 val plan_of_string : string -> (plan, parse_error) result
 
-(** [save_plan plan path] writes atomically (tmp + rename); the target is
-    never left truncated. *)
+(** [save_plan plan path] writes {!plan_to_string} through
+    {!Paqoc_obs.Atomic_file.write}; the target is never left truncated.
+    @raise Failure naming [path] on an I/O error. *)
 val save_plan : plan -> string -> unit
 
 val load_plan : string -> (plan, parse_error) result

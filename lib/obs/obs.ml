@@ -286,149 +286,77 @@ let hist_count name =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* %.12g keeps integral values integral ("3", not "3.000000") so golden
-   tests on deterministic reports read naturally *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let obj buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, add_v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape k);
-      Buffer.add_string buf "\":";
-      add_v buf)
-    fields;
-  Buffer.add_char buf '}'
-
 let schema_version = "paqoc-metrics v1"
 
-let report_json () =
-  let buf = Buffer.create 1024 in
-  obj buf
-    [ ("schema", fun b -> Buffer.add_string b ("\"" ^ schema_version ^ "\""));
+let report () =
+  Json.Obj
+    [ ("schema", Json.Str schema_version);
       ( "counters",
-        fun b ->
-          obj b
-            (List.map
-               (fun (k, n) ->
-                 (k, fun b -> Buffer.add_string b (string_of_int n)))
-               (merged_counters ())) );
+        Json.Obj
+          (List.map (fun (k, n) -> (k, Json.int n)) (merged_counters ())) );
       ( "gauges",
-        fun b ->
-          obj b
-            (List.map
-               (fun (k, (last, mx)) ->
-                 ( k,
-                   fun b ->
-                     obj b
-                       [ ("last", fun b -> Buffer.add_string b (json_float last));
-                         ("max", fun b -> Buffer.add_string b (json_float mx))
-                       ] ))
-               (merged_gauges ())) );
+        Json.Obj
+          (List.map
+             (fun (k, (last, mx)) ->
+               (k, Json.Obj [ ("last", Json.Num last); ("max", Json.Num mx) ]))
+             (merged_gauges ())) );
       ( "histograms",
-        fun b ->
-          obj b
-            (List.map
-               (fun (k, (n, sum, mn, mx)) ->
-                 ( k,
-                   fun b ->
-                     obj b
-                       [ ("count", fun b -> Buffer.add_string b (string_of_int n));
-                         ("sum", fun b -> Buffer.add_string b (json_float sum));
-                         ("min", fun b -> Buffer.add_string b (json_float mn));
-                         ("max", fun b -> Buffer.add_string b (json_float mx));
-                         ( "mean",
-                           fun b ->
-                             Buffer.add_string b
-                               (json_float (sum /. float_of_int (max 1 n))) )
-                       ] ))
-               (merged_hists ())) );
+        Json.Obj
+          (List.map
+             (fun (k, (n, sum, mn, mx)) ->
+               ( k,
+                 Json.Obj
+                   [ ("count", Json.int n);
+                     ("sum", Json.Num sum);
+                     ("min", Json.Num mn);
+                     ("max", Json.Num mx);
+                     ("mean", Json.Num (sum /. float_of_int (max 1 n)))
+                   ] ))
+             (merged_hists ())) );
       ( "spans",
-        fun b ->
-          obj b
-            (List.map
-               (fun (k, (n, total, mn, mx)) ->
-                 ( k,
-                   fun b ->
-                     obj b
-                       [ ("count", fun b -> Buffer.add_string b (string_of_int n));
-                         ("total_s", fun b -> Buffer.add_string b (json_float total));
-                         ("min_s", fun b -> Buffer.add_string b (json_float mn));
-                         ("max_s", fun b -> Buffer.add_string b (json_float mx))
-                       ] ))
-               (merged_spans ())) );
-      ( "domains",
-        fun b ->
-          Buffer.add_char b '[';
-          List.iteri
-            (fun i d ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (string_of_int d))
-            (domains ());
-          Buffer.add_char b ']' )
-    ];
-  Buffer.contents buf
+        Json.Obj
+          (List.map
+             (fun (k, (n, total, mn, mx)) ->
+               ( k,
+                 Json.Obj
+                   [ ("count", Json.int n);
+                     ("total_s", Json.Num total);
+                     ("min_s", Json.Num mn);
+                     ("max_s", Json.Num mx)
+                   ] ))
+             (merged_spans ())) );
+      ("domains", Json.Arr (List.map Json.int (domains ())))
+    ]
+
+let report_json () = Json.to_string (report ())
 
 (* Chrome trace-event format: one "X" (complete) event per span, ts/dur in
    microseconds, tid = recording domain. Load the file in about:tracing or
    https://ui.perfetto.dev to see the per-domain timeline. *)
 let trace_json () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char buf ',';
-      obj buf
-        [ ("name", fun b -> Buffer.add_string b ("\"" ^ json_escape sp.sp_name ^ "\""));
-          ("cat", fun b -> Buffer.add_string b "\"paqoc\"");
-          ("ph", fun b -> Buffer.add_string b "\"X\"");
-          ( "ts",
-            fun b -> Buffer.add_string b (json_float (sp.sp_start *. 1e6)) );
-          ("dur", fun b -> Buffer.add_string b (json_float (sp.sp_dur *. 1e6)));
-          ("pid", fun b -> Buffer.add_string b "1");
-          ("tid", fun b -> Buffer.add_string b (string_of_int sp.sp_dom))
-        ])
-    (all_spans ());
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [ ( "traceEvents",
+           Json.Arr
+             (List.map
+                (fun sp ->
+                  Json.Obj
+                    [ ("name", Json.Str sp.sp_name);
+                      ("cat", Json.Str "paqoc");
+                      ("ph", Json.Str "X");
+                      ("ts", Json.Num (sp.sp_start *. 1e6));
+                      ("dur", Json.Num (sp.sp_dur *. 1e6));
+                      ("pid", Json.int 1);
+                      ("tid", Json.int sp.sp_dom)
+                    ])
+                (all_spans ())) );
+         ("displayTimeUnit", Json.Str "ms")
+       ])
 
-(* atomic write: a crashed or failing dump never leaves a truncated file *)
-let write_file what path content =
-  let tmp = path ^ ".tmp" in
-  let oc =
-    try open_out tmp
-    with Sys_error msg -> failwith (Printf.sprintf "Obs.%s: %s" what msg)
-  in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc content)
-   with Sys_error msg ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     failwith (Printf.sprintf "Obs.%s: %s" what msg));
-  try Sys.rename tmp path
-  with Sys_error msg -> failwith (Printf.sprintf "Obs.%s: %s" what msg)
+let write_report path =
+  Atomic_file.write ~what:"Obs.write_report" path (fun oc ->
+      output_string oc (report_json ()))
 
-let write_report path = write_file "write_report" path (report_json ())
-let write_trace path = write_file "write_trace" path (trace_json ())
+let write_trace path =
+  Atomic_file.write ~what:"Obs.write_trace" path (fun oc ->
+      output_string oc (trace_json ()))

@@ -57,16 +57,21 @@ val observe : string -> float -> unit
 
     All maps sorted by name; see DESIGN.md §6 for the schema. *)
 
-(** Aggregated JSON report (schema ["paqoc-metrics v1"]). *)
+(** Aggregated report (schema ["paqoc-metrics v1"]) as a {!Json.t}
+    value, for callers that embed it in a larger document. *)
+val report : unit -> Json.t
+
+(** {!report} printed through {!Json.to_string}. *)
 val report_json : unit -> string
 
 (** Chrome trace-event JSON (one complete event per span, [tid] = domain);
     load in [about:tracing] or Perfetto. *)
 val trace_json : unit -> string
 
-(** [write_report path] / [write_trace path] dump atomically (write to
-    [path.tmp], then rename).
-    @raise Failure when [path] is not writable. *)
+(** [write_report path] / [write_trace path] dump through
+    {!Atomic_file.write}: a failed dump leaves [path] as it was and no
+    [path.tmp] behind.
+    @raise Failure naming [path] when it cannot be written. *)
 val write_report : string -> unit
 
 val write_trace : string -> unit

@@ -218,37 +218,16 @@ let collect t =
     t.stripes;
   (!entries, !shapes, !classes)
 
-(* Atomic snapshot write shared by [compact] and [save]: everything goes
-   to [path.tmp], renamed over [path] only once fully written — the same
-   contract (and the same injection point) as [Generator.save_database].
-   The header version is chosen by content: a cache with no class
-   records writes exactly the v3 bytes it always wrote, so a run that
-   never canonicalizes leaves the file byte-identical. Returns the
-   version written. *)
+(* Snapshot write shared by [compact] and [save], through the one
+   pulse-DB writer. The header version is chosen by content: a cache
+   with no class records writes exactly the v3 bytes it always wrote, so
+   a run that never canonicalizes leaves the file byte-identical.
+   Returns the version written. *)
 let write_snapshot ~ctx ~path entries shapes classes =
-  let fail msg = failwith (Printf.sprintf "%s: %s (%s)" ctx msg path) in
   let version =
     match classes with [] -> Db_format.V3 | _ :: _ -> Db_format.V4
   in
-  let tmp = path ^ ".tmp" in
-  let oc = try open_out tmp with Sys_error msg -> fail msg in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         if Faultin.fire Faultin.Db_save_error then
-           raise (Sys_error "injected db-save fault");
-         output_string oc (Db_format.magic version ^ "\n");
-         output_string oc (Db_format.snapshot_body ~classes entries shapes);
-         flush oc)
-   with
-   | Sys_error msg ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     fail msg
-   | e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  (try Sys.rename tmp path with Sys_error msg -> fail msg);
+  Db_format.write ~what:ctx ~classes version path entries shapes;
   version
 
 let save t path =

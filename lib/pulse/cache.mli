@@ -187,8 +187,8 @@ val n_classes : t -> int
 val stats : t -> stats
 
 (** [compact t] rewrites the backing file as a sorted snapshot with an
-    empty journal (atomic: tmp + rename) — v3 bytes when no class
-    records exist, v4 otherwise. No-op on an in-memory cache.
+    empty journal (through {!Db_format.write}: atomic tmp + rename) — v3
+    bytes when no class records exist, v4 otherwise. No-op on an in-memory cache.
     @raise Failure on an I/O error (including an armed
     {!Faultin.Db_save_error}); the existing file is left intact. *)
 val compact : t -> unit

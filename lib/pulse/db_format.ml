@@ -79,6 +79,13 @@ let snapshot_body ?(classes = []) entries shapes =
     classes;
   Buffer.contents buf
 
+let write ~what ?classes version path entries shapes =
+  Paqoc_obs.Atomic_file.write ~what path (fun oc ->
+      if Faultin.fire Faultin.Db_save_error then
+        raise (Sys_error "injected db-save fault");
+      output_string oc (magic version ^ "\n");
+      output_string oc (snapshot_body ?classes entries shapes))
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

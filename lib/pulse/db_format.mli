@@ -25,9 +25,10 @@
       canonicalization-off byte-identity guarantee
       (see [docs/canonicalization.md]).
 
-    This module is pure parsing and serialisation — no table semantics.
-    Consumers decide how duplicate keys merge (the generator keeps the
-    first occurrence, the cache replays journals with last-wins). *)
+    This module is parsing, serialisation and the one snapshot writer
+    ({!write}) — no table semantics. Consumers decide how duplicate keys
+    merge (the generator keeps the first occurrence, the cache replays
+    journals with last-wins). *)
 
 (** How a priced entry was obtained; the [q]/[f] token of v2+. The
     canonical definition lives here so that {!Generator} and {!Cache}
@@ -89,6 +90,24 @@ val journal_line : record -> string
     and worker counts. *)
 val snapshot_body :
   ?classes:class_info list -> (string * entry) list -> string list -> string
+
+(** [write ~what ?classes version path entries shapes] writes a snapshot
+    file — the [version] header line, then {!snapshot_body} — through
+    {!Paqoc_obs.Atomic_file.write}. This is the only writer of the
+    format: {!Generator.save_database} (v2) and the shared {!Cache}'s
+    save and compaction (v3/v4) all call it. An armed
+    {!Faultin.Db_save_error} fails the write after the temporary file
+    is opened.
+    @raise Failure ["<what>: <reason> (<path>)"] on any I/O failure; the
+    file at [path] is left as it was and no [path.tmp] remains. *)
+val write :
+  what:string ->
+  ?classes:class_info list ->
+  version ->
+  string ->
+  (string * entry) list ->
+  string list ->
+  unit
 
 (** {1 Parsing} *)
 

@@ -21,8 +21,9 @@
 type point =
   | Grape_diverge  (** GRAPE reports divergence without optimising *)
   | Db_save_error
-      (** {!Generator.save_database} (and {!Cache} snapshot compaction)
-          fails mid-write *)
+      (** {!Db_format.write}, the one pulse-DB writer behind
+          {!Generator.save_database}, {!Cache.save} and cache
+          compaction, fails mid-write *)
   | Journal_append_error
       (** a {!Cache} journal append fails before the record lands; the
           append layer rolls the file back so it is never left torn *)

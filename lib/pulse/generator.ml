@@ -442,6 +442,14 @@ let outcome_of_entry (e : Db_format.entry) =
     attempts = 0
   }
 
+(* ... and the reverse: the priced fields a database row persists *)
+let entry_of_outcome (o : outcome) =
+  { Db_format.latency = o.latency;
+    error = o.error;
+    fidelity = o.fidelity;
+    provenance = o.provenance
+  }
+
 type seed_class = C_cold | C_prefix | C_shape | C_similar
 
 type seed_source =
@@ -984,12 +992,7 @@ let commit_batch t plans results =
         (match (t.shared, o.provenance) with
         | Some c, Synthesized -> (
           try
-            Cache.publish c (ns ^ k)
-              { Db_format.latency = o.latency;
-                error = o.error;
-                fidelity = o.fidelity;
-                provenance = o.provenance
-              };
+            Cache.publish c (ns ^ k) (entry_of_outcome o);
             Cache.publish_shape c (ns ^ sign);
             (match canon with
             | Some (ck, u) ->
@@ -1099,61 +1102,19 @@ let reset_accounting t =
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* v2 adds a provenance token ('q' synthesized / 'f' fallback) to each K
-   line; v1 files still load, with every entry treated as synthesized.
-   See {!Db_format} for the byte-level rules shared with the v3 journal. *)
-let magic = Db_format.magic Db_format.V2
-
-(* Entries are written in sorted key order so the file is a canonical
-   function of the database contents — serial and parallel runs over the
-   same batch produce byte-identical files.
-
-   The write is atomic: everything goes to [path.tmp] which is renamed
-   over [path] only once fully written, and the channel is closed (and the
-   temporary removed) on any failure — a crashed compile can never leave a
-   truncated or corrupt pulse database behind. *)
+(* The per-generator snapshot is a v2 file written by {!Db_format.write}
+   (sorted, so serial and parallel runs over the same batch produce
+   byte-identical files; atomic, so a failed save never leaves a
+   truncated database). *)
 let save_database t path =
   locked t (fun () ->
       let entries =
-        Hashtbl.fold (fun key o acc -> (key, o) :: acc) t.cache []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        Hashtbl.fold (fun key o acc -> (key, entry_of_outcome o) :: acc)
+          t.cache []
       in
-      let shapes =
-        Hashtbl.fold (fun sign _ acc -> sign :: acc) t.by_shape []
-        |> List.sort String.compare
-      in
-      let fail msg =
-        failwith (Printf.sprintf "Generator.save_database: %s (%s)" msg path)
-      in
-      let tmp = path ^ ".tmp" in
-      let oc =
-        try open_out tmp with Sys_error msg -> fail msg
-      in
-      (try
-         Fun.protect
-           ~finally:(fun () -> close_out_noerr oc)
-           (fun () ->
-             if Faultin.fire Faultin.Db_save_error then
-               raise (Sys_error "injected db-save fault");
-             output_string oc (magic ^ "\n");
-             List.iter
-               (fun (key, (o : outcome)) ->
-                 let prov =
-                   match o.provenance with Synthesized -> 'q' | Fallback -> 'f'
-                 in
-                 Printf.fprintf oc "K %.17g %.17g %.17g %c %s\n" o.latency
-                   o.error o.fidelity prov key)
-               entries;
-             List.iter (fun sign -> Printf.fprintf oc "S %s\n" sign) shapes;
-             flush oc)
-       with
-       | Sys_error msg ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         fail msg
-       | e ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      try Sys.rename tmp path with Sys_error msg -> fail msg)
+      let shapes = Hashtbl.fold (fun sign _ acc -> sign :: acc) t.by_shape [] in
+      Db_format.write ~what:"Generator.save_database" Db_format.V2 path
+        entries shapes)
 
 (* Parsing is delegated to {!Db_format}, which understands all three
    on-disk generations — v1/v2 snapshots and the v3 journal the shared

@@ -310,7 +310,8 @@ val reset_accounting : t -> unit
     shared {!Cache} maintains. See {!Db_format} for the byte-level
     specification. *)
 
-(** @raise Failure on an I/O error (including an armed
+(** Writes a v2 snapshot through {!Db_format.write}.
+    @raise Failure on an I/O error (including an armed
     {!Faultin.Db_save_error}); the target file is never left truncated. *)
 val save_database : t -> string -> unit
 

@@ -1,5 +1,5 @@
-(* Wire protocol for the compile daemon: a self-contained JSON codec, a
-   length-prefixed frame layer, and the typed message codecs. No sockets
+(* Wire protocol for the compile daemon: a length-prefixed frame layer
+   and the typed message codecs over {!Paqoc_obs.Json}. No sockets
    and no threads here — Server owns those — so every function in this
    file is a pure(ish) value transformer that tests can hit directly. *)
 
@@ -10,7 +10,9 @@ exception Bad_request of string
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-type json =
+module Json = Paqoc_obs.Json
+
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -18,227 +20,8 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(* Integers dominate the wire traffic (counts, qubit numbers); printing
-   them without a fractional part keeps frames readable and byte-stable.
-   Non-integral numbers get round-trip precision. *)
-let num_to_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
-let escape_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_to_string j =
-  let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num v -> Buffer.add_string buf (num_to_string v)
-    | Str s -> escape_string buf s
-    | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          go item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_string buf k;
-          Buffer.add_char buf ':';
-          go v)
-        fields;
-      Buffer.add_char buf '}'
-  in
-  go j;
-  Buffer.contents buf
-
-(* Recursive-descent parser. Errors are values ([Error msg]) because a
-   malformed client frame must never raise past the connection loop. *)
-exception Parse of string
-
-let json_of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let err msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if
-      !pos + String.length word <= n
-      && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else err (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-        if !pos >= n then err "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        match e with
-        | '"' | '\\' | '/' ->
-          Buffer.add_char buf e;
-          go ()
-        | 'n' ->
-          Buffer.add_char buf '\n';
-          go ()
-        | 'r' ->
-          Buffer.add_char buf '\r';
-          go ()
-        | 't' ->
-          Buffer.add_char buf '\t';
-          go ()
-        | 'b' ->
-          Buffer.add_char buf '\b';
-          go ()
-        | 'f' ->
-          Buffer.add_char buf '\012';
-          go ()
-        | 'u' ->
-          if !pos + 4 > n then err "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> err "bad \\u escape"
-          in
-          (* ASCII only — enough for our own frames; anything else is
-             encoded as raw UTF-8 by the writer, never escaped *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else err "non-ASCII \\u escape unsupported";
-          go ()
-        | _ -> err "bad escape")
-      | c when Char.code c < 0x20 -> err "raw control character in string"
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some v -> v
-    | None -> err (Printf.sprintf "bad number %S" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> err "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | _ -> err "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | _ -> err "expected ',' or ']'"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number ())
-    | Some c -> err (Printf.sprintf "unexpected character '%c'" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then err "trailing garbage after value";
-    v
-  with
-  | v -> Ok v
-  | exception Parse msg -> Error msg
+let json_to_string = Json.to_string
+let json_of_string = Json.of_string
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
@@ -318,7 +101,6 @@ let read_frame fd =
 
 type circuit = Benchmark of string | Qasm of string
 type scheme = M0 | Mtuned | Minf | Acc3 | Acc5
-type search = Incremental | Reference
 type backend = Model | Qoc
 
 let scheme_name = function
@@ -336,15 +118,6 @@ let scheme_of_name = function
   | "accqoc-n3d5" -> Some Acc5
   | _ -> None
 
-let search_name = function
-  | Incremental -> "incremental"
-  | Reference -> "reference"
-
-let search_of_name = function
-  | "incremental" -> Some Incremental
-  | "reference" -> Some Reference
-  | _ -> None
-
 let backend_name = function Model -> "model" | Qoc -> "qoc"
 
 let backend_of_name = function
@@ -355,7 +128,6 @@ let backend_of_name = function
 type compile_request = {
   circuit : circuit;
   scheme : scheme;
-  search : search;
   backend : backend;
   rows : int;
   cols : int;
@@ -380,7 +152,6 @@ type compile_request = {
 let default_compile =
   { circuit = Benchmark "bv";
     scheme = M0;
-    search = Incremental;
     backend = Model;
     rows = 5;
     cols = 5;
@@ -523,7 +294,6 @@ let request_to_json = function
       ([ ("op", Str "compile");
          ("circuit", circuit);
          ("scheme", Str (scheme_name c.scheme));
-         ("search", Str (search_name c.search));
          ("backend", Str (backend_name c.backend));
          ("rows", int_ c.rows);
          ("cols", int_ c.cols);
@@ -618,7 +388,6 @@ let compile_request_of_json j =
       | None -> Error (Printf.sprintf "bad %s %S" name s))
   in
   let* scheme = parse_enum "scheme" scheme_of_name default_compile.scheme in
-  let* search = parse_enum "search" search_of_name default_compile.search in
   let* backend =
     parse_enum "backend" backend_of_name default_compile.backend
   in
@@ -665,7 +434,7 @@ let compile_request_of_json j =
   in
   Ok
     (Compile
-       { circuit; scheme; search; backend; rows; cols; max_n; top_k; jobs;
+       { circuit; scheme; backend; rows; cols; max_n; top_k; jobs;
          canonical; device; drift_seed; drift_epoch; deadline_s
        })
 

@@ -3,9 +3,9 @@
     [paqoc serve] turns the compiler into a resident service so the
     shared pulse {!Cache} stays hot in one process while any number of
     thin front-ends connect. This module is the contract between the two
-    sides: a tiny self-contained JSON codec (the repo deliberately has
-    no JSON dependency), a length-prefixed frame layer over a stream
-    socket, and the typed request/response messages with their codecs —
+    sides: a length-prefixed frame layer over a stream socket carrying
+    {!Paqoc_obs.Json} documents, and the typed request/response messages
+    with their codecs —
     everything except the sockets and threads, which live in {!Server}.
 
     {b Frame format} (see [docs/daemon.md] for the byte-level spec):
@@ -20,11 +20,13 @@
     yields a typed [Error] — malformed input is a value, not an
     exception, so one bad client frame can never kill the daemon. *)
 
-(** {1 JSON} *)
+(** {1 JSON}
 
-(** A JSON value. Numbers are floats (the wire format of every numeric
-    field here); integers round-trip exactly up to 2{^53}. *)
-type json =
+    The codec is {!Paqoc_obs.Json}; these aliases keep the constructors
+    and the two functions reachable under their historical [Protocol]
+    names. *)
+
+type json = Paqoc_obs.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -32,12 +34,10 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(** [json_to_string j] prints compact JSON (no whitespace), escaping
-    control characters, quotes and backslashes per RFC 8259. *)
+(** {!Paqoc_obs.Json.to_string}. *)
 val json_to_string : json -> string
 
-(** [json_of_string s] parses one JSON value (surrounding whitespace
-    allowed; trailing garbage is an error). *)
+(** {!Paqoc_obs.Json.of_string}. *)
 val json_of_string : string -> (json, string) result
 
 (** {1 Frames} *)
@@ -71,18 +71,15 @@ val read_frame : Unix.file_descr -> string option
 type circuit = Benchmark of string | Qasm of string
 
 type scheme = M0 | Mtuned | Minf | Acc3 | Acc5
-type search = Incremental | Reference
 type backend = Model | Qoc
 
 val scheme_name : scheme -> string
 val scheme_of_name : string -> scheme option
-val search_name : search -> string
 val backend_name : backend -> string
 
 type compile_request = {
   circuit : circuit;
   scheme : scheme;
-  search : search;
   backend : backend;
   rows : int;  (** device grid rows *)
   cols : int;  (** device grid cols *)
@@ -108,7 +105,7 @@ type compile_request = {
 }
 
 (** A compile request with the CLI's defaults ([bv] on the paper's 5x5
-    grid, paqoc-m0, incremental search, model backend, maxN 3, topK 1,
+    grid, paqoc-m0, model backend, maxN 3, topK 1,
     jobs 1, canonicalization off, no deadline) — override fields as
     needed. *)
 val default_compile : compile_request
@@ -240,7 +237,12 @@ exception Bad_request of string
 (** {1 Codecs} *)
 
 val request_to_json : request -> json
+
+(** [request_of_json j] decodes a request. Fields it does not know are
+    ignored, so frames from older clients — such as a compile carrying
+    the retired ["search"] field — still parse. *)
 val request_of_json : json -> (request, string) result
+
 val response_to_json : response -> json
 val response_of_json : json -> (response, string) result
 

@@ -21,6 +21,8 @@ module Gen = Paqoc_pulse.Generator
 module Hamiltonian = Paqoc_pulse.Hamiltonian
 module Pulse = Paqoc_pulse.Pulse
 module Protocol = Paqoc_pulse.Protocol
+module Json = Paqoc_obs.Json
+module Atomic_file = Paqoc_obs.Atomic_file
 module Canon = Paqoc_canon.Canon
 module Fidelity = Paqoc_linalg.Fidelity
 
@@ -158,8 +160,11 @@ let reference_golden () =
          Protocol.circuit = Protocol.Benchmark "qaoa"
        })
 
-let fl b x = Printf.bprintf b "%.17g" x
-let js b s = Buffer.add_string b (Protocol.json_to_string (Protocol.Str s))
+(* scalar tokens print through the JSON codec; the line layout around
+   them is this format's own *)
+let fl b x = Json.to_buffer b (Json.Num x)
+let int_ b n = Json.to_buffer b (Json.int n)
+let js b s = Json.to_buffer b (Json.Str s)
 
 let float_array b a =
   Buffer.add_char b '[';
@@ -202,7 +207,7 @@ let instruction_line b (i : instruction) =
   List.iteri
     (fun k q ->
       if k > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%d" q)
+      int_ b q)
     i.qubits;
   Buffer.add_string b "], \"t0\": ";
   fl b i.t0;
@@ -223,7 +228,9 @@ let to_string t =
   js b t.device_hash;
   Buffer.add_string b ", \"name\": ";
   js b t.device_name;
-  Printf.bprintf b ", \"qubits\": %d, \"synthesis_mu\": " t.device_qubits;
+  Buffer.add_string b ", \"qubits\": ";
+  int_ b t.device_qubits;
+  Buffer.add_string b ", \"synthesis_mu\": ";
   fl b t.synthesis_mu;
   Buffer.add_string b "},\n  \"esp\": ";
   fl b t.esp;
@@ -244,17 +251,8 @@ let to_string t =
   Buffer.contents b
 
 let save t path =
-  let tmp = path ^ ".tmp" in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (to_string t))
-   with Sys_error msg -> failwith (Printf.sprintf "%s: %s" path msg));
-  try Sys.rename tmp path
-  with Sys_error msg ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    failwith (Printf.sprintf "%s: %s" path msg)
+  Atomic_file.write ~what:"Pulse_ir.save" path (fun oc ->
+      output_string oc (to_string t))
 
 (* ------------------------------------------------------------------ *)
 (* Reader (typed errors)                                               *)
@@ -278,7 +276,7 @@ let error_to_string = function
 let ( let* ) = Result.bind
 
 let objv path = function
-  | Protocol.Obj kv -> Ok kv
+  | Json.Obj kv -> Ok kv
   | _ -> Error (Bad_field (path, "expected an object"))
 
 let require kv path name =
@@ -288,11 +286,11 @@ let require kv path name =
     Error (Missing_field (if path = "" then name else path ^ "." ^ name))
 
 let str path = function
-  | Protocol.Str s -> Ok s
+  | Json.Str s -> Ok s
   | _ -> Error (Bad_field (path, "expected a string"))
 
 let num path = function
-  | Protocol.Num x -> Ok x
+  | Json.Num x -> Ok x
   | _ -> Error (Bad_field (path, "expected a number"))
 
 let int_field path j =
@@ -301,7 +299,7 @@ let int_field path j =
   else Error (Bad_field (path, "expected an integer"))
 
 let arr path = function
-  | Protocol.Arr l -> Ok l
+  | Json.Arr l -> Ok l
   | _ -> Error (Bad_field (path, "expected an array"))
 
 let req_str kv path name =
@@ -315,7 +313,7 @@ let req_num kv path name =
 let float_list path l =
   let rec go acc = function
     | [] -> Ok (Array.of_list (List.rev acc))
-    | Protocol.Num x :: rest -> go (x :: acc) rest
+    | Json.Num x :: rest -> go (x :: acc) rest
     | _ -> Error (Bad_field (path, "expected numbers"))
   in
   go [] l
@@ -399,7 +397,7 @@ let parse_instruction i j =
   Ok { name; qubits; t0; duration; error; fidelity; provenance; waveform }
 
 let of_string s =
-  match Protocol.json_of_string s with
+  match Json.of_string s with
   | Error msg -> Error (Bad_json msg)
   | Ok j ->
     let* top = objv "(document)" j in

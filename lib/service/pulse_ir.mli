@@ -99,8 +99,10 @@ val reference_golden : unit -> t
     floats, one instruction per line, trailing newline. *)
 val to_string : t -> string
 
-(** [save t path] writes {!to_string} atomically (tmp + rename).
-    @raise Failure on an I/O error; [path] is never left torn. *)
+(** [save t path] writes {!to_string} through
+    {!Paqoc_obs.Atomic_file.write}.
+    @raise Failure naming [path] on an I/O error; [path] is never left
+    torn and no [path.tmp] remains. *)
 val save : t -> string -> unit
 
 (** {1 Reader} *)

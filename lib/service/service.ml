@@ -141,12 +141,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
             }
         }
       in
-      let search =
-        match req.Protocol.search with
-        | Protocol.Incremental -> `Incremental
-        | Protocol.Reference -> `Reference
-      in
-      let r = Paqoc.compile ~scheme ~jobs ~search ?cache ?deadline gen physical in
+      let r = Paqoc.compile ~scheme ~jobs ?cache ?deadline gen physical in
       ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
         r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
   in

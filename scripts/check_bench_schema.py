@@ -4,9 +4,11 @@
 Used by `make bench-smoke` (and CI) to catch drift in the benchmark
 emission paths: a field rename, a type change or an empty run list fails
 here before anyone tries to plot a perf trajectory from broken entries.
-Dispatches on the document's "bench" tag: "grape" (per-iteration GRAPE
+Dispatches on the document's "bench" tag: "scaling" (worker-scaling
+GRAPE batch plus the metrics report), "grape" (per-iteration GRAPE
 cost), "cache" (cold-vs-warm shared-cache suite compile), "search"
-(reference-vs-incremental criticality-search trajectory), "serve"
+(the historical reference-vs-incremental criticality-search record),
+"serve"
 (resident-daemon throughput/latency plus the lazy-pool jobs gate),
 "sweep" (variational fast-path speedup plus the interpolation-drift and
 replay gates) or "devices" (per-device suite compile on one shared cache
@@ -14,6 +16,12 @@ plus the cross-device/drift isolation gates).
 """
 import json
 import sys
+
+SCALING_RUN_FIELDS = {
+    "jobs": int,
+    "wall_s": (int, float),
+    "accounted_gen_s": (int, float),
+}
 
 GRAPE_RUN_FIELDS = {
     "phase": str,
@@ -60,6 +68,20 @@ def check_fields(path, label, obj, fields):
         if not isinstance(obj[field], ty) or isinstance(obj[field], bool):
             fail(f"{path}: {label}.{field} has type "
                  f"{type(obj[field]).__name__}")
+
+
+def check_scaling(path, doc, runs):
+    tasks = doc.get("tasks")
+    if not isinstance(tasks, int) or isinstance(tasks, bool) or tasks < 1:
+        fail(f"{path}: tasks must be a positive int")
+    for i, run in enumerate(runs):
+        check_fields(path, f"runs[{i}]", run, SCALING_RUN_FIELDS)
+        if run["jobs"] < 1 or run["wall_s"] <= 0:
+            fail(f"{path}: runs[{i}] needs jobs >= 1 and a positive wall_s")
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, dict) or \
+            metrics.get("schema") != "paqoc-metrics v1":
+        fail(f"{path}: metrics must be a paqoc-metrics v1 report")
 
 
 def check_grape(path, doc, runs):
@@ -333,7 +355,8 @@ def check_devices(path, doc, devices):
              f"was not upheld")
 
 
-CHECKERS = {"grape": check_grape, "cache": check_cache,
+CHECKERS = {"scaling": check_scaling, "grape": check_grape,
+            "cache": check_cache,
             "search": check_search, "serve": check_serve,
             "sweep": check_sweep, "devices": check_devices}
 

@@ -528,5 +528,32 @@ let suite =
             check_true "in-batch class-mates replayed"
               ((Cache.stats cache).Cache.canonical_hits > 0));
         check_true "canonical file is v4"
-          (String.sub (read_file on_path) 0 17 = "paqoc-pulse-db v4"))
+          (String.sub (read_file on_path) 0 17 = "paqoc-pulse-db v4"));
+    case "a generator saves the pinned v2 bytes" (fun () ->
+        (* absolute bytes, not a comparison of two saves: two groups
+           sharing one shape on the model backend, as every earlier
+           version of the v2 writer printed them *)
+        let expected =
+          "paqoc-pulse-db v2\n\
+           K 98 0.0079285903825677267 0.99207140961743223 q \
+           2;rx(0.5)@0;cx@0,1\n\
+           K 94 0.0077650967329922736 0.9922349032670077 q \
+           2;rx(1.25)@0;cx@0,1\n\
+           S 2;rx@0;cx@0,1\n"
+        in
+        let gen = Gen.model_default () in
+        List.iter
+          (fun theta ->
+            ignore
+              (Gen.generate gen
+                 (fst
+                    (Gen.group_of_apps
+                       [ Gate.app1 (Gate.RX (Angle.const theta)) 0;
+                         Gate.app2 Gate.CX 0 1
+                       ]))))
+          [ 0.5; 1.25 ];
+        with_tmp (fun path ->
+            Gen.save_database gen path;
+            Alcotest.check Alcotest.string "v2 bytes" expected
+              (read_file path)))
   ]

@@ -279,5 +279,80 @@ let suite =
              try
                ignore (V.recompile plan gen ~angles);
                false
-             with V.Unbound_parameters m -> m = omitted))
+             with V.Unbound_parameters m -> m = omitted));
+    (* ---- every file writer fails the same way ---- *)
+    case "every file writer refuses a directory at its path the same way"
+      (fun () ->
+        (* a non-empty directory at PATH: the write to PATH.tmp succeeds
+           and only the final rename fails, so each writer must clean
+           its temporary up and name PATH in a Failure *)
+        let module Obs = Paqoc_obs.Obs in
+        let module Cache = Paqoc_pulse.Cache in
+        let module Ir = Paqoc_service.Pulse_ir in
+        let dir = Filename.temp_file "paqoc_writer" ".d" in
+        let inner = Filename.concat dir "keep" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        Out_channel.with_open_bin inner (fun oc -> output_string oc "kept");
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists (dir ^ ".tmp") then Sys.remove (dir ^ ".tmp");
+            Sys.remove inner;
+            Sys.rmdir dir)
+          (fun () ->
+            let _, plan, _, _ = Lazy.force unbound_fixture in
+            let ir =
+              { Ir.backend = "model";
+                device_name = "lattice";
+                device_hash = "";
+                device_qubits = 25;
+                synthesis_mu = 0.0;
+                drive_bound = 0.0;
+                latency = 0.0;
+                esp = 1.0;
+                schedule = []
+              }
+            in
+            List.iter
+              (fun (name, write) ->
+                (match write dir with
+                | () -> Alcotest.failf "%s wrote over a directory" name
+                | exception Failure msg ->
+                  check_true
+                    (Printf.sprintf "%s names the path: %s" name msg)
+                    (String.ends_with ~suffix:(" (" ^ dir ^ ")") msg));
+                check_true (name ^ " leaves no .tmp")
+                  (not (Sys.file_exists (dir ^ ".tmp")));
+                check_true (name ^ " leaves the directory")
+                  (Sys.is_directory dir
+                  && In_channel.with_open_bin inner In_channel.input_all
+                     = "kept"))
+              [ ("Gen.save_database", Gen.save_database (Gen.model_default ()));
+                ("Cache.save", Cache.save (Cache.create ()));
+                ("Obs.write_report", Obs.write_report);
+                ("Obs.write_trace", Obs.write_trace);
+                ("Pulse_ir.save", Ir.save ir);
+                ("Variational.save_plan", V.save_plan plan)
+              ]));
+    case "an atomic write whose callback raises leaves nothing behind"
+      (fun () ->
+        let module Atomic_file = Paqoc_obs.Atomic_file in
+        let path = Filename.temp_file "paqoc_atomic" ".txt" in
+        Sys.remove path;
+        let exception Boom in
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists (path ^ ".tmp") then Sys.remove (path ^ ".tmp"))
+          (fun () ->
+            check_true "the callback's exception reaches the caller"
+              (match
+                 Atomic_file.write ~what:"test" path (fun oc ->
+                     output_string oc "partial";
+                     flush oc;
+                     raise Boom)
+               with
+              | () -> false
+              | exception Boom -> true);
+            check_true "no .tmp left" (not (Sys.file_exists (path ^ ".tmp")));
+            check_true "no target created" (not (Sys.file_exists path))))
   ]

@@ -4,6 +4,7 @@
 open Test_util
 module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
+module Json = Paqoc_obs.Json
 module Pool = Paqoc_pulse.Pool
 
 let contains ~needle hay =
@@ -12,6 +13,41 @@ let contains ~needle hay =
   go 0
 
 let finally_reset f = Fun.protect ~finally:Obs.reset f
+
+(* Random JSON values with finite numbers (integral, fractional and the
+   extremes) and strings of arbitrary bytes: quotes, backslashes,
+   control bytes and bytes >= 0x80 all occur. *)
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let finite =
+    oneof
+      [ map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        oneofl
+          [ 0.0; -0.0; 1e15; 1e17; 0.1; max_float; min_float;
+            Float.succ 0.0; -.max_float ] ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [ pure Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun v -> Json.Num v) finite;
+               map (fun s -> Json.Str s) bytes ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               ( 1,
+                 map (fun l -> Json.Arr l)
+                   (list_size (int_bound 4) (self (depth - 1))) );
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair bytes (self (depth - 1))))
+               ) ])
 
 let suite =
   [ case "spans nest and are recorded per name" (fun () ->
@@ -121,5 +157,10 @@ let suite =
         let wall = Clock.now_s () -. w0 in
         let cpu = Sys.time () -. c0 in
         check_true "wall clock saw the sleep" (wall >= 0.045);
-        check_true "cpu clock (the old bug) did not" (cpu < wall))
+        check_true "cpu clock (the old bug) did not" (cpu < wall));
+    qcheck
+      (QCheck.Test.make ~count:500
+         ~name:"json: of_string (to_string j) = Ok j"
+         (QCheck.make ~print:Json.to_string gen_json)
+         (fun j -> Json.of_string (Json.to_string j) = Ok j))
   ]

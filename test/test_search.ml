@@ -2,11 +2,14 @@
    are pinned to their slow oracles bit-for-bit. [Criticality.Engine]
    must expose, after any sequence of stage/commit/discard/refresh, the
    exact floats a from-scratch [Criticality.analyze] computes — raw bit
-   patterns, never a tolerance — and [Merger.run] must reproduce
-   [Merger.run_reference]'s circuit and statistics exactly, at any
-   [jobs]. The suite also pins the runtime guarantees the engine's
-   workspace design makes: reachability queries allocate nothing, and a
-   whole stage+discard step stays under a fixed minor-heap budget. *)
+   patterns, never a tolerance — and [Merger.run] must reproduce the
+   oracle loop's ([Reference_search.run_reference]) circuit and
+   statistics exactly, at any [jobs]; over the whole suite, so must a
+   [Paqoc.compile] against [Reference_search.compile], down to the bytes
+   of the shared cache both write. The suite also pins the runtime
+   guarantees the engine's workspace design makes: reachability queries
+   allocate nothing, and a whole stage+discard step stays under a fixed
+   minor-heap budget. *)
 open Test_util
 module Gen = Paqoc_pulse.Generator
 module Dag = Paqoc_circuit.Dag
@@ -16,6 +19,7 @@ module Engine = Paqoc.Criticality.Engine
 module Merger = Paqoc.Merger
 module Suite = Paqoc_benchmarks.Suite
 module Transpile = Paqoc_topology.Transpile
+module Cache = Paqoc_pulse.Cache
 
 let bits = Int64.bits_of_float
 
@@ -166,7 +170,9 @@ let search_differential =
           prune_noncritical = !trial mod 2 = 0
         }
       in
-      let reference = Merger.run_reference ~config (Gen.model_default ()) c in
+      let reference =
+        Reference_search.run_reference ~config (Gen.model_default ()) c
+      in
       let fast = Merger.run ~config (Gen.model_default ()) c in
       check_same_result "jobs 1" reference fast;
       let fast4 = Merger.run ~config ~jobs:4 (Gen.model_default ()) c in
@@ -177,38 +183,61 @@ let search_differential =
 (* End-to-end suite equivalence (golden)                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One compile-suite run per mode: every benchmark through a fresh
+   model generator and one shared cache file. Returns each benchmark's
+   report with its shared-cache hits and misses (the suite table's
+   columns), and the bytes the cache file holds once closed. *)
+let suite_run compile =
+  let path = Filename.temp_file "paqoc_search" ".cache" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let reports =
+        Cache.with_file path (fun cache ->
+            List.map
+              (fun (e : Suite.entry) ->
+                let physical = (Suite.transpiled e).Transpile.physical in
+                let s0 = Cache.stats cache in
+                let r = compile ~cache (Gen.model_default ()) physical in
+                let s1 = Cache.stats cache in
+                ( e.Suite.name,
+                  r,
+                  s1.Cache.hits - s0.Cache.hits,
+                  s1.Cache.misses - s0.Cache.misses ))
+              Suite.all)
+      in
+      (reports, In_channel.with_open_bin path In_channel.input_all))
+
 let suite_equivalence =
   slow_case "all 17 benchmarks: incremental == reference == jobs 4" (fun () ->
+      let r, r_bytes = suite_run Reference_search.compile in
       List.iter
-        (fun (e : Suite.entry) ->
-          let physical = (Suite.transpiled e).Transpile.physical in
-          let compile search jobs =
-            Paqoc.compile ~jobs ~search (Gen.model_default ()) physical
+        (fun (tag, jobs) ->
+          let x, x_bytes =
+            suite_run (fun ~cache gen c -> Paqoc.compile ~jobs ~cache gen c)
           in
-          let r = compile `Reference 1 in
-          let i = compile `Incremental 1 in
-          let i4 = compile `Incremental 4 in
-          List.iter
-            (fun (tag, (x : Paqoc.report)) ->
-              check_true
-                (Printf.sprintf "%s: grouped circuit (%s)" e.Suite.name tag)
+          List.iter2
+            (fun (name, (r : Paqoc.report), r_hits, r_misses)
+                 (_, (x : Paqoc.report), x_hits, x_misses) ->
+              let what field = Printf.sprintf "%s: %s (%s)" name field tag in
+              check_true (what "grouped circuit")
                 (Circuit.to_string r.Paqoc.grouped
                 = Circuit.to_string x.Paqoc.grouped);
-              check_bits
-                (Printf.sprintf "%s: latency (%s)" e.Suite.name tag)
-                r.Paqoc.latency x.Paqoc.latency;
-              check_bits
-                (Printf.sprintf "%s: esp (%s)" e.Suite.name tag)
-                r.Paqoc.esp x.Paqoc.esp;
-              check_int
-                (Printf.sprintf "%s: groups (%s)" e.Suite.name tag)
-                r.Paqoc.n_groups x.Paqoc.n_groups;
-              check_same_result
-                (Printf.sprintf "%s: stats (%s)" e.Suite.name tag)
+              check_bits (what "latency") r.Paqoc.latency x.Paqoc.latency;
+              check_bits (what "esp") r.Paqoc.esp x.Paqoc.esp;
+              check_int (what "episodes") r.Paqoc.n_groups x.Paqoc.n_groups;
+              check_same_result (what "stats")
                 (r.Paqoc.grouped, r.Paqoc.merge_stats)
-                (x.Paqoc.grouped, x.Paqoc.merge_stats))
-            [ ("jobs 1", i); ("jobs 4", i4) ])
-        Suite.all)
+                (x.Paqoc.grouped, x.Paqoc.merge_stats);
+              check_int (what "synthesized") r.Paqoc.pulses_generated
+                x.Paqoc.pulses_generated;
+              check_int (what "cache hits") r_hits x_hits;
+              check_int (what "cache misses") r_misses x_misses)
+            r x;
+          check_true
+            (Printf.sprintf "shared cache bytes (%s)" tag)
+            (String.equal r_bytes x_bytes))
+        [ ("jobs 1", 1); ("jobs 4", 4) ])
 
 (* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                  *)

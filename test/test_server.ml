@@ -74,7 +74,6 @@ let sample_requests =
     Protocol.Compile
       { Protocol.circuit = Protocol.Qasm "OPENQASM 2.0;\nqreg q[1];\n";
         scheme = Protocol.Acc5;
-        search = Protocol.Reference;
         backend = Protocol.Qoc;
         rows = 2;
         cols = 7;
@@ -128,7 +127,26 @@ let test_request_roundtrip () =
       match Protocol.request_of_json (Protocol.request_to_json req) with
       | Ok req' -> check_true "request round-trips" (req = req')
       | Error msg -> Alcotest.failf "request decode failed: %s" msg)
-    sample_requests
+    sample_requests;
+  (* a parent-era client still sends the retired "search" field; the
+     decoder ignores it, so the frame means the same request as without *)
+  let frame search =
+    Printf.sprintf
+      "{\"op\":\"compile\",\"circuit\":{\"benchmark\":\"bv\"},\
+       \"scheme\":\"paqoc-m0\",%s\"backend\":\"model\",\"rows\":5,\
+       \"cols\":5,\"max_qubits\":3,\"top_k\":1,\"jobs\":1}"
+      search
+  in
+  List.iter
+    (fun s ->
+      match
+        Result.bind (Protocol.json_of_string s) Protocol.request_of_json
+      with
+      | Ok req ->
+        check_true "parent-era frame decodes to the default request"
+          (req = Protocol.Compile Protocol.default_compile)
+      | Error msg -> Alcotest.failf "parent-era frame rejected: %s" msg)
+    [ frame "\"search\":\"reference\","; frame "" ]
 
 let test_response_roundtrip () =
   List.iter

@@ -8,11 +8,8 @@
      - the qaoa pulse-IR export (Pulse_ir.reference_golden/to_string) *)
 
 let write path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
+  Paqoc_obs.Atomic_file.write ~what:"update_golden" path (fun oc ->
+      output_string oc contents)
 
 let () =
   let latency_path, grape_path, canon_path, sweep_path, ir_path =
