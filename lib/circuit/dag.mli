@@ -44,7 +44,9 @@ val nodes : t -> int list
 
 (** [has_indirect_path dag u v] holds when a path of length at least two
     leads from [u] to [v]; merging [u] and [v] would then create a cycle,
-    which makes the pair an invalid merge candidate. *)
+    which makes the pair an invalid merge candidate. It allocates a
+    visited array per query; the product asks {!has_indirect_path_ws},
+    and this stays as its test reference. *)
 val has_indirect_path : t -> int -> int -> bool
 
 (** [reachable dag u v] holds when there is any directed path [u ->* v]
@@ -85,3 +87,33 @@ val critical_path : t -> schedule -> int list
 (** [to_circuit dag] linearises the DAG back to a circuit in a topological
     order (stable: program order). *)
 val to_circuit : t -> Circuit.t
+
+(** {1 Convex contraction}
+
+    APA-basis substitution, AccQOC slicing and PAQOC's customized-gate
+    merging all replace a set of nodes with one opaque gate. The set must
+    be {e convex} (no dependence path leaving and re-entering it). *)
+
+(** [is_convex dag nodes] checks that no dependence path exits and
+    re-enters [nodes]. It scans only the window from the smallest to the
+    largest member. *)
+val is_convex : t -> int list -> bool
+
+(** [contract dag groups] replaces each [(nodes, replacement)] (disjoint,
+    convex, node ids of [dag]) by its replacement gate, which must act on
+    exactly the union of its group's qubits. It returns the contracted
+    DAG and [old_of_new]: [old_of_new.(j)] is the node of [dag] that node
+    [j] survives from, or [-(gi+1)] when [j] is the replacement of
+    [List.nth groups gi].
+
+    The order is the stable min-id topological order of the quotient
+    DAG (repeatedly emit the ready node whose smallest member id is
+    least), computed window by window: only the nodes between a group's
+    smallest and largest member (overlapping windows merged) are
+    relinearised; every other node keeps its place. The adjacency is
+    the quotient's, which for such groups is exactly what {!of_circuit}
+    derives from {!to_circuit} of the result, in the same list order.
+    Empty groups are ignored.
+    @raise Invalid_argument on out-of-range ids, overlapping or
+    non-convex groups, or groups whose contraction creates a cycle. *)
+val contract : t -> (int list * Gate.app) list -> t * int array

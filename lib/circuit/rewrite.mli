@@ -3,8 +3,9 @@
     Both APA-basis substitution (replacing a mined pattern occurrence) and
     PAQOC's customized-gate merging replace a set of DAG nodes with one
     opaque gate. The set must be {e convex} (no dependence path leaving and
-    re-entering it); contraction then builds the quotient DAG and emits a
-    stable topological linearisation, preserving the circuit's unitary. *)
+    re-entering it, {!Dag.is_convex}); contraction ({!Dag.contract}) then
+    builds the quotient DAG and emits a stable topological linearisation,
+    preserving the circuit's unitary. *)
 
 (** [custom_of_nodes dag nodes ~name] packages the gates at [nodes]
     (program order) into a [Custom] gate application: body wires are local
@@ -12,20 +13,8 @@
     corresponding global qubits. *)
 val custom_of_nodes : Dag.t -> int list -> name:string -> Gate.app
 
-(** [is_convex dag nodes] checks that no dependence path exits and
-    re-enters [nodes]. *)
-val is_convex : Dag.t -> int list -> bool
-
 (** [contract c groups] replaces each [(nodes, replacement)] (disjoint,
     convex, node ids into [Dag.of_circuit c]) by its replacement gate and
-    relinearises.
+    relinearises: [Dag.to_circuit] of {!Dag.contract} on [c]'s DAG.
     @raise Invalid_argument on overlapping or non-convex groups. *)
 val contract : Circuit.t -> (int list * Gate.app) list -> Circuit.t
-
-(** [contract_mapped c groups] is {!contract} plus the origin of every
-    output gate: [old_of_new.(j)] is the old node id the [j]-th gate of
-    the result survives from, or [-(gi+1)] when it is the replacement
-    gate of [List.nth groups gi]. The incremental criticality engine
-    uses this to carry node state across a merge edit. *)
-val contract_mapped :
-  Circuit.t -> (int list * Gate.app) list -> Circuit.t * int array

@@ -16,46 +16,47 @@ let qubit_union (a : Gate.app) (b : Gate.app) =
 (* Observation-1 compatibility: merging adds no new qubit to the larger
    operand set, so the merge cannot create false dependencies and is
    always (locally) beneficial. *)
-let obs1_compatible dag u v ~maxN =
+let obs1_compatible ws dag u v ~maxN =
   let gu = Dag.gate dag u and gv = Dag.gate dag v in
   let union = qubit_union gu gv in
   let nu = List.length (List.sort_uniq compare gu.Gate.qubits) in
   let nv = List.length (List.sort_uniq compare gv.Gate.qubits) in
   List.length union <= maxN
   && List.length union = max nu nv
-  && not (Dag.has_indirect_path dag u v)
+  && not (Dag.has_indirect_path_ws ws dag u v)
 
+(* Rounds stay on the DAG: each contracts its selection with
+   [Dag.contract] (only the selected pairs' windows are relinearised)
+   and the circuit is built once, at the end. *)
 let preprocess (c : Circuit.t) ~maxN =
   let counter = ref 0 in
-  let rec round c =
-    let dag = Dag.of_circuit c in
+  let dag0 = Dag.of_circuit c in
+  let ws = Dag.reach_ws (Dag.n_nodes dag0) in
+  let rec round dag =
     let n = Dag.n_nodes dag in
     let used = Array.make n false in
     (* greedy span-disjoint selection keeps the batched contraction
-       trivially acyclic *)
-    let spans = ref [] in
+       trivially acyclic; [u] ascends and every pair is an edge [u -> v]
+       with [v > u], so a span clashes with an earlier pick iff [u] is
+       inside it, i.e. iff [u] is at most the picks' largest end *)
+    let reach = ref (-1) in
     let selected = ref [] in
     for u = 0 to n - 1 do
       if not used.(u) then
         List.iter
           (fun v ->
-            if (not used.(u)) && (not used.(v))
-               && obs1_compatible dag u v ~maxN then begin
-              let lo = min u v and hi = max u v in
-              let clash =
-                List.exists (fun (lo', hi') -> lo <= hi' && lo' <= hi) !spans
-              in
-              if not clash then begin
-                used.(u) <- true;
-                used.(v) <- true;
-                spans := (lo, hi) :: !spans;
-                selected := (u, v) :: !selected
-              end
+            if u > !reach && (not used.(u)) && (not used.(v))
+               && obs1_compatible ws dag u v ~maxN
+            then begin
+              used.(u) <- true;
+              used.(v) <- true;
+              reach := v;
+              selected := (u, v) :: !selected
             end)
           (List.sort compare (Dag.succs dag u))
     done;
     match !selected with
-    | [] -> c
+    | [] -> dag
     | sel ->
       let groups =
         List.map
@@ -67,27 +68,7 @@ let preprocess (c : Circuit.t) ~maxN =
                 ~name:(Printf.sprintf "pre%d" !counter) ))
           sel
       in
-      round (Rewrite.contract c groups)
+      round (fst (Dag.contract dag groups))
   in
-  round c
-
-let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
-  let dag = crit.Criticality.dag in
-  let n = Dag.n_nodes dag in
-  let out = ref [] in
-  for u = 0 to n - 1 do
-    List.iter
-      (fun v ->
-        let gu = Dag.gate dag u and gv = Dag.gate dag v in
-        let union = qubit_union gu gv in
-        if List.length union <= maxN && not (Dag.has_indirect_path dag u v)
-        then
-          match Criticality.case_of crit u v with
-          | `III ->
-            if include_case_iii then
-              out := { u; v; case = `III; n_qubits = List.length union } :: !out
-          | (`I | `II) as case ->
-            out := { u; v; case; n_qubits = List.length union } :: !out)
-      (Dag.succs dag u)
-  done;
-  List.rev !out
+  let dag = round dag0 in
+  if dag == dag0 then c else Dag.to_circuit dag

@@ -28,11 +28,6 @@ val qubit_union :
   Paqoc_circuit.Gate.app -> Paqoc_circuit.Gate.app -> int list
 
 (** [preprocess c ~maxN] exhaustively applies the Observation-1 rule
-    (bounded by [maxN]) and returns the simplified circuit. *)
+    (bounded by [maxN]) and returns the simplified circuit. Each round
+    merges a greedy span-disjoint set of compatible DAG edges. *)
 val preprocess : Paqoc_circuit.Circuit.t -> maxN:int -> Paqoc_circuit.Circuit.t
-
-(** [enumerate ?include_case_iii crit ~maxN] lists the surviving
-    candidates of the analyzed circuit. [include_case_iii] (default
-    [false]) disables the criticality pruning — only useful to measure
-    what the pruning buys (the bench harness's pruning ablation). *)
-val enumerate : ?include_case_iii:bool -> Criticality.t -> maxN:int -> t list

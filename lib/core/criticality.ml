@@ -32,7 +32,6 @@ let cp_after t v = t.sched.Dag.cp_after.(v)
 (* Incremental engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
-module Rewrite = Paqoc_circuit.Rewrite
 module Gate = Paqoc_circuit.Gate
 module Obs = Paqoc_obs.Obs
 
@@ -53,11 +52,13 @@ module Obs = Paqoc_obs.Obs
    unchanged — in which case recomputation would reproduce the stored
    value verbatim. The differential battery in test_search pins this.
 
-   Dirty-region rule. A merge edit contracts a few nodes and renumbers
-   the rest ({!Rewrite.contract_mapped} reports the renumbering).
-   Scanning new ids in topological order, a node's est must be
-   recomputed iff it is the merged node, its mapped predecessor {e set}
-   changed, or some predecessor's est or latency changed; the
+   Dirty-region rule. A merge edit contracts a few nodes of the
+   committed DAG and renumbers the rest ({!Dag.contract} reports the
+   renumbering). Its adjacency is the quotient's, so a surviving node's
+   pred and succ sets are exactly the renumbered images of its old ones:
+   only the merged nodes have new neighbourhoods. Scanning new ids in
+   topological order, a node's est must be recomputed iff it is a
+   merged node or some predecessor's est or latency changed; the
    recomputed value is flagged as changed only when it differs from the
    carried-over value, which is what stops the propagation wave a few
    levels past the edit site. cp_after mirrors this backwards over
@@ -66,16 +67,17 @@ module Obs = Paqoc_obs.Obs
    Double buffering: [stage] computes the edit's consequences into a
    shadow buffer and returns the trial total; the caller either
    [commit]s (swap buffers, O(1)) or discards (do nothing). All
-   buffers are preallocated at [create] and reused for every edit, so
-   steady-state staging allocates only the contracted circuit and its
-   DAG — no per-node float boxing, no worklists. *)
+   buffers are preallocated at [create] and reused for every edit, and
+   the waves below are closure-free folds into float arrays, so
+   steady-state staging allocates only the contracted DAG — no circuit,
+   no per-node float boxing, no worklists. *)
 module Engine = struct
   type e = {
     gen : Generator.t;
     mutable next_uid : int;
     (* committed state *)
     mutable n : int;
-    mutable circuit : Circuit.t;
+    mutable circuit : Circuit.t option;  (** built on demand *)
     mutable dagv : Dag.t;
     mutable est : float array;
     mutable lat : float array;
@@ -88,7 +90,6 @@ module Engine = struct
     (* shadow (staged) state *)
     mutable s_valid : bool;
     mutable s_n : int;
-    mutable s_circuit : Circuit.t;
     mutable s_dag : Dag.t;
     mutable s_est : float array;
     mutable s_lat : float array;
@@ -100,14 +101,10 @@ module Engine = struct
     mutable s_epoch : int;
     mutable s_old : int array;  (** old_of_new from the contraction *)
     (* scratch, reused by every stage/refresh *)
-    mutable new_of_old : int array;
-    mutable est_chg : bool array;
-    mutable lat_chg : bool array;
-    mutable cp_chg : bool array;
-    mutable pred_chg : bool array;
-    mutable succ_chg : bool array;
-    mutable scr_a : int array;
-    mutable scr_b : int array;
+    est_chg : bool array;
+    lat_chg : bool array;
+    cp_chg : bool array;
+    acc : float array;  (** one slot: an in-place fold's result *)
   }
 
   let price_of_app gen (g : Gate.app) =
@@ -120,6 +117,40 @@ module Engine = struct
     | Some l -> l
     | None -> snd (price_of_app e.gen j_gate)
 
+  (* [fold_max dst i a b l] raises [dst.(i)] to [a.(x) +. b.(x)] for
+     every [x] in [l]: the est (a = est, b = lat over preds) and
+     cp_after (a = lat, b = cp over succs) recurrences of
+     Dag.schedule. Top-level and array-to-array, so a fold allocates
+     nothing — no closure, no boxed accumulator. *)
+  let rec fold_max (dst : float array) i (a : float array) (b : float array)
+      = function
+    | [] -> ()
+    | x :: rest ->
+      let f = a.(x) +. b.(x) in
+      if f > dst.(i) then dst.(i) <- f;
+      fold_max dst i a b rest
+
+  (* does any node of [l] carry a change flag in [c1] or [c2]? *)
+  let rec any_flag (c1 : bool array) (c2 : bool array) = function
+    | [] -> false
+    | x :: rest -> c1.(x) || c2.(x) || any_flag c1 c2 rest
+
+  (* total and criticality flags over the first [n] nodes *)
+  let finish_total n (est : float array) (lat : float array) =
+    let total = ref 0.0 in
+    for v = 0 to n - 1 do
+      let f = est.(v) +. lat.(v) in
+      if f > !total then total := f
+    done;
+    !total
+
+  let mark_critical n total (est : float array) (lat : float array)
+      (cp : float array) (crit : bool array) =
+    let eps = 1e-9 *. (1.0 +. total) in
+    for v = 0 to n - 1 do
+      crit.(v) <- est.(v) +. lat.(v) +. cp.(v) >= total -. eps
+    done
+
   let create gen c =
     Obs.with_span "criticality.engine.create" @@ fun () ->
     let dagv = Dag.of_circuit c in
@@ -129,7 +160,7 @@ module Engine = struct
       { gen;
         next_uid = n;
         n;
-        circuit = c;
+        circuit = Some c;
         dagv;
         est = Array.make cap 0.0;
         lat = Array.make cap 0.0;
@@ -141,7 +172,6 @@ module Engine = struct
         epoch = Generator.price_epoch gen;
         s_valid = false;
         s_n = 0;
-        s_circuit = c;
         s_dag = dagv;
         s_est = Array.make cap 0.0;
         s_lat = Array.make cap 0.0;
@@ -151,15 +181,11 @@ module Engine = struct
         s_uid = Array.make cap 0;
         s_total = 0.0;
         s_epoch = 0;
-        s_old = Array.make cap 0;
-        new_of_old = Array.make cap (-1);
+        s_old = [||];
         est_chg = Array.make cap false;
         lat_chg = Array.make cap false;
         cp_chg = Array.make cap false;
-        pred_chg = Array.make cap false;
-        succ_chg = Array.make cap false;
-        scr_a = Array.make cap 0;
-        scr_b = Array.make cap 0
+        acc = [| 0.0 |]
       }
     in
     for v = 0 to n - 1 do
@@ -171,34 +197,25 @@ module Engine = struct
     (* full passes, same recurrences as Dag.schedule *)
     for v = 0 to n - 1 do
       e.est.(v) <- 0.0;
-      List.iter
-        (fun p ->
-          let f = e.est.(p) +. e.lat.(p) in
-          if f > e.est.(v) then e.est.(v) <- f)
-        (Dag.preds dagv v)
+      fold_max e.est v e.est e.lat (Dag.preds dagv v)
     done;
     for v = n - 1 downto 0 do
       e.cp.(v) <- 0.0;
-      List.iter
-        (fun s ->
-          let f = e.lat.(s) +. e.cp.(s) in
-          if f > e.cp.(v) then e.cp.(v) <- f)
-        (Dag.succs dagv v)
+      fold_max e.cp v e.lat e.cp (Dag.succs dagv v)
     done;
-    let total = ref 0.0 in
-    for v = 0 to n - 1 do
-      let f = e.est.(v) +. e.lat.(v) in
-      if f > !total then total := f
-    done;
-    e.total <- !total;
-    let eps = 1e-9 *. (1.0 +. !total) in
-    for v = 0 to n - 1 do
-      e.crit.(v) <- e.est.(v) +. e.lat.(v) +. e.cp.(v) >= !total -. eps
-    done;
+    e.total <- finish_total n e.est e.lat;
+    mark_critical n e.total e.est e.lat e.cp e.crit;
     e
 
   (* accessors over the committed state *)
-  let circuit e = e.circuit
+  let circuit e =
+    match e.circuit with
+    | Some c -> c
+    | None ->
+      let c = Dag.to_circuit e.dagv in
+      e.circuit <- Some c;
+      c
+
   let dag e = e.dagv
   let n_nodes e = e.n
   let total e = e.total
@@ -207,6 +224,9 @@ module Engine = struct
   let cp_after e v = e.cp.(v)
   let is_critical e v = e.crit.(v)
   let node_uid e v = e.uid.(v)
+  let latencies e = e.lat
+  let cp_afters e = e.cp
+  let criticals e = e.crit
 
   let case_of e u v =
     match (e.crit.(u), e.crit.(v)) with
@@ -235,117 +255,49 @@ module Engine = struct
       if !any then begin
         (* in-place dirty passes: ids are topological, so recomputed
            nodes always read final values from their preds/succs *)
+        let d = e.dagv and acc = e.acc in
         for v = 0 to e.n - 1 do
-          let dirty =
-            List.exists
-              (fun p -> e.lat_chg.(p) || e.est_chg.(p))
-              (Dag.preds e.dagv v)
-          in
-          if dirty then begin
-            let x = ref 0.0 in
-            List.iter
-              (fun p ->
-                let f = e.est.(p) +. e.lat.(p) in
-                if f > !x then x := f)
-              (Dag.preds e.dagv v);
-            e.est_chg.(v) <- !x <> e.est.(v);
-            if e.est_chg.(v) then e.est.(v) <- !x
+          let preds = Dag.preds d v in
+          if any_flag e.lat_chg e.est_chg preds then begin
+            acc.(0) <- 0.0;
+            fold_max acc 0 e.est e.lat preds;
+            e.est_chg.(v) <- acc.(0) <> e.est.(v);
+            if e.est_chg.(v) then e.est.(v) <- acc.(0)
           end
           else e.est_chg.(v) <- false
         done;
         for v = e.n - 1 downto 0 do
-          let dirty =
-            List.exists
-              (fun s -> e.lat_chg.(s) || e.cp_chg.(s))
-              (Dag.succs e.dagv v)
-          in
-          if dirty then begin
-            let x = ref 0.0 in
-            List.iter
-              (fun s ->
-                let f = e.lat.(s) +. e.cp.(s) in
-                if f > !x then x := f)
-              (Dag.succs e.dagv v);
-            e.cp_chg.(v) <- !x <> e.cp.(v);
-            if e.cp_chg.(v) then e.cp.(v) <- !x
+          let succs = Dag.succs d v in
+          if any_flag e.lat_chg e.cp_chg succs then begin
+            acc.(0) <- 0.0;
+            fold_max acc 0 e.lat e.cp succs;
+            e.cp_chg.(v) <- acc.(0) <> e.cp.(v);
+            if e.cp_chg.(v) then e.cp.(v) <- acc.(0)
           end
           else e.cp_chg.(v) <- false
         done;
-        let total = ref 0.0 in
-        for v = 0 to e.n - 1 do
-          let f = e.est.(v) +. e.lat.(v) in
-          if f > !total then total := f
-        done;
-        e.total <- !total;
-        let eps = 1e-9 *. (1.0 +. !total) in
-        for v = 0 to e.n - 1 do
-          e.crit.(v) <- e.est.(v) +. e.lat.(v) +. e.cp.(v) >= !total -. eps
-        done
+        e.total <- finish_total e.n e.est e.lat;
+        mark_critical e.n e.total e.est e.lat e.cp e.crit
       end;
       e.epoch <- ep
     end
 
-  (* sorted-set comparison through a scratch buffer: copy, insertion
-     sort (degrees are tiny), dedup in place *)
-  let fill_sorted dst lst f =
-    let c = ref 0 in
-    List.iter
-      (fun x ->
-        dst.(!c) <- f x;
-        incr c)
-      lst;
-    for i = 1 to !c - 1 do
-      let x = dst.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && dst.(!j) > x do
-        dst.(!j + 1) <- dst.(!j);
-        decr j
-      done;
-      dst.(!j + 1) <- x
-    done;
-    if !c > 1 then begin
-      let w = ref 1 in
-      for i = 1 to !c - 1 do
-        if dst.(i) <> dst.(!w - 1) then begin
-          dst.(!w) <- dst.(i);
-          incr w
-        end
-      done;
-      c := !w
-    end;
-    !c
-
   let stage e groups =
     Obs.with_span "criticality.engine.stage" @@ fun () ->
-    let newc, old_of_new = Rewrite.contract_mapped e.circuit groups in
-    let sd = Dag.of_circuit newc in
+    let sd, old_of_new = Dag.contract e.dagv groups in
     let sn = Dag.n_nodes sd in
     let ep = Generator.price_epoch e.gen in
     let repriced = ep <> e.epoch in
-    e.s_old <- old_of_new;
-    let groups_arr = Array.of_list groups in
-    for v = 0 to e.n - 1 do
-      e.new_of_old.(v) <- -1
-    done;
-    for j = 0 to sn - 1 do
-      let ov = old_of_new.(j) in
-      if ov >= 0 then e.new_of_old.(ov) <- j
-      else
-        let nodes, _ = groups_arr.(-ov - 1) in
-        List.iter (fun m -> e.new_of_old.(m) <- j) nodes
-    done;
     (* latencies, keys, uids; flag price movements *)
     for j = 0 to sn - 1 do
       let ov = old_of_new.(j) in
       if ov >= 0 then begin
         e.s_keys.(j) <- e.keys.(ov);
         e.s_uid.(j) <- e.uid.(ov);
-        let l =
-          if repriced then price_of_key e (Dag.gate sd j) e.s_keys.(j)
-          else e.lat.(ov)
-        in
-        e.s_lat.(j) <- l;
-        e.lat_chg.(j) <- l <> e.lat.(ov)
+        if repriced then
+          e.s_lat.(j) <- price_of_key e (Dag.gate sd j) e.s_keys.(j)
+        else e.s_lat.(j) <- e.lat.(ov);
+        e.lat_chg.(j) <- e.s_lat.(j) <> e.lat.(ov)
       end
       else begin
         let k, l = price_of_app e.gen (Dag.gate sd j) in
@@ -356,70 +308,33 @@ module Engine = struct
         e.lat_chg.(j) <- true
       end
     done;
-    (* structural dirt: did the mapped pred/succ set survive the edit? *)
-    for j = 0 to sn - 1 do
-      let ov = old_of_new.(j) in
-      if ov < 0 then begin
-        e.pred_chg.(j) <- true;
-        e.succ_chg.(j) <- true
-      end
-      else begin
-        let same old_lst new_lst =
-          let ca = fill_sorted e.scr_a old_lst (fun p -> e.new_of_old.(p)) in
-          let cb = fill_sorted e.scr_b new_lst Fun.id in
-          ca = cb
-          &&
-          let ok = ref true in
-          for i = 0 to ca - 1 do
-            if e.scr_a.(i) <> e.scr_b.(i) then ok := false
-          done;
-          !ok
-        in
-        e.pred_chg.(j) <- not (same (Dag.preds e.dagv ov) (Dag.preds sd j));
-        e.succ_chg.(j) <- not (same (Dag.succs e.dagv ov) (Dag.succs sd j))
-      end
-    done;
     (* dirty est wave over the staged buffer *)
     for j = 0 to sn - 1 do
       let ov = old_of_new.(j) in
-      let dirty =
-        ov < 0 || e.pred_chg.(j)
-        || List.exists
-             (fun p -> e.est_chg.(p) || e.lat_chg.(p))
-             (Dag.preds sd j)
-      in
-      if dirty then begin
-        let x = ref 0.0 in
-        List.iter
-          (fun p ->
-            let f = e.s_est.(p) +. e.s_lat.(p) in
-            if f > !x then x := f)
-          (Dag.preds sd j);
-        e.s_est.(j) <- !x;
-        e.est_chg.(j) <- ov < 0 || !x <> e.est.(ov)
+      let preds = Dag.preds sd j in
+      if ov < 0 || any_flag e.est_chg e.lat_chg preds then begin
+        e.s_est.(j) <- 0.0;
+        fold_max e.s_est j e.s_est e.s_lat preds;
+        e.est_chg.(j) <- ov < 0 || e.s_est.(j) <> e.est.(ov)
       end
       else begin
         e.s_est.(j) <- e.est.(ov);
         e.est_chg.(j) <- false
       end
     done;
-    let total = ref 0.0 in
-    for j = 0 to sn - 1 do
-      let f = e.s_est.(j) +. e.s_lat.(j) in
-      if f > !total then total := f
-    done;
-    e.s_total <- !total;
+    let total = finish_total sn e.s_est e.s_lat in
+    e.s_total <- total;
     e.s_n <- sn;
-    e.s_circuit <- newc;
     e.s_dag <- sd;
+    e.s_old <- old_of_new;
     e.s_epoch <- ep;
     e.s_valid <- true;
-    !total
+    total
 
   let staged_circuit e =
     if not e.s_valid then
       invalid_arg "Criticality.Engine.staged_circuit: nothing staged";
-    e.s_circuit
+    Dag.to_circuit e.s_dag
 
   let discard e = e.s_valid <- false
 
@@ -431,32 +346,18 @@ module Engine = struct
     (* dirty cp_after wave, backwards *)
     for j = sn - 1 downto 0 do
       let ov = e.s_old.(j) in
-      let dirty =
-        ov < 0 || e.succ_chg.(j)
-        || List.exists
-             (fun s -> e.cp_chg.(s) || e.lat_chg.(s))
-             (Dag.succs sd j)
-      in
-      if dirty then begin
-        let x = ref 0.0 in
-        List.iter
-          (fun s ->
-            let f = e.s_lat.(s) +. e.s_cp.(s) in
-            if f > !x then x := f)
-          (Dag.succs sd j);
-        e.s_cp.(j) <- !x;
-        e.cp_chg.(j) <- ov < 0 || !x <> e.cp.(ov)
+      let succs = Dag.succs sd j in
+      if ov < 0 || any_flag e.cp_chg e.lat_chg succs then begin
+        e.s_cp.(j) <- 0.0;
+        fold_max e.s_cp j e.s_lat e.s_cp succs;
+        e.cp_chg.(j) <- ov < 0 || e.s_cp.(j) <> e.cp.(ov)
       end
       else begin
         e.s_cp.(j) <- e.cp.(ov);
         e.cp_chg.(j) <- false
       end
     done;
-    let eps = 1e-9 *. (1.0 +. e.s_total) in
-    for j = 0 to sn - 1 do
-      e.s_crit.(j) <-
-        e.s_est.(j) +. e.s_lat.(j) +. e.s_cp.(j) >= e.s_total -. eps
-    done;
+    mark_critical sn e.s_total e.s_est e.s_lat e.s_cp e.s_crit;
     (* adopt the shadow state: O(1) buffer swaps *)
     let fa = e.est in
     e.est <- e.s_est;
@@ -477,7 +378,7 @@ module Engine = struct
     e.uid <- e.s_uid;
     e.s_uid <- us;
     e.n <- e.s_n;
-    e.circuit <- e.s_circuit;
+    e.circuit <- None;
     e.dagv <- e.s_dag;
     e.total <- e.s_total;
     e.epoch <- e.s_epoch;

@@ -54,7 +54,8 @@ module Engine : sig
   (** [create gen c] prices and schedules [c] (one full analysis). *)
   val create : Paqoc_pulse.Generator.t -> Paqoc_circuit.Circuit.t -> e
 
-  (** The current committed circuit. *)
+  (** The current committed circuit, built from {!dag} on the first call
+      after a {!commit}. *)
   val circuit : e -> Paqoc_circuit.Circuit.t
 
   (** The dependence DAG of the committed circuit. *)
@@ -66,6 +67,16 @@ module Engine : sig
   val est : e -> int -> float
   val cp_after : e -> int -> float
   val is_critical : e -> int -> bool
+
+  (** Read-only views of the committed per-node latencies, [CP]-after
+      values and critical flags, indexed by node (the arrays may be
+      longer than {!n_nodes}). {!refresh} updates them in place and
+      {!commit} replaces them. They serve loops in other modules, where
+      every {!latency} call would box its float; never mutate them. *)
+  val latencies : e -> float array
+
+  val cp_afters : e -> float array
+  val criticals : e -> bool array
 
   (** [case_of e u v] — as {!case_of}. *)
   val case_of : e -> int -> int -> [ `I | `II | `III ]
@@ -79,14 +90,15 @@ module Engine : sig
       state; no-op when the generator's price epoch is unchanged. *)
   val refresh : e -> unit
 
-  (** [stage e groups] contracts [groups] (as {!Rewrite.contract}) into
-      the shadow buffer and returns the trial circuit total. Replaces
-      any previously staged edit.
+  (** [stage e groups] contracts [groups] in the committed DAG
+      ({!Paqoc_circuit.Dag.contract}) into the shadow buffer and returns
+      the trial circuit total. Replaces any previously staged edit.
       @raise Invalid_argument on overlapping or non-convex groups. *)
   val stage :
     e -> (int list * Paqoc_circuit.Gate.app) list -> float
 
-  (** The staged circuit (raises when nothing is staged). *)
+  (** The staged circuit, built from the staged DAG on each call (raises
+      when nothing is staged). *)
   val staged_circuit : e -> Paqoc_circuit.Circuit.t
 
   (** [commit e] adopts the staged edit (raises when nothing staged). *)

@@ -30,6 +30,13 @@ type stats = {
 module Engine = Criticality.Engine
 module Pool = Paqoc_pulse.Pool
 
+(* A merged key's rollback state, shared by every pair whose merged
+   group has that key: the blacklist is keyed on merged content, so one
+   rollback blocks them all. Each pair interns its key once, when its
+   memo entry is made, so the score walk reads a field instead of
+   hashing a string per candidate per iteration. *)
+type key_state = { mutable blacklisted : bool }
+
 (* Everything about a candidate pair that depends only on the two
    gates' content — never on their position in the circuit, the
    schedule, or the pulse database. Keyed on the engine's stable node
@@ -37,16 +44,17 @@ module Pool = Paqoc_pulse.Pool
    which removes the reference loop's dominant cost (re-serialising
    every candidate's merged group on every iteration). *)
 type pair_info = {
-  mkey : string;  (** canonical key of the merged group *)
   union_n : int;  (** qubit count of the merged gate *)
   pair_est : float;  (** Observation-1/2 merged-latency estimate *)
+  state : key_state;  (** the merged key's blacklist state *)
 }
 
 let n_qubits_of (g : Gate.app) =
   List.length (List.sort_uniq compare g.Gate.qubits)
 
-(* must price exactly as Ranking.score does *)
-let compute_pair_info gen (gu : Gate.app) (gv : Gate.app) =
+(* the pair's content: merged key, qubit-union size and latency
+   estimate, priced exactly as the test-side reference scorer does *)
+let pair_content gen (gu : Gate.app) (gv : Gate.app) =
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
   let union_n = List.length (Candidates.qubit_union gu gv) in
   let grows = union_n > max (n_qubits_of gu) (n_qubits_of gv) in
@@ -55,26 +63,62 @@ let compute_pair_info gen (gu : Gate.app) (gv : Gate.app) =
     if grows then Float.max model_est (Generator.avg_latency_for_size gen union_n)
     else model_est
   in
-  { mkey = Generator.key merged_group; union_n; pair_est }
+  (Generator.key merged_group, union_n, pair_est)
+
+(* The pair memo, indexed by uid: row [a] lists the [(b, info)] pairs
+   met with uid [b] as the second gate. Uids are dense (they count the
+   nodes ever made) and a node meets only a few successors over a
+   whole search, so a lookup is one array load and a short scan of
+   ints — no hashing, no allocation ([none] marks a miss). *)
+type memo = { mutable rows : (int * pair_info) list array }
+
+let none = { union_n = 0; pair_est = 0.0; state = { blacklisted = false } }
+
+let rec assoc_uid b = function
+  | [] -> none
+  | (x, i) :: rest -> if x = b then i else assoc_uid b rest
+
+let memo_find m a b =
+  if a < Array.length m.rows then assoc_uid b m.rows.(a) else none
+
+let memo_add m a b info =
+  let len = Array.length m.rows in
+  if a >= len then begin
+    let rows = Array.make (max (2 * len) (a + 1)) [] in
+    Array.blit m.rows 0 rows 0 len;
+    m.rows <- rows
+  end;
+  m.rows.(a) <- (b, info) :: m.rows.(a)
 
 let run ?(config = default_config) ?(jobs = 1) gen c =
-  let blacklist = Hashtbl.create 64 in
+  let key_states : (string, key_state) Hashtbl.t = Hashtbl.create 64 in
   let merge_counter = ref 0 in
   let committed = ref 0 and rolled_back = ref 0 and iterations = ref 0 in
   let eng = Engine.create gen c in
   let initial_latency = Engine.total eng in
   let eps = 1e-6 in
   let reach = Dag.reach_ws (Dag.n_nodes (Engine.dag eng)) in
-  let pair_memo : (int * int, pair_info) Hashtbl.t = Hashtbl.create 1024 in
+  let memo = { rows = Array.make (Dag.n_nodes (Engine.dag eng)) [] } in
+  let remember a b (mkey, union_n, pair_est) =
+    let state =
+      match Hashtbl.find_opt key_states mkey with
+      | Some st -> st
+      | None ->
+        let st = { blacklisted = false } in
+        Hashtbl.add key_states mkey st;
+        st
+    in
+    let i = { union_n; pair_est; state } in
+    memo_add memo a b i;
+    i
+  in
   let info_of u v =
-    let k = (Engine.node_uid eng u, Engine.node_uid eng v) in
-    match Hashtbl.find_opt pair_memo k with
-    | Some i -> i
-    | None ->
+    let a = Engine.node_uid eng u and b = Engine.node_uid eng v in
+    let i = memo_find memo a b in
+    if i != none then i
+    else
       let dag = Engine.dag eng in
-      let i = compute_pair_info gen (Dag.gate dag u) (Dag.gate dag v) in
-      Hashtbl.add pair_memo k i;
-      i
+      remember a b (pair_content gen (Dag.gate dag u) (Dag.gate dag v))
   in
   (* Parallel candidate exploration: pair contents are pure, so missing
      memo entries can be computed on the pool in any order and inserted
@@ -83,8 +127,13 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
      pair is expensive to price — on the analytic Model backend a pair
      costs microseconds, so dispatching it loses twice: the chunk
      round-trip costs more than the pricing, and the spawned worker
-     domains then tax every minor collection the serial score/attempt
-     phases run (measured 1.7x on a warm all-cache-hit suite). *)
+     domains then join every stop-the-world minor collection the serial
+     score/attempt phases trigger. Idle domains cost the same way in a
+     [paqoc serve --jobs 2] daemon: its warm round trip over the suite
+     ran at 1.99x in-process (median [server.overhead_ratio] of five
+     traced benchmark runs) while each merge edit rebuilt the circuit
+     and its DAG, and at 1.54x once edits allocated only what they
+     touch. *)
   let pool_pays = jobs > 1 && not (Generator.pricing_is_analytic gen) in
   let prefill pool =
     let dag = Engine.dag eng in
@@ -93,9 +142,9 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
     for u = n - 1 downto 0 do
       List.iter
         (fun v ->
-          let k = (Engine.node_uid eng u, Engine.node_uid eng v) in
-          if not (Hashtbl.mem pair_memo k) then begin
-            missing := (k, Dag.gate dag u, Dag.gate dag v) :: !missing;
+          let a = Engine.node_uid eng u and b = Engine.node_uid eng v in
+          if memo_find memo a b == none then begin
+            missing := ((a, b), Dag.gate dag u, Dag.gate dag v) :: !missing;
             incr n_missing
           end)
         (Dag.succs dag u)
@@ -111,19 +160,21 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
             let len = min chunk (Array.length arr - lo) in
             Array.init len (fun i ->
                 let _, gu, gv = arr.(lo + i) in
-                compute_pair_info gen gu gv))
+                pair_content gen gu gv))
           (Array.init n_chunks Fun.id)
       in
       Array.iteri
-        (fun ci infos ->
+        (fun ci contents ->
           Array.iteri
-            (fun i info ->
-              let k, _, _ = arr.((ci * chunk) + i) in
-              Hashtbl.add pair_memo k info)
-            infos)
+            (fun i content ->
+              let (a, b), _, _ = arr.((ci * chunk) + i) in
+              ignore (remember a b content))
+            contents)
         results
     end
   in
+  let cands = Ranking.buffer () in
+  let include_iii = not config.prune_noncritical in
   (* Candidate scoring over the committed engine state. Mirrors
      enumerate+rank+filter of the reference loop with one deliberate
      twist: the validity DFS (has_indirect_path) is postponed to the
@@ -131,86 +182,55 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
      it — skipping an invalid candidate there is indistinguishable from
      its absence here, since scores are content+schedule functions and
      invalid candidates reserve no span. *)
+  let rec score_succs lat cp crit u succs = function
+    | [] -> ()
+    | v :: rest ->
+      let info = info_of u v in
+      if info.union_n <= config.max_n && not info.state.blacklisted then
+        Ranking.score_edge cands ~include_iii ~lat ~cp ~crit ~succs ~u ~v
+          ~n_qubits:info.union_n ~est:info.pair_est;
+      score_succs lat cp crit u succs rest
+  in
   let score_edges () =
     let dag = Engine.dag eng in
-    let n = Dag.n_nodes dag in
-    let include_iii = not config.prune_noncritical in
-    let acc = ref [] in
-    for u = 0 to n - 1 do
-      List.iter
-        (fun v ->
-          let info = info_of u v in
-          if info.union_n <= config.max_n then begin
-            let case = Engine.case_of eng u v in
-            let keep = match case with `III -> include_iii | `I | `II -> true in
-            if keep then begin
-              let l_u = Engine.latency eng u and l_v = Engine.latency eng v in
-              let cp_v = Engine.cp_after eng v in
-              let alt_after_u =
-                List.fold_left
-                  (fun acc s ->
-                    if s = v then acc
-                    else
-                      Float.max acc
-                        (Engine.latency eng s +. Engine.cp_after eng s))
-                  0.0 (Dag.succs dag u)
-              in
-              let score =
-                Ranking.score_value ~case
-                  ~u_critical:(Engine.is_critical eng u) ~l_u ~l_v ~cp_v
-                  ~alt_after_u ~est:info.pair_est
-              in
-              if score > 1e-9 && not (Hashtbl.mem blacklist info.mkey) then
-                acc :=
-                  { Ranking.candidate =
-                      { Candidates.u; v; case; n_qubits = info.union_n };
-                    score;
-                    est_merged_latency = info.pair_est
-                  }
-                  :: !acc
-            end
-          end)
-        (Dag.succs dag u)
-    done;
-    Ranking.sort_scored !acc
+    let lat = Engine.latencies eng
+    and cp = Engine.cp_afters eng
+    and crit = Engine.criticals eng in
+    Ranking.clear cands;
+    for u = 0 to Dag.n_nodes dag - 1 do
+      let succs = Dag.succs dag u in
+      score_succs lat cp crit u succs succs
+    done
   in
-  (* Span-disjoint top-k selection, with validity checked lazily on the
-     walk. [any_valid] reproduces the reference's termination test (its
-     scored list was empty iff no valid candidate survived). *)
-  let select scored =
+  (* Span-disjoint top-k selection over the candidates, best first, with
+     validity checked lazily on the walk. [any_valid] reproduces the
+     reference's termination test (its scored list was empty iff no
+     valid candidate survived). Only the picked candidates become
+     [Ranking.scored] records. *)
+  let select () =
     let dag = Engine.dag eng in
-    let valid (s : Ranking.scored) =
-      not
-        (Dag.has_indirect_path_ws reach dag s.Ranking.candidate.Candidates.u
-           s.Ranking.candidate.Candidates.v)
-    in
+    Ranking.start_walk cands;
     let spans = ref [] and picked = ref 0 in
     let batch = ref [] and any_valid = ref false in
-    let rec walk = function
-      | [] -> ()
-      | (s : Ranking.scored) :: rest ->
-        if !picked >= config.top_k && !any_valid then ()
-        else begin
-          let u = s.Ranking.candidate.Candidates.u
-          and v = s.Ranking.candidate.Candidates.v in
-          let lo = min u v and hi = max u v in
-          (if !picked >= config.top_k then begin
-             (* only probing whether any valid candidate exists *)
-             if valid s then any_valid := true
-           end
-           else if
-             List.exists (fun (lo', hi') -> lo <= hi' && lo' <= hi) !spans
-           then ()
-           else if valid s then begin
-             any_valid := true;
-             spans := (lo, hi) :: !spans;
-             incr picked;
-             batch := s :: !batch
-           end);
-          walk rest
-        end
-    in
-    walk scored;
+    let i = ref (Ranking.next cands) in
+    while !i >= 0 && not (!picked >= config.top_k && !any_valid) do
+      let u = Ranking.cand_u cands !i and v = Ranking.cand_v cands !i in
+      let valid () = not (Dag.has_indirect_path_ws reach dag u v) in
+      let lo = min u v and hi = max u v in
+      (if !picked >= config.top_k then begin
+         (* only probing whether any valid candidate exists *)
+         if valid () then any_valid := true
+       end
+       else if List.exists (fun (lo', hi') -> lo <= hi' && lo' <= hi) !spans
+       then ()
+       else if valid () then begin
+         any_valid := true;
+         spans := (lo, hi) :: !spans;
+         incr picked;
+         batch := Ranking.scored cands !i :: !batch
+       end);
+      i := Ranking.next cands
+    done;
     (List.rev !batch, !any_valid)
   in
   let rec attempt prev_total batch =
@@ -257,10 +277,10 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
              optimistic — roll back and blacklist *)
           incr rolled_back;
           let s = List.hd batch in
-          Hashtbl.replace blacklist
-            (info_of s.Ranking.candidate.Candidates.u
-               s.Ranking.candidate.Candidates.v)
-              .mkey ();
+          (info_of s.Ranking.candidate.Candidates.u
+             s.Ranking.candidate.Candidates.v)
+            .state
+            .blacklisted <- true;
           None
         end
       end
@@ -272,10 +292,8 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
       Obs.count "merger.iterations";
       Engine.refresh eng;
       if pool_pays then Obs.with_span "merger.prefill" (fun () -> prefill pool);
-      let scored = Obs.with_span "merger.score" score_edges in
-      let batch, any_valid =
-        Obs.with_span "merger.select" (fun () -> select scored)
-      in
+      Obs.with_span "merger.score" score_edges;
+      let batch, any_valid = Obs.with_span "merger.select" select in
       match batch with
       | [] -> if any_valid then loop pool prev_total
       | _ -> (

@@ -1,21 +1,14 @@
-module Gate = Paqoc_circuit.Gate
-module Dag = Paqoc_circuit.Dag
-module Generator = Paqoc_pulse.Generator
-
 type scored = {
   candidate : Candidates.t;
   score : float;
   est_merged_latency : float;
 }
 
-let n_qubits_of (g : Gate.app) =
-  List.length (List.sort_uniq compare g.Gate.qubits)
-
-(* The Section V-A benefit formula, shared by the reference scorer below
-   and the incremental search's memoized scorer ({!Merger}): both paths
-   must produce bit-identical scores, so there is exactly one copy of
-   the arithmetic. *)
-let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
+(* The Section V-A benefit formula, shared by the search's candidate
+   buffer below and the test-side reference scorer: both paths must
+   produce bit-identical scores, so there is exactly one copy of the
+   arithmetic. *)
+let[@inline] score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
   match case with
   | `I ->
     (* both on the critical path:
@@ -37,51 +30,156 @@ let score_value ~case ~u_critical ~l_u ~l_v ~cp_v ~alt_after_u ~est =
        by the local Observation-1 gain *)
     l_u +. l_v -. est
 
-(* Total order: score descending, then (u, v) ascending — candidates are
-   distinct pairs, so the sorted sequence is unique whatever the input
-   order. Shared with the incremental search for the same reason as
-   [score_value]. *)
-let compare_scored a b =
-  if a.score <> b.score then compare b.score a.score
-  else
-    compare
-      (a.candidate.Candidates.u, a.candidate.Candidates.v)
-      (b.candidate.Candidates.u, b.candidate.Candidates.v)
+(* The ranking order: score descending, then (u, v) ascending —
+   candidates are distinct pairs, so the order is total and the walk is
+   unique whatever order the edges were scored in. *)
+let[@inline] compare_fields (sa : float) (ua : int) (va : int) (sb : float)
+    (ub : int) (vb : int) =
+  if sa <> sb then compare sb sa
+  else if ua <> ub then compare ua ub
+  else compare va vb
 
-let sort_scored scored = List.sort compare_scored scored
+(* ------------------------------------------------------------------ *)
+(* Candidate buffer                                                    *)
+(* ------------------------------------------------------------------ *)
 
-let score gen (crit : Criticality.t) (cand : Candidates.t) =
-  let dag = crit.Criticality.dag in
-  let u = cand.Candidates.u and v = cand.Candidates.v in
-  let gu = Dag.gate dag u and gv = Dag.gate dag v in
-  let l_u = Criticality.latency crit u
-  and l_v = Criticality.latency crit v in
-  let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
-  let grows = cand.Candidates.n_qubits > max (n_qubits_of gu) (n_qubits_of gv) in
-  let est =
-    let model_est = Generator.estimate_latency gen merged_group in
-    if grows then
-      (* Observation 2: a bigger customized gate is, on average, slower —
-         price it at least at the corpus average for its size *)
-      Float.max model_est
-        (Generator.avg_latency_for_size gen cand.Candidates.n_qubits)
-    else model_est
-  in
-  (* longest continuation through u's other successors (the paper's C) *)
-  let alt_after_u =
-    List.fold_left
-      (fun acc c ->
-        if c = v then acc
-        else
-          Float.max acc (Criticality.latency crit c +. Criticality.cp_after crit c))
-      0.0 (Dag.succs dag u)
-  in
-  let cp_v = Criticality.cp_after crit v in
-  let score =
-    score_value ~case:cand.Candidates.case
-      ~u_critical:(Criticality.is_critical crit u) ~l_u ~l_v ~cp_v
-      ~alt_after_u ~est
-  in
-  { candidate = cand; score; est_merged_latency = est }
+(* The kept candidates of one scoring pass as parallel arrays, reused
+   across passes, plus an index heap that hands them out in
+   [compare_fields] order. Scoring, the formula and the order all live
+   in this one module so the float arithmetic stays unboxed: a call
+   into another module boxes every float argument and result. *)
+type buffer = {
+  mutable len : int;
+  mutable bu : int array;
+  mutable bv : int array;
+  mutable bcase : [ `I | `II | `III ] array;
+  mutable bnq : int array;
+  mutable bscore : float array;
+  mutable bmerged_est : float array;
+  mutable heap : int array;
+  mutable heap_len : int;
+  alt : float array;  (** one slot: the continuation fold's result *)
+}
 
-let rank gen crit cands = sort_scored (List.map (score gen crit) cands)
+let buffer () =
+  { len = 0;
+    bu = [||];
+    bv = [||];
+    bcase = [||];
+    bnq = [||];
+    bscore = [||];
+    bmerged_est = [||];
+    heap = [||];
+    heap_len = 0;
+    alt = [| 0.0 |]
+  }
+
+let clear b =
+  b.len <- 0;
+  b.heap_len <- 0
+
+let reserve b =
+  if b.len = Array.length b.bu then begin
+    let cap = 2 * max 8 b.len in
+    let grow a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 b.len;
+      a'
+    in
+    b.bu <- grow b.bu 0;
+    b.bv <- grow b.bv 0;
+    b.bcase <- grow b.bcase `III;
+    b.bnq <- grow b.bnq 0;
+    b.bscore <- grow b.bscore 0.0;
+    b.bmerged_est <- grow b.bmerged_est 0.0;
+    b.heap <- grow b.heap 0
+  end
+
+(* [alt_into acc lat cp v succs] raises [acc.(0)] to the longest
+   continuation [lat.(s) +. cp.(s)] through the successors [s <> v] of
+   the pair's first gate (the paper's C) *)
+let rec alt_into (acc : float array) (lat : float array) (cp : float array) v
+    = function
+  | [] -> ()
+  | s :: rest ->
+    if s <> v then acc.(0) <- Float.max acc.(0) (lat.(s) +. cp.(s));
+    alt_into acc lat cp v rest
+
+let score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~n_qubits ~est =
+  let case =
+    match (crit.(u), crit.(v)) with
+    | true, true -> `I
+    | true, false | false, true -> `II
+    | false, false -> `III
+  in
+  if include_iii || case <> `III then begin
+    b.alt.(0) <- 0.0;
+    alt_into b.alt lat cp v succs;
+    let s =
+      score_value ~case ~u_critical:crit.(u) ~l_u:lat.(u) ~l_v:lat.(v)
+        ~cp_v:cp.(v) ~alt_after_u:b.alt.(0) ~est
+    in
+    if s > 1e-9 then begin
+      reserve b;
+      let k = b.len in
+      b.bu.(k) <- u;
+      b.bv.(k) <- v;
+      b.bcase.(k) <- case;
+      b.bnq.(k) <- n_qubits;
+      b.bscore.(k) <- s;
+      b.bmerged_est.(k) <- est;
+      b.len <- k + 1
+    end
+  end
+
+let before b i j =
+  compare_fields b.bscore.(i) b.bu.(i) b.bv.(i) b.bscore.(j) b.bu.(j) b.bv.(j)
+  < 0
+
+let rec sift_down b i =
+  let l = (2 * i) + 1 in
+  if l < b.heap_len then begin
+    let h = b.heap in
+    let m = if l + 1 < b.heap_len && before b h.(l + 1) h.(l) then l + 1 else l in
+    if before b h.(m) h.(i) then begin
+      let t = h.(i) in
+      h.(i) <- h.(m);
+      h.(m) <- t;
+      sift_down b m
+    end
+  end
+
+(* the walk consumes the order lazily: heapify once (linear), then pop
+   only the few candidates the selection looks at *)
+let start_walk b =
+  for i = 0 to b.len - 1 do
+    b.heap.(i) <- i
+  done;
+  b.heap_len <- b.len;
+  for i = (b.len / 2) - 1 downto 0 do
+    sift_down b i
+  done
+
+let next b =
+  if b.heap_len = 0 then -1
+  else begin
+    let top = b.heap.(0) in
+    b.heap_len <- b.heap_len - 1;
+    b.heap.(0) <- b.heap.(b.heap_len);
+    sift_down b 0;
+    top
+  end
+
+let cand_u b i = b.bu.(i)
+let cand_v b i = b.bv.(i)
+
+let scored b i =
+  { candidate =
+      { Candidates.u = b.bu.(i);
+        v = b.bv.(i);
+        case = b.bcase.(i);
+        n_qubits = b.bnq.(i)
+      };
+    score = b.bscore.(i);
+    est_merged_latency = b.bmerged_est.(i)
+  }

@@ -14,13 +14,10 @@ type scored = {
   est_merged_latency : float;
 }
 
-(** [score gen crit cand] prices one candidate. *)
-val score :
-  Paqoc_pulse.Generator.t -> Criticality.t -> Candidates.t -> scored
-
-(** The bare Section V-A benefit formula. Exposed so the incremental
-    search scores memoized candidates through exactly the same
-    arithmetic as {!score} — bit-identical by construction. *)
+(** The bare Section V-A benefit formula: [est] is the merged latency
+    estimate, [alt_after_u] the longest continuation through [u]'s
+    other successors. {!score_edge} and the test-side reference scorer
+    both score through it, so they agree bit for bit. *)
 val score_value :
   case:[ `I | `II | `III ] ->
   u_critical:bool ->
@@ -31,14 +28,53 @@ val score_value :
   est:float ->
   float
 
-(** The total order {!rank} sorts by: score descending, then pair
-    ascending. *)
-val compare_scored : scored -> scored -> int
+(** {1 Candidate buffer}
 
-(** [sort_scored l] sorts with {!compare_scored}. *)
-val sort_scored : scored list -> scored list
+    The search's scoring pass: each DAG edge is scored straight into
+    arrays reused across passes, and the selection walks the kept
+    candidates best-first — score descending, then pair [(u, v)]
+    ascending, a total order — through an index heap. No record is built
+    until {!scored} is asked for. Scoring, formula and order share this
+    module so the float arithmetic stays unboxed. *)
 
-(** [rank gen crit cands] scores and sorts best-first (ties: earlier pair
-    first, for determinism). *)
-val rank :
-  Paqoc_pulse.Generator.t -> Criticality.t -> Candidates.t list -> scored list
+type buffer
+
+val buffer : unit -> buffer
+
+(** [clear b] empties [b], keeping its storage. *)
+val clear : buffer -> unit
+
+(** [score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~n_qubits ~est]
+    classifies the DAG edge [u -> v] by the critical flags [crit]
+    (Case I, II or III), scores it from the per-node latencies [lat]
+    and CP-after values [cp] ([succs] are [u]'s successors; [est] the
+    merged latency estimate, [n_qubits] the merged gate's width) and
+    keeps it when the score is positive. Case III edges are skipped
+    unless [include_iii]. *)
+val score_edge :
+  buffer ->
+  include_iii:bool ->
+  lat:float array ->
+  cp:float array ->
+  crit:bool array ->
+  succs:int list ->
+  u:int ->
+  v:int ->
+  n_qubits:int ->
+  est:float ->
+  unit
+
+(** [start_walk b] orders the kept candidates for {!next}. *)
+val start_walk : buffer -> unit
+
+(** [next b] is the index of the best candidate not yet walked, or [-1]
+    when the walk is over. *)
+val next : buffer -> int
+
+(** The pair of kept candidate [i]. *)
+val cand_u : buffer -> int -> int
+
+val cand_v : buffer -> int -> int
+
+(** [scored b i] is kept candidate [i] as a record. *)
+val scored : buffer -> int -> scored

@@ -113,7 +113,7 @@ let mine ?(config = default_config) (c : Circuit.t) =
                 (fun x ->
                   let cand = List.sort compare (x :: members) in
                   if qubit_count dag cand <= config.max_qubits
-                     && Rewrite.is_convex dag cand then begin
+                     && Dag.is_convex dag cand then begin
                     let p, occ = Pattern.of_nodes ~label dag cand in
                     let k = p.Pattern.code in
                     match Hashtbl.find_opt next k with

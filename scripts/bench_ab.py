@@ -1,0 +1,296 @@
+#!/usr/bin/env python3
+"""A/B the end-to-end benchmark between a parent revision and HEAD.
+
+    python3 scripts/bench_ab.py PARENT_REV [--head REV] [--pairs N]
+        [--workloads suite,daemon] [--seeds 1,2] [--seconds S]
+        [--trace 0|1] [--claim WORKLOAD:METRIC]
+    python3 scripts/bench_ab.py --self-test
+
+Both revisions are exported with `git archive` into fresh temporary
+directories (running from the working checkout skews `suite`'s cold
+pass) and built once each. Then, for every workload and seed, N pairs
+of `sh benchmark/run.sh` runs alternate between the two copies, and
+which side runs first swaps from pair to pair, so host phases that move
+every timing hit both sides alike.
+
+For every metric the script prints both sides' medians and quartiles
+and how many pairs the change won. It then gives a verdict:
+
+* a claim (`--claim suite:warm_pass_s`) holds when the change wins at
+  least 9 pairs in 10 and its median beats the parent's by more than
+  the parent's quartile spread (Q3 - Q1);
+* no end-to-end metric may be worse than the parent by more than its
+  `BENCHMARK.json` bound (relative, on the medians), and no workload may
+  fail a larger share of its requests.
+
+The exit status is 0 when every claim holds and no bound is broken.
+`--self-test` checks the verdict logic on canned numbers.
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# ---------------------------------------------------------------------------
+# statistics and verdicts (pure; what --self-test checks)
+# ---------------------------------------------------------------------------
+
+
+def quartiles(xs):
+    """(Q1, median, Q3) by linear interpolation between order statistics."""
+    s = sorted(xs)
+    if not s:
+        return (math.nan, math.nan, math.nan)
+
+    def q(p):
+        pos = p * (len(s) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(s) - 1)
+        return s[lo] + (s[hi] - s[lo]) * (pos - lo)
+
+    return (q(0.25), q(0.5), q(0.75))
+
+
+def better(x, y, direction):
+    """Is x strictly better than y?"""
+    return x < y if direction == "lower" else x > y
+
+
+def wins(pairs, direction):
+    """Pairs (parent, change) where the change is strictly better."""
+    return sum(1 for p, c in pairs if better(c, p, direction))
+
+
+def claim_holds(pairs, direction):
+    """At least 9 wins in 10, and a median gap beyond the parent's
+    quartile spread. Returns (holds, reason)."""
+    n = len(pairs)
+    if n == 0:
+        return (False, "no pairs")
+    w = wins(pairs, direction)
+    need = math.ceil(0.9 * n)
+    p_q1, p_med, p_q3 = quartiles([p for p, _ in pairs])
+    _, c_med, _ = quartiles([c for _, c in pairs])
+    gap = p_med - c_med if direction == "lower" else c_med - p_med
+    spread = p_q3 - p_q1
+    if w < need:
+        return (False, "%d wins of %d, need %d" % (w, n, need))
+    if not gap > spread:
+        return (False, "median gap %.4g does not exceed the parent's "
+                "quartile spread %.4g" % (gap, spread))
+    return (True, "%d wins of %d, median gap %.4g > spread %.4g"
+            % (w, n, gap, spread))
+
+
+def bound_broken(pairs, direction, bound):
+    """Is the change's median worse than the parent's by more than the
+    relative bound? Returns (broken, relative change in the bad
+    direction)."""
+    _, p_med, _ = quartiles([p for p, _ in pairs])
+    _, c_med, _ = quartiles([c for _, c in pairs])
+    if p_med == 0:
+        worse = (c_med > 0) if direction == "lower" else (c_med < 0)
+        return (worse, math.inf if worse else 0.0)
+    rel = (c_med - p_med) / abs(p_med)
+    if direction == "higher":
+        rel = -rel
+    return (rel > bound, rel)
+
+
+def failure_share(run):
+    attempted = run.get("attempted", 0)
+    return run.get("failed", 0) / attempted if attempted else 0.0
+
+
+# ---------------------------------------------------------------------------
+# running
+# ---------------------------------------------------------------------------
+
+
+def sh(cmd, cwd, **kw):
+    return subprocess.run(cmd, cwd=cwd, check=True, **kw)
+
+
+def export(rev, dest):
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def build(tree):
+    env = dict(os.environ, DUNE_CACHE="disabled")
+    sh(["dune", "build", "--root", ".", "--display", "quiet",
+        "benchmark/paqoc_bench.exe", "bin/paqoc_cli.exe"], tree, env=env)
+
+
+def run_once(tree, workload, seed, seconds, trace):
+    out = subprocess.run(
+        ["sh", "benchmark/run.sh", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    lines = [l for l in out.stdout.splitlines() if l.startswith("{")]
+    if not lines:
+        raise RuntimeError("%s %s seed %s printed no result (exit %d)"
+                           % (tree, workload, seed, out.returncode))
+    return json.loads(lines[-1])
+
+
+def report(workload, seed, runs, spec, claims):
+    """Print one workload/seed table; return the list of problems."""
+    problems = []
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+    per_layer = {m["name"]: m for m in spec.get("per_layer", [])}
+    print("\n== %s, seed %s: %d pairs (parent | change) ==" %
+          (workload, seed, len(runs)))
+    print("%-28s %27s   %27s  %s" % ("metric", "parent Q1 / median / Q3",
+                                     "change Q1 / median / Q3", "wins"))
+    names = sorted(set(runs[0][0]["metrics"]) & set(runs[0][1]["metrics"]),
+                   key=lambda k: (k not in end_to_end, k))
+    for name in names:
+        meta = end_to_end.get(name) or per_layer.get(name) or {}
+        direction = meta.get("better", "lower")
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in runs]
+        pq = quartiles([p for p, _ in pairs])
+        cq = quartiles([c for _, c in pairs])
+        line = "%-28s %8.4g / %8.4g / %8.4g   %8.4g / %8.4g / %8.4g  %2d/%d" % (
+            name, pq[0], pq[1], pq[2], cq[0], cq[1], cq[2],
+            wins(pairs, direction), len(pairs))
+        if name in end_to_end:
+            broken, _ = bound_broken(pairs, direction,
+                                     end_to_end[name]["bound"])
+            change = (cq[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0
+            line += "  %+.1f%% (%s is better, bound %.1f%%)%s" % (
+                100 * change, direction, 100 * end_to_end[name]["bound"],
+                "  WORSE" if broken else "")
+            if broken:
+                problems.append("%s seed %s: %s worse than its bound"
+                                % (workload, seed, name))
+        if (workload, name) in claims:
+            ok, why = claim_holds(pairs, direction)
+            line += "  claim %s: %s" % ("holds" if ok else "FAILS", why)
+            if not ok:
+                problems.append("%s seed %s: claim on %s fails (%s)"
+                                % (workload, seed, name, why))
+        print(line)
+    p_fail = max(failure_share(p) for p, _ in runs)
+    c_fail = max(failure_share(c) for _, c in runs)
+    print("failure share: parent %.3f, change %.3f" % (p_fail, c_fail))
+    if c_fail > p_fail:
+        problems.append("%s seed %s: larger failure share" % (workload, seed))
+    return problems
+
+
+# ---------------------------------------------------------------------------
+# self-test
+# ---------------------------------------------------------------------------
+
+
+def self_test():
+    assert quartiles([1, 2, 3, 4, 5]) == (2, 3, 4)
+    assert quartiles([4, 1, 3, 2]) == (1.75, 2.5, 3.25)
+    parent = [1.30, 1.32, 1.28, 1.35, 1.31, 1.29, 1.33, 1.30, 1.34, 1.31]
+    # a clear gain: 10 wins of 10, gap far beyond the spread
+    fast = [0.60, 0.62, 0.61, 0.59, 0.63, 0.60, 0.61, 0.62, 0.60, 0.61]
+    assert claim_holds(list(zip(parent, fast)), "lower")[0]
+    # 9 wins of 10 still holds
+    nine = fast[:9] + [1.40]
+    assert claim_holds(list(zip(parent, nine)), "lower")[0]
+    # 8 wins of 10 does not
+    eight = fast[:8] + [1.40, 1.50]
+    ok, why = claim_holds(list(zip(parent, eight)), "lower")
+    assert not ok and "8 wins" in why, why
+    # every pair won, but by less than the parent's quartile spread
+    tiny = [p - 0.001 for p in parent]
+    ok, why = claim_holds(list(zip(parent, tiny)), "lower")
+    assert not ok and "spread" in why, why
+    # higher-is-better metrics mirror the test
+    assert claim_holds([(0.5, 0.9)] * 10, "higher")[0]
+    assert not claim_holds([(0.9, 0.5)] * 10, "higher")[0]
+    # bounds are relative, on the medians, in the bad direction only
+    assert not bound_broken(list(zip(parent, fast)), "lower", 0.25)[0]
+    assert bound_broken([(40.0, 51.0)] * 5, "lower", 0.25)[0]
+    assert not bound_broken([(40.0, 49.0)] * 5, "lower", 0.25)[0]
+    assert bound_broken([(0.90, 0.89)] * 5, "higher", 0.005)[0]
+    assert not bound_broken([(0.90, 0.9)] * 5, "higher", 0.005)[0]
+    assert not bound_broken([(0.90, 0.95)] * 5, "higher", 0.005)[0]
+    assert not bound_broken([(100.0, 100.0)] * 5, "lower", 0.005)[0]
+    assert bound_broken([(0.0, 1.0)] * 3, "lower", 0.25)[0]
+    assert failure_share({"attempted": 10, "failed": 1}) == 0.1
+    assert failure_share({"attempted": 0, "failed": 0}) == 0.0
+    print("bench_ab self-test: ok")
+
+
+# ---------------------------------------------------------------------------
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", nargs="?", help="parent revision")
+    ap.add_argument("--head", default="HEAD", help="change revision")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workloads", default="suite,daemon,qoc,sweep")
+    ap.add_argument("--seeds", default="1")
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="run.sh --seconds (default: BENCHMARK.json's)")
+    ap.add_argument("--trace", default="0")
+    ap.add_argument("--claim", action="append", default=[],
+                    metavar="WORKLOAD:METRIC")
+    ap.add_argument("--self-test", action="store_true")
+    args = ap.parse_args()
+    if args.self_test:
+        self_test()
+        return 0
+    if not args.parent:
+        ap.error("PARENT_REV is required")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    seconds = args.seconds if args.seconds is not None else spec.get(
+        "run_seconds", 20)
+    claims = set()
+    for c in args.claim:
+        w, _, m = c.partition(":")
+        claims.add((w, m))
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        trees = {}
+        for side, rev in (("parent", args.parent), ("change", args.head)):
+            trees[side] = os.path.join(tmp, side)
+            os.makedirs(trees[side])
+            export(rev, trees[side])
+            print("building %s (%s) in %s" % (side, rev, trees[side]),
+                  flush=True)
+            build(trees[side])
+        for workload in args.workloads.split(","):
+            for seed in args.seeds.split(","):
+                runs = []
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 else (
+                        "change", "parent")
+                    got = {side: run_once(trees[side], workload, seed,
+                                          seconds, args.trace)
+                           for side in order}
+                    runs.append((got["parent"], got["change"]))
+                    print("  %s seed %s pair %d/%d done" %
+                          (workload, seed, i + 1, args.pairs), flush=True)
+                problems += report(workload, seed, runs, spec, claims)
+    for w, m in sorted(claims):
+        if w not in args.workloads.split(","):
+            problems.append("claim on %s:%s, but %s was not run" % (w, m, w))
+    print()
+    for p in problems:
+        print("PROBLEM: " + p)
+    print("verdict: %s" % ("ok" if not problems else "REJECT"))
+    return 0 if not problems else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

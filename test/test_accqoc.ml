@@ -54,7 +54,7 @@ let slicer_tests =
     case "slices are convex" (fun () ->
         let dag = Dag.of_circuit sample in
         List.iter
-          (fun nodes -> check_true "convex" (Rewrite.is_convex dag nodes))
+          (fun nodes -> check_true "convex" (Dag.is_convex dag nodes))
           (Slicer.slice Slicer.accqoc_n3d3 sample));
     case "deeper cap yields fewer groups" (fun () ->
         let n3 = List.length (Slicer.slice Slicer.accqoc_n3d3 sample) in
@@ -142,7 +142,7 @@ let prop_tests =
              (fun nodes ->
                List.length (qubits_of_nodes dag nodes) <= 3
                && depth_of_nodes dag nodes <= 3
-               && Rewrite.is_convex dag nodes)
+               && Dag.is_convex dag nodes)
              (Slicer.slice Slicer.accqoc_n3d3 c)))
   ]
 

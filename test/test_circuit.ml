@@ -403,9 +403,9 @@ let rewrite_tests =
             [ Gate.app1 Gate.H 0; Gate.app2 Gate.CX 0 1; Gate.app1 Gate.H 1 ]
         in
         let d = Dag.of_circuit c in
-        check_true "{0,2} not convex" (not (Rewrite.is_convex d [ 0; 2 ]));
-        check_true "{0,1} convex" (Rewrite.is_convex d [ 0; 1 ]);
-        check_true "{0,1,2} convex" (Rewrite.is_convex d [ 0; 1; 2 ]));
+        check_true "{0,2} not convex" (not (Dag.is_convex d [ 0; 2 ]));
+        check_true "{0,1} convex" (Dag.is_convex d [ 0; 1 ]);
+        check_true "{0,1,2} convex" (Dag.is_convex d [ 0; 1; 2 ]));
     case "contract preserves unitary" (fun () ->
         let d = Dag.of_circuit ghz3 in
         let app = Rewrite.custom_of_nodes d [ 0; 1 ] ~name:"g" in
@@ -470,6 +470,112 @@ let prop_tests =
            s.Dag.total >= float_of_int (Circuit.depth c) -. 1e-9))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* window-local contraction vs the global-Kahn oracle                  *)
+(* ------------------------------------------------------------------ *)
+
+(* a random set of groups over [dag]'s nodes: DAG-edge pairs, grown
+   connected sets (convex or not), arbitrary node sets (whose windows
+   interleave with the others'), and now and then a node reused from an
+   earlier group (overlap) *)
+let random_groups st dag =
+  let n = Dag.n_nodes dag in
+  let used = Array.make n false in
+  let fresh () =
+    let free = List.filter (fun v -> not used.(v)) (List.init n Fun.id) in
+    match free with
+    | [] -> None
+    | _ -> Some (List.nth free (Random.State.int st (List.length free)))
+  in
+  let pick () =
+    if Random.State.int st 12 = 0 then Some (Random.State.int st n) else fresh ()
+  in
+  let neighbours v = Dag.succs dag v @ Dag.preds dag v in
+  let grow start size =
+    let rec go set k =
+      if k = 0 then set
+      else
+        let frontier =
+          List.concat_map neighbours set
+          |> List.filter (fun w -> (not (List.mem w set)) && not used.(w))
+        in
+        match frontier with
+        | [] -> set
+        | _ ->
+          go (List.nth frontier (Random.State.int st (List.length frontier)) :: set)
+            (k - 1)
+    in
+    go [ start ] (size - 1)
+  in
+  let k = 1 + Random.State.int st 3 in
+  List.filter_map
+    (fun i ->
+      let nodes =
+        match pick () with
+        | None -> []
+        | Some v -> (
+          match Random.State.int st 3 with
+          | 0 -> (
+            match List.filter (fun w -> not used.(w)) (Dag.succs dag v) with
+            | [] -> [ v ]
+            | ws -> [ v; List.nth ws (Random.State.int st (List.length ws)) ])
+          | 1 -> grow v (2 + Random.State.int st 3)
+          | _ ->
+            v
+            :: List.filter_map
+                 (fun _ -> pick ())
+                 (List.init (Random.State.int st 3) Fun.id)
+            |> List.sort_uniq compare)
+      in
+      if nodes = [] then None
+      else begin
+        List.iter (fun v -> used.(v) <- true) nodes;
+        Some
+          ( nodes,
+            Rewrite.custom_of_nodes dag nodes ~name:(Printf.sprintf "w%d" i) )
+      end)
+    (List.init k Fun.id)
+
+let raises f = try ignore (f ()); false with Invalid_argument _ -> true
+
+let check_contract c groups =
+  let dag = Dag.of_circuit c in
+  let oracle () = Reference_search.contract_mapped c groups in
+  let local () = Dag.contract dag groups in
+  match (raises oracle, raises local) with
+  | true, true -> ()
+  | true, false -> Alcotest.fail "the oracle raises, Dag.contract does not"
+  | false, true -> Alcotest.fail "Dag.contract raises, the oracle does not"
+  | false, false ->
+    let oc, o_old = oracle () and d, old_of_new = local () in
+    if o_old <> old_of_new then Alcotest.fail "old_of_new differs";
+    check_true "gate order"
+      (Circuit.to_string (Dag.to_circuit d) = Circuit.to_string oc);
+    let od = Dag.of_circuit oc in
+    check_int "node count" (Dag.n_nodes od) (Dag.n_nodes d);
+    for j = 0 to Dag.n_nodes d - 1 do
+      (* the same sets, and in fact the same lists *)
+      if Dag.preds d j <> Dag.preds od j then
+        Alcotest.failf "preds of %d differ from of_circuit's" j;
+      if Dag.succs d j <> Dag.succs od j then
+        Alcotest.failf "succs of %d differ from of_circuit's" j
+    done
+
+let contract_tests =
+  [ qcheck
+      (QCheck.Test.make ~count:150
+         ~name:"Dag.contract == global-Kahn oracle on random groups"
+         (arb_circuit ~n:4 ~max_gates:16 ())
+         (fun c ->
+           (* seed the groups from the circuit so failures replay *)
+           let st = Random.State.make [| 0xc0de; Circuit.n_gates c |] in
+           let dag = Dag.of_circuit c in
+           for _ = 1 to 8 do
+             check_contract c (random_groups st dag)
+           done;
+           true))
+  ]
+
 let suite =
   angle_tests @ gate_tests @ circuit_tests @ dag_tests @ decompose_tests
-  @ qasm_tests @ rewrite_tests @ prop_tests
+  @ qasm_tests @ rewrite_tests @ prop_tests @ contract_tests

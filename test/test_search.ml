@@ -6,10 +6,12 @@
    oracle loop's ([Reference_search.run_reference]) circuit and
    statistics exactly, at any [jobs]; over the whole suite, so must a
    [Paqoc.compile] against [Reference_search.compile], down to the bytes
-   of the shared cache both write. The suite also pins the runtime
+   of the shared cache both write. The engine's staged circuit must be
+   the oracle's contraction of the committed one, and pre-processing
+   must match the original loop. The suite also pins the runtime
    guarantees the engine's workspace design makes: reachability queries
-   allocate nothing, and a whole stage+discard step stays under a fixed
-   minor-heap budget. *)
+   allocate nothing, and a whole stage+discard step stays under fixed
+   heap budgets. *)
 open Test_util
 module Gen = Paqoc_pulse.Generator
 module Dag = Paqoc_circuit.Dag
@@ -102,8 +104,16 @@ let drive_engine st c =
        if Random.State.int st 3 = 0 then
          (* price the merged pulse first, like the search's attempt *)
          ignore (Gen.generate gen (fst (Gen.group_of_apps [ app ])));
+       (* the engine relinearises on the DAG, window by window; the
+          oracle contracts the committed circuit from scratch *)
+       let expected =
+         Reference_search.contract (Engine.circuit eng) [ ([ u; v ], app) ]
+       in
        let trial = Engine.stage eng [ ([ u; v ], app) ] in
        let staged = Engine.staged_circuit eng in
+       check_true
+         (Printf.sprintf "step %d: staged circuit == oracle contraction" step)
+         (Circuit.to_string staged = Circuit.to_string expected);
        check_bits
          (Printf.sprintf "step %d: staged total" step)
          (Crit.total (Crit.analyze gen staged))
@@ -243,11 +253,47 @@ let suite_equivalence =
 (* Allocation budgets                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* one whole stage+discard cycle on ham7_104 (560 episodes) measures
-   ~122k minor words — the contraction's O(n) circuit/DAG rebuild; the
-   ceiling pins the order of magnitude so a per-step re-analysis or an
-   O(n^2) scratch allocation cannot creep back in unnoticed *)
-let step_budget_words = 250_000.0
+(* One whole stage+discard cycle, merging the first mergeable pair (the
+   worst case: the window opens at node 0, so every adjacency list is
+   renumbered). Words per step, measured: ham7_104 (560 episodes) 5.1k
+   minor; dnn raw (3,788 episodes) 33.2k minor plus ~19k allocated
+   straight into the major heap (that counter is only brought up to
+   date at major slices, so it reads 17k-19k). That is the contracted
+   DAG alone: its rebuilt adjacency lists (minor) and its node-sized
+   arrays (major), with no circuit and no per-node boxing. The
+   ceilings, about twice those figures, pin the order of magnitude so a
+   circuit rebuild, a per-step re-analysis or an O(n^2) scratch
+   allocation cannot creep back in unnoticed. *)
+let step_budget_words = 10_000.0
+let dnn_step_budget_minor = 66_000.0
+let dnn_step_budget_major = 38_000.0
+
+(* minor words and words allocated straight into the major heap (not
+   promoted ones, which depend on when minor collections fall) per
+   stage+discard step *)
+let step_words physical =
+  let gen = Gen.model_default () in
+  let eng = Engine.create gen physical in
+  let dag = Engine.dag eng in
+  let u, v = List.hd (mergeable_pairs dag) in
+  let app = Rewrite.custom_of_nodes dag [ u; v ] ~name:"budget" in
+  let groups = [ ([ u; v ], app) ] in
+  for _ = 1 to 3 do
+    ignore (Engine.stage eng groups);
+    Engine.discard eng
+  done;
+  let reps = 50 in
+  let s0 = Gc.quick_stat () in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Engine.stage eng groups);
+    Engine.discard eng
+  done;
+  let minor = Gc.minor_words () -. before in
+  let s1 = Gc.quick_stat () in
+  let direct (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+  ( minor /. float_of_int reps,
+    (direct s1 -. direct s0) /. float_of_int reps )
 
 let alloc_suite =
   [ case "reachability workspace queries allocate nothing" (fun () ->
@@ -283,23 +329,7 @@ let alloc_suite =
         let physical =
           (Suite.transpiled (Suite.find "ham7_104")).Transpile.physical
         in
-        let gen = Gen.model_default () in
-        let eng = Engine.create gen physical in
-        let dag = Engine.dag eng in
-        let u, v = List.hd (mergeable_pairs dag) in
-        let app = Rewrite.custom_of_nodes dag [ u; v ] ~name:"budget" in
-        let groups = [ ([ u; v ], app) ] in
-        for _ = 1 to 3 do
-          ignore (Engine.stage eng groups);
-          Engine.discard eng
-        done;
-        let reps = 50 in
-        let before = Gc.minor_words () in
-        for _ = 1 to reps do
-          ignore (Engine.stage eng groups);
-          Engine.discard eng
-        done;
-        let per_step = (Gc.minor_words () -. before) /. float_of_int reps in
+        let per_step, _ = step_words physical in
         if per_step > step_budget_words then
           Alcotest.failf
             "stage+discard allocates %.0f minor words/step, over the %.0f \
@@ -355,9 +385,49 @@ let priced_memo_suite =
         check_bits "and returns the same price" l1 l2)
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Contraction on raw dnn; pre-processing against its oracle           *)
+(* ------------------------------------------------------------------ *)
+
+let dnn_step_case =
+  slow_case "dnn: a warmed-up merge step stays under the heap budgets"
+    (fun () ->
+      let physical = (Suite.transpiled (Suite.find "dnn")).Transpile.physical in
+      check_int "raw dnn episodes" 3788 (Circuit.n_gates physical);
+      let minor, major = step_words physical in
+      if minor > dnn_step_budget_minor then
+        Alcotest.failf
+          "stage+discard on dnn allocates %.0f minor words/step, over the \
+           %.0f budget"
+          minor dnn_step_budget_minor;
+      if major > dnn_step_budget_major then
+        Alcotest.failf
+          "stage+discard on dnn allocates %.0f words/step straight into the \
+           major heap, over the %.0f budget"
+          major dnn_step_budget_major)
+
+(* Both sides of [suite_equivalence] run the product's pre-processing,
+   so that case cannot see a pre-processing change; this one holds
+   [Candidates.preprocess] to the original loop directly. *)
+let preprocess_pin =
+  slow_case "preprocess == reference loop on Table I and extras, maxN 2-4"
+    (fun () ->
+      List.iter
+        (fun (e : Suite.entry) ->
+          let physical = (Suite.transpiled e).Transpile.physical in
+          List.iter
+            (fun maxN ->
+              check_true
+                (Printf.sprintf "%s at maxN %d" e.Suite.name maxN)
+                (Circuit.to_string (Paqoc.Candidates.preprocess physical ~maxN)
+                = Circuit.to_string (Reference_search.preprocess physical ~maxN)))
+            [ 2; 3; 4 ])
+        (Suite.all @ Suite.extras))
+
 let suite =
   [ qcheck engine_differential;
     qcheck search_differential;
     suite_equivalence
   ]
   @ alloc_suite @ priced_memo_suite
+  @ [ dnn_step_case; preprocess_pin ]
