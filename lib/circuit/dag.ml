@@ -3,6 +3,7 @@ type t = {
   gates : Gate.app array;
   succ : int list array;
   pred : int list array;
+  live : bool array;  (** false at the holes an in-place edit frees *)
 }
 
 let of_circuit (c : Circuit.t) =
@@ -27,7 +28,7 @@ let of_circuit (c : Circuit.t) =
         end)
       (List.sort_uniq compare srcs)
   done;
-  { nq = c.Circuit.n_qubits; gates; succ; pred }
+  { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
 
 let of_circuit_relaxed ~commute (c : Circuit.t) =
   let gates = Array.of_list c.Circuit.gates in
@@ -61,54 +62,23 @@ let of_circuit_relaxed ~commute (c : Circuit.t) =
         history.(q) <- v :: history.(q))
       qs
   done;
-  { nq = c.Circuit.n_qubits; gates; succ; pred }
+  { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
 
 let n_nodes d = Array.length d.gates
 let n_qubits d = d.nq
+let is_live d v = d.live.(v)
 let gate d v = d.gates.(v)
 let succs d v = d.succ.(v)
 let preds d v = d.pred.(v)
-let nodes d = List.init (n_nodes d) Fun.id
 
-(* Reachability by forward DFS; node ids are topological so we can prune
-   candidates with id <= target shortcuts. *)
-let reachable_from d u ~skip_direct ~target =
-  if u = target then not skip_direct
-  else begin
-    let seen = Array.make (n_nodes d) false in
-    let rec dfs v =
-      if v = target then true
-      else if seen.(v) || v > target then false
-      else begin
-        seen.(v) <- true;
-        List.exists dfs d.succ.(v)
-      end
-    in
-    let starts =
-      if skip_direct then List.filter (fun s -> s <> target) d.succ.(u)
-      else d.succ.(u)
-    in
-    List.exists dfs starts
-  end
-
-let has_indirect_path d u v =
-  if u = v then false
-  else
-    let u, v = if u < v then (u, v) else (v, u) in
-    reachable_from d u ~skip_direct:true ~target:v
-
-let reachable d u v =
-  if u = v then true
-  else if u > v then false
-  else List.exists (fun s -> s = v) d.succ.(u)
-       || reachable_from d u ~skip_direct:true ~target:v
+let nodes d =
+  List.filter (fun v -> d.live.(v)) (List.init (n_nodes d) Fun.id)
 
 (* Allocation-free reachability: a reusable workspace holding a stamp
    array (generation marks, so clearing between queries is free) and an
    explicit int stack replacing the recursion. The merge search asks
-   one reachability question per candidate per iteration; the recursive
-   DFS above allocates a fresh visited array each time, which is the
-   dominant allocation of the whole search loop. *)
+   one reachability question per candidate per iteration, so a query
+   must not allocate a visited array of its own. *)
 type reach_ws = {
   mutable stamp : int array;
   mutable stack : int array;
@@ -190,7 +160,9 @@ type schedule = {
 let schedule d ~latency =
   let n = n_nodes d in
   let est = Array.make n 0.0 in
-  let lat = Array.init n (fun v -> latency d.gates.(v)) in
+  let lat =
+    Array.init n (fun v -> if d.live.(v) then latency d.gates.(v) else 0.0)
+  in
   for v = 0 to n - 1 do
     List.iter
       (fun p -> if est.(p) +. lat.(p) > est.(v) then est.(v) <- est.(p) +. lat.(p))
@@ -212,7 +184,8 @@ let schedule d ~latency =
   let eps = 1e-9 *. (1.0 +. !total) in
   let critical = Array.make n false in
   for v = 0 to n - 1 do
-    critical.(v) <- est.(v) +. lat.(v) +. cp_after.(v) >= !total -. eps
+    critical.(v) <-
+      d.live.(v) && est.(v) +. lat.(v) +. cp_after.(v) >= !total -. eps
   done;
   { est; latency = lat; cp_after; total = !total; critical }
 
@@ -224,8 +197,9 @@ let critical_path d sched =
        successors that continue a tight path *)
     let eps = 1e-9 *. (1.0 +. sched.total) in
     let tight v =
-      sched.est.(v) +. sched.latency.(v) +. sched.cp_after.(v)
-      >= sched.total -. eps
+      d.live.(v)
+      && sched.est.(v) +. sched.latency.(v) +. sched.cp_after.(v)
+         >= sched.total -. eps
     in
     let start =
       let rec find v =
@@ -254,7 +228,11 @@ let critical_path d sched =
   end
 
 let to_circuit d =
-  Circuit.make ~n_qubits:d.nq (Array.to_list d.gates)
+  let rec live_gates v acc =
+    if v < 0 then acc
+    else live_gates (v - 1) (if d.live.(v) then d.gates.(v) :: acc else acc)
+  in
+  Circuit.make ~n_qubits:d.nq (live_gates (n_nodes d - 1) [])
 
 (* ------------------------------------------------------------------ *)
 (* Convex contraction                                                  *)
@@ -284,17 +262,20 @@ let window_convex d st lo hi =
   in
   scan lo
 
-let window_state lo hi nodes =
-  let st = Array.make (hi - lo + 1) 0 in
-  List.iter (fun v -> st.(v - lo) <- 1) nodes;
-  st
+(* [st.(0 .. hi-lo)] marks the members of [nodes] 1 and everything
+   else 0, as [window_convex] reads it *)
+let fill_window st lo hi nodes =
+  Array.fill st 0 (hi - lo + 1) 0;
+  List.iter (fun v -> st.(v - lo) <- 1) nodes
 
 let is_convex d nodes =
   match List.sort_uniq compare nodes with
   | [] | [ _ ] -> true
   | lo :: _ as sorted ->
     let hi = List.fold_left max lo sorted in
-    window_convex d (window_state lo hi sorted) lo hi
+    let st = Array.make (hi - lo + 1) 0 in
+    fill_window st lo hi sorted;
+    window_convex d st lo hi
 
 (* A binary min-heap of ints in [h.(0 .. len-1)]: the ready set of the
    window-local Kahn, whose priority is the node's min-id. *)
@@ -324,82 +305,19 @@ let heap_pop h len =
   if n > 0 then h.(!i) <- last;
   top
 
-(* The stable min-id Kahn over one window [a, b]: its quotient nodes are
-   the singletons and whole groups inside it, each known by its min-id
-   (a group by its smallest member, [glo]). Every edge into the window
-   from outside starts before [a], so once the prefix is emitted only
-   in-window edges decide readiness; the origin token of each emitted
-   node ([x], or [-(gi+1)] for group [gi]) goes to [out] from [j]. *)
-let kahn_window d owner glo a b out j =
-  let w = b - a + 1 in
-  let rep x = if owner.(x) < 0 then x - a else glo.(owner.(x)) - a in
-  let indeg = Array.make w 0 and qsucc = Array.make w [] in
-  let reps = ref 0 in
-  for x = a to b do
-    let r = rep x in
-    if r = x - a then incr reps;
-    List.iter
-      (fun s ->
-        if s <= b then begin
-          let rs = rep s in
-          if rs <> r && not (List.mem rs qsucc.(r)) then begin
-            qsucc.(r) <- rs :: qsucc.(r);
-            indeg.(rs) <- indeg.(rs) + 1
-          end
-        end)
-      d.succ.(x)
-  done;
-  let heap = Array.make w 0 and len = ref 0 in
-  for r = 0 to w - 1 do
-    if rep (r + a) = r && indeg.(r) = 0 then begin
-      heap_push heap !len r;
-      incr len
-    end
-  done;
-  let j0 = j and j = ref j in
-  while !len > 0 do
-    let r = heap_pop heap !len in
-    decr len;
-    let x = r + a in
-    out.(!j) <- (if owner.(x) < 0 then x else -(owner.(x) + 1));
-    incr j;
-    List.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then begin
-          heap_push heap !len s;
-          incr len
-        end)
-      qsucc.(r)
-  done;
-  if !j - j0 <> !reps then
-    invalid_arg "Rewrite.contract: contraction created a cycle";
-  !j
-
-(* Growable int scratch for one node's renumbered predecessor set. *)
+(* Growable int scratch. *)
 type ibuf = { mutable arr : int array; mutable len : int }
+
+let ibuf () = { arr = Array.make 16 0; len = 0 }
 
 let ibuf_add b x =
   if b.len = Array.length b.arr then begin
-    let a = Array.make (max 16 (2 * b.len)) 0 in
+    let a = Array.make (2 * b.len) 0 in
     Array.blit b.arr 0 a 0 b.len;
     b.arr <- a
   end;
   b.arr.(b.len) <- x;
   b.len <- b.len + 1
-
-let rec add_mapped b new_of_old self = function
-  | [] -> ()
-  | p :: rest ->
-    let np = new_of_old.(p) in
-    if np <> self then ibuf_add b np;
-    add_mapped b new_of_old self rest
-
-let rec add_members b d new_of_old self = function
-  | [] -> ()
-  | m :: rest ->
-    add_mapped b new_of_old self d.pred.(m);
-    add_members b d new_of_old self rest
 
 (* insertion sort (sets are tiny) then dedup, in place *)
 let ibuf_sort_uniq b =
@@ -424,121 +342,325 @@ let ibuf_sort_uniq b =
     b.len <- !w
   end
 
-let rec all_below a = function [] -> true | s :: rest -> s < a && all_below a rest
+(* the sorted buffer as a list, largest first: the order of every
+   adjacency list [of_circuit] builds, which contraction preserves *)
+let ibuf_desc b =
+  let rec go i acc = if i = b.len then acc else go (i + 1) (b.arr.(i) :: acc) in
+  go 0 []
 
-(* [j] sits before the first window [a0], so its predecessors keep their
-   ids; it joins the successor lists of those whose lists are rebuilt *)
-let rec relink_prefix succ d a0 j = function
+(* ------------------------------------------------------------------ *)
+(* In-place contraction                                                *)
+(* ------------------------------------------------------------------ *)
+
+let hole = min_int
+
+type editor = {
+  dag : t;
+  owner : int array;  (** group index per member during an edit, else -1 *)
+  remap : int array;  (** an id's id after the edit; identity outside one *)
+  mark : int array;  (** [gen]: a window id, [gen + 1]: a queued neighbour *)
+  mutable gen : int;
+  ids : ibuf;  (** the last edit's window ids (live before it), ascending *)
+  origin : ibuf;  (** what each holds now (see {!edit_origin}) *)
+  nbrs : ibuf;  (** ids outside the windows adjacent to a moved node *)
+  buf : ibuf;  (** one adjacency list under construction *)
+  (* window-sized scratch, grown on demand: convexity marks, and the
+     Kahn's in-degrees, quotient successors and ready heap *)
+  mutable st : int array;
+  mutable indeg : int array;
+  mutable qsucc : int list array;
+  mutable heap : int array;
+  mutable log : (int * Gate.app * int list * int list * bool) list;
+      (** each written id's previous contents, newest first *)
+}
+
+let editor d =
+  let n = n_nodes d in
+  { dag = d;
+    owner = Array.make n (-1);
+    remap = Array.init n Fun.id;
+    mark = Array.make n 0;
+    gen = 0;
+    ids = ibuf ();
+    origin = ibuf ();
+    nbrs = ibuf ();
+    buf = ibuf ();
+    st = [||];
+    indeg = [||];
+    qsucc = [||];
+    heap = [||];
+    log = []
+  }
+
+let fit ed w =
+  if Array.length ed.st < w then begin
+    let cap = max w (2 * Array.length ed.st) in
+    ed.st <- Array.make cap 0;
+    ed.indeg <- Array.make cap 0;
+    ed.qsucc <- Array.make cap [];
+    ed.heap <- Array.make cap 0
+  end
+
+let edit_size ed = ed.ids.len
+let edit_id ed i = ed.ids.arr.(i)
+let edit_origin ed i = ed.origin.arr.(i)
+
+(* The stable min-id Kahn over one window [a, b]: its quotient nodes are
+   the live singletons and whole groups inside it, each known by its
+   min-id (a group by its smallest member, [glo]). Every edge into the
+   window from outside starts before [a], so only in-window edges decide
+   readiness. It records the window's live ids in [ids] and, aligned
+   with them, the origin of each emitted node ([x], or [-(gi+1)] for
+   group [gi]) in [origin]; the ids left over once every quotient node
+   is placed become holes. *)
+let kahn_window ed glo a b =
+  let d = ed.dag and owner = ed.owner in
+  let w = b - a + 1 in
+  fit ed w;
+  let indeg = ed.indeg and qsucc = ed.qsucc and heap = ed.heap in
+  Array.fill indeg 0 w 0;
+  Array.fill qsucc 0 w [];
+  let rep x = if owner.(x) < 0 then x - a else glo.(owner.(x)) - a in
+  let first = ed.ids.len and reps = ref 0 in
+  for x = a to b do
+    if d.live.(x) then begin
+      ed.mark.(x) <- ed.gen;
+      ibuf_add ed.ids x;
+      let r = rep x in
+      if r = x - a then incr reps;
+      List.iter
+        (fun s ->
+          if s <= b then begin
+            let rs = rep s in
+            if rs <> r && not (List.mem rs qsucc.(r)) then begin
+              qsucc.(r) <- rs :: qsucc.(r);
+              indeg.(rs) <- indeg.(rs) + 1
+            end
+          end)
+        d.succ.(x)
+    end
+  done;
+  let len = ref 0 in
+  for r = 0 to w - 1 do
+    if d.live.(r + a) && rep (r + a) = r && indeg.(r) = 0 then begin
+      heap_push heap !len r;
+      incr len
+    end
+  done;
+  let emitted = ref 0 in
+  while !len > 0 do
+    let r = heap_pop heap !len in
+    decr len;
+    let x = r + a in
+    ibuf_add ed.origin (if owner.(x) < 0 then x else -(owner.(x) + 1));
+    incr emitted;
+    List.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then begin
+          heap_push heap !len s;
+          incr len
+        end)
+      qsucc.(r)
+  done;
+  if !emitted <> !reps then
+    invalid_arg "Rewrite.contract: contraction created a cycle";
+  for _ = !reps to ed.ids.len - first - 1 do
+    ibuf_add ed.origin hole
+  done
+
+let rec add_remapped b remap self = function
   | [] -> ()
   | p :: rest ->
-    if not (all_below a0 d.succ.(p)) then succ.(p) <- j :: succ.(p);
-    relink_prefix succ d a0 j rest
+    let q = remap.(p) in
+    if q <> self then ibuf_add b q;
+    add_remapped b remap self rest
 
-let contract d groups =
+(* the union of [lists] through [remap], without [self], largest
+   first: the new list of the node [lists]' owners become at [self] *)
+let remapped ed self lists =
+  ed.buf.len <- 0;
+  List.iter (add_remapped ed.buf ed.remap self) lists;
+  ibuf_sort_uniq ed.buf;
+  ibuf_desc ed.buf
+
+(* does [l] name a node the edit moves (to another id, or into a
+   group)? Only such lists change *)
+let rec mentions_moved ed = function
+  | [] -> false
+  | x :: rest -> ed.remap.(x) <> x || mentions_moved ed rest
+
+let relist ed l = if mentions_moved ed l then remapped ed (-1) [ l ] else l
+
+let write ed j g succ pred live =
+  let d = ed.dag in
+  ed.log <- (j, d.gates.(j), d.succ.(j), d.pred.(j), d.live.(j)) :: ed.log;
+  d.gates.(j) <- g;
+  d.succ.(j) <- succ;
+  d.pred.(j) <- pred;
+  d.live.(j) <- live
+
+let edit ed groups =
+  let d = ed.dag and owner = ed.owner in
   let n = n_nodes d in
   let groups = Array.of_list groups in
   let ng = Array.length groups in
-  let owner = Array.make n (-1) in
   let glo = Array.make ng max_int and ghi = Array.make ng (-1) in
-  let removed = ref 0 in
-  Array.iteri
-    (fun gi (nodes, _) ->
-      List.iter
-        (fun v ->
-          if v < 0 || v >= n then invalid_arg "Rewrite.contract: bad node id";
-          if v < glo.(gi) then glo.(gi) <- v;
-          if v > ghi.(gi) then ghi.(gi) <- v)
-        nodes;
-      if glo.(gi) < ghi.(gi)
-         && not
-              (window_convex d
-                 (window_state glo.(gi) ghi.(gi) nodes)
-                 glo.(gi) ghi.(gi))
-      then invalid_arg "Rewrite.contract: non-convex group";
-      List.iter
-        (fun v ->
-          if owner.(v) <> -1 then
-            invalid_arg "Rewrite.contract: overlapping groups";
-          owner.(v) <- gi)
-        nodes;
-      if nodes <> [] then removed := !removed + List.length nodes - 1)
-    groups;
-  (* windows (a group's smallest to largest member), overlapping ones
-     merged, in ascending order *)
-  let windows =
-    List.filter (fun gi -> ghi.(gi) >= 0) (List.init ng Fun.id)
-    |> List.sort (fun x y -> compare glo.(x) glo.(y))
-    |> List.fold_left
-         (fun acc gi ->
-           match acc with
-           | (a, b) :: rest when glo.(gi) <= b -> (a, max b ghi.(gi)) :: rest
-           | _ -> (glo.(gi), ghi.(gi)) :: acc)
-         []
-    |> List.rev
+  let release () =
+    Array.iter
+      (fun (nodes, _) ->
+        List.iter (fun v -> if v >= 0 && v < n then owner.(v) <- -1) nodes)
+      groups
   in
-  match windows with
-  | [] -> (d, Array.init n Fun.id)
-  | (a0, _) :: _ ->
-    let n' = n - !removed in
-    let old_of_new = Array.make n' 0 in
-    (* outside every window the old order stands; each window is
-       relinearised on its own, in place *)
-    let j, x =
-      List.fold_left
-        (fun (j, x) (a, b) ->
-          let j = ref j in
-          for y = x to a - 1 do
-            old_of_new.(!j) <- y;
-            incr j
-          done;
-          (kahn_window d owner glo a b old_of_new !j, b + 1))
-        (0, 0) windows
+  let windows =
+    try
+      Array.iteri
+        (fun gi (nodes, _) ->
+          List.iter
+            (fun v ->
+              if v < 0 || v >= n || not d.live.(v) then
+                invalid_arg "Rewrite.contract: bad node id";
+              if v < glo.(gi) then glo.(gi) <- v;
+              if v > ghi.(gi) then ghi.(gi) <- v)
+            nodes;
+          let lo = glo.(gi) and hi = ghi.(gi) in
+          if lo < hi then begin
+            fit ed (hi - lo + 1);
+            fill_window ed.st lo hi nodes;
+            if not (window_convex d ed.st lo hi) then
+              invalid_arg "Rewrite.contract: non-convex group"
+          end;
+          List.iter
+            (fun v ->
+              if owner.(v) <> -1 then
+                invalid_arg "Rewrite.contract: overlapping groups";
+              owner.(v) <- gi)
+            nodes)
+        groups;
+      (* windows (a group's smallest to largest member), overlapping ones
+         merged, in ascending order *)
+      let windows =
+        List.filter (fun gi -> ghi.(gi) >= 0) (List.init ng Fun.id)
+        |> List.sort (fun x y -> compare glo.(x) glo.(y))
+        |> List.fold_left
+             (fun acc gi ->
+               match acc with
+               | (a, b) :: rest when glo.(gi) <= b ->
+                 (a, max b ghi.(gi)) :: rest
+               | _ -> (glo.(gi), ghi.(gi)) :: acc)
+             []
+        |> List.rev
+      in
+      ed.gen <- ed.gen + 2;
+      ed.ids.len <- 0;
+      ed.origin.len <- 0;
+      List.iter (fun (a, b) -> kahn_window ed glo a b) windows;
+      windows
+    with Invalid_argument _ as exn ->
+      release ();
+      raise exn
+  in
+  if windows <> [] then begin
+    let ids = ed.ids.arr and origin = ed.origin.arr and m = ed.ids.len in
+    let members i =
+      let o = origin.(i) in
+      if o >= 0 then [ o ] else if o = hole then [] else fst groups.(-o - 1)
     in
-    for y = x to n - 1 do
-      old_of_new.(j + y - x) <- y
+    for i = 0 to m - 1 do
+      List.iter (fun x -> ed.remap.(x) <- ids.(i)) (members i)
     done;
-    (* every old node now has a new id, and the windows no longer need
-       [owner]: reuse it *)
-    let new_of_old = owner in
-    Array.iteri
-      (fun j tok ->
-        if tok >= 0 then new_of_old.(tok) <- j
-        else List.iter (fun m -> new_of_old.(m) <- j) (fst groups.(-tok - 1)))
-      old_of_new;
-    let gates =
-      Array.map
-        (fun tok -> if tok >= 0 then d.gates.(tok) else snd groups.(-tok - 1))
-        old_of_new
-    in
-    (* Adjacency is the quotient's: for a convex contraction whose
-       replacement gates act on their group's qubits, exactly the wire
-       adjacency [of_circuit] would derive from the contracted circuit,
-       built in its list order (newest first). Lists before the first
-       window that only mention nodes before it are shared. *)
-    let succ = Array.make n' [] and pred = Array.make n' [] in
-    for p = 0 to a0 - 1 do
-      if all_below a0 d.succ.(p) then succ.(p) <- d.succ.(p)
-    done;
-    let link p j =
-      pred.(j) <- p :: pred.(j);
-      if p >= a0 || not (all_below a0 d.succ.(p)) then
-        succ.(p) <- j :: succ.(p)
-    in
-    let b = { arr = Array.make 16 0; len = 0 } in
-    for j = 0 to n' - 1 do
-      if j < a0 then begin
-        relink_prefix succ d a0 j d.pred.(j);
-        pred.(j) <- d.pred.(j)
+    (* every changed window id's new gate and lists, read off the old
+       graph before anything is written, and the outside neighbours of
+       the nodes that move. A node that keeps its id and names no moved
+       node keeps its lists: in the common merge, only the group, the
+       freed id and their neighbours change *)
+    ed.nbrs.len <- 0;
+    let queue x =
+      if ed.mark.(x) < ed.gen then begin
+        ed.mark.(x) <- ed.gen + 1;
+        ibuf_add ed.nbrs x
       end
-      else begin
-        b.len <- 0;
-        let tok = old_of_new.(j) in
-        if tok >= 0 then add_mapped b new_of_old j d.pred.(tok)
-        else add_members b d new_of_old j (fst groups.(-tok - 1));
-        ibuf_sort_uniq b;
-        for i = 0 to b.len - 1 do
-          link b.arr.(i) j
-        done
+    in
+    let fresh = ref [] in
+    for i = m - 1 downto 0 do
+      let j = ids.(i) and o = origin.(i) in
+      if ed.remap.(j) <> j then begin
+        List.iter queue d.succ.(j);
+        List.iter queue d.pred.(j)
+      end;
+      if o = hole then fresh := (j, d.gates.(j), [], [], false) :: !fresh
+      else if o <> j || mentions_moved ed d.succ.(j)
+              || mentions_moved ed d.pred.(j)
+      then begin
+        let ms = members i in
+        fresh :=
+          ( j,
+            (if o >= 0 then d.gates.(o) else snd groups.(-o - 1)),
+            remapped ed j (List.map (Array.get d.succ) ms),
+            remapped ed j (List.map (Array.get d.pred) ms),
+            true )
+          :: !fresh
       end
     done;
-    ({ nq = d.nq; gates; succ; pred }, old_of_new)
+    List.iter
+      (fun (j, g, succ, pred, live) -> write ed j g succ pred live)
+      !fresh;
+    for i = 0 to ed.nbrs.len - 1 do
+      let y = ed.nbrs.arr.(i) in
+      write ed y d.gates.(y) (relist ed d.succ.(y)) (relist ed d.pred.(y)) true
+    done;
+    for i = 0 to m - 1 do
+      ed.remap.(ids.(i)) <- ids.(i)
+    done
+  end;
+  release ()
+
+let undo ed =
+  let d = ed.dag in
+  List.iter
+    (fun (j, g, succ, pred, live) ->
+      d.gates.(j) <- g;
+      d.succ.(j) <- succ;
+      d.pred.(j) <- pred;
+      d.live.(j) <- live)
+    ed.log;
+  ed.log <- []
+
+let keep ed = ed.log <- []
+
+(* ------------------------------------------------------------------ *)
+(* Contraction with renumbering                                        *)
+(* ------------------------------------------------------------------ *)
+
+let copy d =
+  { d with
+    gates = Array.copy d.gates;
+    succ = Array.copy d.succ;
+    pred = Array.copy d.pred;
+    live = Array.copy d.live
+  }
+
+(* An in-place edit of a copy, then a compaction onto dense ids: the
+   live ids keep their order, so every list stays largest first. *)
+let contract d groups =
+  let ed = editor (copy d) in
+  edit ed groups;
+  let e = ed.dag in
+  let live_ids = Array.of_list (nodes e) in
+  let dense = Array.make (n_nodes e) (-1) in
+  Array.iteri (fun j v -> dense.(v) <- j) live_ids;
+  let old_of_new = Array.copy live_ids in
+  for i = 0 to edit_size ed - 1 do
+    let j = edit_id ed i in
+    if e.live.(j) then old_of_new.(dense.(j)) <- edit_origin ed i
+  done;
+  let relabel adj =
+    Array.map (fun v -> List.map (Array.get dense) adj.(v)) live_ids
+  in
+  ( { nq = e.nq;
+      gates = Array.map (Array.get e.gates) live_ids;
+      succ = relabel e.succ;
+      pred = relabel e.pred;
+      live = Array.make (Array.length live_ids) true
+    },
+    old_of_new )

@@ -4,6 +4,11 @@
     share at least one qubit, directed by program order. Node ids follow
     program order, so the id order is always a valid topological order.
 
+    A DAG built from a circuit has dense ids. An in-place {!edit} frees
+    the ids its merges remove: those {e holes} are dead (no gate that
+    counts, no edges, never visited), and every live id keeps its
+    place, so between live ids the id order is still the program order.
+
     The criticality quantities follow Section V-A of the paper: for a
     latency function [L], [cp_after x] is the longest [L]-weighted path from
     the {e end} of [x] to the circuit's end ({e excluding} [L(x)] itself,
@@ -26,8 +31,14 @@ val of_circuit : Circuit.t -> t
 val of_circuit_relaxed :
   commute:(Gate.app -> Gate.app -> bool) -> Circuit.t -> t
 
+(** [n_nodes dag] is the size of the id range [0 .. n_nodes - 1]:
+    the node count of a dense DAG, holes included after an {!edit}. *)
 val n_nodes : t -> int
+
 val n_qubits : t -> int
+
+(** [is_live dag v] is false exactly at the holes. *)
+val is_live : t -> int -> bool
 
 (** [gate dag v] is the gate application at node [v]. *)
 val gate : t -> int -> Gate.app
@@ -37,21 +48,10 @@ val succs : t -> int -> int list
 
 val preds : t -> int -> int list
 
-(** [nodes dag] is all node ids in topological (program) order. *)
+(** [nodes dag] is all live ids in topological (program) order. *)
 val nodes : t -> int list
 
 (** {1 Reachability} *)
-
-(** [has_indirect_path dag u v] holds when a path of length at least two
-    leads from [u] to [v]; merging [u] and [v] would then create a cycle,
-    which makes the pair an invalid merge candidate. It allocates a
-    visited array per query; the product asks {!has_indirect_path_ws},
-    and this stays as its test reference. *)
-val has_indirect_path : t -> int -> int -> bool
-
-(** [reachable dag u v] holds when there is any directed path [u ->* v]
-    (including [u = v]). *)
-val reachable : t -> int -> int -> bool
 
 (** A reusable reachability workspace: preallocated stamp marks and an
     int-array DFS stack, so repeated queries allocate nothing. Grows on
@@ -62,8 +62,10 @@ type reach_ws
 (** [reach_ws n] is a workspace sized for [n]-node DAGs. *)
 val reach_ws : int -> reach_ws
 
-(** [has_indirect_path_ws ws dag u v] = [has_indirect_path dag u v],
-    allocation-free. *)
+(** [has_indirect_path_ws ws dag u v] holds when a path of length at
+    least two joins [u] and [v] (either way round); merging them would
+    then create a cycle, which makes the pair an invalid merge
+    candidate. Allocation-free. *)
 val has_indirect_path_ws : reach_ws -> t -> int -> int -> bool
 
 (** {1 Scheduling and criticality} *)
@@ -84,8 +86,8 @@ val schedule : t -> latency:(Gate.app -> float) -> schedule
 (** [critical_path dag sched] is one maximal-latency path, in order. *)
 val critical_path : t -> schedule -> int list
 
-(** [to_circuit dag] linearises the DAG back to a circuit in a topological
-    order (stable: program order). *)
+(** [to_circuit dag] linearises the DAG's live nodes back to a circuit in
+    a topological order (stable: program order). *)
 val to_circuit : t -> Circuit.t
 
 (** {1 Convex contraction}
@@ -102,9 +104,9 @@ val is_convex : t -> int list -> bool
 (** [contract dag groups] replaces each [(nodes, replacement)] (disjoint,
     convex, node ids of [dag]) by its replacement gate, which must act on
     exactly the union of its group's qubits. It returns the contracted
-    DAG and [old_of_new]: [old_of_new.(j)] is the node of [dag] that node
-    [j] survives from, or [-(gi+1)] when [j] is the replacement of
-    [List.nth groups gi].
+    DAG, with dense ids, and [old_of_new]: [old_of_new.(j)] is the node of
+    [dag] that node [j] survives from, or [-(gi+1)] when [j] is the
+    replacement of [List.nth groups gi].
 
     The order is the stable min-id topological order of the quotient
     DAG (repeatedly emit the ready node whose smallest member id is
@@ -113,7 +115,54 @@ val is_convex : t -> int list -> bool
     relinearised; every other node keeps its place. The adjacency is
     the quotient's, which for such groups is exactly what {!of_circuit}
     derives from {!to_circuit} of the result, in the same list order.
-    Empty groups are ignored.
+    Empty groups are ignored. It is an {!edit} of a copy of [dag],
+    compacted onto dense ids.
     @raise Invalid_argument on out-of-range ids, overlapping or
     non-convex groups, or groups whose contraction creates a cycle. *)
 val contract : t -> (int list * Gate.app) list -> t * int array
+
+(** {1 In-place contraction}
+
+    An editor contracts groups in its DAG in place and keeps an undo
+    log, so a merge step costs what its windows touch. Each window is
+    relinearised exactly as {!contract} does it, and the emitted nodes
+    are laid back onto the window's own live ids in emission order; the
+    ids the merges free, the window's last ones, become holes. Nodes
+    outside the windows keep their ids; only the lists that name a node
+    that moved are rewritten. Every list stays in {!of_circuit}'s order, so
+    compacting the live ids gives {!contract}'s result exactly. A
+    window only shrinks, so ids never need relabelling. *)
+
+type editor
+
+(** [editor dag] edits [dag] itself (it holds three id-sized arrays,
+    allocated once). *)
+val editor : t -> editor
+
+(** [edit ed groups] contracts [groups] (as {!contract}, on the
+    editor's DAG and its ids) in place, logging what it overwrites.
+    @raise Invalid_argument as {!contract} does, leaving the DAG
+    untouched. *)
+val edit : editor -> (int list * Gate.app) list -> unit
+
+(** [undo ed] restores the DAG as it was before every {!edit} since the
+    last {!undo} or {!keep}, list order included. *)
+val undo : editor -> unit
+
+(** [keep ed] drops the undo log: the edits stand. *)
+val keep : editor -> unit
+
+(** The ids the last {!edit} rewrote — every id inside its windows that
+    was live before it, ascending — as [edit_id ed i] for
+    [i < edit_size ed]. *)
+val edit_size : editor -> int
+
+val edit_id : editor -> int -> int
+
+(** [edit_origin ed i] says what [edit_id ed i] holds now: the id of the
+    node it survives from ([>= 0]), [-(gi+1)] for the replacement of
+    [List.nth groups gi], or {!hole}. *)
+val edit_origin : editor -> int -> int
+
+(** The origin of a freed id. *)
+val hole : int

@@ -25,16 +25,19 @@ let obs1_compatible ws dag u v ~maxN =
   && List.length union = max nu nv
   && not (Dag.has_indirect_path_ws ws dag u v)
 
-(* Rounds stay on the DAG: each contracts its selection with
-   [Dag.contract] (only the selected pairs' windows are relinearised)
-   and the circuit is built once, at the end. *)
+(* Rounds edit one DAG in place ({!Dag.edit}): each relinearises only
+   its selected pairs' windows and moves no id outside them, so ids
+   stay topological and the selection below reads them exactly as it
+   would dense ids. The circuit is built once, at the end. *)
 let preprocess (c : Circuit.t) ~maxN =
   let counter = ref 0 in
-  let dag0 = Dag.of_circuit c in
-  let ws = Dag.reach_ws (Dag.n_nodes dag0) in
-  let rec round dag =
-    let n = Dag.n_nodes dag in
-    let used = Array.make n false in
+  let dag = Dag.of_circuit c in
+  let n = Dag.n_nodes dag in
+  let ed = Dag.editor dag in
+  let ws = Dag.reach_ws n in
+  let used = Array.make n false in
+  let rec round edited =
+    Array.fill used 0 n false;
     (* greedy span-disjoint selection keeps the batched contraction
        trivially acyclic; [u] ascends and every pair is an edge [u -> v]
        with [v > u], so a span clashes with an earlier pick iff [u] is
@@ -56,7 +59,7 @@ let preprocess (c : Circuit.t) ~maxN =
           (List.sort compare (Dag.succs dag u))
     done;
     match !selected with
-    | [] -> dag
+    | [] -> edited
     | sel ->
       let groups =
         List.map
@@ -68,7 +71,8 @@ let preprocess (c : Circuit.t) ~maxN =
                 ~name:(Printf.sprintf "pre%d" !counter) ))
           sel
       in
-      round (fst (Dag.contract dag groups))
+      Dag.edit ed groups;
+      Dag.keep ed;
+      round true
   in
-  let dag = round dag0 in
-  if dag == dag0 then c else Dag.to_circuit dag
+  if round false then Dag.to_circuit dag else c

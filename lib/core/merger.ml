@@ -53,17 +53,20 @@ let n_qubits_of (g : Gate.app) =
   List.length (List.sort_uniq compare g.Gate.qubits)
 
 (* the pair's content: merged key, qubit-union size and latency
-   estimate, priced exactly as the test-side reference scorer does *)
+   estimate, priced exactly as the test-side reference scorer does. The
+   key is rendered once and handed to the estimate, whose jitter is
+   keyed on the same string. *)
 let pair_content gen (gu : Gate.app) (gv : Gate.app) =
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
+  let mkey = Generator.key merged_group in
   let union_n = List.length (Candidates.qubit_union gu gv) in
   let grows = union_n > max (n_qubits_of gu) (n_qubits_of gv) in
-  let model_est = Generator.estimate_latency gen merged_group in
+  let model_est = Generator.estimate_latency_of_key gen merged_group mkey in
   let pair_est =
     if grows then Float.max model_est (Generator.avg_latency_for_size gen union_n)
     else model_est
   in
-  (Generator.key merged_group, union_n, pair_est)
+  (mkey, union_n, pair_est)
 
 (* The pair memo, indexed by uid: row [a] lists the [(b, info)] pairs
    met with uid [b] as the second gate. Uids are dense (they count the

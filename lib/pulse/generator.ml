@@ -152,6 +152,9 @@ type t = {
   mutable price_epoch : int;
       (** bumped on every [cache] write; lets callers that interned their
           key strings skip even the memo lookup between writes *)
+  mutable written : string array;
+      (** the write log: [written.(i)] is the key whose [cache] write
+          moved [price_epoch] from [i] to [i + 1] *)
   mutable price_misses : int;
       (** priced-latency requests that had to do real work (a table peek
           plus possibly a model estimate) instead of a memo hit *)
@@ -197,15 +200,24 @@ let create ?(retry = default_retry) ?shared backend =
     replays = Hashtbl.create 16;
     priced = Hashtbl.create 256;
     price_epoch = 0;
+    written = [||];
     price_misses = 0
   }
 
 (* Single choke point for local-table inserts: every row written to
    [cache] refreshes the priced-latency memo in the same critical
-   section, so the memo can never serve a stale latency. *)
+   section, so the memo can never serve a stale latency, and logs its
+   key, so a caller can tell which prices an epoch change moved. *)
 let table_put t k (o : outcome) =
   Hashtbl.replace t.cache k o;
   Hashtbl.replace t.priced k o.latency;
+  let len = Array.length t.written in
+  if t.price_epoch = len then begin
+    let w = Array.make (max 64 (2 * len)) "" in
+    Array.blit t.written 0 w 0 len;
+    t.written <- w
+  end;
+  t.written.(t.price_epoch) <- k;
   t.price_epoch <- t.price_epoch + 1
 
 let set_shared_cache t c = locked t (fun () -> t.shared <- c)
@@ -239,9 +251,11 @@ let pricing_is_analytic t =
 let model_config t =
   match t.backend with Model cfg | Qoc (_, cfg) -> cfg
 
-let estimate_latency t g =
-  Latency_model.group_latency (model_config t) ~n_qubits:g.n_qubits
-    ~key:(key g) g.gates
+let estimate_latency_of_key t g k =
+  Latency_model.group_latency (model_config t) ~n_qubits:g.n_qubits ~key:k
+    g.gates
+
+let estimate_latency t g = estimate_latency_of_key t g (key g)
 
 let avg_latency_for_size t nq =
   Latency_model.avg_latency_for_size (model_config t) nq
@@ -611,7 +625,8 @@ let plan_batch t groups =
                  pulse: always available as a warm start even though
                  nothing generated it *)
               if is_table_entry sub then
-                Some (C_prefix, Src_db (None, estimate_latency t sub))
+                Some
+                  (C_prefix, Src_db (None, estimate_latency_of_key t sub ksub))
               else None))
       in
       let prefix_hit =
@@ -1081,6 +1096,13 @@ let priced_latency_of_key t k =
   locked t (fun () -> Hashtbl.find_opt t.priced k)
 
 let price_epoch t = locked t (fun () -> t.price_epoch)
+
+let written_since t epoch =
+  locked t (fun () ->
+      let rec collect i acc =
+        if i < max 0 epoch then acc else collect (i - 1) (t.written.(i) :: acc)
+      in
+      collect (t.price_epoch - 1) [])
 let price_misses t = locked t (fun () -> t.price_misses)
 
 let seed_breakdown t =

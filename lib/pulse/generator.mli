@@ -235,6 +235,12 @@ val peek : t -> group -> outcome option
     pulse generation. Never touches the cache or the cost accounting. *)
 val estimate_latency : t -> group -> float
 
+(** [estimate_latency_of_key t g k] is [estimate_latency t g] for a
+    caller that already rendered [k = key g]: the estimate's jitter is
+    keyed on that string, so the value is the same and the key is not
+    rendered twice. *)
+val estimate_latency_of_key : t -> group -> string -> float
+
 (** [avg_latency_for_size t nq] is the corpus-average merged latency for an
     [nq]-qubit customized gate (the paper's Observation-2 estimate for
     size-growing merges). Free, like {!estimate_latency}. *)
@@ -268,6 +274,13 @@ val priced_latency_of_key : t -> string -> float option
     caller holding interned keys may cache priced latencies as long as
     the epoch is unchanged, skipping even the memo lookup. *)
 val price_epoch : t -> int
+
+(** [written_since t e] lists, oldest first, the key of every
+    pulse-database write that moved {!price_epoch} past [e] (a key
+    written twice appears twice). Only those keys' memo entries can
+    differ from what they were at epoch [e], so a caller holding prices
+    from epoch [e] reprices just the nodes that carry one of them. *)
+val written_since : t -> int -> string list
 
 (** Priced-latency requests that missed the memo and had to do real
     work since creation (unit-test hook for the memo's effectiveness;

@@ -3,7 +3,7 @@
 
     python3 scripts/bench_ab.py PARENT_REV [--head REV] [--pairs N]
         [--workloads suite,daemon] [--seeds 1,2] [--seconds S]
-        [--trace 0|1] [--claim WORKLOAD:METRIC]
+        [--trace 0|1] [--claim WORKLOAD:METRIC] [--pin METRIC[,METRIC...]]
     python3 scripts/bench_ab.py --self-test
 
 Both revisions are exported with `git archive` into fresh temporary
@@ -21,7 +21,11 @@ and how many pairs the change won. It then gives a verdict:
   the parent's quartile spread (Q3 - Q1);
 * no end-to-end metric may be worse than the parent by more than its
   `BENCHMARK.json` bound (relative, on the medians), and no workload may
-  fail a larger share of its requests.
+  fail a larger share of its requests;
+* a pinned metric (`--pin core.search_iterations,trace.staged_mismatch`)
+  must take one value in every run of a workload and seed, parent and
+  change alike: counts that must repeat exactly, such as merge decisions
+  under `--trace 1`, are then checked mechanically.
 
 The exit status is 0 when every claim holds and no bound is broken.
 `--self-test` checks the verdict logic on canned numbers.
@@ -104,6 +108,19 @@ def bound_broken(pairs, direction, bound):
     return (rel > bound, rel)
 
 
+def pin_problem(name, values):
+    """None when a pinned metric took one value in every run (None
+    marks a run that did not report it), else the reason."""
+    if any(v is None for v in values):
+        return "pinned %s is missing from %d of %d runs" % (
+            name, sum(1 for v in values if v is None), len(values))
+    distinct = sorted(set(values))
+    if len(distinct) > 1:
+        return "pinned %s differs between runs: %s" % (
+            name, ", ".join("%.6g" % v for v in distinct))
+    return None
+
+
 def failure_share(run):
     attempted = run.get("attempted", 0)
     return run.get("failed", 0) / attempted if attempted else 0.0
@@ -143,7 +160,7 @@ def run_once(tree, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def report(workload, seed, runs, spec, claims):
+def report(workload, seed, runs, spec, claims, pins):
     """Print one workload/seed table; return the list of problems."""
     problems = []
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
@@ -181,6 +198,14 @@ def report(workload, seed, runs, spec, claims):
                 problems.append("%s seed %s: claim on %s fails (%s)"
                                 % (workload, seed, name, why))
         print(line)
+    for name in pins:
+        values = [r["metrics"].get(name, {}).get("value")
+                  for pair in runs for r in pair]
+        why = pin_problem(name, values)
+        print("pin %s: %s" % (name, why or "%.6g in all %d runs"
+                                % (values[0], len(values))))
+        if why:
+            problems.append("%s seed %s: %s" % (workload, seed, why))
     p_fail = max(failure_share(p) for p, _ in runs)
     c_fail = max(failure_share(c) for _, c in runs)
     print("failure share: parent %.3f, change %.3f" % (p_fail, c_fail))
@@ -224,6 +249,12 @@ def self_test():
     assert not bound_broken([(0.90, 0.95)] * 5, "higher", 0.005)[0]
     assert not bound_broken([(100.0, 100.0)] * 5, "lower", 0.005)[0]
     assert bound_broken([(0.0, 1.0)] * 3, "lower", 0.25)[0]
+    # a pin holds only when every run, parent and change, agrees
+    assert pin_problem("core.search_iterations", [1048.0] * 10) is None
+    why = pin_problem("core.search_iterations", [1048.0] * 9 + [1047.0])
+    assert why and "differs" in why and "1047" in why, why
+    why = pin_problem("trace.staged_mismatch", [0.0, None, 0.0])
+    assert why and "missing from 1 of 3" in why, why
     assert failure_share({"attempted": 10, "failed": 1}) == 0.1
     assert failure_share({"attempted": 0, "failed": 0}) == 0.0
     print("bench_ab self-test: ok")
@@ -244,6 +275,9 @@ def main():
     ap.add_argument("--trace", default="0")
     ap.add_argument("--claim", action="append", default=[],
                     metavar="WORKLOAD:METRIC")
+    ap.add_argument("--pin", action="append", default=[],
+                    metavar="METRIC[,METRIC...]",
+                    help="metrics that must repeat exactly in every run")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -255,6 +289,7 @@ def main():
         spec = json.load(f)
     seconds = args.seconds if args.seconds is not None else spec.get(
         "run_seconds", 20)
+    pins = [m for p in args.pin for m in p.split(",") if m]
     claims = set()
     for c in args.claim:
         w, _, m = c.partition(":")
@@ -281,7 +316,8 @@ def main():
                     runs.append((got["parent"], got["change"]))
                     print("  %s seed %s pair %d/%d done" %
                           (workload, seed, i + 1, args.pairs), flush=True)
-                problems += report(workload, seed, runs, spec, claims)
+                problems += report(workload, seed, runs, spec, claims,
+                                   pins)
     for w, m in sorted(claims):
         if w not in args.workloads.split(","):
             problems.append("claim on %s:%s, but %s was not run" % (w, m, w))

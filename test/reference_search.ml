@@ -2,6 +2,8 @@
    test suite's oracles. Nothing here is called by the product; the
    differential batteries hold the product to it bit for bit:
 
+   - [has_indirect_path] and [reachable] are the allocating DFS that
+     [Dag.has_indirect_path_ws] must agree with.
    - [contract] is the original global contraction: rebuild the DAG,
      relinearise every node with a stable min-id Kahn over a [Set]
      queue. [Dag.contract] relinearises only the windows a merge
@@ -28,6 +30,45 @@ module Criticality = Paqoc.Criticality
 module Candidates = Paqoc.Candidates
 module Ranking = Paqoc.Ranking
 open Paqoc.Merger
+
+(* ------------------------------------------------------------------ *)
+(* Reachability                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Reachability by forward DFS; node ids are topological so we can prune
+   candidates with id <= target shortcuts. *)
+let reachable_from d u ~skip_direct ~target =
+  if u = target then not skip_direct
+  else begin
+    let seen = Array.make (Dag.n_nodes d) false in
+    let rec dfs v =
+      if v = target then true
+      else if seen.(v) || v > target then false
+      else begin
+        seen.(v) <- true;
+        List.exists dfs (Dag.succs d v)
+      end
+    in
+    let starts =
+      if skip_direct then List.filter (fun s -> s <> target) (Dag.succs d u)
+      else Dag.succs d u
+    in
+    List.exists dfs starts
+  end
+
+(* a path of length at least two joins [u] and [v] *)
+let has_indirect_path d u v =
+  if u = v then false
+  else
+    let u, v = if u < v then (u, v) else (v, u) in
+    reachable_from d u ~skip_direct:true ~target:v
+
+(* any directed path [u ->* v], including [u = v] *)
+let reachable d u v =
+  if u = v then true
+  else if u > v then false
+  else List.exists (fun s -> s = v) (Dag.succs d u)
+       || reachable_from d u ~skip_direct:true ~target:v
 
 (* ------------------------------------------------------------------ *)
 (* Contraction                                                         *)
@@ -163,7 +204,7 @@ let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
       (fun v ->
         let gu = Dag.gate dag u and gv = Dag.gate dag v in
         let union = Candidates.qubit_union gu gv in
-        if List.length union <= maxN && not (Dag.has_indirect_path dag u v)
+        if List.length union <= maxN && not (has_indirect_path dag u v)
         then
           match Criticality.case_of crit u v with
           | `III ->
@@ -234,7 +275,7 @@ let obs1_compatible dag u v ~maxN =
   let nv = List.length (List.sort_uniq compare gv.Gate.qubits) in
   List.length union <= maxN
   && List.length union = max nu nv
-  && not (Dag.has_indirect_path dag u v)
+  && not (has_indirect_path dag u v)
 
 let preprocess (c : Circuit.t) ~maxN =
   let counter = ref 0 in

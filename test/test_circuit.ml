@@ -212,12 +212,14 @@ let dag_tests =
             [ Gate.app1 Gate.H 0; Gate.app2 Gate.CX 0 1; Gate.app1 Gate.H 1 ]
         in
         let d = Dag.of_circuit c in
-        check_true "0 ->> 2 indirect" (Dag.has_indirect_path d 0 2);
-        check_true "0 -> 1 direct only" (not (Dag.has_indirect_path d 0 1)));
+        check_true "0 ->> 2 indirect"
+          (Reference_search.has_indirect_path d 0 2);
+        check_true "0 -> 1 direct only"
+          (not (Reference_search.has_indirect_path d 0 1)));
     case "reachable" (fun () ->
         let d = Dag.of_circuit ghz3 in
-        check_true "0 ->* 2" (Dag.reachable d 0 2);
-        check_true "2 not ->* 0" (not (Dag.reachable d 2 0)));
+        check_true "0 ->* 2" (Reference_search.reachable d 0 2);
+        check_true "2 not ->* 0" (not (Reference_search.reachable d 2 0)));
     case "to_circuit roundtrip" (fun () ->
         let d = Dag.of_circuit ghz3 in
         check_true "same gates"
@@ -561,6 +563,73 @@ let check_contract c groups =
         Alcotest.failf "succs of %d differ from of_circuit's" j
     done
 
+(* everything an edit may write, per id *)
+let snapshot d =
+  Array.init (Dag.n_nodes d) (fun v ->
+      (Dag.is_live d v, Dag.gate d v, Dag.succs d v, Dag.preds d v))
+
+let same_snapshot a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (l, g, s, p) (l', g', s', p') ->
+         l = l' && g == g' && s = s' && p = p')
+       a b
+
+(* A sequence of in-place edits on one DAG, holes accumulating: each
+   edit raises exactly when [Dag.contract] of the dense equivalent does
+   (and then leaves the DAG untouched), otherwise its live ids compact
+   to [Dag.contract]'s result — gates, origins and both adjacency lists,
+   in order — and an undo restores the DAG exactly. *)
+let check_edits st c =
+  let d = Dag.of_circuit c in
+  let ed = Dag.editor d in
+  for _ = 1 to 6 do
+    let live = Array.of_list (Dag.nodes d) in
+    let dense_of = Array.make (Dag.n_nodes d) (-1) in
+    Array.iteri (fun i v -> dense_of.(v) <- i) live;
+    let dense = Dag.of_circuit (Dag.to_circuit d) in
+    let groups = random_groups st dense in
+    let holed =
+      List.map (fun (ns, app) -> (List.map (Array.get live) ns, app)) groups
+    in
+    let before = snapshot d in
+    match Dag.contract dense groups with
+    | exception Invalid_argument _ ->
+      if not (raises (fun () -> Dag.edit ed holed)) then
+        Alcotest.fail "Dag.contract raises, Dag.edit does not";
+      check_true "a refused edit writes nothing"
+        (same_snapshot before (snapshot d))
+    | expected, old_of_new ->
+      Dag.edit ed holed;
+      let now = Array.of_list (Dag.nodes d) in
+      let pos = Array.make (Dag.n_nodes d) (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) now;
+      check_true "gate order"
+        (Circuit.to_string (Dag.to_circuit d)
+        = Circuit.to_string (Dag.to_circuit expected));
+      let relabel = List.map (Array.get pos) in
+      Array.iteri
+        (fun i v ->
+          if relabel (Dag.succs d v) <> Dag.succs expected i then
+            Alcotest.failf "succs of %d differ from Dag.contract's" v;
+          if relabel (Dag.preds d v) <> Dag.preds expected i then
+            Alcotest.failf "preds of %d differ from Dag.contract's" v)
+        now;
+      for i = 0 to Dag.edit_size ed - 1 do
+        let j = Dag.edit_id ed i and o = Dag.edit_origin ed i in
+        if o = Dag.hole then
+          check_true "a freed id is dead" (not (Dag.is_live d j))
+        else
+          check_int "origin" old_of_new.(pos.(j))
+            (if o >= 0 then dense_of.(o) else o)
+      done;
+      if Random.State.bool st then begin
+        Dag.undo ed;
+        check_true "undo restores the DAG" (same_snapshot before (snapshot d))
+      end
+      else Dag.keep ed
+  done
+
 let contract_tests =
   [ qcheck
       (QCheck.Test.make ~count:150
@@ -573,6 +642,13 @@ let contract_tests =
            for _ = 1 to 8 do
              check_contract c (random_groups st dag)
            done;
+           true));
+    qcheck
+      (QCheck.Test.make ~count:150
+         ~name:"Dag.edit in place == Dag.contract, holes and undo"
+         (arb_circuit ~n:4 ~max_gates:16 ())
+         (fun c ->
+           check_edits (Random.State.make [| 0xed17; Circuit.n_gates c |]) c;
            true))
   ]
 
