@@ -2,8 +2,9 @@
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
 # all hits the second time, a malformed QASM file that every
-# circuit-reading subcommand must refuse with exit 1, not crash on, and a
-# sweep plan aimed at an unwritable path, refused the same way).
+# circuit-reading subcommand must refuse with exit 1, not crash on, a
+# sweep plan aimed at an unwritable path, and a device grid over the
+# 1,024-qubit cap, both refused the same way).
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -52,6 +53,11 @@ check:
 	  --plan /nonexistent_paqoc_dir/x.plan > /dev/null 2> /tmp/paqoc_bad.err; \
 	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
 	  || { echo "check: compile-sweep --plan to an unwritable path exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@_build/default/bin/paqoc_cli.exe compile bv --device 300x300 \
+	  > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
+	  || { echo "check: compile on a 300x300 grid exited $$rc:"; \
 	       cat /tmp/paqoc_bad.err; exit 1; }
 	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
 	$(MAKE) check-ir

@@ -62,7 +62,8 @@ let tests =
       (Staged.stage
          (let gen = Gen.model_default () in
           fun () ->
-            ignore (Paqoc.Criticality.analyze gen (Lazy.force qaoa_physical))));
+            let c = Lazy.force qaoa_physical in
+            ignore (Paqoc.Criticality.Engine.create gen c)));
     (* fig11: pulse-database pricing of a cached episode *)
     Test.make ~name:"fig11/pulse-db-lookup"
       (Staged.stage

@@ -329,7 +329,8 @@ let target_term =
           ~doc:
             "Target device: a registry name ($(b,lattice), \
              $(b,heavy-hex), $(b,square), $(b,ring)) or a bare RxC grid \
-             spec, e.g. 5x5 (the paper's platform) or 2x4. Non-default \
+             spec of at most 1024 qubits, e.g. 5x5 (the paper's platform) \
+             or 2x4. Non-default \
              devices namespace every shared-cache key with their content \
              hash, so pulses never leak across devices.")
   in

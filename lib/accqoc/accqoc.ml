@@ -13,21 +13,9 @@ type report = {
   fallbacks : int;
 }
 
-(* Same scoped attachment as [Paqoc.compile]: the cache lives for this
-   compile only, and the generator's previous attachment is restored. *)
-let with_shared_cache ?cache gen f =
-  match cache with
-  | None -> f ()
-  | Some c ->
-    let previous = Generator.shared_cache gen in
-    Generator.set_shared_cache gen (Some c);
-    Fun.protect
-      ~finally:(fun () -> Generator.set_shared_cache gen previous)
-      f
-
 let compile ?(slicer = Slicer.accqoc_n3d3) ?(jobs = 1) ?cache gen
     (c : Circuit.t) =
-  with_shared_cache ?cache gen @@ fun () ->
+  Generator.with_shared_cache ?cache gen @@ fun () ->
   Paqoc_obs.Obs.with_span "accqoc.compile" @@ fun () ->
   let seconds0 = Generator.total_seconds gen in
   let generated0 = Generator.pulses_generated gen in

@@ -1,50 +1,22 @@
 module Circuit = Paqoc_circuit.Circuit
 module Dag = Paqoc_circuit.Dag
-module Pricing = Paqoc_pulse.Pricing
-module Generator = Paqoc_pulse.Generator
-
-type t = { circuit : Circuit.t; dag : Dag.t; sched : Dag.schedule }
-
-let analyze gen c =
-  Paqoc_obs.Obs.with_span "criticality.analyze" @@ fun () ->
-  let dag = Dag.of_circuit c in
-  (* schedule with database-or-estimate latencies: per Algorithm 1, the
-     search itself never triggers pulse generation — only committed merges
-     do (Merger) and the final schedule does (Paqoc.compile) *)
-  let sched =
-    Dag.schedule dag ~latency:(Pricing.episode_latency_estimate gen)
-  in
-  { circuit = c; dag; sched }
-
-let is_critical t v = t.sched.Dag.critical.(v)
-let total t = t.sched.Dag.total
-
-let case_of t u v =
-  match (is_critical t u, is_critical t v) with
-  | true, true -> `I
-  | true, false | false, true -> `II
-  | false, false -> `III
-
-let latency t v = t.sched.Dag.latency.(v)
-let cp_after t v = t.sched.Dag.cp_after.(v)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental engine                                                  *)
-(* ------------------------------------------------------------------ *)
-
 module Gate = Paqoc_circuit.Gate
+module Generator = Paqoc_pulse.Generator
 module Obs = Paqoc_obs.Obs
 
-(* The engine maintains the same four per-node quantities as {!analyze}
-   — episode latency, earliest start, CP-after, critical membership —
-   under merge edits, without re-running the full analysis per edit.
+(* The engine maintains the four per-node quantities of Section V-A's
+   criticality analysis — episode latency, earliest start, CP-after,
+   critical membership — under merge edits, without re-running the full
+   analysis per edit.
 
    Exactness, not approximation: every value the engine exposes is
-   bitwise equal to what a from-scratch [analyze] of the same circuit
-   against the same generator state would produce. This holds because
+   bitwise equal to what a full analysis (price every episode,
+   schedule the whole DAG: [analyze] in test/reference_criticality.ml)
+   of the same circuit against the same generator state would produce.
+   This holds because
    (a) episode latencies come from the generator's write-through
    priced-latency memo, i.e. they are exactly the peek-or-estimate
-   values [analyze] schedules with, and a memo entry moves only when
+   values the analysis schedules with, and a memo entry moves only when
    the generator writes its key, which the generator's write log
    reports; (b) the est / cp_after recurrences are pure max-plus folds,
    whose results do not depend on evaluation order; and (c) the dirty

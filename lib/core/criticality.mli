@@ -1,45 +1,23 @@
-(** Criticality analysis of a grouped circuit (Section V-A).
+(** Criticality analysis of a grouped circuit (Section V-A), kept
+    incrementally under the merge search's edits.
 
-    Prices every gate application as a pulse episode through the shared
-    generator, schedules the dependence DAG, and classifies each gate as
-    critical (it lies on some longest path) or not. The three merge cases
-    of the paper fall out of the per-pair classification. *)
-
-type t = {
-  circuit : Paqoc_circuit.Circuit.t;
-  dag : Paqoc_circuit.Dag.t;
-  sched : Paqoc_circuit.Dag.schedule;
-}
-
-(** [analyze gen c] prices and schedules [c]. *)
-val analyze : Paqoc_pulse.Generator.t -> Paqoc_circuit.Circuit.t -> t
-
-(** [is_critical t v] — node [v] lies on a longest path. *)
-val is_critical : t -> int -> bool
-
-(** [total t] is the whole-circuit latency. *)
-val total : t -> float
-
-(** [case_of t u v] classifies the merge pair per Section V-A:
-    [`I] both critical, [`II] exactly one critical, [`III] neither. *)
-val case_of : t -> int -> int -> [ `I | `II | `III ]
-
-(** [latency t v] is node [v]'s episode latency. *)
-val latency : t -> int -> float
-
-(** [cp_after t v] is the paper's [CP(v)]: longest path from [v]'s end to
-    the circuit's end, excluding [v] itself. *)
-val cp_after : t -> int -> float
+    Every gate application is priced as a pulse episode through the
+    shared generator, the dependence DAG is scheduled, and each gate is
+    classified as critical (it lies on some longest path) or not. The
+    three merge cases of the paper fall out of the per-pair
+    classification. The full analysis that the engine replaces,
+    one full pricing and schedule per merge step, is the engine's test
+    oracle ([test/reference_criticality.ml]). *)
 
 (** Incremental criticality engine.
 
-    Maintains the same per-node quantities as {!analyze} — episode
+    Maintains the per-node quantities of the analysis — episode
     latency, earliest start, [CP]-after, critical membership — under
     merge edits, by dirty-region propagation over a DAG edited in place
     ({!Paqoc_circuit.Dag.edit}) instead of a full re-analysis per edit.
     Node ids have holes where merges freed them; every other node keeps
     its id, and live ids compare as their dense positions would. Every
-    exposed value is bitwise equal to a from-scratch {!analyze} of the
+    exposed value is bitwise equal to a full analysis of the
     current circuit against the current generator state, node for node
     in id order (see docs/incremental-search.md for the argument; the
     differential battery in test_search pins it).
@@ -73,10 +51,21 @@ module Engine : sig
 
   (** The number of live nodes (gates of {!circuit}). *)
   val n_nodes : e -> int
+
+  (** The whole-circuit latency. *)
   val total : e -> float
+
+  (** Node [v]'s episode latency. *)
   val latency : e -> int -> float
+
+  (** Node [v]'s earliest start time. *)
   val est : e -> int -> float
+
+  (** [cp_after e v] is the paper's [CP(v)]: the longest path from
+      [v]'s end to the circuit's end, excluding [v] itself. *)
   val cp_after : e -> int -> float
+
+  (** Node [v] lies on a longest path. *)
   val is_critical : e -> int -> bool
 
   (** Read-only views of the committed per-node latencies, [CP]-after
@@ -90,7 +79,8 @@ module Engine : sig
   val cp_afters : e -> float array
   val criticals : e -> bool array
 
-  (** [case_of e u v] — as {!case_of}. *)
+  (** [case_of e u v] classifies the merge pair per Section V-A: [`I]
+      both critical, [`II] exactly one critical, [`III] neither. *)
   val case_of : e -> int -> int -> [ `I | `II | `III ]
 
   (** [node_uid e v] is a stable identity for the gate at node [v]:

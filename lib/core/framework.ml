@@ -1,6 +1,7 @@
 module Circuit = Paqoc_circuit.Circuit
 module Generator = Paqoc_pulse.Generator
 module Pricing = Paqoc_pulse.Pricing
+module Protocol = Paqoc_pulse.Protocol
 module Apa = Paqoc_mining.Apa
 module Miner = Paqoc_mining.Miner
 module Obs = Paqoc_obs.Obs
@@ -10,7 +11,6 @@ type scheme = {
   apa_mode : Apa.mode;
   miner : Miner.config;
   merger : Merger.config;
-  enable_merger : bool;
   commutation_aware : bool;
 }
 
@@ -18,7 +18,6 @@ let base_scheme mode =
   { apa_mode = mode;
     miner = Miner.default_config;
     merger = Merger.default_config;
-    enable_merger = true;
     commutation_aware = false
   }
 
@@ -41,23 +40,10 @@ type report = {
   merge_stats : Merger.stats;
 }
 
-(* [?cache] scopes a shared cross-run pulse cache to one compile: attach,
-   run, restore whatever was attached before (usually nothing). When the
-   caller does not pass a cache, the generator's own attachment — if any —
-   is left exactly as it was. *)
-let with_shared_cache ?cache gen f =
-  match cache with
-  | None -> f ()
-  | Some c ->
-    let previous = Generator.shared_cache gen in
-    Generator.set_shared_cache gen (Some c);
-    Fun.protect
-      ~finally:(fun () -> Generator.set_shared_cache gen previous)
-      f
-
-(* [?canonical] scopes the equivalence-class cache tier the same way:
-   enable for this compile, restore the generator's previous setting on
-   the way out. [None] leaves the generator untouched. *)
+(* [?canonical] scopes the equivalence-class cache tier the way
+   [Generator.with_shared_cache] scopes [?cache]: enable for this
+   compile, restore the generator's previous setting on the way out.
+   [None] leaves the generator untouched. *)
 let with_canonical ?canonical gen f =
   match canonical with
   | None -> f ()
@@ -68,22 +54,12 @@ let with_canonical ?canonical gen f =
       ~finally:(fun () -> Generator.set_canonical gen previous)
       f
 
-(* Deadline checks sit at stage boundaries only: a stage either ran to
-   completion (its pulses are committed to the database and usable by the
-   next request) or never started — an expired budget can never leave the
-   generator half-committed. *)
-let check_deadline deadline =
-  match deadline with
-  | Some d when Clock.now_s () > d ->
-    raise Paqoc_pulse.Protocol.Deadline_exceeded
-  | _ -> ()
-
 let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?cache ?canonical ?deadline gen
     (c : Circuit.t) =
-  with_shared_cache ?cache gen @@ fun () ->
+  Generator.with_shared_cache ?cache gen @@ fun () ->
   with_canonical ?canonical gen @@ fun () ->
   Obs.with_span "paqoc.compile" @@ fun () ->
-  check_deadline deadline;
+  Protocol.check_deadline deadline;
   (* wall time on the monotonic clock — [Sys.time] (CPU time) would count
      every worker domain's work again on top of the elapsed time *)
   let wall0 = Clock.now_s () in
@@ -117,28 +93,17 @@ let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?cache ?canonical ?deadline gen
         | _ -> None)
       apa.Apa.circuit.Circuit.gates
   in
-  check_deadline deadline;
+  Protocol.check_deadline deadline;
   Obs.with_span "paqoc.offline_batch" (fun () ->
       ignore (Generator.generate_batch ~jobs gen apa_groups));
-  check_deadline deadline;
+  Protocol.check_deadline deadline;
   (* 2. Observation-1 pre-processing, then the criticality search *)
   let pre = Candidates.preprocess apa.Apa.circuit ~maxN:scheme.merger.Merger.max_n in
   let grouped, merge_stats =
-    if scheme.enable_merger then
-      Obs.with_span "paqoc.search" (fun () ->
-          Merger.run ~config:scheme.merger ~jobs gen pre)
-    else begin
-      let crit = Criticality.analyze gen pre in
-      ( pre,
-        { Merger.iterations = 0;
-          merges_committed = 0;
-          merges_rolled_back = 0;
-          initial_latency = Criticality.total crit;
-          final_latency = Criticality.total crit
-        } )
-    end
+    Obs.with_span "paqoc.search" (fun () ->
+        Merger.run ~config:scheme.merger gen pre)
   in
-  check_deadline deadline;
+  Protocol.check_deadline deadline;
   (* 3. make sure every episode of the final schedule has its pulse; the
      episodes are independent so the leftover (non-merged, non-APA) ones
      synthesise in parallel too *)

@@ -19,9 +19,6 @@ type scheme = {
   apa_mode : Paqoc_mining.Apa.mode;
   miner : Paqoc_mining.Miner.config;
   merger : Merger.config;
-  enable_merger : bool;
-      (** disable to get the "APA-only simplified circuit" variant of
-          Section V-C *)
   commutation_aware : bool;
       (** reorder commuting gates before the search (the paper's stated
           future-work extension, off by default); widens the
@@ -55,11 +52,13 @@ type report = {
 
 (** [compile ?scheme ?jobs ?cache gen c] compiles physical
     circuit [c]. Default scheme is [paqoc_m0]. [jobs] (default 1) is the
-    worker-domain count for the parallel stages — the offline APA pulse
-    pre-computation, the final episode sweep, and the incremental
-    search's candidate exploration; results are identical to the serial
-    run ({!Paqoc_pulse.Generator.generate_batch}'s determinism
-    guarantee, and {!Merger.run}'s).
+    worker-domain count for the two batch pulse-generation stages — the
+    offline APA pulse pre-computation and the final episode sweep;
+    results are identical to the serial run
+    ({!Paqoc_pulse.Generator.generate_batch}'s determinism guarantee).
+    The merge search between them runs on the calling domain: its one
+    costly step, synthesising the pulse of each group it tries, is a
+    single generation at a time.
 
     [cache] scopes a shared cross-run {!Paqoc_pulse.Cache} to this
     compile: groups already priced there skip synthesis, and freshly

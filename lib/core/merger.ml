@@ -28,7 +28,6 @@ type stats = {
 (* ------------------------------------------------------------------ *)
 
 module Engine = Criticality.Engine
-module Pool = Paqoc_pulse.Pool
 
 (* A merged key's rollback state, shared by every pair whose merged
    group has that key: the blacklist is keyed on merged content, so one
@@ -93,7 +92,7 @@ let memo_add m a b info =
   end;
   m.rows.(a) <- (b, info) :: m.rows.(a)
 
-let run ?(config = default_config) ?(jobs = 1) gen c =
+let run ?(config = default_config) ?jobs:_ gen c =
   let key_states : (string, key_state) Hashtbl.t = Hashtbl.create 64 in
   let merge_counter = ref 0 in
   let committed = ref 0 and rolled_back = ref 0 and iterations = ref 0 in
@@ -122,59 +121,6 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
     else
       let dag = Engine.dag eng in
       remember a b (pair_content gen (Dag.gate dag u) (Dag.gate dag v))
-  in
-  (* Parallel candidate exploration: pair contents are pure, so missing
-     memo entries can be computed on the pool in any order and inserted
-     in deterministic (edge) order — results are identical at any
-     [jobs]; only the wall clock changes. Worth it only when a single
-     pair is expensive to price — on the analytic Model backend a pair
-     costs microseconds, so dispatching it loses twice: the chunk
-     round-trip costs more than the pricing, and the spawned worker
-     domains then join every stop-the-world minor collection the serial
-     score/attempt phases trigger. Idle domains cost the same way in a
-     [paqoc serve --jobs 2] daemon: its warm round trip over the suite
-     ran at 1.99x in-process (median [server.overhead_ratio] of five
-     traced benchmark runs) while each merge edit rebuilt the circuit
-     and its DAG, and at 1.54x once edits allocated only what they
-     touch. *)
-  let pool_pays = jobs > 1 && not (Generator.pricing_is_analytic gen) in
-  let prefill pool =
-    let dag = Engine.dag eng in
-    let n = Dag.n_nodes dag in
-    let missing = ref [] and n_missing = ref 0 in
-    for u = n - 1 downto 0 do
-      List.iter
-        (fun v ->
-          let a = Engine.node_uid eng u and b = Engine.node_uid eng v in
-          if memo_find memo a b == none then begin
-            missing := ((a, b), Dag.gate dag u, Dag.gate dag v) :: !missing;
-            incr n_missing
-          end)
-        (Dag.succs dag u)
-    done;
-    if !n_missing >= 256 then begin
-      let arr = Array.of_list !missing in
-      let chunk = 256 in
-      let n_chunks = (Array.length arr + chunk - 1) / chunk in
-      let results =
-        Pool.map pool
-          (fun ci ->
-            let lo = ci * chunk in
-            let len = min chunk (Array.length arr - lo) in
-            Array.init len (fun i ->
-                let _, gu, gv = arr.(lo + i) in
-                pair_content gen gu gv))
-          (Array.init n_chunks Fun.id)
-      in
-      Array.iteri
-        (fun ci contents ->
-          Array.iteri
-            (fun i content ->
-              let (a, b), _, _ = arr.((ci * chunk) + i) in
-              ignore (remember a b content))
-            contents)
-        results
-    end
   in
   let cands = Ranking.buffer () in
   let include_iii = not config.prune_noncritical in
@@ -288,28 +234,26 @@ let run ?(config = default_config) ?(jobs = 1) gen c =
         end
       end
   in
-  let rec loop pool prev_total =
+  let rec loop prev_total =
     if !iterations >= config.max_iterations then ()
     else begin
       incr iterations;
       Obs.count "merger.iterations";
       Engine.refresh eng;
-      if pool_pays then Obs.with_span "merger.prefill" (fun () -> prefill pool);
       Obs.with_span "merger.score" score_edges;
       let batch, any_valid = Obs.with_span "merger.select" select in
       match batch with
-      | [] -> if any_valid then loop pool prev_total
+      | [] -> if any_valid then loop prev_total
       | _ -> (
         match Obs.with_span "merger.attempt" (fun () -> attempt prev_total batch)
         with
         | Some (new_total, k) ->
           committed := !committed + k;
-          loop pool new_total
-        | None -> loop pool prev_total)
+          loop new_total
+        | None -> loop prev_total)
     end
   in
-  Pool.with_pool ~jobs (fun pool ->
-      Obs.with_span "merger.search" (fun () -> loop pool initial_latency));
+  Obs.with_span "merger.search" (fun () -> loop initial_latency);
   Engine.refresh eng;
   let final = Engine.circuit eng in
   let final_latency = Engine.total eng in

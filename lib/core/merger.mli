@@ -35,17 +35,13 @@ type stats = {
     This is the incremental search: criticality state is maintained by
     {!Criticality.Engine} under dirty-region propagation instead of a
     full re-analysis per merge step, candidate content (merged keys and
-    latency estimates) is memoized on stable node uids, validity checks
-    run allocation-free, and with [jobs > 1] independent candidates are
-    explored on a {!Paqoc_pulse.Pool} when a single candidate is worth
-    dispatching — i.e. on a real QOC backend; analytic pricing stays
-    inline, so the pool spawns no workers and an all-cache-hit compile
-    at any [jobs] runs at [jobs = 1] speed (commit order stays
-    deterministic — results are identical at any [jobs]). The decision
-    sequence, the generated pulse keys and order, the returned circuit
-    and the statistics are all exactly those of the original
-    full-reanalysis loop (one {!Criticality.analyze} per iteration and
-    per attempted contraction), which the test suite keeps as its oracle
+    latency estimates) is memoized on stable node uids, and validity
+    checks run allocation-free. The search runs on the calling domain;
+    [jobs] is accepted and ignored, kept so existing callers still
+    compile. The decision sequence, the generated pulse keys and order,
+    the returned circuit and the statistics are all exactly those of the
+    original full-reanalysis loop (one analysis per iteration and per
+    attempted contraction), which the test suite keeps as its oracle
     ([test/reference_search.ml]) and holds bit-identical to this one. *)
 val run :
   ?config:config ->

@@ -130,11 +130,7 @@ let freeze ?(anchors = 5) ?(jobs = 1) p gen =
     Candidates.preprocess p.substituted
       ~maxN:p.scheme.Framework.merger.Merger.max_n
   in
-  let grouped =
-    if p.scheme.Framework.enable_merger then
-      fst (Merger.run ~config:p.scheme.Framework.merger ~jobs twin pre)
-    else pre
-  in
+  let grouped = fst (Merger.run ~config:p.scheme.Framework.merger twin pre) in
   let classify (g : Gate.app) =
     match List.sort_uniq String.compare (Gate.free_params g.Gate.kind) with
     | [] -> `Static

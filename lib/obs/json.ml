@@ -8,6 +8,11 @@ type t =
 
 let int n = Num (float_of_int n)
 
+let to_int = function
+  | Num v when Float.is_integer v && Float.abs v <= 0x1p53 ->
+    Some (int_of_float v)
+  | _ -> None
+
 let escape_string buf s =
   Buffer.add_char buf '"';
   String.iter

@@ -20,6 +20,13 @@ type t =
 (** [int n] is [Num (float_of_int n)]. *)
 val int : int -> t
 
+(** [to_int j] is [Some n] when [j] is an integral [Num] with
+    [|n| <= 2]{^53}, the range where a float holds every integer
+    exactly, and [None] for any other value. Every reader of a JSON
+    integer goes through it, so an out-of-range number is refused
+    instead of truncated. *)
+val to_int : t -> int option
+
 (** [to_buffer buf j] appends the compact JSON text of [j] (no
     whitespace) to [buf]. Numbers print as [%.17g], which round-trips
     every finite float exactly and prints integral values below 10{^17}

@@ -222,6 +222,14 @@ let table_put t k (o : outcome) =
 
 let set_shared_cache t c = locked t (fun () -> t.shared <- c)
 let shared_cache t = locked t (fun () -> t.shared)
+
+let with_shared_cache ?cache t f =
+  match cache with
+  | None -> f ()
+  | Some c ->
+    let previous = shared_cache t in
+    set_shared_cache t (Some c);
+    Fun.protect ~finally:(fun () -> set_shared_cache t previous) f
 let set_canonical t b = locked t (fun () -> t.canonical <- b)
 let canonical_enabled t = locked t (fun () -> t.canonical)
 let set_device t d = locked t (fun () -> t.device <- d)

@@ -114,10 +114,10 @@ val retry_policy : t -> retry
 
 (** [pricing_is_analytic t] is [true] on the {!Model} backend, where
     pricing a group is a closed-form evaluation (microseconds) rather
-    than a GRAPE run (seconds). Callers deciding whether a pricing batch
-    is worth dispatching onto a {!Pool} should check this: parallel
-    dispatch of analytic pricing costs more than it saves, and the
-    spawned worker domains tax every subsequent minor collection. *)
+    than a GRAPE run (seconds). It tells a caller whether a price comes
+    with a waveform: the pulse-IR export labels its backend by it, and a
+    variational sweep prices an angle exactly by direct lookup instead
+    of interpolating between anchor waveforms. *)
 val pricing_is_analytic : t -> bool
 
 (** {1 The shared cross-run cache}
@@ -139,6 +139,12 @@ val pricing_is_analytic : t -> bool
 val set_shared_cache : t -> Cache.t option -> unit
 
 val shared_cache : t -> Cache.t option
+
+(** [with_shared_cache ?cache t f] runs [f] with [cache] attached and
+    then restores whatever was attached before, also when [f] raises;
+    without [cache] it runs [f] on the attachment as it is. It scopes a
+    cache to one compile. *)
+val with_shared_cache : ?cache:Cache.t -> t -> (unit -> 'a) -> 'a
 
 (** {1 Devices}
 

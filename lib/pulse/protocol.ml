@@ -6,6 +6,10 @@
 exception Deadline_exceeded
 exception Bad_request of string
 
+let check_deadline = function
+  | Some d when Paqoc_obs.Clock.now_s () > d -> raise Deadline_exceeded
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -280,19 +284,29 @@ let error_name = function
 let num v = Num v
 let int_ v = Num (float_of_int v)
 
+(* The fields a compile and a recompile request share are written and
+   read by one helper each: the circuit, the backend, the bounded
+   integers, and the optional device / drift / deadline tail, which
+   both requests end with and which is serialised only where it
+   differs from the default. *)
+let circuit_to_json = function
+  | Benchmark name -> Obj [ ("benchmark", Str name) ]
+  | Qasm src -> Obj [ ("qasm", Str src) ]
+
+let target_to_json ~device ~drift_seed ~drift_epoch ~deadline_s =
+  (match device with None -> [] | Some d -> [ ("device", Str d) ])
+  @ (if drift_seed <> 0 then [ ("drift_seed", int_ drift_seed) ] else [])
+  @ (if drift_epoch <> 0 then [ ("drift_epoch", int_ drift_epoch) ] else [])
+  @ match deadline_s with None -> [] | Some d -> [ ("deadline_s", num d) ]
+
 let request_to_json = function
   | Ping -> Obj [ ("op", Str "ping") ]
   | Stats -> Obj [ ("op", Str "stats") ]
   | Shutdown -> Obj [ ("op", Str "shutdown") ]
   | Compile c ->
-    let circuit =
-      match c.circuit with
-      | Benchmark name -> Obj [ ("benchmark", Str name) ]
-      | Qasm src -> Obj [ ("qasm", Str src) ]
-    in
     Obj
       ([ ("op", Str "compile");
-         ("circuit", circuit);
+         ("circuit", circuit_to_json c.circuit);
          ("scheme", Str (scheme_name c.scheme));
          ("backend", Str (backend_name c.backend));
          ("rows", int_ c.rows);
@@ -302,26 +316,12 @@ let request_to_json = function
          ("jobs", int_ c.jobs)
        ]
       @ (if c.canonical then [ ("canonical", Bool true) ] else [])
-      @ (match c.device with
-        | None -> []
-        | Some d -> [ ("device", Str d) ])
-      @ (if c.drift_seed <> 0 then [ ("drift_seed", int_ c.drift_seed) ]
-         else [])
-      @ (if c.drift_epoch <> 0 then [ ("drift_epoch", int_ c.drift_epoch) ]
-         else [])
-      @
-      match c.deadline_s with
-      | None -> []
-      | Some d -> [ ("deadline_s", num d) ])
+      @ target_to_json ~device:c.device ~drift_seed:c.drift_seed
+          ~drift_epoch:c.drift_epoch ~deadline_s:c.deadline_s)
   | Recompile r ->
-    let circuit =
-      match r.rc_circuit with
-      | Benchmark name -> Obj [ ("benchmark", Str name) ]
-      | Qasm src -> Obj [ ("qasm", Str src) ]
-    in
     Obj
       ([ ("op", Str "recompile");
-         ("circuit", circuit);
+         ("circuit", circuit_to_json r.rc_circuit);
          ("backend", Str (backend_name r.rc_backend));
          ("rows", int_ r.rc_rows);
          ("cols", int_ r.rc_cols);
@@ -335,18 +335,8 @@ let request_to_json = function
                   Obj (List.map (fun (p, v) -> (p, num v)) iter))
                 r.rc_angles) )
        ]
-      @ (match r.rc_device with
-        | None -> []
-        | Some d -> [ ("device", Str d) ])
-      @ (if r.rc_drift_seed <> 0 then [ ("drift_seed", int_ r.rc_drift_seed) ]
-         else [])
-      @ (if r.rc_drift_epoch <> 0 then
-           [ ("drift_epoch", int_ r.rc_drift_epoch) ]
-         else [])
-      @
-      match r.rc_deadline_s with
-      | None -> []
-      | Some d -> [ ("deadline_s", num d) ])
+      @ target_to_json ~device:r.rc_device ~drift_seed:r.rc_drift_seed
+          ~drift_epoch:r.rc_drift_epoch ~deadline_s:r.rc_deadline_s)
 
 let field name = function
   | Obj fields -> List.assoc_opt name fields
@@ -358,10 +348,7 @@ let str_field name j =
 let num_field name j =
   match field name j with Some (Num v) -> Some v | _ -> None
 
-let int_field name j =
-  match num_field name j with
-  | Some v when Float.is_integer v -> Some (int_of_float v)
-  | _ -> None
+let int_field name j = Option.bind (field name j) Json.to_int
 
 let ( let* ) r f = Result.bind r f
 
@@ -369,69 +356,68 @@ let require name = function
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
 
+let circuit_of_json j =
+  match field "circuit" j with
+  | Some c -> (
+    match (str_field "benchmark" c, str_field "qasm" c) with
+    | Some name, None -> Ok (Benchmark name)
+    | None, Some src -> Ok (Qasm src)
+    | _ -> Error "circuit must carry exactly one of benchmark / qasm")
+  | None -> Error "missing field \"circuit\""
+
+(* an optional enum: absent is [default]; an unknown name or a value
+   that is not a string is refused *)
+let enum_field name of_name default j =
+  match field name j with
+  | None -> Ok default
+  | Some (Str s) -> (
+    match of_name s with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "bad %s %S" name s))
+  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
+
+(* an optional integer: absent is [default]; present, it must be exact
+   ({!Json.to_int}) and at least [min] *)
+let bounded_int name ~min default j =
+  match field name j with
+  | None -> Ok default
+  | Some v -> (
+    match Json.to_int v with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Printf.sprintf "field %S must be an integer >= %d" name min))
+
+let device_of_json j =
+  match field "device" j with
+  | None -> Ok None
+  | Some (Str d) -> Ok (Some d)
+  | Some _ -> Error "field \"device\" must be a string"
+
+let deadline_of_json j =
+  match field "deadline_s" j with
+  | None -> Ok None
+  | Some (Num v) when v >= 0.0 -> Ok (Some v)
+  | Some _ -> Error "field \"deadline_s\" must be a non-negative number"
+
 let compile_request_of_json j =
-  let* circuit =
-    match field "circuit" j with
-    | Some c -> (
-      match (str_field "benchmark" c, str_field "qasm" c) with
-      | Some name, None -> Ok (Benchmark name)
-      | None, Some src -> Ok (Qasm src)
-      | _ -> Error "circuit must carry exactly one of benchmark / qasm")
-    | None -> Error "missing field \"circuit\""
-  in
-  let parse_enum name of_name default =
-    match str_field name j with
-    | None -> Ok default
-    | Some s -> (
-      match of_name s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "bad %s %S" name s))
-  in
-  let* scheme = parse_enum "scheme" scheme_of_name default_compile.scheme in
-  let* backend =
-    parse_enum "backend" backend_of_name default_compile.backend
-  in
-  let int_or name default =
-    match field name j with
-    | None -> Ok default
-    | Some _ -> (
-      match int_field name j with
-      | Some v when v >= 1 -> Ok v
-      | _ -> Error (Printf.sprintf "field %S must be an integer >= 1" name))
-  in
-  let* rows = int_or "rows" default_compile.rows in
-  let* cols = int_or "cols" default_compile.cols in
-  let* max_n = int_or "max_qubits" default_compile.max_n in
-  let* top_k = int_or "top_k" default_compile.top_k in
-  let* jobs = int_or "jobs" default_compile.jobs in
+  let d = default_compile in
+  let* circuit = circuit_of_json j in
+  let* scheme = enum_field "scheme" scheme_of_name d.scheme j in
+  let* backend = enum_field "backend" backend_of_name d.backend j in
+  let* rows = bounded_int "rows" ~min:1 d.rows j in
+  let* cols = bounded_int "cols" ~min:1 d.cols j in
+  let* max_n = bounded_int "max_qubits" ~min:1 d.max_n j in
+  let* top_k = bounded_int "top_k" ~min:1 d.top_k j in
+  let* jobs = bounded_int "jobs" ~min:1 d.jobs j in
   let* canonical =
     match field "canonical" j with
-    | None -> Ok default_compile.canonical
+    | None -> Ok d.canonical
     | Some (Bool b) -> Ok b
     | Some _ -> Error "field \"canonical\" must be a boolean"
   in
-  let* device =
-    match field "device" j with
-    | None -> Ok default_compile.device
-    | Some (Str d) -> Ok (Some d)
-    | Some _ -> Error "field \"device\" must be a string"
-  in
-  let nonneg_or name default =
-    match field name j with
-    | None -> Ok default
-    | Some _ -> (
-      match int_field name j with
-      | Some v when v >= 0 -> Ok v
-      | _ -> Error (Printf.sprintf "field %S must be an integer >= 0" name))
-  in
-  let* drift_seed = nonneg_or "drift_seed" default_compile.drift_seed in
-  let* drift_epoch = nonneg_or "drift_epoch" default_compile.drift_epoch in
-  let* deadline_s =
-    match field "deadline_s" j with
-    | None -> Ok None
-    | Some (Num v) when v >= 0.0 -> Ok (Some v)
-    | Some _ -> Error "field \"deadline_s\" must be a non-negative number"
-  in
+  let* device = device_of_json j in
+  let* drift_seed = bounded_int "drift_seed" ~min:0 d.drift_seed j in
+  let* drift_epoch = bounded_int "drift_epoch" ~min:0 d.drift_epoch j in
+  let* deadline_s = deadline_of_json j in
   Ok
     (Compile
        { circuit; scheme; backend; rows; cols; max_n; top_k; jobs;
@@ -446,39 +432,16 @@ let rec map_result f = function
     Ok (y :: ys)
 
 let recompile_request_of_json j =
-  let* rc_circuit =
-    match field "circuit" j with
-    | Some c -> (
-      match (str_field "benchmark" c, str_field "qasm" c) with
-      | Some name, None -> Ok (Benchmark name)
-      | None, Some src -> Ok (Qasm src)
-      | _ -> Error "circuit must carry exactly one of benchmark / qasm")
-    | None -> Error "missing field \"circuit\""
-  in
-  let* rc_backend =
-    match str_field "backend" j with
-    | None -> Ok default_recompile.rc_backend
-    | Some s -> (
-      match backend_of_name s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "bad backend %S" s))
-  in
-  let int_or name default ~min =
-    match field name j with
-    | None -> Ok default
-    | Some _ -> (
-      match int_field name j with
-      | Some v when v >= min -> Ok v
-      | _ ->
-        Error (Printf.sprintf "field %S must be an integer >= %d" name min))
-  in
-  let* rc_rows = int_or "rows" default_recompile.rc_rows ~min:1 in
-  let* rc_cols = int_or "cols" default_recompile.rc_cols ~min:1 in
-  let* rc_jobs = int_or "jobs" default_recompile.rc_jobs ~min:1 in
-  let* rc_anchors = int_or "anchors" default_recompile.rc_anchors ~min:2 in
+  let d = default_recompile in
+  let* rc_circuit = circuit_of_json j in
+  let* rc_backend = enum_field "backend" backend_of_name d.rc_backend j in
+  let* rc_rows = bounded_int "rows" ~min:1 d.rc_rows j in
+  let* rc_cols = bounded_int "cols" ~min:1 d.rc_cols j in
+  let* rc_jobs = bounded_int "jobs" ~min:1 d.rc_jobs j in
+  let* rc_anchors = bounded_int "anchors" ~min:2 d.rc_anchors j in
   let* rc_interp_tol =
     match field "interp_tol" j with
-    | None -> Ok default_recompile.rc_interp_tol
+    | None -> Ok d.rc_interp_tol
     | Some (Num v) when v > 0.0 -> Ok v
     | Some _ -> Error "field \"interp_tol\" must be a positive number"
   in
@@ -499,22 +462,10 @@ let recompile_request_of_json j =
     | Some _ -> Error "field \"angles\" must be an array of iterations"
     | None -> Error "missing field \"angles\""
   in
-  let* rc_device =
-    match field "device" j with
-    | None -> Ok default_recompile.rc_device
-    | Some (Str d) -> Ok (Some d)
-    | Some _ -> Error "field \"device\" must be a string"
-  in
-  let* rc_drift_seed = int_or "drift_seed" default_recompile.rc_drift_seed ~min:0 in
-  let* rc_drift_epoch =
-    int_or "drift_epoch" default_recompile.rc_drift_epoch ~min:0
-  in
-  let* rc_deadline_s =
-    match field "deadline_s" j with
-    | None -> Ok None
-    | Some (Num v) when v >= 0.0 -> Ok (Some v)
-    | Some _ -> Error "field \"deadline_s\" must be a non-negative number"
-  in
+  let* rc_device = device_of_json j in
+  let* rc_drift_seed = bounded_int "drift_seed" ~min:0 d.rc_drift_seed j in
+  let* rc_drift_epoch = bounded_int "drift_epoch" ~min:0 d.rc_drift_epoch j in
+  let* rc_deadline_s = deadline_of_json j in
   Ok
     (Recompile
        { rc_circuit; rc_backend; rc_rows; rc_cols; rc_jobs; rc_anchors;

@@ -227,6 +227,14 @@ type response =
     maps it to the [deadline_exceeded] wire error. *)
 exception Deadline_exceeded
 
+(** [check_deadline d] raises {!Deadline_exceeded} when [d] is an
+    absolute {!Paqoc_obs.Clock.now_s} time that has passed; [None] never
+    expires. Pipelines call it only between stages, so an expired budget
+    never leaves a stage half-committed: each stage either ran to
+    completion (its pulses are in the database and usable by the next
+    request) or never started. *)
+val check_deadline : float option -> unit
+
 (** The typed refusal of a request the compiler cannot serve (unknown
     benchmark or device, malformed QASM, a circuit wider than its
     device, out-of-range knobs): raised while resolving a request,

@@ -294,9 +294,10 @@ let num path = function
   | _ -> Error (Bad_field (path, "expected a number"))
 
 let int_field path j =
-  let* x = num path j in
-  if Float.is_integer x then Ok (int_of_float x)
-  else Error (Bad_field (path, "expected an integer"))
+  let* _ = num path j in
+  match Json.to_int j with
+  | Some n -> Ok n
+  | None -> Error (Bad_field (path, "expected an integer"))
 
 let arr path = function
   | Json.Arr l -> Ok l

@@ -12,7 +12,6 @@ module Suite = Paqoc_benchmarks.Suite
 module Accqoc = Paqoc_accqoc.Accqoc
 module Slicer = Paqoc_accqoc.Slicer
 module Apa = Paqoc_mining.Apa
-module Clock = Paqoc_obs.Clock
 
 (* Resolution errors are the client's fault, so they raise the typed
    refusal the server answers with [bad_request]; anything else a
@@ -32,9 +31,11 @@ let resolve_circuit = function
     | exception Not_found -> bad_request "unknown benchmark %s" name)
   | Protocol.Qasm src -> parse_qasm src
 
-let check_deadline = function
-  | Some d when Clock.now_s () > d -> raise Protocol.Deadline_exceeded
-  | _ -> ()
+(* The largest bare grid a request may ask for. Building a device
+   costs an all-pairs distance table, so a grid's memory grows with the
+   square of its qubit count: 32x32 resolves in tens of milliseconds,
+   while 300x300 would need about 65 GB. *)
+let max_grid_qubits = 1024
 
 (* Device resolution, shared by both request kinds (and the CLI's
    in-process paths): a registry name wins, a bare grid is the uniform
@@ -44,6 +45,7 @@ let check_deadline = function
    unannounced recalibration landing mid-traffic: the request is served
    one epoch later than it asked for. *)
 let resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch =
+  if rows < 1 || cols < 1 then bad_request "bad device grid %dx%d" rows cols;
   if drift_seed < 0 || drift_epoch < 0 then
     bad_request "drift seed/epoch must be >= 0 (got %d/%d)" drift_seed
       drift_epoch;
@@ -55,7 +57,13 @@ let resolve_device ~device ~rows ~cols ~drift_seed ~drift_epoch =
       | None ->
         bad_request "unknown device %s (expected one of: %s)" name
           (String.concat ", " (List.map Device.name Device.all)))
-    | None -> Device.grid ~rows ~cols
+    | None ->
+      (* rows * cols could overflow at the wire's 2^53 bound; the
+         quotient cannot *)
+      if rows > max_grid_qubits / cols then
+        bad_request "device grid %dx%d exceeds %d qubits" rows cols
+          max_grid_qubits;
+      Device.grid ~rows ~cols
   in
   let drift_epoch =
     if Faultin.fire Faultin.Drift_shock then drift_epoch + 1 else drift_epoch
@@ -91,8 +99,6 @@ type compiled = {
 }
 
 let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
-  if req.Protocol.rows < 1 || req.Protocol.cols < 1 then
-    bad_request "bad device grid %dx%d" req.Protocol.rows req.Protocol.cols;
   if req.Protocol.jobs < 1 then
     bad_request "jobs must be >= 1 (got %d)" req.Protocol.jobs;
   if req.Protocol.max_n < 1 || req.Protocol.top_k < 1 then
@@ -116,7 +122,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
     | Protocol.Acc3 | Protocol.Acc5 ->
       (* the AccQOC baseline has no stage-boundary deadline plumbing;
          enforce the budget at its entry at least *)
-      check_deadline deadline;
+      Protocol.check_deadline deadline;
       let slicer =
         if req.Protocol.scheme = Protocol.Acc3 then Slicer.accqoc_n3d3
         else Slicer.accqoc_n3d5
@@ -227,16 +233,13 @@ let plan_entry key =
         e)
 
 let sweep_handle ?cache ?plan_path ~deadline (req : Protocol.recompile_request) =
-  if req.Protocol.rc_rows < 1 || req.Protocol.rc_cols < 1 then
-    bad_request "bad device grid %dx%d" req.Protocol.rc_rows
-      req.Protocol.rc_cols;
   if req.Protocol.rc_jobs < 1 then
     bad_request "jobs must be >= 1 (got %d)" req.Protocol.rc_jobs;
   if req.Protocol.rc_anchors < 2 then
     bad_request "anchors must be >= 2 (got %d)" req.Protocol.rc_anchors;
   if not (req.Protocol.rc_interp_tol > 0.0) then
     bad_request "interp_tol must be positive";
-  check_deadline deadline;
+  Protocol.check_deadline deadline;
   let dev =
     resolve_device ~device:req.Protocol.rc_device ~rows:req.Protocol.rc_rows
       ~cols:req.Protocol.rc_cols ~drift_seed:req.Protocol.rc_drift_seed
@@ -262,7 +265,7 @@ let sweep_handle ?cache ?plan_path ~deadline (req : Protocol.recompile_request) 
       List.rev
         (List.fold_left
            (fun acc angles ->
-             check_deadline deadline;
+             Protocol.check_deadline deadline;
              let it =
                V.recompile ~interp_tol:req.Protocol.rc_interp_tol plan gen
                  ~angles

@@ -54,8 +54,10 @@ val resolve_sweep_circuit :
     reflects the epoch. An armed
     {!Paqoc_pulse.Faultin.Drift_shock} fault resolves one epoch later
     than requested (the unannounced-recalibration scenario).
-    @raise Paqoc_pulse.Protocol.Bad_request on an unknown device name or
-    negative seed/epoch. *)
+    @raise Paqoc_pulse.Protocol.Bad_request on an unknown device name,
+    [rows] or [cols] below 1, a bare grid of more than 1,024 qubits
+    (checked without overflow, before anything is built), or a negative
+    seed/epoch. *)
 val resolve_device :
   device:string option ->
   rows:int ->

@@ -12,7 +12,8 @@
      candidate pipeline, and [preprocess] the original Observation-1
      loop (one circuit and two DAG rebuilds per round).
    - [run_reference] is the original Algorithm 1 loop (one full
-     [Criticality.analyze] per iteration and per attempted contraction)
+     [Reference_criticality.analyze] per iteration and per attempted
+     contraction)
      that [Paqoc.Merger.run] must reproduce, and [compile] runs it with
      [preprocess] inside the same pipeline as [Paqoc.compile], so whole
      compiles — circuits, prices, pulse counts and shared-cache bytes —
@@ -26,7 +27,7 @@ module Generator = Paqoc_pulse.Generator
 module Pricing = Paqoc_pulse.Pricing
 module Apa = Paqoc_mining.Apa
 module Obs = Paqoc_obs.Obs
-module Criticality = Paqoc.Criticality
+module Criticality = Reference_criticality
 module Candidates = Paqoc.Candidates
 module Ranking = Paqoc.Ranking
 open Paqoc.Merger

@@ -1,5 +1,6 @@
 open Test_util
-module Crit = Paqoc.Criticality
+module Crit = Reference_criticality
+module Engine = Paqoc.Criticality.Engine
 module Cand = Paqoc.Candidates
 module Ranking = Paqoc.Ranking
 module Merger = Paqoc.Merger
@@ -19,22 +20,23 @@ let fig4 =
 let crit_tests =
   [ case "criticality classification" (fun () ->
         let gen = Gen.model_default () in
-        let t = Crit.analyze gen fig4 in
-        check_true "A critical" (Crit.is_critical t 0);
-        check_true "B critical" (Crit.is_critical t 1);
-        check_true "C off-path" (not (Crit.is_critical t 2));
-        check_true "total positive" (Crit.total t > 0.0));
+        let e = Engine.create gen fig4 in
+        check_true "A critical" (Engine.is_critical e 0);
+        check_true "B critical" (Engine.is_critical e 1);
+        check_true "C off-path" (not (Engine.is_critical e 2));
+        check_true "total positive" (Engine.total e > 0.0));
     case "merge cases" (fun () ->
         let gen = Gen.model_default () in
-        let t = Crit.analyze gen fig4 in
-        check_true "A,B case I" (Crit.case_of t 0 1 = `I);
-        check_true "A,C case II" (Crit.case_of t 0 2 = `II);
-        check_true "C,C case III would be III" (Crit.case_of t 2 2 = `III));
+        let e = Engine.create gen fig4 in
+        check_true "A,B case I" (Engine.case_of e 0 1 = `I);
+        check_true "A,C case II" (Engine.case_of e 0 2 = `II);
+        check_true "C,C case III would be III" (Engine.case_of e 2 2 = `III));
     case "cp_after in model units" (fun () ->
         let gen = Gen.model_default () in
-        let t = Crit.analyze gen fig4 in
-        check_float "cp after B" 0.0 (Crit.cp_after t 1);
-        check_float "cp after A = L(B)" (Crit.latency t 1) (Crit.cp_after t 0))
+        let e = Engine.create gen fig4 in
+        check_float "cp after B" 0.0 (Engine.cp_after e 1);
+        check_float "cp after A = L(B)" (Engine.latency e 1)
+          (Engine.cp_after e 0))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -218,13 +220,6 @@ let paqoc_tests =
         check_true "equivalent"
           (Circuit.equivalent qaoa_small (Circuit.flatten r.Paqoc.grouped));
         check_true "latency sane" (r.Paqoc.latency > 0.0));
-    case "merger can be disabled (APA-only mode)" (fun () ->
-        let gen = Gen.model_default () in
-        let scheme = { Paqoc.paqoc_minf with enable_merger = false } in
-        let r = Paqoc.compile ~scheme gen qaoa_small in
-        check_int "no merges" 0 r.Paqoc.merge_stats.Merger.merges_committed;
-        check_true "equivalent"
-          (Circuit.equivalent qaoa_small (Circuit.flatten r.Paqoc.grouped)));
     case "commutation-aware compile preserves semantics" (fun () ->
         let gen = Gen.model_default () in
         let plain = Paqoc.compile (Gen.model_default ()) qaoa_small in
@@ -273,7 +268,7 @@ let ablation_tests =
               Gate.app2 Gate.CX 2 3 ]
         in
         let gen = Gen.model_default () in
-        let t = Paqoc.Criticality.analyze gen c in
+        let t = Crit.analyze gen c in
         let pruned = Reference_search.enumerate t ~maxN:3 in
         let all = Reference_search.enumerate ~include_case_iii:true t ~maxN:3 in
         check_true "more candidates without pruning"

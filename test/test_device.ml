@@ -42,6 +42,13 @@ let replace_first ~needle ~by hay =
     String.sub hay 0 i ^ by
     ^ String.sub hay (i + nh) (lh - i - nh)
 
+(* [doc] must fail to parse, with an error [pred] accepts *)
+let expect_ir_error label doc pred =
+  match Pulse_ir.of_string doc with
+  | Ok _ -> Alcotest.failf "%s: parsed a malformed document" label
+  | Error e ->
+    check_true (label ^ " (got " ^ Pulse_ir.error_to_string e ^ ")") (pred e)
+
 let entry lat =
   { Cache.latency = lat;
     error = 0.001;
@@ -227,25 +234,17 @@ let suite =
               r.Pulse_ir.skipped));
     case "pulse IR: malformed documents fail with typed errors" (fun () ->
         let golden = lazy (read_file ir_golden_path) in
-        let expect label doc pred =
-          match Pulse_ir.of_string doc with
-          | Ok _ -> Alcotest.failf "%s: parsed a malformed document" label
-          | Error e ->
-            check_true
-              (label ^ " (got " ^ Pulse_ir.error_to_string e ^ ")")
-              (pred e)
-        in
-        expect "truncated JSON" "{\"format\": \"paqoc-ir v1\""
+        expect_ir_error "truncated JSON" "{\"format\": \"paqoc-ir v1\""
           (function Pulse_ir.Bad_json _ -> true | _ -> false);
-        expect "wrong format token" "{\"format\": \"paqoc-ir v0\"}"
+        expect_ir_error "wrong format token" "{\"format\": \"paqoc-ir v0\"}"
           (function Pulse_ir.Bad_format _ -> true | _ -> false);
-        expect "missing required field" "{\"format\": \"paqoc-ir v1\"}"
+        expect_ir_error "missing required field" "{\"format\": \"paqoc-ir v1\"}"
           (function Pulse_ir.Missing_field _ -> true | _ -> false);
-        expect "mistyped backend"
+        expect_ir_error "mistyped backend"
           (replace_first ~needle:"\"backend\": \"model\""
              ~by:"\"backend\": \"abacus\"" (Lazy.force golden))
           (function Pulse_ir.Bad_field ("backend", _) -> true | _ -> false);
-        expect "unknown provenance token"
+        expect_ir_error "unknown provenance token"
           (replace_first ~needle:"\"provenance\": \"synthesized\""
              ~by:"\"provenance\": \"alchemy\"" (Lazy.force golden))
           (function Pulse_ir.Bad_instruction _ -> true | _ -> false));
@@ -310,5 +309,17 @@ let suite =
                 "%s: a warm generate hit allocates %.0f minor words, over \
                  the 1000-word budget — per-call device hashing crept back"
                 name per)
-          [ Device.lattice; Device.ring ])
+          [ Device.lattice; Device.ring ]);
+    case "pulse IR: integers beyond 2^53 are refused, not truncated"
+      (fun () ->
+        let golden = read_file ir_golden_path in
+        expect_ir_error "device.qubits 1e19"
+          (replace_first ~needle:"\"qubits\": 25" ~by:"\"qubits\": 1e19"
+             golden)
+          (function
+            | Pulse_ir.Bad_field ("device.qubits", _) -> true | _ -> false);
+        expect_ir_error "instruction qubit 1e19"
+          (replace_first ~needle:"\"qubits\": [1,0,2]"
+             ~by:"\"qubits\": [1,1e19,2]" golden)
+          (function Pulse_ir.Bad_instruction (0, _) -> true | _ -> false))
   ]

@@ -1,10 +1,11 @@
 (* The incremental search battery: the engine and the fast search loop
    are pinned to their slow oracles bit-for-bit. [Criticality.Engine]
    must expose, after any sequence of stage/commit/discard/refresh, the
-   exact floats a from-scratch [Criticality.analyze] computes — raw bit
-   patterns, never a tolerance — and [Merger.run] must reproduce the
-   oracle loop's ([Reference_search.run_reference]) circuit and
-   statistics exactly, at any [jobs]; over the whole suite, so must a
+   exact floats a full [Reference_criticality.analyze]
+   computes — raw bit patterns, never a tolerance — and [Merger.run]
+   must reproduce the oracle loop's ([Reference_search.run_reference])
+   circuit and statistics exactly, at any [jobs]; over the whole suite,
+   so must a
    [Paqoc.compile] against [Reference_search.compile], down to the bytes
    of the shared cache both write. The engine's staged circuit must be
    the oracle's contraction of the committed one, and pre-processing
@@ -16,7 +17,7 @@ open Test_util
 module Gen = Paqoc_pulse.Generator
 module Dag = Paqoc_circuit.Dag
 module Rewrite = Paqoc_circuit.Rewrite
-module Crit = Paqoc.Criticality
+module Crit = Reference_criticality
 module Engine = Paqoc.Criticality.Engine
 module Merger = Paqoc.Merger
 module Suite = Paqoc_benchmarks.Suite

@@ -85,6 +85,22 @@ let sample_requests =
         drift_seed = 42;
         drift_epoch = 3;
         deadline_s = Some 1.5
+      };
+    Protocol.Recompile Protocol.default_recompile;
+    Protocol.Recompile
+      { Protocol.rc_circuit = Protocol.Qasm "OPENQASM 2.0;\nqreg q[2];\n";
+        rc_backend = Protocol.Qoc;
+        rc_rows = 3;
+        rc_cols = 4;
+        rc_jobs = 2;
+        rc_anchors = 7;
+        rc_interp_tol = 1e-4;
+        rc_angles =
+          [ [ ("gamma0", 0.25); ("beta0", -1.5) ]; []; [ ("gamma0", 3.0) ] ];
+        rc_device = Some "ring";
+        rc_drift_seed = 9;
+        rc_drift_epoch = 2;
+        rc_deadline_s = Some 2.5
       } ]
 
 let sample_responses =
@@ -119,7 +135,35 @@ let sample_responses =
     Protocol.Refused Protocol.Deadline_exceeded;
     Protocol.Refused Protocol.Shutting_down;
     Protocol.Refused (Protocol.Bad_request "bad \"quoted\" \n field");
-    Protocol.Refused (Protocol.Internal "boom") ]
+    Protocol.Refused (Protocol.Internal "boom");
+    Protocol.Sweep
+      { Protocol.sweep_params = [ "beta0"; "gamma0" ];
+        static_slots = 21;
+        param_slots = 29;
+        multi_slots = 17;
+        anchor_values = [ 0.0; 1.5707963267948966; 3.141592653589793 ];
+        iterations =
+          [ { Protocol.it_latency = 3339.0;
+              it_esp = 0.7789;
+              it_interp = 29;
+              it_fallback = 0;
+              it_resynth = 17
+            };
+            { Protocol.it_latency = 3412.5;
+              it_esp = 0.75;
+              it_interp = 27;
+              it_fallback = 2;
+              it_resynth = 17
+            } ]
+      };
+    Protocol.Sweep
+      { Protocol.sweep_params = [];
+        static_slots = 4;
+        param_slots = 0;
+        multi_slots = 0;
+        anchor_values = [];
+        iterations = []
+      } ]
 
 let test_request_roundtrip () =
   List.iter
@@ -633,6 +677,206 @@ let test_idle_timeout_stops () =
   check_true "stopped via idle timeout" (Server.stopping t);
   if Sys.file_exists socket_path then Sys.remove socket_path
 
+(* ------------------------------------------------------------------ *)
+(* Wire pins                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let sample_frames =
+  List.map
+    (fun r -> Protocol.json_to_string (Protocol.request_to_json r))
+    sample_requests
+  @ List.map
+      (fun r -> Protocol.json_to_string (Protocol.response_to_json r))
+      sample_responses
+
+(* The exact bytes of every sample, in [sample_requests] then
+   [sample_responses] order. A codec refactor must leave each frame
+   byte-identical: daemons and clients from either side of it talk to
+   each other. *)
+let pinned_frames =
+  [ "{\"op\":\"ping\"}";
+    "{\"op\":\"stats\"}";
+    "{\"op\":\"shutdown\"}";
+    "{\"op\":\"compile\",\"circuit\":{\"benchmark\":\"bv\"},\
+     \"scheme\":\"paqoc-m0\",\"backend\":\"model\",\"rows\":5,\"cols\":5,\
+     \"max_qubits\":3,\"top_k\":1,\"jobs\":1}";
+    "{\"op\":\"compile\",\
+     \"circuit\":{\"qasm\":\"OPENQASM 2.0;\\nqreg q[1];\\n\"},\
+     \"scheme\":\"accqoc-n3d5\",\"backend\":\"qoc\",\"rows\":2,\"cols\":7,\
+     \"max_qubits\":4,\"top_k\":2,\"jobs\":3,\"canonical\":true,\
+     \"device\":\"heavy-hex\",\"drift_seed\":42,\"drift_epoch\":3,\
+     \"deadline_s\":1.5}";
+    "{\"op\":\"recompile\",\"circuit\":{\"benchmark\":\"qaoa\"},\
+     \"backend\":\"model\",\"rows\":5,\"cols\":5,\"jobs\":1,\"anchors\":5,\
+     \"interp_tol\":9.9999999999999995e-07,\"angles\":[]}";
+    "{\"op\":\"recompile\",\
+     \"circuit\":{\"qasm\":\"OPENQASM 2.0;\\nqreg q[2];\\n\"},\
+     \"backend\":\"qoc\",\"rows\":3,\"cols\":4,\"jobs\":2,\"anchors\":7,\
+     \"interp_tol\":0.0001,\"angles\":[{\"gamma0\":0.25,\
+     \"beta0\":-1.5},{},{\"gamma0\":3}],\"device\":\"ring\",\
+     \"drift_seed\":9,\"drift_epoch\":2,\"deadline_s\":2.5}";
+    "{\"ok\":true,\"op\":\"pong\"}";
+    "{\"ok\":true,\"op\":\"shutdown\"}";
+    "{\"ok\":true,\"op\":\"result\",\"result\":{\"latency\":3339,\
+     \"esp\":0.77890000000000004,\"compile_seconds\":12.25,\"episodes\":23,\
+     \"fallbacks\":1,\"synthesized\":13,\"cache_hits\":7,\"cache_misses\":6,\
+     \"logical_qubits\":21,\"device_qubits\":25,\"physical_gates\":210,\
+     \"swaps_added\":22}}";
+    "{\"ok\":true,\"op\":\"stats\",\"stats\":{\"served\":5,\
+     \"rejected_overload\":1,\"rejected_deadline\":2,\"errors\":3,\
+     \"inflight\":4,\"cache_entries\":1105,\"cache_hits\":204,\
+     \"cache_misses\":1105,\"uptime_s\":1}}";
+    "{\"ok\":false,\"error\":\"overloaded\"}";
+    "{\"ok\":false,\"error\":\"deadline_exceeded\"}";
+    "{\"ok\":false,\"error\":\"shutting_down\"}";
+    "{\"ok\":false,\"error\":\"bad_request\",\
+     \"message\":\"bad \\\"quoted\\\" \\n field\"}";
+    "{\"ok\":false,\"error\":\"internal\",\"message\":\"boom\"}";
+    "{\"ok\":true,\"op\":\"sweep\",\"sweep\":{\"params\":[\"beta0\",\
+     \"gamma0\"],\"static_slots\":21,\"param_slots\":29,\"multi_slots\":17,\
+     \"anchor_values\":[0,1.5707963267948966,3.1415926535897931],\
+     \"iterations\":[{\"latency\":3339,\"esp\":0.77890000000000004,\
+     \"interp\":29,\"fallback\":0,\"resynth\":17},{\"latency\":3412.5,\
+     \"esp\":0.75,\"interp\":27,\"fallback\":2,\"resynth\":17}]}}";
+    "{\"ok\":true,\"op\":\"sweep\",\"sweep\":{\"params\":[],\
+     \"static_slots\":4,\"param_slots\":0,\"multi_slots\":0,\
+     \"anchor_values\":[],\"iterations\":[]}}" ]
+
+let test_wire_bytes_pinned () =
+  Alcotest.(check (list string))
+    "frames byte-identical" pinned_frames sample_frames
+
+(* Decoding arbitrary bytes yields [Ok] or [Error], never an exception:
+   every truncation, every single-byte deletion and substitution (from
+   an alphabet of JSON-significant bytes), and seeded multi-byte edits
+   of each sample frame, through both message decoders. *)
+let test_mutated_frames_never_raise () =
+  let decode m =
+    match Protocol.json_of_string m with
+    | Error _ -> ()
+    | Ok j ->
+      ignore (Protocol.request_of_json j);
+      ignore (Protocol.response_of_json j)
+  in
+  let check_frame m =
+    match decode m with
+    | () -> ()
+    | exception e ->
+      Alcotest.failf "decoding %S raised %s" m (Printexc.to_string e)
+  in
+  let alphabet = "{}[]\",:\\-+.0129eEtfnx \000\255" in
+  let rng = Random.State.make [| 17 |] in
+  List.iter
+    (fun s ->
+      let n = String.length s in
+      for k = 0 to n - 1 do
+        check_frame (String.sub s 0 k);
+        check_frame (String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1));
+        String.iter
+          (fun c ->
+            let b = Bytes.of_string s in
+            Bytes.set b k c;
+            check_frame (Bytes.to_string b))
+          alphabet
+      done;
+      for _ = 1 to 200 do
+        let b = Bytes.of_string s in
+        for _ = 1 to 1 + Random.State.int rng 4 do
+          Bytes.set b (Random.State.int rng n)
+            alphabet.[Random.State.int rng (String.length alphabet)]
+        done;
+        check_frame (Bytes.to_string b)
+      done)
+    sample_frames
+
+(* Integers are read only when exact (an integral number within 2^53),
+   and an enum field of the wrong JSON type is refused, not defaulted. *)
+let test_decode_refuses_inexact_ints_and_ill_typed_enums () =
+  let decode of_json frame =
+    Result.bind (Protocol.json_of_string frame) of_json
+  in
+  let refused label expected frame =
+    match decode Protocol.request_of_json frame with
+    | Error msg -> Alcotest.(check string) label expected msg
+    | Ok _ -> Alcotest.failf "%s: decoded" label
+  in
+  let compile extra =
+    "{\"op\":\"compile\",\"circuit\":{\"benchmark\":\"bv\"}," ^ extra ^ "}"
+  and recompile extra =
+    "{\"op\":\"recompile\",\"circuit\":{\"benchmark\":\"qaoa\"},\
+     \"angles\":[]," ^ extra ^ "}"
+  in
+  refused "compile drift seed 1e19"
+    "field \"drift_seed\" must be an integer >= 0"
+    (compile "\"drift_seed\":1e19");
+  refused "recompile drift seed 1e19"
+    "field \"drift_seed\" must be an integer >= 0"
+    (recompile "\"drift_seed\":1e19");
+  refused "rows beyond 2^53" "field \"rows\" must be an integer >= 1"
+    (compile "\"rows\":9007199254740994");
+  refused "numeric scheme" "field \"scheme\" must be a string"
+    (compile "\"scheme\":5");
+  refused "boolean backend" "field \"backend\" must be a string"
+    (compile "\"backend\":true");
+  refused "recompile boolean backend" "field \"backend\" must be a string"
+    (recompile "\"backend\":true");
+  (match
+     decode Protocol.request_of_json
+       (compile "\"drift_seed\":9007199254740992")
+   with
+  | Ok (Protocol.Compile c) ->
+    check_int "2^53 is still exact" (1 lsl 53) c.Protocol.drift_seed
+  | _ -> Alcotest.fail "a seed of 2^53 must decode");
+  let result_frame =
+    "{\"ok\":true,\"op\":\"result\",\"result\":{\"latency\":1,\"esp\":1,\
+     \"compile_seconds\":0,\"episodes\":1e19,\"fallbacks\":0,\
+     \"synthesized\":0,\"cache_hits\":0,\"cache_misses\":0,\
+     \"logical_qubits\":1,\"device_qubits\":1,\"physical_gates\":0,\
+     \"swaps_added\":0}}"
+  in
+  match decode Protocol.response_of_json result_frame with
+  | Error msg ->
+    Alcotest.(check string) "result episodes 1e19"
+      "missing or ill-typed field \"episodes\"" msg
+  | Ok _ -> Alcotest.fail "result episodes 1e19: decoded"
+
+(* A bare grid is capped at 1,024 qubits before anything is built (a
+   300x300 grid's all-pairs distance table alone is ~65 GB); the cap's
+   test cannot overflow even at the wire's 2^53 bound. *)
+let test_oversized_grids_are_bad_requests () =
+  let big = 1 lsl 32 in
+  (match
+     Service.resolve_device ~device:None ~rows:big ~cols:big ~drift_seed:0
+       ~drift_epoch:0
+   with
+  | exception Protocol.Bad_request _ -> ()
+  | _ -> Alcotest.fail "a 2^32 x 2^32 grid was resolved");
+  with_server ~sweep:(Service.sweep_handler ()) (Service.handler ())
+  @@ fun socket t ->
+  Server.with_connection socket @@ fun fd ->
+  let refused label request =
+    match Server.rpc fd request with
+    | Protocol.Refused (Protocol.Bad_request msg) ->
+      Alcotest.(check string) label
+        "device grid 300x300 exceeds 1024 qubits" msg
+    | Protocol.Refused e ->
+      Alcotest.failf "%s: refused as %s" label (Protocol.error_name e)
+    | _ -> Alcotest.failf "%s: served" label
+  in
+  refused "300x300 compile"
+    (Protocol.Compile
+       { Protocol.default_compile with Protocol.rows = 300; cols = 300 });
+  refused "300x300 recompile"
+    (Protocol.Recompile
+       { Protocol.default_recompile with
+         Protocol.rc_rows = 300;
+         rc_cols = 300
+       });
+  check_int "both refusals counted" 2 (Server.stats t).Protocol.errors;
+  match Server.rpc fd Protocol.Ping with
+  | Protocol.Pong -> ()
+  | _ -> Alcotest.fail "daemon should keep serving after oversized grids"
+
 let suite =
   [ case "protocol: requests round-trip" test_request_roundtrip;
     case "protocol: responses round-trip" test_response_roundtrip;
@@ -670,5 +914,14 @@ let suite =
     slow_case "identity: warm daemon serves entirely from cache"
       test_warm_daemon_synthesizes_nothing;
     case "server: unservable requests are refused as bad requests"
-      test_unservable_requests_are_bad_requests
+      test_unservable_requests_are_bad_requests;
+    case "protocol: every sample frame's bytes are pinned"
+      test_wire_bytes_pinned;
+    case "protocol: mutated and truncated frames decode or fail, never raise"
+      test_mutated_frames_never_raise;
+    case "protocol: inexact integers and ill-typed enums are refused"
+      test_decode_refuses_inexact_ints_and_ill_typed_enums;
+    case "server: oversized device grids are refused as bad requests"
+      test_oversized_grids_are_bad_requests
   ]
+
