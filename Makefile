@@ -3,8 +3,9 @@
 # the decomposed-basis fallback, one shared-cache round trip that must be
 # all hits the second time, a malformed QASM file that every
 # circuit-reading subcommand must refuse with exit 1, not crash on, a
-# sweep plan aimed at an unwritable path, and a device grid over the
-# 1,024-qubit cap, both refused the same way).
+# sweep plan aimed at an unwritable path, a device grid over the
+# 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path and
+# a negative sweep count, all refused the same way).
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -58,6 +59,16 @@ check:
 	  > /dev/null 2> /tmp/paqoc_bad.err; \
 	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
 	  || { echo "check: compile on a 300x300 grid exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@_build/default/bin/paqoc_cli.exe pulse x \
+	  --dump /nonexistent_paqoc_dir/x.csv > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
+	  || { echo "check: pulse --dump to an unwritable path exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep=-2 \
+	  > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
+	  || { echo "check: compile-sweep --sweep=-2 exited $$rc:"; \
 	       cat /tmp/paqoc_bad.err; exit 1; }
 	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
 	$(MAKE) check-ir
@@ -203,48 +214,18 @@ update-golden:
 bench-scaling:
 	dune exec bench/micro_main.exe
 
-# Seconds-long GRAPE microbench that exists to validate the BENCH_grape
-# emission path: tiny iteration counts, then a schema check on the JSON.
-# CI runs this on every push; the committed BENCH_grape.json uses the
-# full --iters=100 --repeats=20 run instead. Also re-checks every
-# committed BENCH_*.json, including BENCH_search.json, the historical
-# reference-vs-incremental search record that no emitter rewrites.
+# Smoke run of the per-device suite emitter, the one bench path that
+# benchmark/ does not cover (about 12 s): emit the devices entry to
+# /tmp, then schema-check it and the committed BENCH_devices.json. The
+# emitter refuses to write on a violated isolation gate, and the schema
+# check repeats those gates on each file. CI runs this on every push.
 bench-smoke:
 	dune exec bench/micro_main.exe -- \
-	  --bench-grape=/tmp/paqoc_bench_grape_smoke.json --phase=smoke \
-	  --iters=5 --repeats=2 > /dev/null
-	@python3 scripts/check_bench_schema.py /tmp/paqoc_bench_grape_smoke.json
-	@python3 scripts/check_bench_schema.py BENCH_grape.json
-	@rm -f /tmp/paqoc_bench_grape_smoke.json
-	dune exec bench/micro_main.exe -- \
-	  --bench-cache=/tmp/paqoc_bench_cache_smoke.json > /dev/null
-	@python3 scripts/check_bench_schema.py /tmp/paqoc_bench_cache_smoke.json
-	@python3 scripts/check_bench_schema.py BENCH_cache.json
-	@rm -f /tmp/paqoc_bench_cache_smoke.json
-	@python3 scripts/check_bench_schema.py BENCH_search.json
-	@python3 scripts/check_bench_schema.py BENCH_serve.json
-	@python3 scripts/check_bench_schema.py BENCH_sweep.json
-	@python3 scripts/check_bench_schema.py BENCH_devices.json
-	@echo "bench-smoke: BENCH_grape, BENCH_cache, BENCH_search, BENCH_serve, BENCH_sweep and BENCH_devices schemas OK"
-
-# Resident-daemon trajectory: a real daemon serving the 17-benchmark
-# suite over the socket cold and warm (requests/sec, p50/p95 request
-# latency, warm hit rate), plus the lazy-pool gate — the warm in-process
-# suite at --jobs 4 must be within 10% of --jobs 1. Refuses to emit on a
-# violated gate; run after a daemon or pool change and commit the JSON.
-bench-serve:
-	dune exec bench/micro_main.exe -- --bench-serve
-	@python3 scripts/check_bench_schema.py BENCH_serve.json
-
-# Variational fast-path trajectory: a 32-point qaoa sweep through the
-# frozen-plan recompile (gated at 10x the full per-iteration recompile)
-# plus the QOC drift gates — strict 1e-6 (over-drift interpolations must
-# fall back) and loose 1e-2 (accepted interpolations re-simulate to
-# their recorded fidelities). Refuses to emit on a violated gate; run
-# after a fast-path change and commit the JSON.
-bench-sweep:
-	dune exec bench/micro_main.exe -- --bench-sweep
-	@python3 scripts/check_bench_schema.py BENCH_sweep.json
+	  --bench-devices=/tmp/paqoc_bench_devices_smoke.json > /dev/null
+	@python3 scripts/check_bench_schema.py \
+	  /tmp/paqoc_bench_devices_smoke.json BENCH_devices.json
+	@rm -f /tmp/paqoc_bench_devices_smoke.json
+	@echo "bench-smoke: emitted and committed BENCH_devices schemas OK"
 
 # Per-device suite trajectory: all 17 benchmarks compiled cold and warm
 # on each of the four registry devices against one shared cache, plus
@@ -261,4 +242,4 @@ bench:
 	dune exec bench/main.exe
 
 .PHONY: check check-ir check-daemon doc bench bench-scaling bench-smoke \
-  bench-serve bench-sweep bench-devices update-golden
+  bench-devices update-golden

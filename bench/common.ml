@@ -1,6 +1,5 @@
 (* Shared machinery for the evaluation harness: scheme runs through
-   Service.compile, the BENCH_*.json entry writer, and plain-text
-   table/series rendering. *)
+   Service.compile and plain-text table/series rendering. *)
 
 module Circuit = Paqoc_circuit.Circuit
 module Transpile = Paqoc_topology.Transpile
@@ -43,25 +42,6 @@ let sweep_run name scheme =
     r
 
 let benchmark_names = List.map (fun (e : Suite.entry) -> e.Suite.name) Suite.all
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_*.json entries                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Paqoc_obs.Json
-
-(* Every emitter's last step: one "paqoc-bench v1" document, written
-   atomically so a failed run never truncates a committed entry. *)
-let write_entry path ~bench fields =
-  let doc =
-    Json.Obj
-      (("schema", Json.Str "paqoc-bench v1") :: ("bench", Json.Str bench)
-      :: fields)
-  in
-  Paqoc_obs.Atomic_file.write ~what:("bench-" ^ bench) path (fun oc ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n');
-  Printf.printf "  bench entry written to %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)

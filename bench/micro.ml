@@ -1,5 +1,6 @@
-(* Bechamel micro-benchmarks: one Test.make per table / figure, each
-   timing the hot kernel that experiment leans on. *)
+(* Bechamel micro-benchmarks (one Test.make per table / figure, each
+   timing the hot kernel that experiment leans on), the worker-scaling
+   run and the BENCH_devices.json emitter. *)
 
 open Bechamel
 open Toolkit
@@ -15,7 +16,6 @@ module Grape = Paqoc_pulse.Grape
 module LM = Paqoc_pulse.Latency_model
 module Gen = Paqoc_pulse.Generator
 module Suite = Paqoc_benchmarks.Suite
-module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
 module Json = Paqoc_obs.Json
 
@@ -172,218 +172,6 @@ let run_scaling ?(workers = [ 1; 2; 4 ]) () =
     "  (speedup tracks physical cores; determinism holds at any count)\n"
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_*.json: the perf trajectory, fed from the metrics layer        *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs the scaling batch at each worker count with the observability
-   sink enabled and writes one self-contained JSON entry: per-jobs wall
-   clock, the per-task accounted generation seconds (wall, so the sums are
-   comparable across worker counts), and the full merged metrics report.
-   The accounted sum staying flat while wall drops is the whole point of
-   the wall-clock accounting fix. *)
-let run_bench_json ?(path = "BENCH_scaling.json") ?(workers = [ 1; 2; 4 ]) () =
-  Obs.enable ();
-  let batch = scaling_batch () in
-  let runs =
-    List.map
-      (fun jobs ->
-        let gen = Gen.qoc_default () in
-        let t0 = Clock.now_s () in
-        let outs = Gen.generate_batch ~jobs gen batch in
-        let wall = Clock.now_s () -. t0 in
-        let sum_gen =
-          List.fold_left
-            (fun acc (o : Gen.outcome) -> acc +. o.Gen.gen_seconds)
-            0.0 outs
-        in
-        Printf.printf "  jobs=%d  wall %6.2f s  accounted %6.2f s\n%!" jobs
-          wall sum_gen;
-        (jobs, wall, sum_gen))
-      workers
-  in
-  Common.write_entry path ~bench:"scaling"
-    [ ("tasks", Json.int (List.length batch));
-      ( "runs",
-        Json.Arr
-          (List.map
-             (fun (jobs, wall, sum_gen) ->
-               Json.Obj
-                 [ ("jobs", Json.int jobs);
-                   ("wall_s", Json.Num wall);
-                   ("accounted_gen_s", Json.Num sum_gen)
-                 ])
-             runs) );
-      ("metrics", Obs.report ())
-    ];
-  Obs.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_grape.json: per-iteration GRAPE cost at 2/4/8 dimensions       *)
-(* ------------------------------------------------------------------ *)
-
-(* One case per Hilbert-space dimension the generator actually optimises
-   over: single-qubit drives (2x2), a coupled pair (4x4) and a 3-qubit
-   chain (8x8, the expensive end of maxN = 3 gate groups). The target
-   never converges (target_fidelity > 1) so every run burns exactly
-   [iters] gradient steps and the per-iteration cost is total wall over
-   [repeats * iters]. *)
-let grape_cases =
-  [ ("1q-x", 1, [], Gate.unitary Gate.X);
-    ("2q-cx", 2, [ (0, 1) ], Gate.unitary Gate.CX);
-    ("3q-ccx", 3, [ (0, 1); (1, 2) ], Gate.unitary Gate.CCX)
-  ]
-
-let run_grape_case ~iters ~repeats (name, n_qubits, pairs, target) =
-  let h = H.make ~n_qubits ~coupled_pairs:pairs () in
-  let n_slices = 20 in
-  let config =
-    { Grape.default_config with max_iters = iters; target_fidelity = 1.1 }
-  in
-  let run mi =
-    let config = { config with max_iters = mi } in
-    ignore (Grape.optimize ~config h ~target ~n_slices ~dt:2.0 ())
-  in
-  (* warm-up: fault the code paths in and let the allocator settle *)
-  run (min 2 iters);
-  let t0 = Clock.now_s () in
-  for _ = 1 to repeats do
-    run iters
-  done;
-  let wall = Clock.now_s () -. t0 in
-  let ns_per_iter = wall *. 1e9 /. float_of_int (repeats * iters) in
-  Printf.printf "  %-8s dim %d  %12.1f ns/iter  (%d x %d iters, %.2f s)\n%!"
-    name (1 lsl n_qubits) ns_per_iter repeats iters wall;
-  (name, 1 lsl n_qubits, n_slices, iters, repeats, ns_per_iter)
-
-(* Emits one BENCH_grape.json perf-trajectory entry. [phase] labels the
-   runs ("before"/"after" around a kernel rewrite, "current" by default)
-   so before/after numbers can live side by side in the committed file. *)
-let run_bench_grape ?(path = "BENCH_grape.json") ?(phase = "current")
-    ?(iters = 60) ?(repeats = 5) () =
-  Printf.printf "\n%s\nGRAPE  per-iteration microbench (2/4/8-dim)\n%s\n"
-    (String.make 78 '=') (String.make 78 '=');
-  let runs = List.map (run_grape_case ~iters ~repeats) grape_cases in
-  Common.write_entry path ~bench:"grape"
-    [ ( "runs",
-        Json.Arr
-          (List.map
-             (fun (name, dim, n_slices, iters, repeats, ns) ->
-               Json.Obj
-                 [ ("phase", Json.Str phase);
-                   ("case", Json.Str name);
-                   ("dim", Json.int dim);
-                   ("n_slices", Json.int n_slices);
-                   ("iters", Json.int iters);
-                   ("repeats", Json.int repeats);
-                   ("ns_per_iter", Json.Num ns)
-                 ])
-             runs) )
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_cache.json: cold vs warm suite compile through the shared cache *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiles all 17 Table I benchmarks twice against one journaled shared
-   cache (model backend, so the cost profile matches the golden
-   latency-table test): the cold pass starts from an empty cache and
-   publishes every priced group; the warm pass re-compiles the same suite
-   with fresh generators, so every pulse lookup must be answered by the
-   cache. The headline number is the synthesis skip rate — the fraction
-   of the cold pass's synthesis calls the warm pass avoided (1.0 when the
-   cache answers everything). Both passes run with the canonicalization
-   layer on (--canonical-cache); the canonical_hits / canonical_hit_rate
-   fields record how much of each phase's hit rate the equivalence-class
-   tier contributed (replays of a class-mate's pulse). *)
-let run_bench_cache ?(path = "BENCH_cache.json") () =
-  Printf.printf "\n%s\nCACHE  cold vs warm suite compile (17 benchmarks)\n%s\n"
-    (String.make 78 '=') (String.make 78 '=');
-  let module Cache = Paqoc_pulse.Cache in
-  let pass ~phase cache =
-    let t0 = Clock.now_s () in
-    let per =
-      List.map
-        (fun (e : Suite.entry) ->
-          let physical =
-            (Suite.transpiled e).Paqoc_topology.Transpile.physical
-          in
-          let gen = Gen.model_default () in
-          let s0 = Cache.stats cache in
-          let r = Paqoc.compile ~cache ~canonical:true gen physical in
-          let s1 = Cache.stats cache in
-          ( e.Suite.name,
-            r.Paqoc.pulses_generated,
-            s1.Cache.hits - s0.Cache.hits,
-            s1.Cache.misses - s0.Cache.misses,
-            s1.Cache.canonical_hits - s0.Cache.canonical_hits ))
-        Suite.all
-    in
-    let wall = Clock.now_s () -. t0 in
-    let sum f = List.fold_left (fun acc x -> acc + f x) 0 per in
-    let synth = sum (fun (_, s, _, _, _) -> s) in
-    let hits = sum (fun (_, _, h, _, _) -> h) in
-    let misses = sum (fun (_, _, _, m, _) -> m) in
-    let canonical = sum (fun (_, _, _, _, c) -> c) in
-    Printf.printf
-      "  %-5s wall %6.2f s  %4d synthesized  %4d hits (%d canonical) / %4d \
-       misses\n%!"
-      phase wall synth hits canonical misses;
-    (phase, wall, synth, hits, misses, canonical, per)
-  in
-  let cache_path = Filename.temp_file "paqoc_bench" ".cache" in
-  let cold, warm =
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove cache_path with Sys_error _ -> ())
-      (fun () ->
-        Cache.with_file cache_path (fun cache ->
-            let cold = pass ~phase:"cold" cache in
-            let warm = pass ~phase:"warm" cache in
-            (cold, warm)))
-  in
-  let synth_of (_, _, s, _, _, _, _) = s in
-  let skip_rate =
-    if synth_of cold = 0 then 0.0
-    else
-      1.0
-      -. (float_of_int (synth_of warm) /. float_of_int (synth_of cold))
-  in
-  Printf.printf "  synthesis skip rate (warm vs cold): %.1f%%\n%!"
-    (100.0 *. skip_rate);
-  let rate h m =
-    if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-  in
-  let run_json (phase, wall, synth, hits, misses, canonical, per) =
-    Json.Obj
-      [ ("phase", Json.Str phase);
-        ("wall_s", Json.Num wall);
-        ("synthesized", Json.int synth);
-        ("cache_hits", Json.int hits);
-        ("cache_misses", Json.int misses);
-        ("hit_rate", Json.Num (rate hits misses));
-        ("canonical_hits", Json.int canonical);
-        ( "canonical_hit_rate",
-          Json.Num (rate canonical (hits - canonical + misses)) );
-        ( "per_benchmark",
-          Json.Arr
-            (List.map
-               (fun (name, s, h, m, c) ->
-                 Json.Obj
-                   [ ("name", Json.Str name);
-                     ("synthesized", Json.int s);
-                     ("cache_hits", Json.int h);
-                     ("hit_rate", Json.Num (rate h m));
-                     ("canonical_hits", Json.int c)
-                   ])
-               per) )
-      ]
-  in
-  Common.write_entry path ~bench:"cache"
-    [ ("benchmarks", Json.int (List.length Suite.all));
-      ("runs", Json.Arr [ run_json cold; run_json warm ]);
-      ("synthesis_skip_rate", Json.Num skip_rate)
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* BENCH_devices.json: per-device suite compile + cache isolation      *)
 (* ------------------------------------------------------------------ *)
 
@@ -494,32 +282,41 @@ let run_bench_devices ?(path = "BENCH_devices.json") () =
       ]
   in
   let drift_wall, drift_synth, drift_hits, drift_misses = drift in
-  Common.write_entry path ~bench:"devices"
-    [ ("benchmarks", Json.int (List.length Suite.all));
-      ( "devices",
-        Json.Arr
-          (List.map
-             (fun (dev, cold, warm) ->
-               Json.Obj
-                 [ ("name", Json.Str (Device.name dev));
-                   ("hash", Json.Str (Device.hash dev));
-                   ("qubits", Json.int (Device.n_qubits dev));
-                   ( "runs",
-                     Json.Arr
-                       [ run_json ("cold", cold); run_json ("warm", warm) ] )
-                 ])
-             per_device) );
-      ( "drift",
-        Json.Obj
-          [ ("seed", Json.int 1);
-            ("epoch", Json.int 1);
-            ("wall_s", Json.Num drift_wall);
-            ("synthesized", Json.int drift_synth);
-            ("cache_hits", Json.int drift_hits);
-            ("cache_misses", Json.int drift_misses)
-          ] );
-      ("isolated", Json.Bool true)
-    ]
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str "paqoc-bench v1");
+        ("bench", Json.Str "devices");
+        ("benchmarks", Json.int (List.length Suite.all));
+        ( "devices",
+          Json.Arr
+            (List.map
+               (fun (dev, cold, warm) ->
+                 Json.Obj
+                   [ ("name", Json.Str (Device.name dev));
+                     ("hash", Json.Str (Device.hash dev));
+                     ("qubits", Json.int (Device.n_qubits dev));
+                     ( "runs",
+                       Json.Arr
+                         [ run_json ("cold", cold); run_json ("warm", warm) ] )
+                   ])
+               per_device) );
+        ( "drift",
+          Json.Obj
+            [ ("seed", Json.int 1);
+              ("epoch", Json.int 1);
+              ("wall_s", Json.Num drift_wall);
+              ("synthesized", Json.int drift_synth);
+              ("cache_hits", Json.int drift_hits);
+              ("cache_misses", Json.int drift_misses)
+            ] );
+        ("isolated", Json.Bool true)
+      ]
+  in
+  (* atomic, so a failed run never truncates the committed entry *)
+  Paqoc_obs.Atomic_file.write ~what:"bench-devices" path (fun oc ->
+      output_string oc (Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "  bench entry written to %s\n%!" path
 
 let run () =
   Printf.printf "\n%s\nMICRO  bechamel kernels (one per table/figure)\n%s\n"

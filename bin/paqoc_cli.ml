@@ -720,6 +720,10 @@ let compile_sweep_cmd =
   in
   let run input sweep_n seed angles_file interp_tol anchors target cache_file
       plan connect deadline_s inject metrics trace =
+    if sweep_n < 0 then begin
+      Printf.eprintf "error: --sweep must be >= 0 (got %d)\n" sweep_n;
+      exit 1
+    end;
     if anchors < 2 then begin
       Printf.eprintf "error: --anchors must be >= 2 (got %d)\n" anchors;
       exit 1
@@ -1017,9 +1021,9 @@ let pulse_cmd =
     (match dump with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      output_string oc (Paqoc_pulse.Pulse.to_csv h p);
-      close_out oc;
+      or_exit (fun () ->
+          Paqoc_obs.Atomic_file.write ~what:"pulse --dump" file (fun oc ->
+              output_string oc (Paqoc_pulse.Pulse.to_csv h p)));
       Printf.printf "waveform written to %s\n" file);
     if plot then begin
       (* one row of blocks per control channel, amplitude mapped to a

@@ -13,9 +13,9 @@ let hit_rate r =
   if consults = 0 then 0.0 else float_of_int r.hits /. float_of_int consults
 
 let compute ?(jobs = 1) () =
-  (* one shared cache across the suite in Table I order: each row's hits
-     include cross-benchmark reuse, exactly like the cold pass of
-     BENCH_cache.json. Deterministic at any [jobs] (the batch planner's
+  (* one shared cache across the suite in Table I order, as in a cold
+     [compile-suite --canonical-cache]: each row's hits include
+     cross-benchmark reuse. Deterministic at any [jobs] (the batch planner's
      serial-commit equivalence), so the golden needs no jobs caveat. *)
   let cache = Cache.create () in
   List.map

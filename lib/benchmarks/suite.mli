@@ -23,7 +23,8 @@ val extras : entry list
 val find : string -> entry
 
 (** A parameterised (symbolic-angle) benchmark served by the variational
-    sweep fast path ([compile-sweep], [--bench-sweep], the sweep golden).
+    sweep fast path ([compile-sweep], the sweep golden, the end-to-end
+    benchmark's [sweep] workload).
     The build yields the {e logical} symbolic circuit; callers transpile
     and {!Paqoc.Variational.freeze} it themselves. *)
 type sweep_entry = {

@@ -259,17 +259,16 @@ let suite =
     (* ---- the interpolation-fidelity battery (parametric fast path) ---- *);
     slow_case "interpolation battery: three ansatz sweeps replay exactly"
       (fun () ->
-        (* freeze each parameterised ansatz with a sparse anchor grid and
-           sweep it at a tolerance loose enough that interpolations are
-           actually accepted; then hold every shipped check pulse to the
-           database's own standard — re-simulating it must reproduce the
-           recorded measured fidelity, and the recorded predicted-vs-
-           measured drift must stay within the accepted tolerance *)
-        let interp_tol = 0.1 in
+        (* freeze each parameterised ansatz on its anchor grid and sweep
+           it at a tolerance loose enough that interpolations are actually
+           accepted; then hold every shipped check pulse to the database's
+           own standard — re-simulating it must reproduce the recorded
+           measured fidelity, and the recorded predicted-vs-measured drift
+           must stay within the accepted tolerance *)
         List.iter
-          (fun (name, circ) ->
+          (fun (name, anchors, interp_tol, circ) ->
             let gen = Gen.qoc_default () in
-            let plan = V.freeze ~anchors:3 (V.prepare circ) gen in
+            let plan = V.freeze ~anchors (V.prepare circ) gen in
             let sweep = V.sweep_angles ~seed:7 ~n:2 (V.plan_params plan) in
             let checks =
               List.concat_map
@@ -301,20 +300,25 @@ let suite =
                   (Printf.sprintf
                      "%s %s: recorded %.8f vs replayed %.8f (drift %.2e)"
                      name c.V.check_key c.V.measured resim replay)
-                  (replay < 1e-9))
+                  (replay <= 1e-12))
               checks)
           (* three shapes with genuinely interpolatable (single-parameter)
              slots: logical qaoa, the same ansatz re-shaped by grid
-             transpilation, and the dense QNN. VQE is absent by necessity:
-             its Rx·Rz-per-qubit layers always merge into multi-parameter
-             groups, which resynthesise instead of interpolating. *)
-          [ ("qaoa", Qaoa.circuit ~symbolic:true ~n:6 ~p:1 ());
+             transpilation, and the dense QNN, each on a sparse 3-anchor
+             grid at 0.1; then the QNN on a 9-anchor grid at 1e-2. VQE is
+             absent by necessity: its Rx·Rz-per-qubit layers always merge
+             into multi-parameter groups, which resynthesise instead of
+             interpolating. *)
+          [ ("qaoa", 3, 0.1, Qaoa.circuit ~symbolic:true ~n:6 ~p:1 ());
             ( "qaoa-grid",
+              3,
+              0.1,
               (Paqoc_topology.Transpile.run
                  ~coupling:(Paqoc_topology.Coupling.grid ~rows:5 ~cols:5)
                  (Qaoa.circuit ~symbolic:true ~n:4 ~p:1 ()))
                 .Paqoc_topology.Transpile.physical );
-            ("dnn", Dnn.circuit ~symbolic:true ~n:3 ~blocks:1 ())
+            ("dnn", 3, 0.1, Dnn.circuit ~symbolic:true ~n:3 ~blocks:1 ());
+            ("dnn-9", 9, 1e-2, Dnn.circuit ~symbolic:true ~n:3 ~blocks:1 ())
           ]);
     slow_case "a hostile angle falls back, publishes and adopts" (fun () ->
         (* 7.0 lies above the [0, 2pi] anchor hull, so every single-

@@ -10,6 +10,8 @@ module Cache = Paqoc_pulse.Cache
 module Db = Paqoc_pulse.Db_format
 module Faultin = Paqoc_pulse.Faultin
 module Service = Paqoc_service.Service
+module Suite = Paqoc_benchmarks.Suite
+module Obs = Paqoc_obs.Obs
 
 let read_file path =
   let ic = open_in_bin path in
@@ -877,6 +879,34 @@ let test_oversized_grids_are_bad_requests () =
   | Protocol.Pong -> ()
   | _ -> Alcotest.fail "daemon should keep serving after oversized grids"
 
+(* The lazy pool on the real compile path: an all-cache-hit suite at
+   --jobs 4 must answer every group while planning, so it submits no
+   task and its worker domains are never spawned. Counted with the
+   pool's own "pool.task" span, so the check is exact, not a timing. *)
+let test_warm_suite_submits_no_pool_task () =
+  let cache = Cache.create () in
+  let compile (e : Suite.entry) =
+    Service.handle ~cache ~deadline:None
+      { Protocol.default_compile with
+        Protocol.circuit = Protocol.Benchmark e.Suite.name;
+        jobs = 4
+      }
+  in
+  let pass () =
+    List.fold_left
+      (fun acc e -> acc + (compile e).Protocol.synthesized)
+      0 Suite.all
+  in
+  Fun.protect ~finally:Obs.reset @@ fun () ->
+  Obs.enable ();
+  ignore (compile (List.hd Suite.all));
+  check_true "control: a cold jobs-4 compile runs pool tasks"
+    (Obs.span_count "pool.task" > 0);
+  ignore (pass ()) (* cold: fills the cache *);
+  Obs.enable () (* drops the cold spans *);
+  check_int "warm pass synthesized nothing" 0 (pass ());
+  check_int "warm pass submitted no pool task" 0 (Obs.span_count "pool.task")
+
 let suite =
   [ case "protocol: requests round-trip" test_request_roundtrip;
     case "protocol: responses round-trip" test_response_roundtrip;
@@ -922,6 +952,8 @@ let suite =
     case "protocol: inexact integers and ill-typed enums are refused"
       test_decode_refuses_inexact_ints_and_ill_typed_enums;
     case "server: oversized device grids are refused as bad requests"
-      test_oversized_grids_are_bad_requests
+      test_oversized_grids_are_bad_requests;
+    case "pool: a warm jobs-4 suite submits no pool task"
+      test_warm_suite_submits_no_pool_task
   ]
 

@@ -259,5 +259,39 @@ let suite =
                   | Protocol.Shutting_down -> "shutting down")
               | _ -> Alcotest.fail "unexpected daemon response")
         in
-        check_true "tables byte-identical" (String.equal local remote))
+        check_true "tables byte-identical" (String.equal local remote));
+    slow_case "QOC drift gate: strict tol falls back on every over-drift slot"
+      (fun () ->
+        (* real GRAPE anchors on a small DNN ansatz, swept twice at the
+           shipping 1e-6 tolerance: an over-drift interpolation must fall
+           back, so no accepted check exceeds it, and the accounting covers
+           every slot. The differential interpolation battery replays the
+           same ansatz's check pulses at a loose tolerance. *)
+        let plan =
+          V.freeze ~anchors:9
+            (V.prepare (Dnn.circuit ~symbolic:true ~n:3 ~blocks:1 ()))
+            (Gen.qoc_default ())
+        in
+        let _, n_param, n_multi = V.plan_slot_kinds plan in
+        let iterations = 2 in
+        let gen = Gen.qoc_default () in
+        let its =
+          List.map
+            (fun angles -> V.recompile ~interp_tol:1e-6 plan gen ~angles)
+            (V.sweep_angles ~seed:11 ~n:iterations (V.plan_params plan))
+        in
+        let sum f = List.fold_left (fun acc it -> acc + f it) 0 its in
+        check_int "interp + fallback cover every param slot"
+          (n_param * iterations)
+          (sum (fun it -> it.V.interp + it.V.fallback));
+        check_int "resynth covers every multi slot" (n_multi * iterations)
+          (sum (fun it -> it.V.resynth));
+        List.iter
+          (fun (c : V.check) ->
+            let drift = Float.abs (c.V.predicted -. c.V.measured) in
+            check_true
+              (Printf.sprintf "%s: accepted drift %.3g within 1e-6"
+                 c.V.check_key drift)
+              (drift <= 1e-6))
+          (List.concat_map (fun it -> it.V.checks) its))
   ]
