@@ -5,7 +5,8 @@
 # circuit-reading subcommand must refuse with exit 1, not crash on, a
 # sweep plan aimed at an unwritable path, a device grid over the
 # 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path and
-# a negative sweep count, all refused the same way).
+# a negative sweep count, all refused the same way), then the IR, daemon
+# and bit-exact QOC gates below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -73,6 +74,7 @@ check:
 	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
 	$(MAKE) check-ir
 	$(MAKE) check-daemon
+	$(MAKE) check-qoc
 
 # Daemon round trip: serve in the background, compile the suite through
 # it cold and warm, then two single compiles (qaoa, and qft under
@@ -156,6 +158,22 @@ check-daemon:
 	  /tmp/paqoc_dm_sweep_local.txt /tmp/paqoc_dm_one.txt \
 	  /tmp/paqoc_dm_one_local.txt
 	@echo "check-daemon: daemon output and cache byte-identical; clean drain"
+
+# Bit-exact QOC gate: recompute the benchmark's pinned QOC results (six
+# compiles on the real GRAPE backend, Table I simon included) and diff
+# them against benchmark/expected/qoc.txt. The file prints ESP with
+# %.17g, so latency and ESP are pinned to the last bit: a rounding step
+# that moves in Grape, Expm or Cmat and reaches a pulse shows up here.
+# It reads benchmark/ and writes nothing there.
+check-qoc:
+	dune build benchmark/paqoc_bench.exe
+	@dune exec benchmark/paqoc_bench.exe -- --print-expected \
+	  > /tmp/paqoc_qoc_expected.txt
+	@diff benchmark/expected/qoc.txt /tmp/paqoc_qoc_expected.txt \
+	  || (echo "check-qoc: QOC results diverged from benchmark/expected/qoc.txt" \
+	      && rm -f /tmp/paqoc_qoc_expected.txt && exit 1)
+	@rm -f /tmp/paqoc_qoc_expected.txt
+	@echo "check-qoc: six QOC compiles match benchmark/expected/qoc.txt bit for bit"
 
 # Pulse-IR export gate: a two-qubit QASM circuit exported on the QOC
 # backend must self-verify (every waveform re-simulates to its recorded
@@ -241,5 +259,5 @@ bench-devices:
 bench:
 	dune exec bench/main.exe
 
-.PHONY: check check-ir check-daemon doc bench bench-scaling bench-smoke \
-  bench-devices update-golden
+.PHONY: check check-ir check-daemon check-qoc doc bench bench-scaling \
+  bench-smoke bench-devices update-golden

@@ -212,13 +212,15 @@ let frobenius_norm m =
   done;
   sqrt !acc
 
+(* one square root, of the largest squared magnitude: [sqrt] is monotone
+   and correctly rounded, so this is the largest per-entry [sqrt] *)
 let max_abs m =
   let acc = ref 0.0 in
   for k = 0 to Array.length m.re - 1 do
-    let v = sqrt ((m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k))) in
+    let v = (m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k)) in
     if v > !acc then acc := v
   done;
-  !acc
+  sqrt !acc
 
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then
@@ -486,17 +488,24 @@ let scale_re_into ~dst s m =
     di.(k) <- s *. mi.(k)
   done
 
-(* dst += s * m. The fused form rounds identically to
-   [add dst (scale_re s m)]: the product is a correctly-rounded double
-   either way, then added. *)
-let axpy_re_into ~dst s m =
-  check_same_dims "Cmat.axpy_re_into" dst m;
+(* dst += s * m and dst2 += s2 * m in one pass. Each destination rounds
+   identically to [add dst (scale_re s m)]: the product is a
+   correctly-rounded double either way, then added. *)
+let axpy2_re_into ~dst s ~dst2 s2 m =
+  check_same_dims "Cmat.axpy2_re_into" dst m;
+  check_same_dims "Cmat.axpy2_re_into" dst2 m;
+  check_no_alias "Cmat.axpy2_re_into" dst m;
+  check_no_alias "Cmat.axpy2_re_into" dst2 m;
+  check_no_alias "Cmat.axpy2_re_into" dst dst2;
   let n = Array.length m.re in
-  let dr = dst.re and di = dst.im in
+  let dr = dst.re and di = dst.im and er = dst2.re and ei = dst2.im in
   let mr = m.re and mi = m.im in
   for k = 0 to n - 1 do
-    dr.(k) <- dr.(k) +. (s *. mr.(k));
-    di.(k) <- di.(k) +. (s *. mi.(k))
+    let xr = mr.(k) and xi = mi.(k) in
+    dr.(k) <- dr.(k) +. (s *. xr);
+    di.(k) <- di.(k) +. (s *. xi);
+    er.(k) <- er.(k) +. (s2 *. xr);
+    ei.(k) <- ei.(k) +. (s2 *. xi)
   done
 
 let mul_into ~dst a b =
@@ -547,30 +556,6 @@ let mul_adjoint_left_into ~dst a b =
       end
     done
   done
-
-(* Tr(a * b) without materialising the product, written into a
-   caller-owned accumulator [(re, im)] — GRAPE's gradient inner loop.
-   Same accumulation order as reading the entries through get_re/get_im,
-   but on the raw arrays, so nothing is boxed. *)
-let trace_prod_into acc a b =
-  if a.rows <> a.cols || b.rows <> b.cols || a.rows <> b.rows then
-    invalid_arg "Cmat.trace_prod_into: dimension mismatch";
-  if Array.length acc < 2 then
-    invalid_arg "Cmat.trace_prod_into: accumulator too short";
-  let n = a.rows in
-  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
-  let acc_re = ref 0.0 and acc_im = ref 0.0 in
-  for r = 0 to n - 1 do
-    let abase = r * n in
-    for c = 0 to n - 1 do
-      let xr = ar.(abase + c) and xi = ai.(abase + c) in
-      let yr = br.((c * n) + r) and yi = bi.((c * n) + r) in
-      acc_re := !acc_re +. (xr *. yr) -. (xi *. yi);
-      acc_im := !acc_im +. (xr *. yi) +. (xi *. yr)
-    done
-  done;
-  acc.(0) <- !acc_re;
-  acc.(1) <- !acc_im
 
 let adjoint_into ~dst m =
   if dst.rows <> m.cols || dst.cols <> m.rows then
@@ -695,6 +680,162 @@ let solve_into ~scratch a b ~dst =
       in
       xr.((r * nc) + c) <- vr;
       xi.((r * nc) + c) <- vi
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Zero-pattern kernels                                                *)
+(*                                                                     *)
+(* A pattern is a matrix's nonzero positions, row by row: row r's      *)
+(* columns are [col.(row_start.(r)) .. col.(row_start.(r + 1) - 1)],   *)
+(* ascending. The kernels below visit only those positions and still  *)
+(* round like the dense loops: each accumulator starts at +0.0, a      *)
+(* round-to-nearest sum that starts at +0.0 never becomes -0.0, and    *)
+(* adding or subtracting x * 0 (+-0.0 for finite x) leaves such a sum  *)
+(* unchanged — every skipped term is one that could not move a bit.    *)
+
+type pattern = {
+  p_rows : int;
+  p_cols : int;
+  row_start : int array;
+  col : int array;  (* room for every entry: re-recordable in place *)
+}
+
+let check_pattern name p m =
+  if p.p_rows <> m.rows || p.p_cols <> m.cols then
+    invalid_arg (name ^ ": pattern shape mismatch")
+
+let nonzeros_into p m =
+  check_pattern "Cmat.nonzeros_into" p m;
+  let count = ref 0 in
+  for r = 0 to m.rows - 1 do
+    p.row_start.(r) <- !count;
+    let base = r * m.cols in
+    for c = 0 to m.cols - 1 do
+      if m.re.(base + c) <> 0.0 || m.im.(base + c) <> 0.0 then begin
+        p.col.(!count) <- c;
+        incr count
+      end
+    done
+  done;
+  p.row_start.(m.rows) <- !count
+
+let nonzeros m =
+  let p =
+    { p_rows = m.rows;
+      p_cols = m.cols;
+      row_start = Array.make (m.rows + 1) 0;
+      col = Array.make (m.rows * m.cols) 0
+    }
+  in
+  nonzeros_into p m;
+  p
+
+(* [mul_into] over [b]'s nonzeros: for each kept [a] entry, only the
+   listed columns of [b]'s matching row. Every [dst] cell still sums
+   its terms in ascending inner index. *)
+let mul_nz_into ~dst a b ~nz =
+  if a.cols <> b.rows then invalid_arg "Cmat.mul_nz_into: dimension mismatch";
+  if dst.rows <> a.rows || dst.cols <> b.cols then
+    invalid_arg "Cmat.mul_nz_into: dst dimension mismatch";
+  check_pattern "Cmat.mul_nz_into" nz b;
+  check_no_alias "Cmat.mul_nz_into" dst a;
+  check_no_alias "Cmat.mul_nz_into" dst b;
+  set_zero dst;
+  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
+  let dr = dst.re and di = dst.im in
+  let start = nz.row_start and col = nz.col in
+  let n = a.cols and bc = b.cols in
+  for r = 0 to a.rows - 1 do
+    let abase = r * n and obase = r * bc in
+    for k = 0 to n - 1 do
+      let xr = ar.(abase + k) and xi = ai.(abase + k) in
+      if xr <> 0.0 || xi <> 0.0 then begin
+        let bbase = k * bc in
+        for i = start.(k) to start.(k + 1) - 1 do
+          let c = col.(i) in
+          let yr = br.(bbase + c) and yi = bi.(bbase + c) in
+          dr.(obase + c) <- dr.(obase + c) +. (xr *. yr) -. (xi *. yi);
+          di.(obase + c) <- di.(obase + c) +. (xr *. yi) +. (xi *. yr)
+        done
+      end
+    done
+  done
+
+(* The listed cells of [a * b], each summed exactly as [mul_into] sums
+   it: from +0.0, ascending inner index, [a]'s zeros skipped. *)
+let mul_entries_into ~dst a b ~at =
+  if a.cols <> b.rows then
+    invalid_arg "Cmat.mul_entries_into: dimension mismatch";
+  if dst.rows <> a.rows || dst.cols <> b.cols then
+    invalid_arg "Cmat.mul_entries_into: dst dimension mismatch";
+  check_pattern "Cmat.mul_entries_into" at dst;
+  check_no_alias "Cmat.mul_entries_into" dst a;
+  check_no_alias "Cmat.mul_entries_into" dst b;
+  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
+  let dr = dst.re and di = dst.im in
+  let start = at.row_start and col = at.col in
+  let n = a.cols and bc = b.cols in
+  for r = 0 to a.rows - 1 do
+    let abase = r * n and obase = r * bc in
+    for i = start.(r) to start.(r + 1) - 1 do
+      let c = col.(i) in
+      let acc_re = ref 0.0 and acc_im = ref 0.0 in
+      for k = 0 to n - 1 do
+        let xr = ar.(abase + k) and xi = ai.(abase + k) in
+        if xr <> 0.0 || xi <> 0.0 then begin
+          let yr = br.((k * bc) + c) and yi = bi.((k * bc) + c) in
+          acc_re := !acc_re +. (xr *. yr) -. (xi *. yi);
+          acc_im := !acc_im +. (xr *. yi) +. (xi *. yr)
+        end
+      done;
+      dr.(obase + c) <- !acc_re;
+      di.(obase + c) <- !acc_im
+    done
+  done
+
+(* Tr(a * b) over [a]'s nonzeros, without materialising the product,
+   written into a caller-owned accumulator [(re, im)] — GRAPE's
+   gradient inner loop. Terms are summed in row-major order of [a], as
+   the dense trace sums them. *)
+let trace_prod_into acc a ~nz b =
+  if a.rows <> a.cols || b.rows <> b.cols || a.rows <> b.rows then
+    invalid_arg "Cmat.trace_prod_into: dimension mismatch";
+  if Array.length acc < 2 then
+    invalid_arg "Cmat.trace_prod_into: accumulator too short";
+  check_pattern "Cmat.trace_prod_into" nz a;
+  let n = a.rows in
+  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
+  let start = nz.row_start and col = nz.col in
+  let acc_re = ref 0.0 and acc_im = ref 0.0 in
+  for r = 0 to n - 1 do
+    let abase = r * n in
+    for i = start.(r) to start.(r + 1) - 1 do
+      let c = col.(i) in
+      let xr = ar.(abase + c) and xi = ai.(abase + c) in
+      let yr = br.((c * n) + r) and yi = bi.((c * n) + r) in
+      acc_re := !acc_re +. (xr *. yr) -. (xi *. yi);
+      acc_im := !acc_im +. (xr *. yi) +. (xi *. yr)
+    done
+  done;
+  acc.(0) <- !acc_re;
+  acc.(1) <- !acc_im
+
+(* dst += s * m over [m]'s nonzeros; each kept cell rounds like
+   [add dst (scale_re s m)]. A skipped cell would have added s * 0,
+   which moves nothing unless the cell holds -0.0. *)
+let axpy_re_into ~dst s m ~nz =
+  check_same_dims "Cmat.axpy_re_into" dst m;
+  check_pattern "Cmat.axpy_re_into" nz m;
+  let dr = dst.re and di = dst.im in
+  let mr = m.re and mi = m.im in
+  let start = nz.row_start and col = nz.col in
+  for r = 0 to m.rows - 1 do
+    let base = r * m.cols in
+    for i = start.(r) to start.(r + 1) - 1 do
+      let k = base + col.(i) in
+      dr.(k) <- dr.(k) +. (s *. mr.(k));
+      di.(k) <- di.(k) +. (s *. mi.(k))
     done
   done
 

@@ -140,9 +140,10 @@ val permute_qubits : t -> int array -> t
     {!sub_into}, {!scale_into}, {!scale_re_into}, {!axpy_re_into}) accept
     [dst] aliasing any input. The kernels that read inputs after writing
     [dst] ({!mul_into}, {!mul_adjoint_left_into}, {!adjoint_into},
-    {!solve_into}) raise [Invalid_argument] when [dst] (or [scratch])
-    shares storage with an input — checked on the underlying arrays, so
-    aliasing through record sharing is caught too. *)
+    {!solve_into}, {!mul_nz_into}, {!mul_entries_into}) and
+    {!axpy2_re_into} raise [Invalid_argument] when [dst] (or [scratch],
+    or [dst2]) shares storage with an input — checked on the underlying
+    arrays, so aliasing through record sharing is caught too. *)
 
 (** [blit ~src ~dst] copies [src]'s entries into [dst].
     @raise Invalid_argument on dimension mismatch. *)
@@ -167,9 +168,11 @@ val scale_into : dst:t -> Cx.t -> t -> unit
     allowed. *)
 val scale_re_into : dst:t -> float -> t -> unit
 
-(** [axpy_re_into ~dst s m] accumulates [dst <- dst + s * m]; identical
-    rounding to [add dst (scale_re s m)]. *)
-val axpy_re_into : dst:t -> float -> t -> unit
+(** [axpy2_re_into ~dst s ~dst2 s2 m] accumulates [dst <- dst + s * m]
+    and [dst2 <- dst2 + s2 * m] in one pass over [m], each with rounding
+    identical to [add dst (scale_re s m)] — the Padé accumulation of
+    [Expm.expm_into]. Neither destination may alias the other or [m]. *)
+val axpy2_re_into : dst:t -> float -> dst2:t -> float -> t -> unit
 
 (** [mul_into ~dst a b] writes [a * b] into [dst].
     @raise Invalid_argument on dimension mismatch or if [dst] aliases an
@@ -184,19 +187,75 @@ val mul_adjoint_left_into : dst:t -> t -> t -> unit
     [m]. *)
 val adjoint_into : dst:t -> t -> unit
 
-(** [trace_prod_into acc a b] writes [Tr(a * b)] of two same-size square
-    matrices into [acc.(0)] (real) and [acc.(1)] (imaginary) without
-    materialising the product or boxing a float — the gradient inner
-    loop of GRAPE.
-    @raise Invalid_argument on dimension mismatch or when [acc] has
-    fewer than two cells. *)
-val trace_prod_into : float array -> t -> t -> unit
-
 (** [solve_into ~scratch a b ~dst] solves [a x = b] into [dst],
     destroying [scratch] (same shape as [a]) in the process. [dst] may
     alias [b]; every other aliasing is rejected.
     @raise Failure if [a] is (numerically) singular. *)
 val solve_into : scratch:t -> t -> t -> dst:t -> unit
+
+(** {1 Zero patterns}
+
+    GRAPE's slice Hamiltonians and control operators are mostly exact
+    zeros (at three qubits, 32 and at least 56 of 64 entries). A
+    {!pattern} records where a matrix's nonzero entries sit, and the
+    kernels below do arithmetic at those positions only, yet round bit
+    for bit like the dense loops they replace (test/test_kernels.ml pins
+    this at 0 ulp against {!mul} and a dense trace). The argument: each
+    accumulator starts at
+    [+0.0]; under round-to-nearest a sum that starts at [+0.0] never
+    becomes [-0.0]; and adding or subtracting [x * 0], which is [+-0.0]
+    for finite [x], leaves such a sum unchanged. A skipped term is
+    therefore one that could not have moved a bit. {!mul} already skips
+    its left operand's zeros on this argument.
+
+    The contract covers finite inputs: [inf * 0] is NaN, which the dense
+    loops would propagate and a skip drops. A pattern handed in for a
+    matrix must list each of its nonzero positions; extra (zero)
+    positions are harmless. NaN counts as nonzero. *)
+
+type pattern
+
+(** [nonzeros m] is the pattern of [m]'s nonzero entries. It has room
+    for every entry, so {!nonzeros_into} can re-record it for any matrix
+    of [m]'s shape. *)
+val nonzeros : t -> pattern
+
+(** [nonzeros_into p m] overwrites [p] with [m]'s nonzero positions,
+    allocation-free.
+    @raise Invalid_argument when [p] was made for another shape. *)
+val nonzeros_into : pattern -> t -> unit
+
+(** [mul_nz_into ~dst a b ~nz] writes [a * b] into [dst], visiting only
+    the positions [nz] lists for [b]; bit-identical to {!mul} on finite
+    inputs.
+    @raise Invalid_argument on dimension or pattern-shape mismatch, or if
+    [dst] aliases an input. *)
+val mul_nz_into : dst:t -> t -> t -> nz:pattern -> unit
+
+(** [mul_entries_into ~dst a b ~at] writes the entries of [a * b] at the
+    positions [at] lists (a pattern of [dst]'s shape), each summed
+    exactly as {!mul} sums it, and leaves every other entry of [dst]
+    untouched. Bit-identical to {!mul} on those entries for any input.
+    @raise Invalid_argument as {!mul_nz_into}. *)
+val mul_entries_into : dst:t -> t -> t -> at:pattern -> unit
+
+(** [trace_prod_into acc a ~nz b] writes [Tr(a * b)] of two same-size
+    square matrices into [acc.(0)] (real) and [acc.(1)] (imaginary),
+    summing only over the positions [nz] lists for [a], without
+    materialising the product or boxing a float — the gradient inner
+    loop of GRAPE. Bit-identical to the dense row-major trace on finite
+    inputs.
+    @raise Invalid_argument on dimension or pattern-shape mismatch, or
+    when [acc] has fewer than two cells. *)
+val trace_prod_into : float array -> t -> nz:pattern -> t -> unit
+
+(** [axpy_re_into ~dst s m ~nz] accumulates [dst <- dst + s * m] at the
+    positions [nz] lists for [m]; [dst] may alias [m]. Rounding is
+    identical to [add dst (scale_re s m)] on finite inputs when [dst]
+    holds no [-0.0] entry (the dense [-0.0 + s * 0] can be [+0.0], where
+    a skip leaves [-0.0]).
+    @raise Invalid_argument on dimension or pattern-shape mismatch. *)
+val axpy_re_into : dst:t -> float -> t -> nz:pattern -> unit
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -17,7 +17,11 @@ val expm_i_h : dt:float -> Cmat.t -> Cmat.t
     The in-place exponential runs the exact same scaling-and-squaring
     steps as {!expm} on preallocated scratch, producing bit-identical
     results with zero matrix allocation — the kernel under GRAPE's
-    per-iteration propagator builds. *)
+    per-iteration propagator builds. It records the scaled input's
+    nonzero pattern once per call and runs the six Padé products over
+    those nonzeros only ({!Cmat.mul_nz_into}); skipping an exact zero
+    cannot move a bit on finite input (see {!Cmat} "Zero patterns"),
+    which is the contract. *)
 
 module Workspace : sig
   (** Scratch matrices for one exponential of a fixed dimension. A
@@ -32,12 +36,12 @@ module Workspace : sig
 end
 
 (** [expm_into ws src ~dst] writes [e^src] into [dst] using [ws]'s
-    scratch; bit-identical to {!expm}. [src] is left untouched (it may
-    alias the staging buffer a previous call used).
+    scratch; bit-identical to {!expm} on finite input. [src] is left
+    untouched (it may alias the staging buffer a previous call used).
     @raise Invalid_argument when [src] or [dst] does not match [ws]'s
     dimension. *)
 val expm_into : Workspace.t -> Cmat.t -> dst:Cmat.t -> unit
 
 (** [expm_i_h_into ws ~dt h ~dst] writes [exp(-i * dt * h)] into [dst];
-    bit-identical to {!expm_i_h}. *)
+    bit-identical to {!expm_i_h} on finite input. *)
 val expm_i_h_into : Workspace.t -> dt:float -> Cmat.t -> dst:Cmat.t -> unit

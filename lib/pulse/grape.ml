@@ -101,15 +101,18 @@ module Workspace = struct
      [optimize] call (or once per generator, for callers that loop):
      per-slice propagators [us], forward products [xs], the backward
      accumulator pair, the product scratch, the assembled Hamiltonian,
-     amplitude/gradient planes and the expm scratch. The workspace owns
-     its buffers; [amps]/[grad] expose the planes the last [evaluate]
-     filled, and callers must copy anything they keep. Single-threaded:
-     give each domain its own. *)
+     amplitude/gradient planes and the expm scratch — plus the zero
+     patterns of the Hamiltonian it was built for: each control's
+     nonzeros [ctrl_nz], and [reads], the entries of [xs(j) * back] the
+     gradient traces read. The workspace owns its buffers; [amps]/[grad]
+     expose the planes the last [evaluate] filled, and callers must copy
+     anything they keep. Single-threaded: give each domain its own. *)
   type t = {
-    dim : int;
+    h : Hamiltonian.t;
     n_slices : int;
-    nc : int;
     bounds : float array;
+    ctrl_nz : Cmat.pattern array;
+    reads : Cmat.pattern;
     amps : float array array;
     grad : float array array;
     us : Cmat.t array;
@@ -127,11 +130,22 @@ module Workspace = struct
     let dim = h.Hamiltonian.dim in
     let nc = Hamiltonian.n_controls h in
     let m () = Cmat.create dim dim in
-    { dim;
+    let ops = Array.map (fun c -> c.Hamiltonian.op) h.Hamiltonian.controls in
+    (* Tr(op * prod) pairs op's (r, c) with prod's (c, r) *)
+    let read r c =
+      Array.exists
+        (fun op -> Cmat.get_re op c r <> 0.0 || Cmat.get_im op c r <> 0.0)
+        ops
+    in
+    { h;
       n_slices;
-      nc;
       bounds =
         Array.map (fun c -> c.Hamiltonian.bound) h.Hamiltonian.controls;
+      ctrl_nz = Array.map Cmat.nonzeros ops;
+      reads =
+        Cmat.nonzeros
+          (Cmat.init dim dim (fun r c ->
+               if read r c then Paqoc_linalg.Cx.one else Paqoc_linalg.Cx.zero));
       amps = Array.init n_slices (fun _ -> Array.make nc 0.0);
       grad = Array.init n_slices (fun _ -> Array.make nc 0.0);
       us = Array.init n_slices (fun _ -> m ());
@@ -153,24 +167,28 @@ end
    fidelity minus the power regulariser; [ws.grad] receives
    d(objective)/dx and [ws.amps] the amplitudes. Every matrix lives in
    the workspace: after the workspace's own warm-up this performs zero
-   matrix allocation, and every floating-point step rounds identically
-   to the allocating formulation it replaced (pinned by the goldens). *)
+   matrix allocation. Slice assembly, each propagator's Padé products,
+   the backward products and the gradient traces skip the Hamiltonian's
+   exact zeros, which the tanh-bounded (finite) amplitudes make exact:
+   the results round identically to the dense formulation that
+   test/reference_grape.ml keeps (pinned against it and by the
+   goldens). *)
 let evaluate ?ws config h target ~dt ~n_slices x =
   Obs.count "grape.evaluations";
   let ws =
     match ws with Some ws -> ws | None -> Workspace.create h ~n_slices
   in
+  if ws.Workspace.h != h then
+    invalid_arg "Grape.evaluate: workspace built for another Hamiltonian";
+  if ws.Workspace.n_slices <> n_slices then
+    invalid_arg "Grape.evaluate: workspace does not match the problem";
   let dim = h.Hamiltonian.dim in
-  if ws.Workspace.dim <> dim
-     || ws.Workspace.n_slices <> n_slices
-     || ws.Workspace.nc <> Hamiltonian.n_controls h
-  then invalid_arg "Grape.evaluate: workspace does not match the problem";
   if Cmat.rows target <> dim || Cmat.cols target <> dim then
     invalid_arg "Grape.evaluate: target dimension mismatch";
   if Array.length x <> n_slices then
     invalid_arg "Grape.evaluate: slice count mismatch";
   let open Workspace in
-  let nc = ws.nc in
+  let nc = Hamiltonian.n_controls h in
   let d = float_of_int dim in
   (* forward pass: amplitudes, slice propagators, running products *)
   for j = 0 to n_slices - 1 do
@@ -180,7 +198,7 @@ let evaluate ?ws config h target ~dt ~n_slices x =
     for k = 0 to nc - 1 do
       aj.(k) <- ws.bounds.(k) *. tanh xj.(k)
     done;
-    Hamiltonian.at_into h aj ~dst:ws.hmat;
+    Hamiltonian.at_into h ~nz:ws.ctrl_nz aj ~dst:ws.hmat;
     Expm.expm_i_h_into ws.ew ~dt ws.hmat ~dst:ws.us.(j)
   done;
   Cmat.blit ~src:ws.us.(0) ~dst:ws.xs.(0);
@@ -201,13 +219,14 @@ let evaluate ?ws config h target ~dt ~n_slices x =
     done
   done;
   let objective = fidelity -. (config.power_penalty *. !power) in
-  (* backward pass: A_j = target† U_N ... U_{j+1} *)
+  (* backward pass: A_j = target† U_N ... U_{j+1}; of X_j A_j only the
+     entries the traces read *)
   Cmat.adjoint_into ~dst:ws.back target;
   for j = n_slices - 1 downto 0 do
-    Cmat.mul_into ~dst:ws.prod ws.xs.(j) ws.back;
+    Cmat.mul_entries_into ~dst:ws.prod ws.xs.(j) ws.back ~at:ws.reads;
     for k = 0 to nc - 1 do
       Cmat.trace_prod_into ws.tp h.Hamiltonian.controls.(k).Hamiltonian.op
-        ws.prod;
+        ~nz:ws.ctrl_nz.(k) ws.prod;
       let t_re = ws.tp.(0) and t_im = ws.tp.(1) in
       (* dphi = (-i dt / d) * t, written with the same component products
          (including the 0-weighted ones, for signed-zero fidelity) as the

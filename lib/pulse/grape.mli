@@ -61,20 +61,27 @@ val optimize :
     optimiser step — runs entirely on a preallocated {!Workspace}:
     after the workspace is built, an {!evaluate} call performs zero
     matrix allocation (test/test_kernels.ml pins a minor-heap budget on
-    it), and rounds bit-identically to the allocating formulation it
-    replaced (pinned by the amplitude golden). *)
+    it). Slice assembly, each propagator's Padé products, the backward
+    products and the gradient traces visit only the Hamiltonian's
+    nonzero positions ({!Paqoc_linalg.Cmat.pattern}); with tanh-bounded,
+    hence finite, amplitudes skipping an exact zero cannot move a bit,
+    so every result rounds bit-identically to the dense formulation
+    (pinned against a dense oracle in test/test_kernels.ml and by the
+    amplitude golden). *)
 
 module Workspace : sig
   (** Preallocated buffers for one control problem at a fixed slice
       count: per-slice propagators, forward products, the backward
-      accumulator, amplitude/gradient planes and the {!Expm} scratch.
+      accumulator, amplitude/gradient planes and the {!Expm} scratch,
+      plus the zero patterns of the Hamiltonian's control operators.
       The workspace owns every buffer; {!amps}/{!grad} expose planes
       that the next {!evaluate} overwrites, so callers must copy
       anything they keep. Single-threaded — give each domain its own. *)
   type t
 
   (** [create h ~n_slices] sizes every buffer for [h]'s dimension and
-      control count.
+      control count and records [h] with its operators' nonzero
+      positions; [h]'s operators must not change afterwards.
       @raise Invalid_argument when [n_slices <= 0]. *)
   val create : Hamiltonian.t -> n_slices:int -> t
 
@@ -93,8 +100,9 @@ end
     [(objective, fidelity)]; amplitudes and gradient are left in the
     workspace. Without [ws], a fresh workspace is built and dropped —
     convenient, but the point is to pass one in.
-    @raise Invalid_argument when [ws], [target] or [x] does not match
-    the problem's dimensions. *)
+    @raise Invalid_argument when [ws] was built for a Hamiltonian other
+    than [h] (physical equality) or another slice count, or when
+    [target] or [x] does not match the problem's dimensions. *)
 val evaluate :
   ?ws:Workspace.t ->
   config ->

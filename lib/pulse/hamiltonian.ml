@@ -73,13 +73,18 @@ let at h amps =
   !acc
 
 (* In-place [at]: drift plus the amplitude-weighted controls accumulated
-   directly into [dst]. Same skip on zero amplitudes and same two-step
-   rounding per entry as [at], so the result is bit-identical. *)
-let at_into h amps ~dst =
+   directly into [dst], each control over its nonzeros [nz.(k)] only.
+   Same skip on zero amplitudes and same two-step rounding per entry as
+   [at]; a skipped entry would add [u * 0], which moves no drift entry
+   that is not -0.0 ([make]'s drift is all +0.0), so the result is
+   bit-identical. *)
+let at_into h ~nz amps ~dst =
   if Array.length amps <> n_controls h then
     invalid_arg "Hamiltonian.at_into: amplitude count mismatch";
+  if Array.length nz <> n_controls h then
+    invalid_arg "Hamiltonian.at_into: pattern count mismatch";
   Cmat.blit ~src:h.drift ~dst;
-  Array.iteri
-    (fun k u ->
-      if u <> 0.0 then Cmat.axpy_re_into ~dst u h.controls.(k).op)
-    amps
+  for k = 0 to Array.length amps - 1 do
+    let u = amps.(k) in
+    if u <> 0.0 then Cmat.axpy_re_into ~dst u h.controls.(k).op ~nz:nz.(k)
+  done

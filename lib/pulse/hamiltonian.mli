@@ -59,10 +59,20 @@ val n_controls : t -> int
     count. *)
 val at : t -> float array -> Paqoc_linalg.Cmat.t
 
-(** [at_into h amps ~dst] is {!at} into a preallocated [dst] ([dim x dim]),
-    bit-identical and allocation-free — GRAPE's per-slice assembly.
-    @raise Invalid_argument on amplitude-count or dimension mismatch. *)
-val at_into : t -> float array -> dst:Paqoc_linalg.Cmat.t -> unit
+(** [at_into h ~nz amps ~dst] is {!at} into a preallocated [dst]
+    ([dim x dim]), allocation-free — GRAPE's per-slice assembly. Control
+    [k] is added only at the positions [nz.(k)] lists, which must cover
+    its operator's nonzeros ({!Paqoc_linalg.Cmat.nonzeros}). The result
+    is bit-identical to {!at} for finite amplitudes when [h.drift] holds
+    no [-0.0] entry; {!make} builds the drift as all [+0.0].
+    @raise Invalid_argument on amplitude-count, pattern-count or
+    dimension mismatch. *)
+val at_into :
+  t ->
+  nz:Paqoc_linalg.Cmat.pattern array ->
+  float array ->
+  dst:Paqoc_linalg.Cmat.t ->
+  unit
 
 (** Pauli matrices, exposed for tests. *)
 val sigma_x : Paqoc_linalg.Cmat.t

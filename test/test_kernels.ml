@@ -135,7 +135,7 @@ let elementwise_suite =
             let acc = rand_mat st n n and m = rand_mat st n n in
             let s = entry st in
             let expected = Cmat.add acc (Cmat.scale_re s m) in
-            Cmat.axpy_re_into ~dst:acc s m;
+            Cmat.axpy_re_into ~dst:acc s m ~nz:(Cmat.nonzeros m);
             check_bits_mat (Printf.sprintf "axpy dim %d" n) expected acc)
           dims);
     case "element-wise kernels accept full aliasing" (fun () ->
@@ -165,7 +165,7 @@ let elementwise_suite =
         check_bits_mat "scale_re in place" (Cmat.scale_re s a0) m;
         (* axpy onto itself: dst <- dst + s*dst *)
         let m = Cmat.copy a0 in
-        Cmat.axpy_re_into ~dst:m s m;
+        Cmat.axpy_re_into ~dst:m s m ~nz:(Cmat.nonzeros m);
         check_bits_mat "axpy dst==m" (Cmat.add a0 (Cmat.scale_re s a0)) m;
         (* blit onto itself is the identity *)
         let m = Cmat.copy a0 in
@@ -240,7 +240,7 @@ let product_suite =
               done
             done;
             let acc = [| nan; nan |] in
-            Cmat.trace_prod_into acc a b;
+            Cmat.trace_prod_into acc a ~nz:(Cmat.nonzeros a) b;
             check_bits_float
               (Printf.sprintf "trace_prod re dim %d" n)
               !acc_re acc.(0);
@@ -351,7 +351,12 @@ let expm_suite =
                skip-zero-amplitude path as [at] *)
             let amps = Array.init nc (fun _ -> entry st) in
             let dst = rand_mat st h.Hamiltonian.dim h.Hamiltonian.dim in
-            Hamiltonian.at_into h amps ~dst;
+            let nz =
+              Array.map
+                (fun c -> Cmat.nonzeros c.Hamiltonian.op)
+                h.Hamiltonian.controls
+            in
+            Hamiltonian.at_into h ~nz amps ~dst;
             check_bits_mat
               (Printf.sprintf "at %dq" nq)
               (Hamiltonian.at h amps) dst)
@@ -384,7 +389,8 @@ let contract_suite =
         check_true "scale_re_into"
           (raises_invalid (fun () -> Cmat.scale_re_into ~dst:r23 2.0 a2));
         check_true "axpy_re_into"
-          (raises_invalid (fun () -> Cmat.axpy_re_into ~dst:a2 2.0 a3));
+          (raises_invalid (fun () ->
+               Cmat.axpy_re_into ~dst:a2 2.0 a3 ~nz:(Cmat.nonzeros a3)));
         check_true "mul_into inner dim"
           (raises_invalid (fun () -> Cmat.mul_into ~dst:a2 r23 a2));
         check_true "mul_into dst shape"
@@ -398,12 +404,15 @@ let contract_suite =
           (raises_invalid (fun () -> Cmat.set_identity r23));
         check_true "trace_prod_into non-square"
           (raises_invalid (fun () ->
-               Cmat.trace_prod_into [| 0.0; 0.0 |] r23 r23));
+               Cmat.trace_prod_into [| 0.0; 0.0 |] r23 ~nz:(Cmat.nonzeros r23)
+                 r23));
         check_true "trace_prod_into size mismatch"
           (raises_invalid (fun () ->
-               Cmat.trace_prod_into [| 0.0; 0.0 |] a2 a3));
+               Cmat.trace_prod_into [| 0.0; 0.0 |] a2 ~nz:(Cmat.nonzeros a2)
+                 a3));
         check_true "trace_prod_into short accumulator"
-          (raises_invalid (fun () -> Cmat.trace_prod_into [| 0.0 |] a2 a2));
+          (raises_invalid (fun () ->
+               Cmat.trace_prod_into [| 0.0 |] a2 ~nz:(Cmat.nonzeros a2) a2));
         check_true "solve_into non-square"
           (raises_invalid (fun () ->
                Cmat.solve_into ~scratch:a2 r23 a2 ~dst:a2)));
@@ -600,6 +609,191 @@ let history_suite =
         check_true "reaches the plateau" (r.Grape.fidelity > 0.9))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Zero-pattern kernels: signed zeros, zero rows, dense oracles         *)
+(* ------------------------------------------------------------------ *)
+
+(* +0.0, -0.0 or a random finite value: the pattern kernels skip both
+   zeros, so both signs must meet the dense forms' arithmetic *)
+let signed_entry st =
+  match Random.State.int st 6 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | _ -> Random.State.float st 2.0 -. 1.0
+
+(* about a quarter of the rows all zero (of either sign), the rest
+   mixed *)
+let sparse_mat st rows cols =
+  let zero_row = Array.init rows (fun _ -> Random.State.int st 4 = 0) in
+  Cmat.init rows cols (fun r _ ->
+      if zero_row.(r) then
+        Cx.make
+          (if Random.State.bool st then 0.0 else -0.0)
+          (if Random.State.bool st then 0.0 else -0.0)
+      else Cx.make (signed_entry st) (signed_entry st))
+
+let pattern_suite =
+  [ case "zero-pattern kernels match mul and the dense trace at 0 ulp"
+      (fun () ->
+        let st = state () in
+        List.iter
+          (fun n ->
+            let name what = Printf.sprintf "%s dim %d" what n in
+            let a = sparse_mat st n n and b = sparse_mat st n n in
+            let nz_b = Cmat.nonzeros b in
+            let dst = rand_mat st n n in
+            Cmat.mul_nz_into ~dst a b ~nz:nz_b;
+            check_bits_mat (name "mul_nz_into") (Cmat.mul a b) dst;
+            (* a pattern re-recorded in place serves a new matrix *)
+            let b' = sparse_mat st n n in
+            Cmat.nonzeros_into nz_b b';
+            Cmat.mul_nz_into ~dst a b' ~nz:nz_b;
+            check_bits_mat (name "mul_nz_into (re-recorded)")
+              (Cmat.mul a b') dst;
+            (* only the listed entries are written, each as mul's *)
+            let mask = sparse_mat st n n in
+            let full = Cmat.mul a b in
+            let sentinel = rand_mat st n n in
+            let dst = Cmat.copy sentinel in
+            Cmat.mul_entries_into ~dst a b ~at:(Cmat.nonzeros mask);
+            let expected =
+              Cmat.init n n (fun r c ->
+                  if Cmat.get_re mask r c <> 0.0 || Cmat.get_im mask r c <> 0.0
+                  then Cmat.get full r c
+                  else Cmat.get sentinel r c)
+            in
+            check_bits_mat (name "mul_entries_into") expected dst;
+            (* the trace over a's nonzeros against the dense trace *)
+            let acc = [| nan; nan |] in
+            Cmat.trace_prod_into acc a ~nz:(Cmat.nonzeros a) b;
+            let t_re, t_im = Reference_grape.trace_prod a b in
+            check_bits_float (name "trace_prod_into re") t_re acc.(0);
+            check_bits_float (name "trace_prod_into im") t_im acc.(1);
+            (* axpy over m's nonzeros onto a dst without -0.0 (rand_mat
+               draws none) *)
+            let m = sparse_mat st n n in
+            let s = Random.State.float st 2.0 -. 1.0 in
+            let acc_m = rand_mat st n n in
+            let expected = Cmat.add acc_m (Cmat.scale_re s m) in
+            Cmat.axpy_re_into ~dst:acc_m s m ~nz:(Cmat.nonzeros m);
+            check_bits_mat (name "axpy_re_into") expected acc_m;
+            (* the fused two-destination update is dense: any zeros *)
+            let p = sparse_mat st n n and q = sparse_mat st n n in
+            let s2 = -.s in
+            let ep = Cmat.add p (Cmat.scale_re s m)
+            and eq = Cmat.add q (Cmat.scale_re s2 m) in
+            Cmat.axpy2_re_into ~dst:p s ~dst2:q s2 m;
+            check_bits_mat (name "axpy2_re_into dst") ep p;
+            check_bits_mat (name "axpy2_re_into dst2") eq q;
+            (* and the exponential whose Padé products use mul_nz_into,
+               unscaled and through the squaring phase *)
+            List.iter
+              (fun scale ->
+                let m = Cmat.scale_re scale (sparse_mat st n n) in
+                let ws = Expm.Workspace.create n in
+                let dst = Cmat.create n n in
+                Expm.expm_into ws m ~dst;
+                check_bits_mat
+                  (name (Printf.sprintf "expm_into x%g" scale))
+                  (Expm.expm m) dst)
+              [ 0.1; 3.0 ])
+          dims;
+        (* a pattern made for another shape is refused *)
+        let a2 = Cmat.create 2 2 and a3 = Cmat.create 3 3 in
+        let nz3 = Cmat.nonzeros a3 in
+        check_true "nonzeros_into shape"
+          (raises_invalid (fun () -> Cmat.nonzeros_into nz3 a2));
+        check_true "mul_nz_into pattern shape"
+          (raises_invalid (fun () ->
+               Cmat.mul_nz_into ~dst:(Cmat.create 2 2) a2 a2 ~nz:nz3));
+        check_true "mul_entries_into pattern shape"
+          (raises_invalid (fun () ->
+               Cmat.mul_entries_into ~dst:(Cmat.create 2 2) a2 a2 ~at:nz3));
+        check_true "trace_prod_into pattern shape"
+          (raises_invalid (fun () ->
+               Cmat.trace_prod_into [| 0.0; 0.0 |] a2 ~nz:nz3 a2));
+        check_true "axpy_re_into pattern shape"
+          (raises_invalid (fun () -> Cmat.axpy_re_into ~dst:a2 1.0 a2 ~nz:nz3));
+        check_true "mul_entries_into dst==a"
+          (raises_invalid (fun () ->
+               Cmat.mul_entries_into ~dst:a2 a2 (Cmat.identity 2)
+                 ~at:(Cmat.nonzeros a2)));
+        check_true "axpy2_re_into dst==dst2"
+          (raises_invalid (fun () ->
+               Cmat.axpy2_re_into ~dst:a2 1.0 ~dst2:a2 1.0 (Cmat.identity 2))));
+    case "evaluate matches the dense reference bit for bit" (fun () ->
+        let st = state () in
+        List.iter
+          (fun (name, nq, pairs, power_penalty) ->
+            let h = Hamiltonian.make ~n_qubits:nq ~coupled_pairs:pairs () in
+            let dim = h.Hamiltonian.dim and nc = Hamiltonian.n_controls h in
+            (* the assembly precondition: make's drift is all +0.0 *)
+            for r = 0 to dim - 1 do
+              for c = 0 to dim - 1 do
+                if bits (Cmat.get_re h.Hamiltonian.drift r c) <> 0L
+                   || bits (Cmat.get_im h.Hamiltonian.drift r c) <> 0L
+                then Alcotest.failf "%s: drift (%d,%d) is not +0.0" name r c
+              done
+            done;
+            let n_slices = 12 in
+            (* exact zeros (a zero amplitude drops its control from the
+               slice) among values spread over the tanh range *)
+            let x =
+              Array.init n_slices (fun _ ->
+                  Array.init nc (fun _ ->
+                      if Random.State.int st 4 = 0 then 0.0
+                      else Random.State.float st 3.0 -. 1.5))
+            in
+            let target = Expm.expm_i_h ~dt:1.0 (rand_herm st dim) in
+            let config = { Grape.default_config with power_penalty } in
+            let o_ref, f_ref, g_ref =
+              Reference_grape.evaluate config h target ~dt:2.0 ~n_slices x
+            in
+            let ws = Grape.Workspace.create h ~n_slices in
+            let o, f = Grape.evaluate ~ws config h target ~dt:2.0 ~n_slices x in
+            check_bits_float (name ^ ": objective") o_ref o;
+            check_bits_float (name ^ ": fidelity") f_ref f;
+            Array.iteri
+              (fun j row ->
+                Array.iteri
+                  (fun k g ->
+                    check_bits_float
+                      (Printf.sprintf "%s: grad (%d,%d)" name j k)
+                      g (Grape.Workspace.grad ws).(j).(k))
+                  row)
+              g_ref)
+          [ ("1q", 1, [], 0.0);
+            ("2q coupled", 2, [ (0, 1) ], 0.01);
+            ("2q uncoupled", 2, [], 0.0);
+            ("3q chain", 3, [ (0, 1); (1, 2) ], 0.0);
+            ("3q (0,2)+(1,2)", 3, [ (0, 2); (1, 2) ], 0.01)
+          ]);
+    case "evaluate rejects a workspace built for another Hamiltonian"
+      (fun () ->
+        (* same shape, different control bounds: the workspace's patterns
+           and bounds belong to the Hamiltonian it was built for *)
+        let h, n_slices, x = grape_problem 2 [ (0, 1) ] in
+        let h' =
+          Hamiltonian.make ~mu:0.01 ~n_qubits:2 ~coupled_pairs:[ (0, 1) ] ()
+        in
+        let ws = Grape.Workspace.create h ~n_slices in
+        let target = Cmat.identity h.Hamiltonian.dim in
+        check_true "other Hamiltonian"
+          (raises_invalid (fun () ->
+               ignore
+                 (Grape.evaluate ~ws Grape.default_config h' target ~dt:2.0
+                    ~n_slices x)));
+        (* a structurally equal rebuild is still another Hamiltonian *)
+        let h_copy =
+          Hamiltonian.make ~n_qubits:2 ~coupled_pairs:[ (0, 1) ] ()
+        in
+        check_true "equal but not the same"
+          (raises_invalid (fun () ->
+               ignore
+                 (Grape.evaluate ~ws Grape.default_config h_copy target
+                    ~dt:2.0 ~n_slices x))))
+  ]
+
 let suite =
   elementwise_suite @ product_suite @ expm_suite @ contract_suite
-  @ grape_suite @ history_suite
+  @ grape_suite @ history_suite @ pattern_suite

@@ -244,6 +244,32 @@ let prop_tests =
            Cmat.is_unitary ~tol:1e-8 (Expm.expm_i_h ~dt:0.7 h)))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* scaling beyond 2^61                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let huge_norm_tests =
+  [ case "expm of a norm beyond 2^61 is still exp" (fun () ->
+        (* the squaring count passes 61 here; a scale built as
+           [1 lsl s] wrapped and gave NaN, a singular solve or 1 *)
+        let bits = Int64.bits_of_float in
+        List.iter
+          (fun v ->
+            let m = Cmat.of_real_lists [ [ v ] ] in
+            let e = Expm.expm m in
+            check_float (Printf.sprintf "exp %g" v) 0.0
+              (Cx.re (Cmat.get e 0 0));
+            check_float (Printf.sprintf "exp %g im" v) 0.0
+              (Cx.im (Cmat.get e 0 0));
+            let dst = Cmat.create 1 1 in
+            Expm.expm_into (Expm.Workspace.create 1) m ~dst;
+            check_true
+              (Printf.sprintf "expm_into = expm bitwise at %g" v)
+              (bits (Cmat.get_re dst 0 0) = bits (Cmat.get_re e 0 0)
+              && bits (Cmat.get_im dst 0 0) = bits (Cmat.get_im e 0 0)))
+          [ -2e18; -3e18; -1e19; -1e30 ])
+  ]
+
 let suite =
   cx_tests @ cmat_tests @ embed_tests @ cvec_tests @ expm_tests
-  @ fidelity_tests @ prop_tests
+  @ fidelity_tests @ prop_tests @ huge_norm_tests
