@@ -4,9 +4,10 @@
 # all hits the second time, a malformed QASM file that every
 # circuit-reading subcommand must refuse with exit 1, not crash on, a
 # sweep plan aimed at an unwritable path, a device grid over the
-# 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path and
-# a negative sweep count, all refused the same way), then the IR, daemon
-# and bit-exact QOC gates below.
+# 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path, a
+# negative sweep count and a negative per-task synthesis budget, all
+# refused the same way), then the IR, daemon and bit-exact QOC gates
+# below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -70,6 +71,11 @@ check:
 	  > /dev/null 2> /tmp/paqoc_bad.err; \
 	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
 	  || { echo "check: compile-sweep --sweep=-2 exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@_build/default/bin/paqoc_cli.exe compile bv --task-seconds=-1 \
+	  > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: --task-seconds' /tmp/paqoc_bad.err \
+	  || { echo "check: compile --task-seconds=-1 exited $$rc:"; \
 	       cat /tmp/paqoc_bad.err; exit 1; }
 	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
 	$(MAKE) check-ir
@@ -259,5 +265,15 @@ bench-devices:
 bench:
 	dune exec bench/main.exe
 
+# Source line counts: .ml + .mli lines under each OCaml tree and .py
+# lines under scripts/, build directories excluded.
+loc:
+	@for d in lib bin bench test benchmark examples; do \
+	  printf '%-10s %6d\n' $$d $$(find $$d \( -name '*.ml' -o -name '*.mli' \) \
+	    -not -path '*/_build/*' -exec cat {} + | wc -l); \
+	done
+	@printf '%-10s %6d\n' scripts $$(find scripts -name '*.py' \
+	  -not -path '*/_build/*' -exec cat {} + | wc -l)
+
 .PHONY: check check-ir check-daemon check-qoc doc bench bench-scaling \
-  bench-smoke bench-devices update-golden
+  bench-smoke bench-devices update-golden loc

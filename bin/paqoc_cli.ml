@@ -452,8 +452,9 @@ let compile_cmd =
       value & opt (some float) None
       & info [ "task-seconds" ] ~docv:"S"
           ~doc:
-            "Wall-clock budget per synthesis task; once exceeded the task \
-             degrades to the fallback instead of retrying.")
+            "Wall-clock budget per synthesis task, in seconds (> 0); once \
+             exceeded the task degrades to the fallback instead of \
+             retrying.")
   in
   let emit_ir_arg =
     Arg.(
@@ -491,6 +492,11 @@ let compile_cmd =
       Printf.eprintf "error: --retries must be >= 1 (got %d)\n" retries;
       exit 1
     end;
+    (match task_seconds with
+    | Some s when not (s > 0.0) ->
+      Printf.eprintf "error: --task-seconds must be > 0 (got %g)\n" s;
+      exit 1
+    | _ -> ());
     let req = { req with Protocol.circuit = request_circuit input } in
     match connect with
     | Some sock ->
@@ -508,9 +514,7 @@ let compile_cmd =
       with_observability ~metrics ~trace @@ fun () ->
       or_exit @@ fun () ->
       with_cache cache_file @@ fun cache ->
-      let retry =
-        { Gen.default_retry with Gen.max_attempts = retries; task_seconds }
-      in
+      let retry = { Gen.max_attempts = retries; task_seconds } in
       let deadline =
         Option.map (fun s -> Clock.now_s () +. s) req.Protocol.deadline_s
       in

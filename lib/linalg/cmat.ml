@@ -205,13 +205,6 @@ let trace m =
   done;
   Cx.make !acc_re !acc_im
 
-let frobenius_norm m =
-  let acc = ref 0.0 in
-  for k = 0 to Array.length m.re - 1 do
-    acc := !acc +. (m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k))
-  done;
-  sqrt !acc
-
 (* one square root, of the largest squared magnitude: [sqrt] is monotone
    and correctly rounded, so this is the largest per-entry [sqrt] *)
 let max_abs m =
@@ -442,28 +435,6 @@ let set_identity m =
   set_zero m;
   for k = 0 to m.rows - 1 do
     m.re.(idx m k k) <- 1.0
-  done
-
-let add_into ~dst a b =
-  check_same_dims "Cmat.add_into" a b;
-  check_same_dims "Cmat.add_into" dst a;
-  let n = Array.length a.re in
-  let dr = dst.re and di = dst.im in
-  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
-  for k = 0 to n - 1 do
-    dr.(k) <- ar.(k) +. br.(k);
-    di.(k) <- ai.(k) +. bi.(k)
-  done
-
-let sub_into ~dst a b =
-  check_same_dims "Cmat.sub_into" a b;
-  check_same_dims "Cmat.sub_into" dst a;
-  let n = Array.length a.re in
-  let dr = dst.re and di = dst.im in
-  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
-  for k = 0 to n - 1 do
-    dr.(k) <- ar.(k) -. br.(k);
-    di.(k) <- ai.(k) -. bi.(k)
   done
 
 let scale_into ~dst (z : Cx.t) m =

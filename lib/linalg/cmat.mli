@@ -87,8 +87,6 @@ val trace : t -> Cx.t
 
 (** {1 Norms and comparison} *)
 
-val frobenius_norm : t -> float
-
 (** [max_abs m] is the largest entry magnitude (max norm). *)
 val max_abs : t -> float
 
@@ -136,9 +134,8 @@ val permute_qubits : t -> int array -> t
     between the two without perturbing a single mantissa bit
     (test/test_kernels.ml pins this at 0 ulp).
 
-    Aliasing contract: the element-wise kernels ({!blit}, {!add_into},
-    {!sub_into}, {!scale_into}, {!scale_re_into}, {!axpy_re_into}) accept
-    [dst] aliasing any input. The kernels that read inputs after writing
+    Aliasing contract: the element-wise kernels ({!blit}, {!scale_into},
+    {!scale_re_into}, {!axpy_re_into}) accept [dst] aliasing any input. The kernels that read inputs after writing
     [dst] ({!mul_into}, {!mul_adjoint_left_into}, {!adjoint_into},
     {!solve_into}, {!mul_nz_into}, {!mul_entries_into}) and
     {!axpy2_re_into} raise [Invalid_argument] when [dst] (or [scratch],
@@ -154,12 +151,6 @@ val set_zero : t -> unit
 
 (** [set_identity m] overwrites the square matrix [m] with the identity. *)
 val set_identity : t -> unit
-
-(** [add_into ~dst a b] writes [a + b] into [dst]; any aliasing allowed. *)
-val add_into : dst:t -> t -> t -> unit
-
-(** [sub_into ~dst a b] writes [a - b] into [dst]; any aliasing allowed. *)
-val sub_into : dst:t -> t -> t -> unit
 
 (** [scale_into ~dst z m] writes [z * m] into [dst]; [dst == m] allowed. *)
 val scale_into : dst:t -> Cx.t -> t -> unit

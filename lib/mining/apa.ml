@@ -82,7 +82,6 @@ let apply ?(miner = Miner.default_config) ~mode (c : Circuit.t) =
         gates_covered = 0 }
     else begin
       let dag = Dag.of_circuit c in
-      let label = Miner.label_of miner in
       let names =
         List.mapi
           (fun i (f : Miner.found) ->
@@ -96,7 +95,9 @@ let apply ?(miner = Miner.default_config) ~mode (c : Circuit.t) =
             let name = fst (List.nth names pi) in
             (* re-canonicalise this occurrence so its local body keeps its
                own concrete angles under the shared pattern name *)
-            let p_occ, occ = Pattern.of_nodes ~label dag o.Pattern.nodes in
+            let p_occ, occ =
+              Pattern.of_nodes ~label:Miner.label_of dag o.Pattern.nodes
+            in
             let custom = Pattern.to_custom p_occ ~name in
             let qubits = Array.to_list occ.Pattern.wire_map in
             (o.Pattern.nodes, Gate.app (Gate.Custom custom) qubits))

@@ -3,23 +3,14 @@ module Circuit = Paqoc_circuit.Circuit
 module Dag = Paqoc_circuit.Dag
 module Rewrite = Paqoc_circuit.Rewrite
 
-type config = {
-  min_support : int;
-  max_qubits : int;
-  max_gates : int;
-  min_gates : int;
-  max_patterns : int;
-  abstract_angles : bool;
-}
+type config = { min_support : int; max_qubits : int; max_gates : int }
 
-let default_config =
-  { min_support = 3;
-    max_qubits = 3;
-    max_gates = 6;
-    min_gates = 2;
-    max_patterns = 32;
-    abstract_angles = true
-  }
+let default_config = { min_support = 3; max_qubits = 3; max_gates = 6 }
+
+(* a pattern needs two gates to merge anything; at most this many are
+   returned *)
+let min_gates = 2
+let max_patterns = 32
 
 type found = {
   pattern : Pattern.t;
@@ -28,13 +19,11 @@ type found = {
   coverage : int;
 }
 
-let abstract_label k =
+let label_of k =
   match Gate.params k with
   | [] -> Gate.name k
   | ps -> Printf.sprintf "%s(%s)" (Gate.name k)
             (String.concat "," (List.map (fun _ -> "~") ps))
-
-let label_of cfg = if cfg.abstract_angles then abstract_label else Gate.mining_label
 
 (* growth caps keeping pathological circuits cheap *)
 let max_embeddings_per_pattern = 4000
@@ -72,13 +61,12 @@ let disjoint_support occs =
     0 spans
 
 let mine ?(config = default_config) (c : Circuit.t) =
-  let label = label_of config in
   let dag = Dag.of_circuit c in
   let n = Dag.n_nodes dag in
   (* level-1 embeddings: every node is a singleton occurrence *)
   let level = Hashtbl.create 64 in
   for v = 0 to n - 1 do
-    let p, occ = Pattern.of_nodes ~label dag [ v ] in
+    let p, occ = Pattern.of_nodes ~label:label_of dag [ v ] in
     let entry =
       match Hashtbl.find_opt level p.Pattern.code with
       | Some (p0, occs, seen) -> (p0, occ :: occs, seen)
@@ -114,7 +102,7 @@ let mine ?(config = default_config) (c : Circuit.t) =
                   let cand = List.sort compare (x :: members) in
                   if qubit_count dag cand <= config.max_qubits
                      && Dag.is_convex dag cand then begin
-                    let p, occ = Pattern.of_nodes ~label dag cand in
+                    let p, occ = Pattern.of_nodes ~label:label_of dag cand in
                     let k = p.Pattern.code in
                     match Hashtbl.find_opt next k with
                     | Some (p0, occs0, seen) ->
@@ -139,7 +127,7 @@ let mine ?(config = default_config) (c : Circuit.t) =
       (fun code (p, occs, _) ->
         let support = disjoint_support occs in
         if support >= config.min_support
-           && p.Pattern.size >= config.min_gates then
+           && p.Pattern.size >= min_gates then
           Hashtbl.replace results code
             { pattern = p;
               occurrences =
@@ -165,4 +153,4 @@ let mine ?(config = default_config) (c : Circuit.t) =
     | _ when k = 0 -> []
     | x :: rest -> x :: take (k - 1) rest
   in
-  take config.max_patterns l
+  take max_patterns l

@@ -6,19 +6,18 @@
     qubit and size caps, and keep patterns whose {e disjoint} support
     clears the threshold.
 
-    Angle handling follows the paper: by default rotation parameters are
-    rendered {e symbolically} (angle-blind), so the QFT's
+    Angle handling follows the paper: rotation parameters are rendered
+    {e symbolically} (angle-blind), so the QFT's
     [h]-on-[cu1]-target pattern recurs even though each CU1 carries a
     different constant angle, and parameterised circuits mine before their
     parameters are bound. *)
 
+(** Patterns of fewer than two gates are never returned, and at most 32
+    patterns are. *)
 type config = {
   min_support : int;  (** disjoint occurrences required; paper uses > 2 *)
   max_qubits : int;  (** the APA-gate size knob (maxN), default 3 *)
   max_gates : int;  (** pattern size cap, default 6 *)
-  min_gates : int;  (** ignore trivial patterns below this, default 2 *)
-  max_patterns : int;  (** cap on returned patterns *)
-  abstract_angles : bool;  (** angle-blind labels (default true) *)
 }
 
 val default_config : config
@@ -36,6 +35,7 @@ type found = {
     code. *)
 val mine : ?config:config -> Paqoc_circuit.Circuit.t -> found list
 
-(** [label_of config] is the node labeler mining used (exposed so APA
+(** [label_of k] is the angle-blind node label mining uses: the gate's
+    name, with each parameter rendered as [~] (exposed so APA
     substitution canonicalises occurrences identically). *)
-val label_of : config -> Paqoc_circuit.Gate.kind -> string
+val label_of : Paqoc_circuit.Gate.kind -> string

@@ -34,7 +34,6 @@ type stripe = {
 type journal = {
   jlock : Mutex.t;
   jpath : string;
-  compact_every : int;
   mutable fd : Unix.file_descr;
   mutable pending : int;  (** journal records since the last compaction *)
   mutable open_ : bool;
@@ -64,6 +63,10 @@ let stripe_of t key =
 let shape_stripe_of t sign =
   t.stripes.(Hashtbl.hash sign mod Array.length t.stripes)
 
+(* the shard count, and the journal length that triggers a compaction *)
+let n_stripes = 16
+let compact_every = 256
+
 let make_stripes n =
   Array.init n (fun _ ->
       { slock = Mutex.create ();
@@ -72,9 +75,8 @@ let make_stripes n =
         classes = Hashtbl.create 64
       })
 
-let make ~journal ~stripes =
-  if stripes < 1 then invalid_arg "Cache: stripes must be >= 1";
-  { stripes = make_stripes stripes;
+let make ~journal =
+  { stripes = make_stripes n_stripes;
     journal;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
@@ -84,7 +86,7 @@ let make ~journal ~stripes =
     n_appends = Atomic.make 0
   }
 
-let create ?(stripes = 16) () = make ~journal:None ~stripes
+let create () = make ~journal:None
 
 let path t = Option.map (fun j -> j.jpath) t.journal
 
@@ -138,55 +140,9 @@ let probe_class t ck =
   let s = class_stripe_of t ck in
   locked s.slock (fun () -> Hashtbl.find_opt s.classes ck)
 
-type 'a tiered =
-  | Hit_exact of entry
-  | Hit_class of entry * Db_format.class_info * 'a
-  | Tiered_miss
-
-(* The two-tier authoritative consult. With [class_key = None] this is
-   byte-for-byte [find] (same probe, same counters) — the
-   canonicalization-off path stays untouched. A class-tier candidate is
-   counted as a hit only once [validate] has accepted it (the caller
-   reconstructs and verifies the replay correction there); a rejected or
-   dangling class record falls through to an ordinary miss. *)
-let find_canonical t ~key ~class_key ~validate =
-  match probe t key with
-  | Some e ->
-    note_consult t `Hit;
-    Hit_exact e
-  | None -> (
-    let miss () =
-      note_consult t `Miss;
-      Tiered_miss
-    in
-    match class_key with
-    | None -> miss ()
-    | Some ck -> (
-      match probe_class t ck with
-      | None -> miss ()
-      | Some ci -> (
-        match probe t ci.Db_format.rep_key with
-        | None -> miss ()
-        | Some e -> (
-          match validate ci with
-          | None -> miss ()
-          | Some v ->
-            note_consult t `Canonical_hit;
-            Hit_class (e, ci, v)))))
-
 let mem_shape t sign =
   let s = shape_stripe_of t sign in
   locked s.slock (fun () -> Hashtbl.mem s.shapes sign)
-
-let iter_shapes t f =
-  Array.iter
-    (fun s ->
-      let signs =
-        locked s.slock (fun () ->
-            Hashtbl.fold (fun sign () acc -> sign :: acc) s.shapes [])
-      in
-      List.iter f signs)
-    t.stripes
 
 let size t =
   Array.fold_left
@@ -291,7 +247,7 @@ let append_locked t j record =
      failwith (Printf.sprintf "Cache.publish: %s (%s)" msg j.jpath));
   j.pending <- j.pending + 1;
   Atomic.incr t.n_appends;
-  if j.pending >= j.compact_every then compact_locked t j
+  if j.pending >= compact_every then compact_locked t j
 
 let append t record =
   match t.journal with
@@ -426,9 +382,7 @@ let insert_mem t = function
     locked s.slock (fun () ->
         Hashtbl.replace s.classes ci.Db_format.class_key ci)
 
-let open_file ?(stripes = 16) ?(compact_every = 256) path =
-  if compact_every < 1 then
-    invalid_arg "Cache.open_file: compact_every must be >= 1";
+let open_file path =
   let exists = Sys.file_exists path in
   let contents =
     if not exists then None
@@ -442,14 +396,13 @@ let open_file ?(stripes = 16) ?(compact_every = 256) path =
   let journal =
     { jlock = Mutex.create ();
       jpath = path;
-      compact_every;
       fd = Unix.stdin;  (* placeholder; replaced below *)
       pending = 0;
       open_ = true;
       disk_version = Db_format.V3
     }
   in
-  let t = make ~journal:(Some journal) ~stripes in
+  let t = make ~journal:(Some journal) in
   (match contents with
   | None ->
     (* fresh file: just the v3 header *)
@@ -490,6 +443,6 @@ let close t =
           j.open_ <- false
         end)
 
-let with_file ?stripes ?compact_every path f =
-  let t = open_file ?stripes ?compact_every path in
+let with_file path f =
+  let t = open_file path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)

@@ -9,7 +9,7 @@
     - {b shared across compilations} — one [Cache.t] can back any number
       of generators concurrently. The table is content-addressed by the
       canonical group key (see {!Generator.key}) and {e lock-striped}:
-      keys are sharded by hash over a fixed number of stripes, each a
+      keys are sharded by hash over 16 stripes, each a
       mutex-protected table, so concurrent lookups and publishes from
       parallel compilations contend only per stripe;
     - {b persistent across runs} — a cache opened with {!open_file} is
@@ -49,21 +49,19 @@ type t
 (** Monotonic per-instance counters, readable at any time. *)
 type stats = {
   hits : int;
-      (** {!find} / {!find_canonical} calls answered from the cache
-          (either tier) *)
+      (** consults answered from the cache (either tier): {!find} hits
+          and the [`Hit] / [`Canonical_hit] verdicts of {!note_consult} *)
   misses : int;  (** consults the cache could not answer *)
   canonical_hits : int;
-      (** the subset of [hits] answered by the class tier of
-          {!find_canonical} — replays of a class-mate's pulse *)
+      (** the subset of [hits] answered by the class tier — replays of a
+          class-mate's pulse *)
   publishes : int;  (** fresh entries accepted by {!publish} *)
   compactions : int;  (** journal compactions (incl. v1/v2 migration) *)
   appends : int;  (** journal records appended since open *)
 }
 
-(** [create ()] is a fresh in-memory cache (no backing file).
-    [stripes] (default 16) sets the shard count.
-    @raise Invalid_argument when [stripes < 1]. *)
-val create : ?stripes:int -> unit -> t
+(** [create ()] is a fresh in-memory cache (no backing file). *)
+val create : unit -> t
 
 (** [open_file path] opens a persistent cache backed by [path]:
 
@@ -75,18 +73,16 @@ val create : ?stripes:int -> unit -> t
       file stays v3 unless a class record is published into it
       ({!publish_class}'s v4 upgrade).
 
-    [compact_every] (default 256) bounds the journal: once that many
-    records have been appended since the last compaction, the next
-    append compacts the file back to a sorted snapshot.
+    The journal is bounded: the append that brings it to 256 records
+    since the last compaction compacts the file back to a sorted
+    snapshot.
 
-    @raise Failure on a malformed file or an I/O error.
-    @raise Invalid_argument when [stripes < 1] or [compact_every < 1]. *)
-val open_file : ?stripes:int -> ?compact_every:int -> string -> t
+    @raise Failure on a malformed file or an I/O error. *)
+val open_file : string -> t
 
 (** [with_file path f] opens [path], runs [f], and always closes the
     cache (compacting any pending journal) before returning. *)
-val with_file :
-  ?stripes:int -> ?compact_every:int -> string -> (t -> 'a) -> 'a
+val with_file : string -> (t -> 'a) -> 'a
 
 (** The backing file, when the cache is persistent. *)
 val path : t -> string option
@@ -103,43 +99,19 @@ val find : t -> string -> entry option
     should not distort the hit rate. *)
 val probe : t -> string -> entry option
 
-(** Result of the two-tier consult {!find_canonical}. *)
-type 'a tiered =
-  | Hit_exact of entry  (** the exact key was published *)
-  | Hit_class of entry * Db_format.class_info * 'a
-      (** no exact entry, but the group's equivalence class is known:
-          the representative's entry, its class record, and the value
-          returned by the caller's [validate] (the verified replay
-          correction) *)
-  | Tiered_miss
-
-(** [find_canonical t ~key ~class_key ~validate] is the authoritative
-    two-tier consult: the exact tier first, then — only when [class_key]
-    is [Some] — the equivalence-class tier. A class-tier candidate
-    becomes a hit only if [validate] (given the class record; expected
-    to reconstruct and verify the local-frame correction with
-    [Paqoc_canon.Canon.relate]) returns [Some]; otherwise the consult is
-    an ordinary miss. Counting: an exact hit counts [cache.hit]; a class
-    hit counts [cache.hit] {e and} [cache.canonical_hit] (it is a hit,
-    not a miss — no pulse needs synthesising); everything else counts
-    one [cache.miss]. With [class_key = None] this is exactly {!find}. *)
-val find_canonical :
-  t ->
-  key:string ->
-  class_key:string option ->
-  validate:(Db_format.class_info -> 'a option) ->
-  'a tiered
-
 (** [probe_class t class_key] reads the class tier without accounting. *)
 val probe_class : t -> string -> Db_format.class_info option
 
 (** [note_consult t verdict] records one authoritative consult's outcome
-    in the counters without probing. {!find} / {!find_canonical} are
-    built on the same accounting; this hook exists for {!Generator}'s
-    batch planner, which can resolve a consult from in-batch state that
-    the serial commit order would already have published to this cache
-    (an in-batch class-mate replay scores [`Canonical_hit]; in-batch
-    exact duplicates are generator-table hits and are not scored). *)
+    in the counters without probing; {!find} is {!probe} followed by
+    this. It is how {!Generator}'s batch planner scores the consults it
+    resolves itself with {!probe} and {!probe_class}: an exact hit
+    scores [`Hit]; a class-tier hit — a verified replay of a shared
+    class record, or of an in-batch class-mate the serial commit order
+    would already have published here — scores [`Canonical_hit], which
+    counts [cache.hit] {e and} [cache.canonical_hit]; anything else
+    scores one [`Miss]. In-batch exact duplicates are generator-table
+    hits and are not scored. *)
 val note_consult : t -> [ `Hit | `Canonical_hit | `Miss ] -> unit
 
 (** [publish t key e] makes [e] available under [key] and, on a
@@ -172,10 +144,6 @@ val publish_class : t -> Db_format.class_info -> unit
 
 (** [mem_shape t sign] — whether [sign] has been published. *)
 val mem_shape : t -> string -> bool
-
-(** [iter_shapes t f] calls [f] on every known shape signature, in
-    unspecified order (callers sort; {!Generator}'s planner does). *)
-val iter_shapes : t -> (string -> unit) -> unit
 
 (** {1 Maintenance} *)
 

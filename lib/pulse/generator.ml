@@ -86,16 +86,13 @@ type backend =
 
 (* Per-task resilience policy: how many perturbed restarts a failing QOC
    synthesis gets before the task degrades to the decomposed default-basis
-   fallback, and what each attempt may spend. *)
-type retry = {
-  max_attempts : int;
-  jitter_seed : int;
-  iter_budget : int;
-  task_seconds : float option;
-}
+   fallback, and how long a whole task may take. *)
+type retry = { max_attempts : int; task_seconds : float option }
 
-let default_retry =
-  { max_attempts = 3; jitter_seed = 0x5eed; iter_budget = 0; task_seconds = None }
+let default_retry = { max_attempts = 3; task_seconds = None }
+
+(* seeds the perturbed restarts of every retry *)
+let restart_seed = 0x5eed
 
 (* A canonical-class replay: the group's pulse was not synthesised but
    borrowed from a locally-equivalent class-mate already priced in the
@@ -178,9 +175,13 @@ let is_table_entry g =
   | [ _ ] -> true
   | _ -> false
 
-let create ?(retry = default_retry) ?shared backend =
+let create ?(retry = default_retry) backend =
   if retry.max_attempts < 1 then
     invalid_arg "Generator.create: retry.max_attempts must be >= 1";
+  (match retry.task_seconds with
+  | Some s when not (s > 0.0) ->
+    invalid_arg "Generator.create: retry.task_seconds must be > 0"
+  | _ -> ());
   { backend;
     retry;
     lock = Mutex.create ();
@@ -194,7 +195,7 @@ let create ?(retry = default_retry) ?shared backend =
     n_shape = 0;
     n_similar = 0;
     n_fallback = 0;
-    shared;
+    shared = None;
     canonical = false;
     device = Device.lattice;
     replays = Hashtbl.create 16;
@@ -250,8 +251,6 @@ let qoc_default ?retry () =
     }
   in
   create ?retry (Qoc (search, Latency_model.default))
-
-let retry_policy t = t.retry
 
 let pricing_is_analytic t =
   match t.backend with Model _ -> true | Qoc _ -> false
@@ -337,11 +336,6 @@ let run_qoc search_cfg model_cfg g ~device ~seed_pulse ~retry ~attempt
       (Latency_model.group_latency model_cfg ~n_qubits:g.n_qubits ~key:""
          g.gates)
   in
-  let search_cfg =
-    if retry.iter_budget > 0 then
-      { search_cfg with Duration_search.max_total_iters = retry.iter_budget }
-    else search_cfg
-  in
   (* perturbed restarts: attempt 0 runs exactly as planned; later attempts
      re-seed GRAPE and jitter (then drop, on the final attempt) the warm
      start, all deterministically *)
@@ -352,13 +346,13 @@ let run_qoc search_cfg model_cfg g ~device ~seed_pulse ~retry ~attempt
         { search_cfg.Duration_search.grape with
           Grape.seed =
             search_cfg.Duration_search.grape.Grape.seed
-            + retry.jitter_seed + (attempt * 7919)
+            + restart_seed + (attempt * 7919)
         }
       in
       let seed_pulse =
         if attempt + 1 >= retry.max_attempts then None (* cold last resort *)
         else
-          Option.map (perturb_pulse ~seed:retry.jitter_seed ~attempt) seed_pulse
+          Option.map (perturb_pulse ~seed:restart_seed ~attempt) seed_pulse
       in
       ({ search_cfg with Duration_search.grape }, seed_pulse)
   in

@@ -78,29 +78,27 @@ val hamiltonian_for : device:Paqoc_topology.Device.t -> group -> Hamiltonian.t
 
 (** Per-task resilience policy. A failing synthesis is retried up to
     [max_attempts - 1] more times with deterministically perturbed restarts
-    (re-seeded GRAPE; jittered, then dropped, warm start), then degrades to
-    the decomposed-basis fallback. [iter_budget > 0] caps each attempt's
-    total GRAPE iterations; [task_seconds] bounds a whole task's wall
-    clock (attempts past the deadline are skipped straight to fallback).
-    Identical policies give identical results at any [jobs] count. *)
+    (GRAPE re-seeded from a fixed jitter seed; jittered, then dropped,
+    warm start), then degrades to the decomposed-basis fallback.
+    [task_seconds] bounds a whole task's wall clock (attempts past the
+    deadline are skipped straight to fallback). Identical policies give
+    identical results at any [jobs] count. *)
 type retry = {
   max_attempts : int;  (** >= 1; 1 = no retries *)
-  jitter_seed : int;  (** seeds the restart perturbations *)
-  iter_budget : int;  (** per-attempt GRAPE iteration cap; 0 = config's *)
-  task_seconds : float option;  (** per-task wall-clock budget *)
+  task_seconds : float option;  (** per-task wall-clock budget, > 0 *)
 }
 
-(** [{ max_attempts = 3; jitter_seed = 0x5eed; iter_budget = 0;
-      task_seconds = None }] *)
+(** [{ max_attempts = 3; task_seconds = None }] *)
 val default_retry : retry
 
 type t
 
-(** [create backend] is a fresh generator. [shared] attaches a cross-run
-    {!Cache} from the start (equivalent to {!set_shared_cache} right
-    after creation).
-    @raise Invalid_argument when [retry.max_attempts < 1]. *)
-val create : ?retry:retry -> ?shared:Cache.t -> backend -> t
+(** [create backend] is a fresh generator with no shared cache attached
+    (see {!set_shared_cache}).
+    @raise Invalid_argument when [retry.max_attempts < 1], or when
+    [retry.task_seconds] is [Some s] and [s > 0.] does not hold (a
+    negative, zero or NaN budget). *)
+val create : ?retry:retry -> backend -> t
 
 (** [model_default ()] is a generator over {!Latency_model.default}. *)
 val model_default : ?retry:retry -> unit -> t
@@ -108,9 +106,6 @@ val model_default : ?retry:retry -> unit -> t
 (** [qoc_default ()] is a real-GRAPE generator with bench-friendly search
     settings. *)
 val qoc_default : ?retry:retry -> unit -> t
-
-(** The resilience policy [t] was created with. *)
-val retry_policy : t -> retry
 
 (** [pricing_is_analytic t] is [true] on the {!Model} backend, where
     pricing a group is a closed-form evaluation (microseconds) rather
@@ -169,19 +164,24 @@ val device : t -> Paqoc_topology.Device.t
 (** {1 Canonicalization (equivalence-class replay)}
 
     With {!set_canonical} on and a shared cache attached, the shared
-    consult becomes {!Cache.find_canonical}'s two-tier lookup: the exact
-    key first and, on miss, the group's {!Paqoc_canon.Canon.class_key} —
-    groups whose unitaries differ only by single-qubit local rotations
-    (and global phase) replay the class representative's pulse instead
-    of synthesising. A class-tier hit is accepted only after
-    {!Paqoc_canon.Canon.relate} reconstructs and verifies the
-    local-frame correction; it imports the representative's price under
-    the requester's key (latency and trace fidelity are local-frame
-    invariants) and counts [cache.canonical_hit] on top of [cache.hit].
-    Synthesised pulses additionally publish their class record
-    ({!Cache.publish_class}). With canonicalization off (the default)
-    the consult, its counters and every byte the cache persists are
-    identical to the exact-only path. See [docs/canonicalization.md]. *)
+    consult gains a class tier: the exact key first and, on miss, the
+    group's {!Paqoc_canon.Canon.class_key} — a class record in the
+    shared cache ({!Cache.probe_class}), then a class-mate planned
+    earlier in the same batch. Groups whose unitaries differ only by
+    single-qubit local rotations (and global phase) replay the class
+    representative's pulse instead of synthesising. A class-tier hit is
+    accepted only after {!Paqoc_canon.Canon.relate} reconstructs and
+    verifies the local-frame correction; it imports the
+    representative's price under the requester's key (latency and trace
+    fidelity are local-frame invariants) and counts
+    [cache.canonical_hit] on top of [cache.hit]
+    ({!Cache.note_consult}). A dangling class record (its
+    representative's entry missing) or a failed [relate] falls through
+    to the next source, and then to one [cache.miss]. Synthesised pulses
+    additionally publish their class record ({!Cache.publish_class}).
+    With canonicalization off (the default) the consult, its counters
+    and every byte the cache persists are identical to the exact-only
+    path. See [docs/canonicalization.md]. *)
 
 (** [set_canonical t b] enables/disables the equivalence-class tier for
     subsequent generations. *)

@@ -8,23 +8,11 @@
     parameters squashed through [tanh] to respect per-channel amplitude
     bounds. *)
 
-(** Optimiser choice: first-order ADAM (the paper's pick) or limited-memory
-    BFGS with Armijo backtracking — the quasi-second-order alternative of
-    de Fouquieres et al. the paper cites ([15]); the argument is the
-    history length. *)
-type optimizer = Adam | Lbfgs of int
-
+(** ADAM runs at a fixed step size of 0.08 on the squashed parameters. *)
 type config = {
   max_iters : int;
   target_fidelity : float;  (** stop early once reached *)
-  learning_rate : float;  (** ADAM step size on the squashed parameters *)
   seed : int;  (** deterministic initial guess *)
-  power_penalty : float;
-      (** L2 regularisation weight on the control amplitudes; 0 (default)
-          maximises fidelity alone, positive values trade a little
-          fidelity for lower pulse power (smoother, hardware-friendlier
-          waveforms) *)
-  optimizer : optimizer;
 }
 
 val default_config : config
@@ -89,61 +77,27 @@ module Workspace : sig
       (borrowed, overwritten by the next call). *)
   val amps : t -> float array array
 
-  (** Gradient plane d(objective)/dx of the last {!evaluate} (borrowed,
+  (** Gradient plane d(fidelity)/dx of the last {!evaluate} (borrowed,
       overwritten by the next call). *)
   val grad : t -> float array array
 end
 
-(** [evaluate ?ws config h target ~dt ~n_slices x] runs one GRAPE
-    objective/gradient evaluation of the unconstrained parameters [x]
-    ([n_slices] rows of [n_controls] entries) and returns
-    [(objective, fidelity)]; amplitudes and gradient are left in the
-    workspace. Without [ws], a fresh workspace is built and dropped —
+(** [evaluate ?ws h target ~dt ~n_slices x] runs one GRAPE
+    fidelity/gradient evaluation of the unconstrained parameters [x]
+    ([n_slices] rows of [n_controls] entries) and returns the fidelity;
+    amplitudes and gradient are left in the workspace. Without [ws], a fresh workspace is built and dropped —
     convenient, but the point is to pass one in.
     @raise Invalid_argument when [ws] was built for a Hamiltonian other
     than [h] (physical equality) or another slice count, or when
     [target] or [x] does not match the problem's dimensions. *)
 val evaluate :
   ?ws:Workspace.t ->
-  config ->
   Hamiltonian.t ->
   Paqoc_linalg.Cmat.t ->
   dt:float ->
   n_slices:int ->
   float array array ->
-  float * float
-
-(** {1 L-BFGS curvature history}
-
-    Bounded deque of [(s, y)] pairs over preallocated slots, newest
-    first. Exposed so the regression test can pin the bound: the window
-    is a hard cap, not a trim-after-overflow. *)
-
-module History : sig
-  type t
-
-  (** [create ~window ~dim] holds at most [window] pairs of length-[dim]
-      vectors.
-      @raise Invalid_argument when [window <= 0] or [dim < 0]. *)
-  val create : window:int -> dim:int -> t
-
-  val window : t -> int
-
-  (** Current pair count; never exceeds [window t]. *)
-  val length : t -> int
-
-  (** [push t ~s ~y] copies the pair in as the newest entry, evicting
-      the oldest once the window is full. *)
-  val push : t -> s:float array -> y:float array -> unit
-
-  (** [s t i] / [y t i] borrow the [i]-th newest pair's vectors
-      ([i = 0] newest). The returned array is the live slot — do not
-      hold it across a {!push}.
-      @raise Invalid_argument when [i] is out of range. *)
-  val s : t -> int -> float array
-
-  val y : t -> int -> float array
-end
+  float
 
 (** {1 Bit-determinism golden}
 
@@ -157,6 +111,6 @@ end
     rounding. *)
 val render_amplitudes : Pulse.t -> string
 
-(** [reference_golden ()] runs a fixed 2-qubit CX optimisation under both
-    optimisers and renders iterations, fidelity and amplitudes. *)
+(** [reference_golden ()] runs a fixed 2-qubit CX optimisation and
+    renders iterations, fidelity and amplitudes. *)
 val reference_golden : unit -> string

@@ -5,13 +5,14 @@
    backward products and in the gradient traces; this evaluation
    computes every one of those terms, through the dense reference
    forms [Hamiltonian.at], [Expm.expm_i_h], [Cmat.mul] and a full trace
-   of a product, in the same order. test_kernels holds the two to the
-   same bits in the objective, the fidelity and every gradient cell. *)
+   of a product, in the same order, and takes the backward product at
+   every step, the last one included, although nothing reads it.
+   test_kernels holds the two to the same bits in the fidelity and
+   every gradient cell. *)
 module Cmat = Paqoc_linalg.Cmat
 module Cx = Paqoc_linalg.Cx
 module Expm = Paqoc_linalg.Expm
 module Hamiltonian = Paqoc_pulse.Hamiltonian
-module Grape = Paqoc_pulse.Grape
 
 (* Tr(a * b) over every (r, c) in row-major order, through the public
    cell accessors *)
@@ -28,10 +29,10 @@ let trace_prod a b =
   done;
   (!acc_re, !acc_im)
 
-(* [evaluate config h target ~dt ~n_slices x] is
-   [(objective, fidelity, grad)] for the unconstrained parameters [x],
-   with [grad.(j).(k)] = d(objective)/d[x.(j).(k)]. *)
-let evaluate (config : Grape.config) h target ~dt ~n_slices x =
+(* [evaluate h target ~dt ~n_slices x] is [(fidelity, grad)] for the
+   unconstrained parameters [x], with [grad.(j).(k)] =
+   d(fidelity)/d[x.(j).(k)]. *)
+let evaluate h target ~dt ~n_slices x =
   let controls = h.Hamiltonian.controls in
   let nc = Array.length controls in
   let d = float_of_int h.Hamiltonian.dim in
@@ -50,9 +51,6 @@ let evaluate (config : Grape.config) h target ~dt ~n_slices x =
   let sphi = 1.0 /. d in
   let phi_re = sphi *. Cx.re tr and phi_im = sphi *. Cx.im tr in
   let fidelity = (phi_re *. phi_re) +. (phi_im *. phi_im) in
-  let power = ref 0.0 in
-  Array.iter (Array.iter (fun u -> power := !power +. (u *. u))) amps;
-  let objective = fidelity -. (config.Grape.power_penalty *. !power) in
   let grad = Array.make_matrix n_slices nc 0.0 in
   (* A_j = target† U_N ... U_{j+1} *)
   let back = ref (Cmat.adjoint target) in
@@ -68,10 +66,8 @@ let evaluate (config : Grape.config) h target ~dt ~n_slices x =
       let bound = controls.(k).Hamiltonian.bound in
       let th = tanh x.(j).(k) in
       let du_dx = bound *. (1.0 -. (th *. th)) in
-      let u = bound *. th in
-      grad.(j).(k) <-
-        (df -. (2.0 *. config.Grape.power_penalty *. u)) *. du_dx
+      grad.(j).(k) <- df *. du_dx
     done;
     back := Cmat.mul !back us.(j)
   done;
-  (objective, fidelity, grad)
+  (fidelity, grad)

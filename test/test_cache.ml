@@ -119,7 +119,7 @@ let suite =
     case "compact bytes equal a fresh snapshot save" (fun () ->
         with_tmp @@ fun path ->
         with_tmp @@ fun snap ->
-        let c = Cache.open_file ~compact_every:1000 path in
+        let c = Cache.open_file path in
         List.iter
           (fun i -> Cache.publish c (Printf.sprintf "2;rz%d@0" i) (entry 10.0))
           [ 5; 3; 9; 1 ];
@@ -132,10 +132,11 @@ let suite =
         Cache.close c);
     case "auto-compaction fires at compact_every appends" (fun () ->
         with_tmp @@ fun path ->
-        let c = Cache.open_file ~compact_every:4 path in
+        let c = Cache.open_file path in
+        (* compact_every is 256 *)
         List.iter
           (fun i -> Cache.publish c (Printf.sprintf "1;h@%d" i) (entry 40.0))
-          [ 0; 1; 2; 3 ];
+          (List.init 256 Fun.id);
         check_true "journal folded into the snapshot"
           (not (String.exists (fun ch -> ch = '+') (read_file path)));
         check_true "compaction counted"
@@ -222,9 +223,10 @@ let suite =
       (fun () ->
         with_tmp @@ fun path ->
         (* every domain publishes an overlapping window of keys through a
-           journaled cache with an aggressive compaction cadence, so
-           appends, compactions and duplicate publishes all interleave *)
-        let c = Cache.open_file ~stripes:8 ~compact_every:16 path in
+           journaled cache; 650 distinct keys cross the 256-append
+           compaction point twice, so appends, compactions and duplicate
+           publishes all interleave *)
+        let c = Cache.open_file path in
         let per_domain = 200 and overlap = 50 in
         let worker d () =
           for i = 0 to per_domain - 1 do
@@ -264,10 +266,8 @@ let suite =
         check_int "first generator synthesized" 1 (Gen.pulses_generated gen1);
         check_true "published to the shared cache"
           ((Cache.stats cache).Cache.publishes > 0);
-        let gen2 =
-          Gen.create ~shared:cache
-            (Gen.Model Paqoc_pulse.Latency_model.default)
-        in
+        let gen2 = Gen.model_default () in
+        Gen.set_shared_cache gen2 (Some cache);
         let o2 = Gen.generate gen2 g in
         check_int "second generator synthesized nothing" 0
           (Gen.pulses_generated gen2);
@@ -435,66 +435,6 @@ let suite =
         Cache.with_file path (fun c -> Cache.save c snap);
         check_true "save reproduces the snapshot bytes"
           (String.equal bytes1 (read_file snap)));
-    case "find_canonical consults both tiers with honest counters"
-      (fun () ->
-        let c = Cache.create () in
-        let rep_u = Gate.unitary Gate.H in
-        Cache.publish c "1;h@0" (entry 40.0);
-        Cache.publish_class c
-          { Db.class_key = "1q:1570796"; n_qubits = 1;
-            unitary = Canon.unitary_to_floats rep_u; rep_key = "1;h@0" };
-        let validate target ci =
-          match Canon.unitary_of_floats ~n_qubits:ci.Db.n_qubits
-                  ci.Db.unitary with
-          | Error _ -> None
-          | Ok rep -> Canon.relate ~rep ~target
-        in
-        (* exact tier *)
-        (match
-           Cache.find_canonical c ~key:"1;h@0"
-             ~class_key:(Some "1q:1570796")
-             ~validate:(validate (Gate.unitary Gate.SX))
-         with
-        | Cache.Hit_exact e -> check_float "exact entry" 40.0 e.Cache.latency
-        | _ -> Alcotest.fail "expected an exact hit");
-        (* class tier: SX is a class-mate of H *)
-        (match
-           Cache.find_canonical c ~key:"1;sx@0"
-             ~class_key:(Some "1q:1570796")
-             ~validate:(validate (Gate.unitary Gate.SX))
-         with
-        | Cache.Hit_class (e, ci, (l, r)) ->
-          check_float "replayed entry" 40.0 e.Cache.latency;
-          check_true "class record surfaced" (ci.Db.rep_key = "1;h@0");
-          check_mat_phase ~tol:1e-6 "correction verifies"
-            (Gate.unitary Gate.SX)
-            (Cmat.mul l (Cmat.mul rep_u r))
-        | _ -> Alcotest.fail "expected a class hit");
-        (* failed validation is an ordinary miss, not a hit *)
-        (match
-           Cache.find_canonical c ~key:"2;swap@0,1"
-             ~class_key:(Some "1q:1570796")
-             ~validate:(fun _ -> None)
-         with
-        | Cache.Tiered_miss -> ()
-        | _ -> Alcotest.fail "failed validation must miss");
-        (* unknown class key, and no class key at all *)
-        (match
-           Cache.find_canonical c ~key:"nope" ~class_key:(Some "1q:999")
-             ~validate:(fun _ -> None)
-         with
-        | Cache.Tiered_miss -> ()
-        | _ -> Alcotest.fail "unknown class must miss");
-        (match
-           Cache.find_canonical c ~key:"nope" ~class_key:None
-             ~validate:(fun _ -> None)
-         with
-        | Cache.Tiered_miss -> ()
-        | _ -> Alcotest.fail "no class key degrades to find");
-        let s = Cache.stats c in
-        check_int "hits: exact + class" 2 s.Cache.hits;
-        check_int "canonical subset" 1 s.Cache.canonical_hits;
-        check_int "misses: the three failures" 3 s.Cache.misses);
     case "note_consult drives the same counters" (fun () ->
         let c = Cache.create () in
         Cache.note_consult c `Hit;
@@ -555,5 +495,75 @@ let suite =
         with_tmp (fun path ->
             Gen.save_database gen path;
             Alcotest.check Alcotest.string "v2 bytes" expected
-              (read_file path)))
+              (read_file path)));
+    case "one batch reaches every outcome of the shared consult" (fun () ->
+        (* a canonical generator's planner consults the shared cache
+           through probe / probe_class and scores each consult with one
+           note_consult: exact hit, class hit, in-batch class-mate,
+           failed relate, dangling class record, plain miss *)
+        let group apps = fst (Gen.group_of_apps apps) in
+        let rx theta = Gate.RX (Angle.const theta) in
+        let h = group [ Gate.app1 Gate.H 0 ]
+        and sx = group [ Gate.app1 Gate.SX 0 ]
+        and cx = group [ Gate.app2 Gate.CX 0 1 ]
+        and cz = group [ Gate.app2 Gate.CZ 0 1 ]
+        and unrelated = group [ Gate.app1 (rx 0.7) 0 ]
+        and dangling = group [ Gate.app1 (rx 1.1) 0 ]
+        and x = group [ Gate.app1 Gate.X 0 ] in
+        let class_of (g : Gen.group) =
+          match Canon.class_key ~n_qubits:g.Gen.n_qubits g.Gen.gates with
+          | Some (ck, _) -> ck
+          | None -> Alcotest.fail "group has no class key"
+        in
+        check_true "SX is H's class-mate" (class_of sx = class_of h);
+        check_true "CZ is CX's class-mate" (class_of cz = class_of cx);
+        let record g u rep_key =
+          { Db.class_key = class_of g; n_qubits = 1;
+            unitary = Canon.unitary_to_floats u; rep_key }
+        in
+        let cache = Cache.create () in
+        Cache.publish cache (Gen.key h) (entry 40.0);
+        Cache.publish_class cache
+          (record h (Gate.unitary Gate.H) (Gen.key h));
+        (* RX(0.7)'s class, holding X's unitary: no virtual-Z correction
+           turns X into RX(0.7) *)
+        Cache.publish cache "1;rep@0" (entry 30.0);
+        Cache.publish_class cache
+          (record unrelated (Gate.unitary Gate.X) "1;rep@0");
+        (* RX(1.1)'s class, whose representative entry is missing *)
+        Cache.publish_class cache
+          (record dangling (Gate.unitary (rx 1.1)) "1;gone@0");
+        let gen = Gen.model_default () in
+        Gen.set_shared_cache gen (Some cache);
+        Gen.set_canonical gen true;
+        let outcomes =
+          Gen.generate_batch gen [ h; sx; cx; cz; unrelated; dangling; x ]
+        in
+        let s = Cache.stats cache in
+        check_int "hits: H exact, SX class, CZ in-batch" 3 s.Cache.hits;
+        check_int "canonical subset: SX and CZ" 2 s.Cache.canonical_hits;
+        check_int "misses: CX, failed relate, dangling, X" 4 s.Cache.misses;
+        check_int "four syntheses" 4 (Gen.pulses_generated gen);
+        (match outcomes with
+        | [ oh; osx; ocx; ocz; _; _; _ ] ->
+          check_true "cache hits"
+            (List.map (fun o -> o.Gen.cache_hit) outcomes
+            = [ true; true; false; true; false; false; false ]);
+          check_float "exact entry" 40.0 oh.Gen.latency;
+          check_float "replayed entry" 40.0 osx.Gen.latency;
+          check_float "in-batch replay prices as CX" ocx.Gen.latency
+            ocz.Gen.latency
+        | _ -> Alcotest.fail "one outcome per group");
+        match Gen.canonical_replays gen with
+        | [ (k_sx, r_sx); (k_cz, r_cz) ] ->
+          check_true "SX replay key" (k_sx = Gen.key sx);
+          check_true "SX borrowed H" (r_sx.Gen.rep_key = Gen.key h);
+          check_mat_phase ~tol:1e-6 "SX correction verifies"
+            (Gate.unitary Gate.SX)
+            (Cmat.mul r_sx.Gen.correction_l
+               (Cmat.mul (Gate.unitary Gate.H) r_sx.Gen.correction_r));
+          check_true "CZ replay key" (k_cz = Gen.key cz);
+          check_true "CZ borrowed CX" (r_cz.Gen.rep_key = Gen.key cx)
+        | rs ->
+          Alcotest.failf "expected two replays, got %d" (List.length rs))
   ]

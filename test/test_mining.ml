@@ -79,9 +79,7 @@ let pattern_tests =
               [ Gate.app1 (Gate.RZ (Angle.const theta)) 0; Gate.app1 Gate.H 0 ]
           in
           let d = Dag.of_circuit c in
-          let p, _ =
-            Pattern.of_nodes ~label:(Miner.label_of Miner.default_config) d [ 0; 1 ]
-          in
+          let p, _ = Pattern.of_nodes ~label:Miner.label_of d [ 0; 1 ] in
           p.Pattern.code
         in
         Alcotest.(check string) "codes match" (mk 0.3) (mk 2.9));
@@ -90,9 +88,7 @@ let pattern_tests =
           Circuit.make ~n_qubits:1 [ Gate.app1 (Gate.RZ (Angle.const 0.77)) 0 ]
         in
         let d = Dag.of_circuit c in
-        let p, _ =
-          Pattern.of_nodes ~label:(Miner.label_of Miner.default_config) d [ 0 ]
-        in
+        let p, _ = Pattern.of_nodes ~label:Miner.label_of d [ 0 ] in
         match p.Pattern.gates with
         | [ { Gate.kind = Gate.RZ (Angle.Const f); _ } ] ->
           check_float "angle preserved" 0.77 f

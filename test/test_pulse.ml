@@ -129,25 +129,66 @@ let grape_tests =
           (Printf.sprintf "merged %.0f < stitched %.0f" merged.DS.latency
              (cx.DS.latency +. hh.DS.latency))
           (merged.DS.latency < cx.DS.latency +. hh.DS.latency));
-    slow_case "power regularisation lowers pulse energy" (fun () ->
-        let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
-        let target = Gate.unitary Gate.X in
-        let energy (r : Grape.result) =
+    slow_case "reported fidelity is the pulse's own fidelity" (fun () ->
+        (* GRAPE maximises the fidelity alone and returns the best pulse it
+           evaluated: re-propagating that pulse gives back its fidelity,
+           for a converged run and for one stopped by the iteration cap *)
+        List.iter
+          (fun (name, n, pairs, kind, qubits, config) ->
+            let h = H.make ~n_qubits:n ~coupled_pairs:pairs () in
+            let target =
+              Gate.unitary_of_apps ~n_qubits:n [ Gate.app kind qubits ]
+            in
+            let r = Grape.optimize ~config h ~target ~n_slices:24 ~dt:2.0 () in
+            let again =
+              Fidelity.gate_fidelity target (Pulse.propagator h r.Grape.pulse)
+            in
+            check_true
+              (Printf.sprintf "%s: reported %.12f, re-propagated %.12f" name
+                 r.Grape.fidelity again)
+              (abs_float (r.Grape.fidelity -. again) < 1e-9))
+          [ ("h converged", 1, [], Gate.H, [ 0 ], Grape.default_config);
+            ( "cx capped", 2, [ (0, 1) ], Gate.CX, [ 0; 1 ],
+              { Grape.default_config with max_iters = 15;
+                target_fidelity = 1.1 } ) ]);
+    case "gradient is d(fidelity)/dx" (fun () ->
+        (* central differences of [evaluate]'s fidelity against its
+           gradient plane; GRAPE's first-order propagator derivative is
+           accurate to O(dt * |H|), so a short slice keeps it tight *)
+        let h = H.make ~n_qubits:2 ~coupled_pairs:[ (0, 1) ] () in
+        let nc = H.n_controls h and n_slices = 5 and dt = 0.25 in
+        let target = Gate.unitary Gate.CX in
+        let x =
+          Array.init n_slices (fun j ->
+              Array.init nc (fun k ->
+                  0.3 *. sin (float_of_int ((3 * j) + k + 1))))
+        in
+        let ws = Grape.Workspace.create h ~n_slices in
+        ignore (Grape.evaluate ~ws h target ~dt ~n_slices x);
+        let grad = Array.map Array.copy (Grape.Workspace.grad ws) in
+        let scale =
           Array.fold_left
-            (fun acc row ->
-              Array.fold_left (fun acc u -> acc +. (u *. u)) acc row)
-            0.0 r.Grape.pulse.Paqoc_pulse.Pulse.amplitudes
+            (Array.fold_left (fun acc g -> Float.max acc (abs_float g)))
+            0.0 grad
         in
-        let plain = Grape.optimize h ~target ~n_slices:40 ~dt:2.0 () in
-        let reg =
-          Grape.optimize
-            ~config:{ Grape.default_config with power_penalty = 3.0 }
-            h ~target ~n_slices:40 ~dt:2.0 ()
-        in
-        check_true "still accurate" (reg.Grape.fidelity >= 0.99);
-        check_true
-          (Printf.sprintf "energy %.4f < %.4f" (energy reg) (energy plain))
-          (energy reg < energy plain));
+        check_true "gradient is not zero" (scale > 0.0);
+        let eps = 1e-6 in
+        Array.iteri
+          (fun j row ->
+            Array.iteri
+              (fun k g ->
+                let at delta =
+                  let x' = Array.map Array.copy x in
+                  x'.(j).(k) <- x.(j).(k) +. delta;
+                  Grape.evaluate h target ~dt ~n_slices x'
+                in
+                let fd = (at eps -. at (-.eps)) /. (2.0 *. eps) in
+                check_true
+                  (Printf.sprintf "(%d,%d): gradient %.6g, differences %.6g" j
+                     k g fd)
+                  (abs_float (g -. fd) <= 0.02 *. scale))
+              row)
+          grad);
     slow_case "process fidelity agrees with probe-state fidelity" (fun () ->
         let t = Gen.qoc_default () in
         let c =
@@ -161,34 +202,26 @@ let grape_tests =
           (Printf.sprintf "probe %.4f ~ exact %.4f" probe exact)
           (abs_float (probe -. exact) < 0.02);
         check_true "both high" (exact > 0.97));
-    slow_case "L-BFGS converges on X, H and CX" (fun () ->
-        let lbfgs = { Grape.default_config with optimizer = Grape.Lbfgs 8 } in
+    slow_case "ADAM converges on X, H and CX" (fun () ->
         List.iter
           (fun (name, n, pairs, kind, qubits) ->
             let h = H.make ~n_qubits:n ~coupled_pairs:pairs () in
-            let target = Gate.unitary_of_apps ~n_qubits:n [ Gate.app kind qubits ] in
-            let r = Grape.optimize ~config:lbfgs h ~target ~n_slices:60 ~dt:2.0 () in
+            let target =
+              Gate.unitary_of_apps ~n_qubits:n [ Gate.app kind qubits ]
+            in
+            let r = Grape.optimize h ~target ~n_slices:60 ~dt:2.0 () in
             check_true
               (Printf.sprintf "%s fidelity %.5f" name r.Grape.fidelity)
               (r.Grape.fidelity >= 0.995))
           [ ("x", 1, [], Gate.X, [ 0 ]); ("h", 1, [], Gate.H, [ 0 ]);
-            ("cx", 2, [ (0, 1) ], Gate.CX, [ 0; 1 ]) ]);
-    slow_case "ADAM and L-BFGS agree on the optimum" (fun () ->
-        (* the two optimisers take very different paths (ADAM's tuned rate
-           is hard to beat on this squashed landscape) but both must reach
-           the target fidelity *)
+            ("cx", 2, [ (0, 1) ], Gate.CX, [ 0; 1 ]) ];
+        (* and H at 40 slices reaches the default target *)
         let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
-        let target = Gate.unitary Gate.H in
-        let adam = Grape.optimize h ~target ~n_slices:40 ~dt:2.0 () in
-        let lbfgs =
-          Grape.optimize
-            ~config:{ Grape.default_config with optimizer = Grape.Lbfgs 8 }
-            h ~target ~n_slices:40 ~dt:2.0 ()
+        let r =
+          Grape.optimize h ~target:(Gate.unitary Gate.H) ~n_slices:40 ~dt:2.0
+            ()
         in
-        check_true "adam converged" adam.Grape.converged;
-        check_true "lbfgs converged" lbfgs.Grape.converged;
-        check_true "same fidelity ballpark"
-          (abs_float (adam.Grape.fidelity -. lbfgs.Grape.fidelity) < 5e-3));
+        check_true "h at 40 slices converged" r.Grape.converged);
     slow_case "warm start does not hurt" (fun () ->
         let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
         let target = Gate.unitary Gate.H in

@@ -159,13 +159,11 @@ let retry_tests =
         check_true "straight to fallback" (o.Gen.provenance = Gen.Fallback);
         check_int "one attempt" 1 o.Gen.attempts);
     case "task deadline stops retrying" (fun () ->
+        (* the smallest positive budget: the deadline rounds to the
+           task's own start time, so it has passed once an attempt ran *)
         let gen =
           Gen.model_default
-            ~retry:
-              { Gen.default_retry with
-                Gen.max_attempts = 5;
-                Gen.task_seconds = Some 0.0
-              }
+            ~retry:{ Gen.max_attempts = 5; task_seconds = Some Float.min_float }
             ()
         in
         let o =
@@ -331,4 +329,20 @@ let db_tests =
               (String.equal before after)))
   ]
 
-let suite = faultin_tests @ retry_tests @ pool_tests @ db_tests
+let budget_tests =
+  [ case "create rejects a non-positive or NaN task budget" (fun () ->
+        List.iter
+          (fun s ->
+            check_true
+              (Printf.sprintf "task_seconds = %g raises" s)
+              (try
+                 ignore
+                   (Gen.model_default
+                      ~retry:{ Gen.default_retry with task_seconds = Some s }
+                      ());
+                 false
+               with Invalid_argument _ -> true))
+          [ 0.0; -1.0; Float.nan ])
+  ]
+
+let suite = faultin_tests @ retry_tests @ pool_tests @ db_tests @ budget_tests
