@@ -5,9 +5,10 @@
 # circuit-reading subcommand must refuse with exit 1, not crash on, a
 # sweep plan aimed at an unwritable path, a device grid over the
 # 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path, a
-# negative sweep count and a negative per-task synthesis budget, all
-# refused the same way), then the IR, daemon and bit-exact QOC gates
-# below.
+# negative sweep count, a negative per-task synthesis budget, a cache
+# file whose first line is empty (its bytes must stay untouched) and a
+# plan sidecar whose waveform shape overflows, all refused the same
+# way), then the IR, daemon and bit-exact QOC gates below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -77,7 +78,27 @@ check:
 	rc=$$?; [ $$rc = 1 ] && grep -q '^error: --task-seconds' /tmp/paqoc_bad.err \
 	  || { echo "check: compile --task-seconds=-1 exited $$rc:"; \
 	       cat /tmp/paqoc_bad.err; exit 1; }
-	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err
+	@printf '\npaqoc-pulse-db v3\nK 100 0.01 0.99 q 1;cx@0,1\n' \
+	  > /tmp/paqoc_bad.db
+	@cp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db
+	@_build/default/bin/paqoc_cli.exe compile bv --cache /tmp/paqoc_bad.db \
+	  > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] \
+	  && grep -q '^error: Cache.open_file: bad header' /tmp/paqoc_bad.err \
+	  && cmp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db \
+	  || { echo "check: compile --cache on a newline-first file exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@printf 'paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\nA 0x0p+0\n' \
+	  > /tmp/paqoc_bad.plan
+	@printf 'O 0x1p+6 0x0p+0 0x1p+0 synthesized\nW 0x1p+0 2305843009213693952 4\n' \
+	  >> /tmp/paqoc_bad.plan
+	@_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep 1 \
+	  --plan /tmp/paqoc_bad.plan > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
+	  || { echo "check: compile-sweep on an overflowing W line exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
+	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err \
+	  /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db /tmp/paqoc_bad.plan
 	$(MAKE) check-ir
 	$(MAKE) check-daemon
 	$(MAKE) check-qoc

@@ -25,10 +25,6 @@ let add c g =
   validate_app c.n_qubits g;
   { c with gates = c.gates @ [ g ] }
 
-let add_list c gs =
-  List.iter (validate_app c.n_qubits) gs;
-  { c with gates = c.gates @ gs }
-
 let append a b =
   if a.n_qubits <> b.n_qubits then
     invalid_arg "Circuit.append: register size mismatch";
@@ -50,16 +46,6 @@ let depth c =
       List.iter (fun q -> level.(q) <- d) g.qubits;
       max acc d)
     0 c.gates
-
-let gate_histogram c =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (g : Gate.app) ->
-      let l = Gate.mining_label g.kind in
-      Hashtbl.replace tbl l (1 + Option.value ~default:0 (Hashtbl.find_opt tbl l)))
-    c.gates;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 let map_qubits f c ~n_qubits =
   let gates =

@@ -13,9 +13,6 @@ val make : n_qubits:int -> Gate.app list -> t
 (** [add c g] appends a gate. *)
 val add : t -> Gate.app -> t
 
-(** [add_list c gs] appends gates in order. *)
-val add_list : t -> Gate.app list -> t
-
 (** [append a b] concatenates circuits on the same register.
     @raise Invalid_argument if qubit counts differ. *)
 val append : t -> t -> t
@@ -32,9 +29,6 @@ val n_2q : t -> int
 
 (** Circuit depth (gates on disjoint qubits count as one layer). *)
 val depth : t -> int
-
-(** [gate_histogram c] counts applications per mining label. *)
-val gate_histogram : t -> (string * int) list
 
 (** {1 Transformations} *)
 

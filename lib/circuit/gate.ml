@@ -163,8 +163,6 @@ let rec interaction_weight = function
   | Custom c ->
     List.fold_left (fun acc g -> acc +. interaction_weight g.kind) 0.0 c.body
 
-let is_two_qubit_entangling k = arity k >= 2 && interaction_weight k > 0.0
-
 let rec equal_kind a b =
   match (a, b) with
   | I, I | X, X | Y, Y | Z, Z | H, H | S, S | Sdg, Sdg | T, T | Tdg, Tdg

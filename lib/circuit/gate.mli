@@ -84,10 +84,6 @@ val bind_params : (string * float) list -> kind -> kind
     cost no pulse time on hardware with virtual-Z support. *)
 val is_diagonal : kind -> bool
 
-(** [is_two_qubit_entangling k] holds for gates with nonzero interaction
-    content on two or more qubits. *)
-val is_two_qubit_entangling : kind -> bool
-
 (** [interaction_weight k] is the entangling content of [k] measured in
     CX-equivalents (the Weyl-chamber weight heuristic): 0 for 1-qubit
     gates, 1 for CX/CZ, [|θ|/π] for CPhase(θ), 3 for SWAP, 6 for CCX, and

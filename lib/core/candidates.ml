@@ -3,13 +3,6 @@ module Circuit = Paqoc_circuit.Circuit
 module Dag = Paqoc_circuit.Dag
 module Rewrite = Paqoc_circuit.Rewrite
 
-type t = {
-  u : int;
-  v : int;
-  case : [ `I | `II | `III ];
-  n_qubits : int;
-}
-
 let qubit_union (a : Gate.app) (b : Gate.app) =
   List.sort_uniq compare (a.Gate.qubits @ b.Gate.qubits)
 

@@ -11,15 +11,10 @@
       dropped (merging them would deadlock the schedule);
     + the size cap [maxN];
     + the criticality rule — Case III pairs (neither gate on the critical
-      path) are dropped: merging them cannot shorten the circuit. *)
+      path) are dropped: merging them cannot shorten the circuit.
 
-type t = {
-  u : int;  (** earlier node id *)
-  v : int;  (** later node id, direct successor of [u] *)
-  case : [ `I | `II | `III ];
-      (** [`III] only appears when pruning is disabled (ablations) *)
-  n_qubits : int;  (** qubit count of the merged gate *)
-}
+    This module holds the first rule; the merge search applies the
+    other three as it scores and selects. *)
 
 (** [qubit_union a b] is the sorted set of qubits the merged gate would
     touch — the content-only ingredient of candidate admission, exposed

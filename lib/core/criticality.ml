@@ -6,24 +6,21 @@ module Obs = Paqoc_obs.Obs
 
 (* The engine maintains the four per-node quantities of Section V-A's
    criticality analysis — episode latency, earliest start, CP-after,
-   critical membership — under merge edits, without re-running the full
-   analysis per edit.
+   critical membership — under merge edits, without re-pricing the
+   whole circuit per edit.
 
    Exactness, not approximation: every value the engine exposes is
    bitwise equal to what a full analysis (price every episode,
    schedule the whole DAG: [analyze] in test/reference_criticality.ml)
    of the same circuit against the same generator state would produce.
-   This holds because
-   (a) episode latencies come from the generator's write-through
-   priced-latency memo, i.e. they are exactly the peek-or-estimate
-   values the analysis schedules with, and a memo entry moves only when
-   the generator writes its key, which the generator's write log
-   reports; (b) the est / cp_after recurrences are pure max-plus folds,
-   whose results do not depend on evaluation order; and (c) the dirty
-   rule below only ever {e skips} recomputing a node when all its
-   inputs (its pred/succ set, their values, and its own latency) are
-   unchanged — in which case recomputation would reproduce the stored
-   value verbatim. The differential battery in test_search pins this.
+   This holds because (a) episode latencies come from the generator's
+   write-through priced-latency memo, i.e. they are exactly the
+   peek-or-estimate values the analysis schedules with, and a memo
+   entry moves only when the generator writes its key, which the
+   generator's write log reports; and (b) the est and cp_after values
+   are recomputed in full by the same max-plus folds as Dag.schedule,
+   over the same pred and succ lists. The differential battery in
+   test_search pins this.
 
    Ids with holes. The engine edits its DAG in place ({!Dag.edit}): a
    merge relinearises only its windows, lays their nodes back onto the
@@ -34,28 +31,20 @@ module Obs = Paqoc_obs.Obs
    est / cp_after 0, so they add nothing to a wave or a total. The
    per-node arrays are sized once, at [create].
 
-   Dirty rule. A merge edit's adjacency is the quotient's, so a
-   surviving node keeps its pred and succ sets (as the images of its
-   old ones): only the merged nodes have new neighbourhoods. [old]
-   maps each id to the id its node had before the staged edit ([-1]
-   for a merged node or a hole). Scanning ids in topological order, a
-   node's est must be recomputed iff it is new or some predecessor's
-   est or latency changed; the recomputed value is flagged as changed
-   only when it differs from the committed one. cp_after mirrors this
-   backwards over successor sets. The waves, the total and the
-   critical flags are linear passes on purpose: on the Table I suite a
-   commit changes the est of about half the nodes and some value or
-   flag of nearly all of them, so a worklist would visit most of the
-   circuit anyway (docs/incremental-search.md).
+   Full waves. Each wave recomputes every node in id order, in place:
+   ids are topological, so a node reads only final values. A commit on
+   the Table I suite changes the est of about half the nodes and some
+   value or flag of nearly all of them, so skipping the unchanged ones
+   would save little (docs/incremental-search.md).
 
    Stage, commit, discard. [stage] edits the DAG in place (the editor
    logs what it overwrites), updates latencies, keys and uids in place
    for the window ids and the repriced ids (logging them too), and
-   runs the est wave into a shadow buffer. [commit] runs the cp_after
-   wave and the flags into shadow buffers, swaps them in and drops the
-   logs; [discard] replays the logs. Steady-state staging allocates only
-   what the windows touch: no id-sized array, no circuit, no per-node
-   boxing. *)
+   runs the est wave. [commit] runs the cp_after wave and the flags and
+   drops the logs; [discard] replays the logs and reruns the est wave,
+   which gives back the committed est exactly. Steady-state staging
+   allocates only what the windows touch: no id-sized array, no
+   circuit, no per-node boxing. *)
 module Engine = struct
   type e = {
     gen : Generator.t;
@@ -65,10 +54,10 @@ module Engine = struct
     (* committed state *)
     mutable n : int;  (** live nodes *)
     mutable circuit : Circuit.t option;  (** built on demand *)
-    mutable est : float array;
+    est : float array;  (** the staged DAG's while an edit is staged *)
     lat : float array;
-    mutable cp : float array;
-    mutable crit : bool array;
+    cp : float array;
+    crit : bool array;
     kid : int array;  (** interned key of each id; -1 at a hole *)
     uid : int array;
     mutable total : float;
@@ -81,23 +70,15 @@ module Engine = struct
     (* staged state *)
     mutable s_valid : bool;
     mutable s_n : int;
-    mutable s_est : float array;
-    mutable s_cp : float array;
-    mutable s_crit : bool array;
     mutable s_total : float;
     mutable s_epoch : int;
-    old : int array;  (** identity outside a staged edit's windows *)
     mutable vlog : (int * float * int * int) list;
         (** (id, latency, key, uid) the staged edit overwrote, newest
             first *)
-    (* scratch, reused by every stage/refresh *)
+    (* scratch, reused by every stage *)
     mutable w_lat : float array;  (** window origins' values, by position *)
     mutable w_kid : int array;
     mutable w_uid : int array;
-    est_chg : bool array;
-    lat_chg : bool array;
-    cp_chg : bool array;
-    acc : float array;  (** one slot: an in-place fold's result *)
   }
 
   let price_of_app gen (g : Gate.app) =
@@ -158,10 +139,20 @@ module Engine = struct
       if f > dst.(i) then dst.(i) <- f;
       fold_max dst i a b rest
 
-  (* does any node of [l] carry a change flag in [c1] or [c2]? *)
-  let rec any_flag (c1 : bool array) (c2 : bool array) = function
-    | [] -> false
-    | x :: rest -> c1.(x) || c2.(x) || any_flag c1 c2 rest
+  (* The two waves over the first [n] ids, in place. Ids are
+     topological and holes have no edges, so each node reads only
+     final values. *)
+  let est_wave d n (est : float array) (lat : float array) =
+    for v = 0 to n - 1 do
+      est.(v) <- 0.0;
+      fold_max est v est lat (Dag.preds d v)
+    done
+
+  let cp_wave d n (cp : float array) (lat : float array) =
+    for v = n - 1 downto 0 do
+      cp.(v) <- 0.0;
+      fold_max cp v lat cp (Dag.succs d v)
+    done
 
   (* total and criticality flags over the first [n] ids *)
   let finish_total n (est : float array) (lat : float array) =
@@ -204,20 +195,12 @@ module Engine = struct
         kgen = 0;
         s_valid = false;
         s_n = 0;
-        s_est = Array.make n 0.0;
-        s_cp = Array.make n 0.0;
-        s_crit = Array.make n false;
         s_total = 0.0;
         s_epoch = 0;
-        old = Array.init n Fun.id;
         vlog = [];
         w_lat = [||];
         w_kid = [||];
-        w_uid = [||];
-        est_chg = Array.make n false;
-        lat_chg = Array.make n false;
-        cp_chg = Array.make n false;
-        acc = [| 0.0 |]
+        w_uid = [||]
       }
     in
     for v = 0 to n - 1 do
@@ -225,13 +208,8 @@ module Engine = struct
       e.kid.(v) <- intern e k;
       e.lat.(v) <- l
     done;
-    (* full passes, same recurrences as Dag.schedule *)
-    for v = 0 to n - 1 do
-      fold_max e.est v e.est e.lat (Dag.preds dagv v)
-    done;
-    for v = n - 1 downto 0 do
-      fold_max e.cp v e.lat e.cp (Dag.succs dagv v)
-    done;
+    est_wave dagv n e.est e.lat;
+    cp_wave dagv n e.cp e.lat;
     e.total <- finish_total n e.est e.lat;
     mark_critical n e.total e.est e.lat e.cp e.crit;
     e
@@ -266,46 +244,23 @@ module Engine = struct
   (* [refresh e] re-resolves episode latencies after the pulse database
      changed under the unchanged circuit (a rolled-back attempt still
      generates pulses): it reprices only the nodes whose key was
-     written and propagates only from those whose price moved. No-op
-     when the price epoch is unchanged. *)
+     written, and reruns the waves when a price moved. No-op when the
+     price epoch is unchanged. *)
   let refresh e =
     let ep = Generator.price_epoch e.gen in
     if ep <> e.epoch then begin
       Obs.with_span "criticality.engine.refresh" @@ fun () ->
       if mark_written e then begin
-        let n = Dag.n_nodes e.dagv and any = ref false in
+        let d = e.dagv and n = Dag.n_nodes e.dagv and moved = ref false in
         for v = 0 to n - 1 do
-          let chg = repriced e v in
-          e.lat_chg.(v) <- chg;
-          if chg then begin
+          if repriced e v then begin
             e.lat.(v) <- e.kprice.(e.kid.(v));
-            any := true
+            moved := true
           end
         done;
-        if !any then begin
-          (* in-place dirty passes: ids are topological, so recomputed
-             nodes always read final values from their preds/succs *)
-          let d = e.dagv and acc = e.acc in
-          for v = 0 to n - 1 do
-            let preds = Dag.preds d v in
-            if any_flag e.lat_chg e.est_chg preds then begin
-              acc.(0) <- 0.0;
-              fold_max acc 0 e.est e.lat preds;
-              e.est_chg.(v) <- acc.(0) <> e.est.(v);
-              if e.est_chg.(v) then e.est.(v) <- acc.(0)
-            end
-            else e.est_chg.(v) <- false
-          done;
-          for v = n - 1 downto 0 do
-            let succs = Dag.succs d v in
-            if any_flag e.lat_chg e.cp_chg succs then begin
-              acc.(0) <- 0.0;
-              fold_max acc 0 e.lat e.cp succs;
-              e.cp_chg.(v) <- acc.(0) <> e.cp.(v);
-              if e.cp_chg.(v) then e.cp.(v) <- acc.(0)
-            end
-            else e.cp_chg.(v) <- false
-          done;
+        if !moved then begin
+          est_wave d n e.est e.lat;
+          cp_wave d n e.cp e.lat;
           e.total <- finish_total n e.est e.lat;
           mark_critical n e.total e.est e.lat e.cp e.crit
         end
@@ -315,13 +270,6 @@ module Engine = struct
 
   let log_values e v =
     e.vlog <- (v, e.lat.(v), e.kid.(v), e.uid.(v)) :: e.vlog
-
-  (* after a commit or discard, the window ids map to themselves again *)
-  let reset_old e =
-    for i = 0 to Dag.edit_size e.ed - 1 do
-      let j = Dag.edit_id e.ed i in
-      e.old.(j) <- j
-    done
 
   let discard e =
     if e.s_valid then begin
@@ -333,7 +281,7 @@ module Engine = struct
           e.uid.(v) <- u)
         e.vlog;
       e.vlog <- [];
-      reset_old e;
+      est_wave e.dagv (Dag.n_nodes e.dagv) e.est e.lat;
       e.s_valid <- false
     end
 
@@ -342,7 +290,6 @@ module Engine = struct
     discard e;
     Dag.edit e.ed groups;
     let n = Dag.n_nodes e.dagv and ep = Generator.price_epoch e.gen in
-    Array.fill e.lat_chg 0 n false;
     (* lay out the window ids whose node changed. A surviving node can
        move either way inside its window, so every origin's values are
        read before any window id is written *)
@@ -369,15 +316,13 @@ module Engine = struct
         log_values e j;
         e.lat.(j) <- e.w_lat.(i);
         e.kid.(j) <- e.w_kid.(i);
-        e.uid.(j) <- e.w_uid.(i);
-        e.old.(j) <- o
+        e.uid.(j) <- e.w_uid.(i)
       end
       else if o = Dag.hole then begin
         log_values e j;
         e.lat.(j) <- 0.0;
         e.kid.(j) <- -1;
         e.uid.(j) <- -1;
-        e.old.(j) <- -1;
         incr holes
       end
       else begin
@@ -386,9 +331,7 @@ module Engine = struct
         e.kid.(j) <- intern e k;
         e.lat.(j) <- l;
         e.uid.(j) <- e.next_uid;
-        e.next_uid <- e.next_uid + 1;
-        e.lat_chg.(j) <- true;
-        e.old.(j) <- -1
+        e.next_uid <- e.next_uid + 1
       end
     done;
     (* reprice the nodes whose key the generator wrote *)
@@ -396,25 +339,11 @@ module Engine = struct
       for v = 0 to n - 1 do
         if repriced e v then begin
           log_values e v;
-          e.lat.(v) <- e.kprice.(e.kid.(v));
-          e.lat_chg.(v) <- true
+          e.lat.(v) <- e.kprice.(e.kid.(v))
         end
       done;
-    (* dirty est wave into the shadow buffer *)
-    for j = 0 to n - 1 do
-      let ov = e.old.(j) in
-      let preds = Dag.preds e.dagv j in
-      if ov < 0 || any_flag e.est_chg e.lat_chg preds then begin
-        e.s_est.(j) <- 0.0;
-        fold_max e.s_est j e.s_est e.lat preds;
-        e.est_chg.(j) <- ov < 0 || e.s_est.(j) <> e.est.(ov)
-      end
-      else begin
-        e.s_est.(j) <- e.est.(ov);
-        e.est_chg.(j) <- false
-      end
-    done;
-    let total = finish_total n e.s_est e.lat in
+    est_wave e.dagv n e.est e.lat;
+    let total = finish_total n e.est e.lat in
     e.s_total <- total;
     e.s_n <- e.n - !holes;
     e.s_epoch <- ep;
@@ -430,35 +359,11 @@ module Engine = struct
     if not e.s_valid then
       invalid_arg "Criticality.Engine.commit: nothing staged";
     Obs.with_span "criticality.engine.commit" @@ fun () ->
-    let d = e.dagv and n = Dag.n_nodes e.dagv in
-    (* dirty cp_after wave, backwards *)
-    for j = n - 1 downto 0 do
-      let ov = e.old.(j) in
-      let succs = Dag.succs d j in
-      if ov < 0 || any_flag e.cp_chg e.lat_chg succs then begin
-        e.s_cp.(j) <- 0.0;
-        fold_max e.s_cp j e.lat e.s_cp succs;
-        e.cp_chg.(j) <- ov < 0 || e.s_cp.(j) <> e.cp.(ov)
-      end
-      else begin
-        e.s_cp.(j) <- e.cp.(ov);
-        e.cp_chg.(j) <- false
-      end
-    done;
-    mark_critical n e.s_total e.s_est e.lat e.s_cp e.s_crit;
-    (* adopt the shadow values; the edit and the latencies stand *)
-    let fa = e.est in
-    e.est <- e.s_est;
-    e.s_est <- fa;
-    let fc = e.cp in
-    e.cp <- e.s_cp;
-    e.s_cp <- fc;
-    let bb = e.crit in
-    e.crit <- e.s_crit;
-    e.s_crit <- bb;
+    let n = Dag.n_nodes e.dagv in
+    cp_wave e.dagv n e.cp e.lat;
+    mark_critical n e.s_total e.est e.lat e.cp e.crit;
     Dag.keep e.ed;
     e.vlog <- [];
-    reset_old e;
     e.n <- e.s_n;
     e.circuit <- None;
     e.total <- e.s_total;

@@ -13,23 +13,26 @@
 
     Maintains the per-node quantities of the analysis — episode
     latency, earliest start, [CP]-after, critical membership — under
-    merge edits, by dirty-region propagation over a DAG edited in place
-    ({!Paqoc_circuit.Dag.edit}) instead of a full re-analysis per edit.
-    Node ids have holes where merges freed them; every other node keeps
-    its id, and live ids compare as their dense positions would. Every
-    exposed value is bitwise equal to a full analysis of the
-    current circuit against the current generator state, node for node
-    in id order (see docs/incremental-search.md for the argument; the
-    differential battery in test_search pins it).
+    merge edits to a DAG edited in place ({!Paqoc_circuit.Dag.edit}),
+    repricing only the episodes an edit or a pulse-database write
+    changed instead of the whole circuit. The earliest-start and
+    [CP]-after waves are recomputed in full, in place, by the
+    recurrences of {!Paqoc_circuit.Dag.schedule}. Node ids have holes
+    where merges freed them; every other node keeps its id, and live
+    ids compare as their dense positions would. Every exposed value is
+    bitwise equal to a full analysis of the current circuit against
+    the current generator state, node for node in id order (see
+    docs/incremental-search.md; the differential battery in
+    test_search pins it).
 
     Protocol: {!Engine.stage} edits the DAG in place, reprices what the
     edit and the generator's writes changed, runs the earliest-start
-    wave into a shadow buffer and returns the trial total.
-    {!Engine.commit} runs the [CP]-after wave and the critical flags,
-    swaps the shadow buffers in and drops the undo logs;
-    {!Engine.discard} replays the logs, restoring the committed state
-    exactly. While an edit is staged, {!Engine.dag} holds the staged
-    graph and only {!Engine.staged_circuit} is meaningful.
+    wave and returns the trial total. {!Engine.commit} runs the
+    [CP]-after wave and the critical flags and drops the undo logs;
+    {!Engine.discard} replays the logs and reruns the earliest-start
+    wave, restoring the committed state exactly. While an edit is
+    staged, {!Engine.dag} holds the staged graph and only
+    {!Engine.staged_circuit} is meaningful.
     {!Engine.refresh} re-resolves episode prices after the pulse
     database changed under an unchanged circuit (e.g. a rolled-back
     merge attempt that still generated its pulse), repricing only the
@@ -70,10 +73,9 @@ module Engine : sig
 
   (** Read-only views of the committed per-node latencies, [CP]-after
       values and critical flags, indexed by id (holes read 0, 0 and
-      unspecified). {!refresh} updates them in place; {!commit} updates
-      the latencies in place and replaces the other two. They serve
-      loops in other modules, where every {!latency} call would box its
-      float; never mutate them. *)
+      unspecified). {!refresh} and {!commit} update them in place. They
+      serve loops in other modules, where every {!latency} call would
+      box its float; never mutate them. *)
   val latencies : e -> float array
 
   val cp_afters : e -> float array
@@ -106,10 +108,10 @@ module Engine : sig
   val staged_circuit : e -> Paqoc_circuit.Circuit.t
 
   (** [commit e] adopts the staged edit: the [CP]-after wave and the
-      critical flags, then buffer swaps (raises when nothing staged). *)
+      critical flags (raises when nothing staged). *)
   val commit : e -> unit
 
   (** [discard e] abandons the staged edit by replaying its undo logs
-      (never raises). *)
+      and rerunning the earliest-start wave (never raises). *)
   val discard : e -> unit
 end

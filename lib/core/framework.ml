@@ -22,7 +22,6 @@ let base_scheme mode =
   }
 
 let paqoc_m0 = base_scheme Apa.M_zero
-let paqoc_mtuned = base_scheme Apa.M_tuned
 let paqoc_minf = base_scheme Apa.M_inf
 
 type report = {

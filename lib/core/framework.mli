@@ -26,11 +26,11 @@ type scheme = {
           preserving the circuit unitary exactly *)
 }
 
-(** [paqoc_m0], [paqoc_mtuned], [paqoc_minf]: the three configurations
-    evaluated in the paper (maxN = 3, topK = 1). *)
+(** [paqoc_m0] and [paqoc_minf]: the paper's M = 0 and M = inf
+    configurations (maxN = 3, topK = 1). Its third, M-tuned, is
+    [{ paqoc_m0 with apa_mode = M_tuned }]. *)
 val paqoc_m0 : scheme
 
-val paqoc_mtuned : scheme
 val paqoc_minf : scheme
 
 type report = {

@@ -137,7 +137,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
       let info = info_of u v in
       if info.union_n <= config.max_n && not info.state.blacklisted then
         Ranking.score_edge cands ~include_iii ~lat ~cp ~crit ~succs ~u ~v
-          ~n_qubits:info.union_n ~est:info.pair_est;
+          ~est:info.pair_est;
       score_succs lat cp crit u succs rest
   in
   let score_edges () =
@@ -154,8 +154,8 @@ let run ?(config = default_config) ?jobs:_ gen c =
   (* Span-disjoint top-k selection over the candidates, best first, with
      validity checked lazily on the walk. [any_valid] reproduces the
      reference's termination test (its scored list was empty iff no
-     valid candidate survived). Only the picked candidates become
-     [Ranking.scored] records. *)
+     valid candidate survived). The batch is the picked [(u, v)] pairs,
+     best first. *)
   let select () =
     let dag = Engine.dag eng in
     Ranking.start_walk cands;
@@ -176,7 +176,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
          any_valid := true;
          spans := (lo, hi) :: !spans;
          incr picked;
-         batch := Ranking.scored cands !i :: !batch
+         batch := (u, v) :: !batch
        end);
       i := Ranking.next cands
     done;
@@ -189,13 +189,9 @@ let run ?(config = default_config) ?jobs:_ gen c =
       let dag = Engine.dag eng in
       let groups =
         List.map
-          (fun (s : Ranking.scored) ->
+          (fun (u, v) ->
             incr merge_counter;
-            let nodes =
-              [ s.Ranking.candidate.Candidates.u;
-                s.Ranking.candidate.Candidates.v
-              ]
-            in
+            let nodes = [ u; v ] in
             ( nodes,
               Rewrite.custom_of_nodes dag nodes
                 ~name:(Printf.sprintf "grp%d" !merge_counter) ))
@@ -225,11 +221,8 @@ let run ?(config = default_config) ?jobs:_ gen c =
           (* even the best single merge regressed: the estimate was
              optimistic — roll back and blacklist *)
           incr rolled_back;
-          let s = List.hd batch in
-          (info_of s.Ranking.candidate.Candidates.u
-             s.Ranking.candidate.Candidates.v)
-            .state
-            .blacklisted <- true;
+          let u, v = List.hd batch in
+          (info_of u v).state.blacklisted <- true;
           None
         end
       end

@@ -33,10 +33,12 @@ type stats = {
     circuit and the search statistics.
 
     This is the incremental search: criticality state is maintained by
-    {!Criticality.Engine} under dirty-region propagation instead of a
-    full re-analysis per merge step, candidate content (merged keys and
-    latency estimates) is memoized on stable node uids, and validity
-    checks run allocation-free. The search runs on the calling domain;
+    {!Criticality.Engine} on a DAG edited in place, repricing only what
+    an edit or a pulse-database write changed instead of re-analysing
+    the whole circuit per merge step; candidate content (merged keys and
+    latency estimates) is memoized on stable node uids, each candidate
+    is kept as its pair and score alone, and validity checks run
+    allocation-free. The search runs on the calling domain;
     [jobs] is accepted and ignored, kept so existing callers still
     compile. The decision sequence, the generated pulse keys and order,
     the returned circuit and the statistics are all exactly those of the

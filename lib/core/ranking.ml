@@ -1,9 +1,3 @@
-type scored = {
-  candidate : Candidates.t;
-  score : float;
-  est_merged_latency : float;
-}
-
 (* The Section V-A benefit formula, shared by the search's candidate
    buffer below and the test-side reference scorer: both paths must
    produce bit-identical scores, so there is exactly one copy of the
@@ -52,10 +46,7 @@ type buffer = {
   mutable len : int;
   mutable bu : int array;
   mutable bv : int array;
-  mutable bcase : [ `I | `II | `III ] array;
-  mutable bnq : int array;
   mutable bscore : float array;
-  mutable bmerged_est : float array;
   mutable heap : int array;
   mutable heap_len : int;
   alt : float array;  (** one slot: the continuation fold's result *)
@@ -65,10 +56,7 @@ let buffer () =
   { len = 0;
     bu = [||];
     bv = [||];
-    bcase = [||];
-    bnq = [||];
     bscore = [||];
-    bmerged_est = [||];
     heap = [||];
     heap_len = 0;
     alt = [| 0.0 |]
@@ -88,10 +76,7 @@ let reserve b =
     in
     b.bu <- grow b.bu 0;
     b.bv <- grow b.bv 0;
-    b.bcase <- grow b.bcase `III;
-    b.bnq <- grow b.bnq 0;
     b.bscore <- grow b.bscore 0.0;
-    b.bmerged_est <- grow b.bmerged_est 0.0;
     b.heap <- grow b.heap 0
   end
 
@@ -105,7 +90,7 @@ let rec alt_into (acc : float array) (lat : float array) (cp : float array) v
     if s <> v then acc.(0) <- Float.max acc.(0) (lat.(s) +. cp.(s));
     alt_into acc lat cp v rest
 
-let score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~n_qubits ~est =
+let score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~est =
   let case =
     match (crit.(u), crit.(v)) with
     | true, true -> `I
@@ -124,10 +109,7 @@ let score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~n_qubits ~est =
       let k = b.len in
       b.bu.(k) <- u;
       b.bv.(k) <- v;
-      b.bcase.(k) <- case;
-      b.bnq.(k) <- n_qubits;
       b.bscore.(k) <- s;
-      b.bmerged_est.(k) <- est;
       b.len <- k + 1
     end
   end
@@ -172,14 +154,3 @@ let next b =
 
 let cand_u b i = b.bu.(i)
 let cand_v b i = b.bv.(i)
-
-let scored b i =
-  { candidate =
-      { Candidates.u = b.bu.(i);
-        v = b.bv.(i);
-        case = b.bcase.(i);
-        n_qubits = b.bnq.(i)
-      };
-    score = b.bscore.(i);
-    est_merged_latency = b.bmerged_est.(i)
-  }

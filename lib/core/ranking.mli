@@ -8,12 +8,6 @@
     delta. Pulse generation happens only for the top-k candidates the
     merger actually commits. *)
 
-type scored = {
-  candidate : Candidates.t;
-  score : float;  (** estimated latency reduction, device dt *)
-  est_merged_latency : float;
-}
-
 (** The bare Section V-A benefit formula: [est] is the merged latency
     estimate, [alt_after_u] the longest continuation through [u]'s
     other successors. {!score_edge} and the test-side reference scorer
@@ -33,9 +27,9 @@ val score_value :
     The search's scoring pass: each DAG edge is scored straight into
     arrays reused across passes, and the selection walks the kept
     candidates best-first — score descending, then pair [(u, v)]
-    ascending, a total order — through an index heap. No record is built
-    until {!scored} is asked for. Scoring, formula and order share this
-    module so the float arithmetic stays unboxed. *)
+    ascending, a total order — through an index heap. A kept candidate
+    is its pair and its score, nothing more. Scoring, formula and order
+    share this module so the float arithmetic stays unboxed. *)
 
 type buffer
 
@@ -44,13 +38,12 @@ val buffer : unit -> buffer
 (** [clear b] empties [b], keeping its storage. *)
 val clear : buffer -> unit
 
-(** [score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~n_qubits ~est]
+(** [score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~est]
     classifies the DAG edge [u -> v] by the critical flags [crit]
     (Case I, II or III), scores it from the per-node latencies [lat]
     and CP-after values [cp] ([succs] are [u]'s successors; [est] the
-    merged latency estimate, [n_qubits] the merged gate's width) and
-    keeps it when the score is positive. Case III edges are skipped
-    unless [include_iii]. *)
+    merged latency estimate) and keeps it when the score is positive.
+    Case III edges are skipped unless [include_iii]. *)
 val score_edge :
   buffer ->
   include_iii:bool ->
@@ -60,7 +53,6 @@ val score_edge :
   succs:int list ->
   u:int ->
   v:int ->
-  n_qubits:int ->
   est:float ->
   unit
 
@@ -75,6 +67,3 @@ val next : buffer -> int
 val cand_u : buffer -> int -> int
 
 val cand_v : buffer -> int -> int
-
-(** [scored b i] is kept candidate [i] as a record. *)
-val scored : buffer -> int -> scored

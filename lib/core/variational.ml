@@ -78,7 +78,6 @@ type plan = {
 
 let plan_params plan = plan.params
 let plan_anchor_values plan = plan.anchor_grid
-let plan_n_slots plan = Array.length plan.slots
 
 let plan_slot_kinds plan =
   Array.fold_left
@@ -741,11 +740,13 @@ let plan_of_string text =
         let dt = float_field ~at dt in
         let slices = int_field ~at slices in
         let nctrl = int_field ~at nctrl in
-        if slices <= 0 || nctrl < 0 then fail ~at "bad waveform shape";
-        if List.length amps <> slices * nctrl then
+        if slices <= 0 || nctrl <= 0 then fail ~at "bad waveform shape";
+        (* compared without multiplying: slices * nctrl can overflow *)
+        let n = List.length amps in
+        if n mod nctrl <> 0 || n / nctrl <> slices then
           fail ~at
-            (Printf.sprintf "waveform carries %d amplitudes, expected %d"
-               (List.length amps) (slices * nctrl));
+            (Printf.sprintf "waveform carries %d amplitudes, expected %d x %d"
+               n slices nctrl);
         let flat = Array.of_list (List.map (float_field ~at) amps) in
         let amplitudes =
           Array.init slices (fun j ->

@@ -68,8 +68,6 @@ val plan_params : plan -> string list
     adopted fallback anchors are per-slot and not reflected here). *)
 val plan_anchor_values : plan -> float list
 
-val plan_n_slots : plan -> int
-
 (** [(static, param, multi)] slot counts: angle-free slots, slots bound to
     exactly one free parameter (anchor-interpolated), and slots mixing
     several parameters (resynthesised each iteration). *)

@@ -16,7 +16,5 @@ let avg_gate_fidelity target u =
   let f_pro = gate_fidelity target u in
   ((d *. f_pro) +. 1.0) /. (d +. 1.0)
 
-let state_fidelity a b = Cvec.overlap2 a b
-
 let esp errors =
   List.fold_left (fun acc e -> acc *. (1.0 -. e)) 1.0 errors

@@ -21,9 +21,6 @@ val gate_error : Cmat.t -> Cmat.t -> float
     fidelity. *)
 val avg_gate_fidelity : Cmat.t -> Cmat.t -> float
 
-(** [state_fidelity a b] is [|<a|b>|²]. *)
-val state_fidelity : Cvec.t -> Cvec.t -> float
-
 (** [esp errors] is [Π (1 - ε_i)] — estimated success probability of a
     grouped circuit (Eq. 2 of the paper). *)
 val esp : float list -> float

@@ -13,12 +13,6 @@ type result = {
   gates_covered : int;
 }
 
-let mode_to_string = function
-  | M_zero -> "M=0"
-  | M_tuned -> "M=tuned"
-  | M_inf -> "M=inf"
-  | M_limit k -> Printf.sprintf "M=%d" k
-
 let span (o : Pattern.occurrence) =
   let ns = o.Pattern.nodes in
   (List.fold_left min max_int ns, List.fold_left max (-1) ns)

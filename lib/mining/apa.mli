@@ -30,6 +30,3 @@ type result = {
 
 (** [apply ?miner ~mode c] mines [c] and rewrites it under the [M] policy. *)
 val apply : ?miner:Miner.config -> mode:mode -> Paqoc_circuit.Circuit.t -> result
-
-(** [mode_to_string] for reports. *)
-val mode_to_string : mode -> string

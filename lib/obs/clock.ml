@@ -3,5 +3,4 @@
    returns process-wide CPU time, so under [--jobs N] every concurrent
    task's reading is inflated by the CPU the other domains burn. *)
 
-let now_ns () = Monotonic_clock.now ()
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

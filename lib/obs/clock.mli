@@ -6,9 +6,6 @@
     CPU time inflates every concurrent task's reading by the work the
     other domains did. *)
 
-(** Nanoseconds on CLOCK_MONOTONIC (arbitrary epoch). *)
-val now_ns : unit -> int64
-
 (** Seconds on CLOCK_MONOTONIC (arbitrary epoch); subtract two readings
     for an elapsed wall-clock duration. *)
 val now_s : unit -> float

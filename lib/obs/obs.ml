@@ -101,8 +101,6 @@ let enable () =
   reset ();
   Atomic.set on true
 
-let disable () = Atomic.set on false
-
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -268,9 +266,6 @@ let counter_value name =
 
 let gauge_last name =
   Option.map fst (List.assoc_opt name (merged_gauges ()))
-
-let gauge_max name =
-  Option.map snd (List.assoc_opt name (merged_gauges ()))
 
 let span_count name =
   match List.assoc_opt name (merged_spans ()) with

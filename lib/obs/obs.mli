@@ -17,17 +17,15 @@
     gauges, histogram observations of deterministic quantities) are
     reproducible, which is what the test suite asserts on.
 
-    Intended protocol: [enable] (or [reset]) at a quiescent point, run the
+    Intended protocol: [enable] at a quiescent point, run the
     instrumented workload, then [report_json]/[trace_json] after the
-    workload (including any worker domains) has finished. *)
+    workload (including any worker domains) has finished; [reset] turns
+    recording off again. *)
 
 (** {1 Lifecycle} *)
 
 (** [enable ()] clears all recorded data and turns recording on. *)
 val enable : unit -> unit
-
-(** [disable ()] turns recording off; already-recorded data is kept. *)
-val disable : unit -> unit
 
 (** [reset ()] turns recording off and discards all recorded data. *)
 val reset : unit -> unit
@@ -83,10 +81,6 @@ val counter_value : string -> int
 
 (** Last value set on a gauge, across all domains ([None] when absent). *)
 val gauge_last : string -> float option
-
-(** Maximum value ever set on a gauge ([None] when absent) — e.g. the
-    high-water [server.queue_depth] of a daemon run. *)
-val gauge_max : string -> float option
 
 (** Number of completed spans recorded under a name, across all domains. *)
 val span_count : string -> int

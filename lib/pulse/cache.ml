@@ -57,11 +57,9 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let stripe_of t key =
-  t.stripes.(Hashtbl.hash key mod Array.length t.stripes)
-
-let shape_stripe_of t sign =
-  t.stripes.(Hashtbl.hash sign mod Array.length t.stripes)
+(* the stripe holding [k], for entry keys, shape signatures and class
+   keys alike *)
+let stripe_of t k = t.stripes.(Hashtbl.hash k mod Array.length t.stripes)
 
 (* the shard count, and the journal length that triggers a compaction *)
 let n_stripes = 16
@@ -133,15 +131,12 @@ let find t key =
     note_consult t `Miss;
     None
 
-let class_stripe_of t ck =
-  t.stripes.(Hashtbl.hash ck mod Array.length t.stripes)
-
 let probe_class t ck =
-  let s = class_stripe_of t ck in
+  let s = stripe_of t ck in
   locked s.slock (fun () -> Hashtbl.find_opt s.classes ck)
 
 let mem_shape t sign =
-  let s = shape_stripe_of t sign in
+  let s = stripe_of t sign in
   locked s.slock (fun () -> Hashtbl.mem s.shapes sign)
 
 let size t =
@@ -292,7 +287,7 @@ let publish t key e =
   end
 
 let publish_shape t sign =
-  let s = shape_stripe_of t sign in
+  let s = stripe_of t sign in
   let fresh =
     locked s.slock (fun () ->
         if Hashtbl.mem s.shapes sign then false
@@ -304,7 +299,7 @@ let publish_shape t sign =
   if fresh then append t (Db_format.Shape sign)
 
 let publish_class t (ci : Db_format.class_info) =
-  let s = class_stripe_of t ci.Db_format.class_key in
+  let s = stripe_of t ci.Db_format.class_key in
   let fresh =
     locked s.slock (fun () ->
         if Hashtbl.mem s.classes ci.Db_format.class_key then false
@@ -375,10 +370,10 @@ let insert_mem t = function
     let s = stripe_of t key in
     locked s.slock (fun () -> Hashtbl.replace s.entries key e)
   | Db_format.Shape sign ->
-    let s = shape_stripe_of t sign in
+    let s = stripe_of t sign in
     locked s.slock (fun () -> Hashtbl.replace s.shapes sign ())
   | Db_format.Class ci ->
-    let s = class_stripe_of t ci.Db_format.class_key in
+    let s = stripe_of t ci.Db_format.class_key in
     locked s.slock (fun () ->
         Hashtbl.replace s.classes ci.Db_format.class_key ci)
 

@@ -65,7 +65,7 @@ val create : unit -> t
 
 (** [open_file path] opens a persistent cache backed by [path]:
 
-    - a missing or empty file is initialised as an empty v3 journal;
+    - a missing or 0-byte file is initialised as an empty v3 journal;
     - an existing v1/v2 snapshot is loaded and compacted to v3 in place;
     - an existing v3 or v4 file is loaded (snapshot, then journal replay
       with last-wins semantics); a torn trailing record is dropped and

@@ -180,7 +180,7 @@ let parse_string s =
   let header_end =
     match String.index_opt s '\n' with Some i -> i | None -> len
   in
-  if header_end = 0 || len = 0 then Error "empty file"
+  if len = 0 then Error "empty file"
   else
     match version_of_magic (String.sub s 0 header_end) with
     | None -> Error "bad header"

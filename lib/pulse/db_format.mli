@@ -124,7 +124,9 @@ type contents = {
 
 (** [parse_string s] parses a whole database file image.
 
-    Rules: the header must be a known magic; every complete line must
+    Rules: a 0-byte image is the error ["empty file"]; otherwise the
+    header must be a known magic (["bad header"], an empty first line
+    included); every complete line must
     parse ([K]/[S] in the snapshot section — plus [C] in v4 —
     [+K]/[+S]/[+C] after the first journal record; blank lines are
     skipped); a snapshot record after a journal record is an error, as is

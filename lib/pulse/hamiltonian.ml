@@ -22,8 +22,6 @@ let sigma_x = Cmat.of_real_lists [ [ 0.; 1. ]; [ 1.; 0. ] ]
 let sigma_y =
   Cmat.of_lists [ [ Cx.zero; Cx.make 0. (-1.) ]; [ Cx.make 0. 1.; Cx.zero ] ]
 
-let sigma_z = Cmat.of_real_lists [ [ 1.; 0. ]; [ 0.; -1. ] ]
-
 let make ?(mu = mu_max) ?drive_bound ~n_qubits ~coupled_pairs () =
   if n_qubits <= 0 then invalid_arg "Hamiltonian.make: need qubits";
   let dim = 1 lsl n_qubits in

@@ -78,4 +78,3 @@ val at_into :
 val sigma_x : Paqoc_linalg.Cmat.t
 
 val sigma_y : Paqoc_linalg.Cmat.t
-val sigma_z : Paqoc_linalg.Cmat.t

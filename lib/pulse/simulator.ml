@@ -134,14 +134,6 @@ let process_fidelity gen (c : Circuit.t) =
     c.Circuit.gates;
   Paqoc_linalg.Fidelity.gate_fidelity (Circuit.unitary c) !pulse_u
 
-let esp gen (c : Circuit.t) =
-  List.fold_left
-    (fun acc (g : Gate.app) ->
-      let group, _ = Generator.group_of_apps [ g ] in
-      let outcome = Generator.generate gen group in
-      acc *. (1.0 -. outcome.Generator.error))
-    1.0 c.Circuit.gates
-
 (* ------------------------------------------------------------------ *)
 (* Decoherence                                                         *)
 (* ------------------------------------------------------------------ *)

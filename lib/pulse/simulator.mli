@@ -45,10 +45,6 @@ val circuit_fidelity : Generator.t -> Paqoc_circuit.Circuit.t -> float
     backend. *)
 val process_fidelity : Generator.t -> Paqoc_circuit.Circuit.t -> float
 
-(** [esp gen c] is Eq. 2: the product over gate groups of [1 - ε]; works on
-    either backend. *)
-val esp : Generator.t -> Paqoc_circuit.Circuit.t -> float
-
 (** {1 Decoherence}
 
     The paper's motivation made quantitative: under a finite coherence

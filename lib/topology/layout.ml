@@ -28,5 +28,3 @@ let swap_physical t a b =
   t.p2l.(b) <- la;
   if la <> -1 then t.l2p.(la) <- b;
   if lb <> -1 then t.l2p.(lb) <- a
-
-let to_array t = Array.copy t.l2p

@@ -25,5 +25,3 @@ val log : t -> int -> int
 (** [swap_physical t a b] exchanges whatever sits on physical qubits [a]
     and [b]. *)
 val swap_physical : t -> int -> int -> unit
-
-val to_array : t -> int array

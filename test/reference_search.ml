@@ -9,8 +9,10 @@
      queue. [Dag.contract] relinearises only the windows a merge
      touches and must agree with it node for node.
    - [enumerate], [score], [compare_scored] and [rank] are the original
-     candidate pipeline, and [preprocess] the original Observation-1
-     loop (one circuit and two DAG rebuilds per round).
+     candidate pipeline, over the [candidate] and [scored] records the
+     product's candidate buffer no longer builds, and [preprocess] the
+     original Observation-1 loop (one circuit and two DAG rebuilds per
+     round).
    - [run_reference] is the original Algorithm 1 loop (one full
      [Reference_criticality.analyze] per iteration and per attempted
      contraction)
@@ -193,6 +195,19 @@ let contract c groups = fst (contract_mapped c groups)
 (* Candidates, scoring, pre-processing                                 *)
 (* ------------------------------------------------------------------ *)
 
+type candidate = {
+  u : int;  (** earlier node id *)
+  v : int;  (** later node id, direct successor of [u] *)
+  case : [ `I | `II | `III ];  (** [`III] only when pruning is off *)
+  n_qubits : int;  (** qubit count of the merged gate *)
+}
+
+type scored = {
+  candidate : candidate;
+  score : float;  (** estimated latency reduction, device dt *)
+  est_merged_latency : float;
+}
+
 let n_qubits_of (g : Gate.app) =
   List.length (List.sort_uniq compare g.Gate.qubits)
 
@@ -211,29 +226,29 @@ let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
           | `III ->
             if include_case_iii then
               out :=
-                { Candidates.u; v; case = `III; n_qubits = List.length union }
+                { u; v; case = `III; n_qubits = List.length union }
                 :: !out
           | (`I | `II) as case ->
-            out := { Candidates.u; v; case; n_qubits = List.length union } :: !out)
+            out := { u; v; case; n_qubits = List.length union } :: !out)
       (Dag.succs dag u)
   done;
   List.rev !out
 
-let score gen (crit : Criticality.t) (cand : Candidates.t) =
+let score gen (crit : Criticality.t) (cand : candidate) =
   let dag = crit.Criticality.dag in
-  let u = cand.Candidates.u and v = cand.Candidates.v in
+  let u = cand.u and v = cand.v in
   let gu = Dag.gate dag u and gv = Dag.gate dag v in
   let l_u = Criticality.latency crit u
   and l_v = Criticality.latency crit v in
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
-  let grows = cand.Candidates.n_qubits > max (n_qubits_of gu) (n_qubits_of gv) in
+  let grows = cand.n_qubits > max (n_qubits_of gu) (n_qubits_of gv) in
   let est =
     let model_est = Generator.estimate_latency gen merged_group in
     if grows then
       (* Observation 2: a bigger customized gate is, on average, slower —
          price it at least at the corpus average for its size *)
       Float.max model_est
-        (Generator.avg_latency_for_size gen cand.Candidates.n_qubits)
+        (Generator.avg_latency_for_size gen cand.n_qubits)
     else model_est
   in
   (* longest continuation through u's other successors (the paper's C) *)
@@ -247,21 +262,19 @@ let score gen (crit : Criticality.t) (cand : Candidates.t) =
   in
   let cp_v = Criticality.cp_after crit v in
   let score =
-    Ranking.score_value ~case:cand.Candidates.case
+    Ranking.score_value ~case:cand.case
       ~u_critical:(Criticality.is_critical crit u) ~l_u ~l_v ~cp_v
       ~alt_after_u ~est
   in
-  { Ranking.candidate = cand; score; est_merged_latency = est }
+  { candidate = cand; score; est_merged_latency = est }
 
 (* Total order: score descending, then (u, v) ascending — candidates are
    distinct pairs, so the sorted sequence is unique whatever the input
    order. *)
-let compare_scored (a : Ranking.scored) (b : Ranking.scored) =
-  if a.Ranking.score <> b.Ranking.score then compare b.Ranking.score a.Ranking.score
+let compare_scored (a : scored) (b : scored) =
+  if a.score <> b.score then compare b.score a.score
   else
-    compare
-      (a.Ranking.candidate.Candidates.u, a.Ranking.candidate.Candidates.v)
-      (b.Ranking.candidate.Candidates.u, b.Ranking.candidate.Candidates.v)
+    compare (a.candidate.u, a.candidate.v) (b.candidate.u, b.candidate.v)
 
 (* scored and sorted best-first (ties: earlier pair first) *)
 let rank gen crit cands = List.sort compare_scored (List.map (score gen crit) cands)
@@ -347,11 +360,9 @@ let run_reference ?(config = default_config) gen c =
     let dag = crit.Criticality.dag in
     let groups =
       List.map
-        (fun (s : Ranking.scored) ->
+        (fun (s : scored) ->
           incr merge_counter;
-          let nodes =
-            [ s.Ranking.candidate.Candidates.u; s.Ranking.candidate.Candidates.v ]
-          in
+          let nodes = [ s.candidate.u; s.candidate.v ] in
           ( nodes,
             Rewrite.custom_of_nodes dag nodes
               ~name:(Printf.sprintf "grp%d" !merge_counter) ))
@@ -380,13 +391,12 @@ let run_reference ?(config = default_config) gen c =
       in
       let scored =
         rank gen crit cands
-        |> List.filter (fun (s : Ranking.scored) ->
-               s.Ranking.score > 1e-9
+        |> List.filter (fun (s : scored) ->
+               s.score > 1e-9
                && not
                     (Hashtbl.mem blacklist
-                       (merged_key crit.Criticality.dag
-                          s.Ranking.candidate.Candidates.u
-                          s.Ranking.candidate.Candidates.v)))
+                       (merged_key crit.Criticality.dag s.candidate.u
+                          s.candidate.v)))
       in
       if scored = [] then c
       else begin
@@ -394,9 +404,8 @@ let run_reference ?(config = default_config) gen c =
         let spans = ref [] in
         let batch =
           List.filter
-            (fun (s : Ranking.scored) ->
-              let lo = s.Ranking.candidate.Candidates.u
-              and hi = s.Ranking.candidate.Candidates.v in
+            (fun (s : scored) ->
+              let lo = s.candidate.u and hi = s.candidate.v in
               let lo, hi = (min lo hi, max lo hi) in
               if List.length !spans >= config.top_k then false
               else if
@@ -426,9 +435,7 @@ let run_reference ?(config = default_config) gen c =
               incr rolled_back;
               let s = List.hd batch in
               Hashtbl.replace blacklist
-                (merged_key crit.Criticality.dag
-                   s.Ranking.candidate.Candidates.u
-                   s.Ranking.candidate.Candidates.v)
+                (merged_key crit.Criticality.dag s.candidate.u s.candidate.v)
                 ();
               None
             end

@@ -565,5 +565,25 @@ let suite =
           check_true "CZ replay key" (k_cz = Gen.key cz);
           check_true "CZ borrowed CX" (r_cz.Gen.rep_key = Gen.key cx)
         | rs ->
-          Alcotest.failf "expected two replays, got %d" (List.length rs))
+          Alcotest.failf "expected two replays, got %d" (List.length rs));
+    case "a newline-first file is refused untouched; a 0-byte file opens"
+      (fun () ->
+        with_tmp @@ fun path ->
+        let bytes = "\npaqoc-pulse-db v3\nK 100 0.01 0.99 q 1;cx@0,1\n" in
+        write_file path bytes;
+        (match Cache.open_file path with
+        | c ->
+          Cache.close c;
+          Alcotest.fail "a file with an empty header line opened"
+        | exception Failure m ->
+          check_true
+            (Printf.sprintf "names the bad header (got %S)" m)
+            (String.starts_with ~prefix:"Cache.open_file: bad header" m));
+        check_true "bytes unchanged" (String.equal bytes (read_file path));
+        write_file path "";
+        let c = Cache.open_file path in
+        check_int "fresh cache" 0 (Cache.size c);
+        Cache.close c;
+        check_true "initialised as v3"
+          (String.equal "paqoc-pulse-db v3\n" (read_file path)))
   ]

@@ -2,7 +2,6 @@ open Test_util
 module Crit = Reference_criticality
 module Engine = Paqoc.Criticality.Engine
 module Cand = Paqoc.Candidates
-module Ranking = Paqoc.Ranking
 module Merger = Paqoc.Merger
 module Gen = Paqoc_pulse.Generator
 module Pricing = Paqoc_pulse.Pricing
@@ -57,9 +56,10 @@ let cand_tests =
         let t = Crit.analyze gen c in
         let cands = Reference_search.enumerate t ~maxN:3 in
         List.iter
-          (fun (cand : Cand.t) ->
+          (fun (cand : Reference_search.candidate) ->
             check_true "at least one critical endpoint"
-              (Crit.is_critical t cand.Cand.u || Crit.is_critical t cand.Cand.v))
+              (Crit.is_critical t cand.Reference_search.u
+              || Crit.is_critical t cand.Reference_search.v))
           cands);
     case "size cap enforced" (fun () ->
         let c =
@@ -69,11 +69,13 @@ let cand_tests =
         let gen = Gen.model_default () in
         let t = Crit.analyze gen c in
         List.iter
-          (fun (cand : Cand.t) -> check_true "<= 3 qubits" (cand.Cand.n_qubits <= 3))
+          (fun (cand : Reference_search.candidate) ->
+            check_true "<= 3 qubits" (cand.Reference_search.n_qubits <= 3))
           (Reference_search.enumerate t ~maxN:3);
         (* with maxN = 2 the 0-1/1-2 merges (3 qubits) disappear *)
         List.iter
-          (fun (cand : Cand.t) -> check_true "<= 2 qubits" (cand.Cand.n_qubits <= 2))
+          (fun (cand : Reference_search.candidate) ->
+            check_true "<= 2 qubits" (cand.Reference_search.n_qubits <= 2))
           (Reference_search.enumerate t ~maxN:2));
     case "cycle-creating pairs invalid" (fun () ->
         (* u -> w -> v and u -> v: merging (u,v) would orphan w *)
@@ -85,7 +87,11 @@ let cand_tests =
         let t = Crit.analyze gen c in
         let cands = Reference_search.enumerate t ~maxN:3 in
         check_true "no (0,2) candidate"
-          (not (List.exists (fun (x : Cand.t) -> x.Cand.u = 0 && x.Cand.v = 2) cands)));
+          (not
+             (List.exists
+                (fun (x : Reference_search.candidate) ->
+                  x.Reference_search.u = 0 && x.Reference_search.v = 2)
+                cands)));
     case "preprocess merges same-qubit runs" (fun () ->
         let c =
           Circuit.make ~n_qubits:2
@@ -119,7 +125,8 @@ let ranking_tests =
         let t = Crit.analyze gen c in
         let scored = Reference_search.rank gen t (Reference_search.enumerate t ~maxN:3) in
         check_true "has candidates" (scored <> []);
-        check_true "top score positive" ((List.hd scored).Ranking.score > 0.0));
+        check_true "top score positive"
+          ((List.hd scored).Reference_search.score > 0.0));
     case "fig 4: merging A,C does not elongate" (fun () ->
         let gen = Gen.model_default () in
         let t = Crit.analyze gen fig4 in
@@ -128,8 +135,9 @@ let ranking_tests =
         (* all surviving candidates estimate a non-elongating merge or a
            negative score that the merger will filter *)
         List.iter
-          (fun (s : Ranking.scored) ->
-            check_true "estimate present" (s.Ranking.est_merged_latency > 0.0))
+          (fun (s : Reference_search.scored) ->
+            check_true "estimate present"
+              (s.Reference_search.est_merged_latency > 0.0))
           scored);
     case "rank is sorted descending" (fun () ->
         let c =
@@ -140,8 +148,8 @@ let ranking_tests =
         let t = Crit.analyze gen c in
         let scored = Reference_search.rank gen t (Reference_search.enumerate t ~maxN:3) in
         let rec sorted = function
-          | (a : Ranking.scored) :: (b :: _ as rest) ->
-            a.Ranking.score >= b.Ranking.score && sorted rest
+          | (a : Reference_search.scored) :: (b :: _ as rest) ->
+            a.Reference_search.score >= b.Reference_search.score && sorted rest
           | _ -> true
         in
         check_true "sorted" (sorted scored))
@@ -275,11 +283,13 @@ let ablation_tests =
           (List.length all > List.length pruned);
         check_true "extra ones are Case III"
           (List.for_all
-             (fun (x : Cand.t) ->
-               x.Cand.case <> `III
+             (fun (x : Reference_search.candidate) ->
+               x.Reference_search.case <> `III
                || not
                     (List.exists
-                       (fun (y : Cand.t) -> y.Cand.u = x.Cand.u && y.Cand.v = x.Cand.v)
+                       (fun (y : Reference_search.candidate) ->
+                         y.Reference_search.u = x.Reference_search.u
+                         && y.Reference_search.v = x.Reference_search.v)
                        pruned))
              all))
   ]

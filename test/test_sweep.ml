@@ -293,5 +293,25 @@ let suite =
               (Printf.sprintf "%s: accepted drift %.3g within 1e-6"
                  c.V.check_key drift)
               (drift <= 1e-6))
-          (List.concat_map (fun it -> it.V.checks) its))
+          (List.concat_map (fun it -> it.V.checks) its));
+    case "a W line that overflows its shape or has no controls is an error"
+      (fun () ->
+        (* a one-slot plan; its anchor's waveform is line 9 *)
+        let plan_with w =
+          String.concat "\n"
+            [ "paqoc-plan v1"; "Q 1"; "P t"; "V 0x0p+0"; "N 1"; "R t rz(St)@0";
+              "A 0x0p+0"; "O 0x1p+6 0x0p+0 0x1p+0 synthesized"; w; "" ]
+        in
+        (match V.plan_of_string (plan_with "W 0x1p+0 1 1 0x0p+0") with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "control plan rejected at line %d: %s" e.V.line
+            e.V.reason);
+        (* 2^61 slices x 4 controls wraps to 0 amplitudes *)
+        expect_error ~line:9 ~needle:"waveform carries"
+          (plan_with "W 0x1p+0 2305843009213693952 4");
+        expect_error ~line:9 ~needle:"bad waveform shape"
+          (plan_with "W 0x1p+0 4611686018427387903 0");
+        expect_error ~line:9 ~needle:"bad waveform shape"
+          (plan_with "W 0x1p+0 3 0"))
   ]
