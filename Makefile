@@ -88,6 +88,15 @@ check:
 	  && cmp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db \
 	  || { echo "check: compile --cache on a newline-first file exited $$rc:"; \
 	       cat /tmp/paqoc_bad.err; exit 1; }
+	@printf 'paqoc-pulse-db v3\nK nan nan nan q 2;cx@0,1;cx@1,0;cx@0,1\n' \
+	  > /tmp/paqoc_bad.db
+	@cp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db
+	@_build/default/bin/paqoc_cli.exe compile bv --cache /tmp/paqoc_bad.db \
+	  > /dev/null 2> /tmp/paqoc_bad.err; \
+	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
+	  && cmp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db \
+	  || { echo "check: compile --cache on a NaN K record exited $$rc:"; \
+	       cat /tmp/paqoc_bad.err; exit 1; }
 	@printf 'paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\nA 0x0p+0\n' \
 	  > /tmp/paqoc_bad.plan
 	@printf 'O 0x1p+6 0x0p+0 0x1p+0 synthesized\nW 0x1p+0 2305843009213693952 4\n' \

@@ -31,30 +31,55 @@ let bind bindings = function
     | Some v -> Const (k *. v)
     | None -> a)
 
+(* Decimal digits straight into the buffer: [string_of_int] goes through
+   C [snprintf] and a fresh string on every call. *)
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_nat buf n
+  else if n > min_int then begin
+    Buffer.add_char buf '-';
+    add_nat buf (-n)
+  end
+  else Buffer.add_string buf (string_of_int n)
+
 (* Render a float as a multiple of pi when it is (numerically) a small
    rational multiple; this keeps mining labels stable across circuits that
    construct the same angle through different float expressions. *)
-let pi_label f =
-  let frac = f /. pi in
-  let denominators = [ 1; 2; 3; 4; 6; 8; 12; 16 ] in
-  let rec search = function
-    | [] -> Printf.sprintf "%.9g" f
-    | d :: rest ->
-      let num = frac *. float_of_int d in
-      let rounded = Float.round num in
-      if abs_float (num -. rounded) < 1e-9 && abs_float rounded < 64.0 then
-        let n = int_of_float rounded in
-        if n = 0 then "0"
-        else if d = 1 then Printf.sprintf "%dpi" n
-        else Printf.sprintf "%dpi/%d" n d
-      else search rest
-  in
-  search denominators
+let denominators = [ 1; 2; 3; 4; 6; 8; 12; 16 ]
 
-let label = function
-  | Const f -> pi_label f
-  | Sym s -> "$" ^ s
-  | Scaled (s, k) -> Printf.sprintf "%.9g*$%s" k s
+let rec add_pi_label buf f frac = function
+  | [] -> Printf.bprintf buf "%.9g" f
+  | d :: rest ->
+    let num = frac *. float_of_int d in
+    let rounded = Float.round num in
+    if abs_float (num -. rounded) < 1e-9 && abs_float rounded < 64.0 then begin
+      let n = int_of_float rounded in
+      if n = 0 then Buffer.add_char buf '0'
+      else begin
+        add_int buf n;
+        Buffer.add_string buf "pi";
+        if d <> 1 then begin
+          Buffer.add_char buf '/';
+          add_int buf d
+        end
+      end
+    end
+    else add_pi_label buf f frac rest
+
+let add_label buf = function
+  | Const f -> add_pi_label buf f (f /. pi) denominators
+  | Sym s ->
+    Buffer.add_char buf '$';
+    Buffer.add_string buf s
+  | Scaled (s, k) -> Printf.bprintf buf "%.9g*$%s" k s
+
+let label a =
+  let buf = Buffer.create 16 in
+  add_label buf a;
+  Buffer.contents buf
 
 let equal a b =
   match (a, b) with

@@ -36,6 +36,14 @@ val bind : (string * float) list -> t -> t
     identical by the miner. *)
 val label : t -> string
 
+(** [add_label buf a] appends [label a] to [buf]; the pulse-table key
+    writer renders angles through it without an intermediate string. *)
+val add_label : Buffer.t -> t -> unit
+
+(** [add_int buf n] appends [string_of_int n] to [buf] without
+    allocating (the label and key writers' integer printer). *)
+val add_int : Buffer.t -> int -> unit
+
 (** [equal a b] is structural equality with a small tolerance on
     constants. *)
 val equal : t -> t -> bool

@@ -87,12 +87,59 @@ let params = function
   | Custom _ ->
     []
 
+let add_mining_label buf k =
+  Buffer.add_string buf (name k);
+  match k with
+  | RX a | RY a | RZ a | CPhase a ->
+    Buffer.add_char buf '(';
+    Angle.add_label buf a;
+    Buffer.add_char buf ')'
+  | U3 (a, b, c) ->
+    Buffer.add_char buf '(';
+    Angle.add_label buf a;
+    Buffer.add_char buf ',';
+    Angle.add_label buf b;
+    Buffer.add_char buf ',';
+    Angle.add_label buf c;
+    Buffer.add_char buf ')'
+  | I | X | Y | Z | H | S | Sdg | T | Tdg | SX | SXdg | CX | CZ | SWAP | CCX
+  | Custom _ ->
+    ()
+
 let mining_label k =
   match params k with
   | [] -> name k
-  | ps ->
-    Printf.sprintf "%s(%s)" (name k)
-      (String.concat "," (List.map Angle.label ps))
+  | _ :: _ ->
+    let buf = Buffer.create 24 in
+    add_mining_label buf k;
+    Buffer.contents buf
+
+(* A custom body's wire map onto the walk's outer wires. Top-level gates
+   sit on the identity map, [top_wires]: every custom's map is a fresh
+   array, so physical equality tells the two apart. *)
+type wires = int array
+
+let top_wires = [| -1 |]
+let wire (w : wires) q = if w == top_wires then q else w.(q)
+
+let rec fill_wires inner outer i = function
+  | [] -> ()
+  | q :: rest ->
+    inner.(i) <- wire outer q;
+    fill_wires inner outer (i + 1) rest
+
+let rec walk f w = function
+  | [] -> ()
+  | a :: rest ->
+    (match a.kind with
+    | Custom c ->
+      let inner = Array.make (List.length a.qubits) 0 in
+      fill_wires inner w 0 a.qubits;
+      walk f inner c.body
+    | k -> f k a.qubits w);
+    walk f w rest
+
+let iter_primitives f apps = walk f top_wires apps
 
 let rec is_symbolic = function
   | RX a | RY a | RZ a | CPhase a -> Angle.is_symbolic a

@@ -66,6 +66,9 @@ val name : kind -> string
     are labelled by their name. *)
 val mining_label : kind -> string
 
+(** [add_mining_label buf k] appends [mining_label k] to [buf]. *)
+val add_mining_label : Buffer.t -> kind -> unit
+
 val params : kind -> Angle.t list
 val is_symbolic : kind -> bool
 
@@ -97,6 +100,22 @@ val equal_app : app -> app -> bool
 
 (** Adjoint gate. Customs are inverted body-wise. *)
 val dagger : kind -> kind
+
+(** {1 Flattened walks} *)
+
+(** Where a walked primitive's operands land: operand [q] of a gate
+    nested in customs is wire [wire w q] of the walked list. *)
+type wires
+
+val wire : wires -> int -> int
+
+(** [iter_primitives f apps] calls [f k qs w] on every primitive (non-
+    [Custom]) gate of [apps], in the order of the flattened list (each
+    custom replaced by its body, recursively). [k] is the gate, [qs]
+    its own operand list and [wire w q] the wire of [apps] that operand
+    [q] lands on. A walk allocates one wire map per custom it enters
+    and nothing per primitive. *)
+val iter_primitives : (kind -> int list -> wires -> unit) -> app list -> unit
 
 (** {1 Unitaries} *)
 

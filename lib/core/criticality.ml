@@ -83,7 +83,8 @@ module Engine = struct
 
   let price_of_app gen (g : Gate.app) =
     let grp, _ = Generator.group_of_apps [ g ] in
-    (Generator.key grp, Generator.priced_latency gen grp)
+    let k = Generator.key grp in
+    (k, Generator.priced_latency_with_key gen grp k)
 
   let intern e k =
     match Hashtbl.find_opt e.key_ids k with

@@ -98,16 +98,23 @@ type contents = {
   valid_bytes : int;
 }
 
+(* A K record's values must be finite, its latency non-negative and its
+   error a probability: [1 - error] in [0, 1]. A QOC row stores
+   [1 - achieved], and a fidelity that rounds above 1 makes that a few
+   ulps negative (-2^-52 seen), so the lower bound allows rounding. *)
+let error_rounding = 1e-9
+let valid_error e = e <= 1.0 && e >= -.error_rounding
+
 (* Parse the body of a K/S line (the leading "K "/"S " included,
    any "+" already stripped). *)
 let parse_record version line =
   if String.length line >= 2 && line.[0] = 'K' then
     match String.split_on_char ' ' line with
     | "K" :: lat :: err :: fid :: rest when rest <> [] -> (
-      let num name s =
+      let num name valid s =
         match float_of_string_opt s with
-        | Some f -> Ok f
-        | None -> Error ("bad " ^ name)
+        | Some f when Float.is_finite f && valid f -> Ok f
+        | Some _ | None -> Error ("bad " ^ name)
       in
       let provenance_and_key =
         match version with
@@ -118,8 +125,11 @@ let parse_record version line =
           | "f" :: kp -> Ok (Fallback, kp)
           | _ -> Error "bad provenance")
       in
-      match (num "latency" lat, num "error" err, num "fidelity" fid,
-             provenance_and_key)
+      match
+        ( num "latency" (fun l -> l >= 0.0) lat,
+          num "error" valid_error err,
+          num "fidelity" (fun _ -> true) fid,
+          provenance_and_key )
       with
       | Ok latency, Ok error, Ok fidelity, Ok (provenance, key_parts) ->
         if key_parts = [] then Error "bad K line"
@@ -191,7 +201,10 @@ let parse_string s =
       let torn = ref false in
       let valid = ref (min len (header_end + 1)) in
       let error = ref None in
+      let line_no = ref 1 in
+      let fail e = error := Some (Printf.sprintf "line %d: %s" !line_no e) in
       let feed ~complete ~start line =
+        incr line_no;
         match !error with
         | Some _ -> ()
         | None ->
@@ -210,11 +223,11 @@ let parse_string s =
               | Ok r ->
                 snapshot := r :: !snapshot;
                 valid := start + String.length line
-              | Error e -> error := Some e)
+              | Error e -> fail e)
           end
           else if line.[0] = '+' then begin
             match version with
-            | V1 | V2 -> error := Some "journal record in a snapshot file"
+            | V1 | V2 -> fail "journal record in a snapshot file"
             | V3 | V4 -> (
               in_journal := true;
               match
@@ -224,16 +237,16 @@ let parse_string s =
               | Ok r ->
                 journal := r :: !journal;
                 valid := start + String.length line + 1
-              | Error e -> error := Some e)
+              | Error e -> fail e)
           end
           else if !in_journal then
-            error := Some "snapshot record after journal records"
+            fail "snapshot record after journal records"
           else
             match parse_record version line with
             | Ok r ->
               snapshot := r :: !snapshot;
               valid := start + String.length line + 1
-            | Error e -> error := Some e
+            | Error e -> fail e
       in
       let pos = ref (header_end + 1) in
       while !pos <= len && !error = None do

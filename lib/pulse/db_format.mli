@@ -132,7 +132,11 @@ type contents = {
     skipped); a snapshot record after a journal record is an error, as is
     a [C] record in a pre-v4 file and a malformed or truncated class
     record (["bad class arity"], ["bad class float"],
-    ["truncated class record"]). In a v3/v4 file only, a final segment
+    ["truncated class record"]). A [K] record's values must be finite,
+    its latency non-negative and its error at most 1 and at least
+    [-1e-9] (a QOC row's [1 - fidelity] may round a few ulps below 0):
+    ["bad latency"], ["bad error"], ["bad fidelity"]. A record error
+    names its line: ["line 2: bad latency"]. In a v3/v4 file only, a final segment
     with no trailing newline is a torn journal tail and is dropped (that
     is the crash-replay rule — appends are a single write, so a crash can
     only tear the last record). *)

@@ -1,4 +1,5 @@
 module Gate = Paqoc_circuit.Gate
+module Angle = Paqoc_circuit.Angle
 module Cmat = Paqoc_linalg.Cmat
 module Canon = Paqoc_canon.Canon
 module Fidelity = Paqoc_linalg.Fidelity
@@ -8,59 +9,69 @@ module Clock = Paqoc_obs.Clock
 
 type group = { n_qubits : int; gates : Gate.app list }
 
+(* First-appearance relabelling without a table: groups touch a handful
+   of qubits, so [seen] (the global qubits met so far, newest first) is
+   scanned. The qubit at position [p] of an [n]-long [seen] is local wire
+   [n - 1 - p]. *)
+let rec local_wire (q : int) i = function
+  | [] -> -1
+  | x :: rest -> if x = q then i else local_wire q (i - 1) rest
+
+let rec note_wires seen n = function
+  | [] -> (seen, n)
+  | q :: rest ->
+    if local_wire q (n - 1) seen >= 0 then note_wires seen n rest
+    else note_wires (q :: seen) (n + 1) rest
+
+let rec relabel seen last = function
+  | [] -> []
+  | q :: rest as qs ->
+    let q' = local_wire q last seen in
+    let rest' = relabel seen last rest in
+    if q' = q && rest' == rest then qs else q' :: rest'
+
 let group_of_apps apps =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (g : Gate.app) ->
-      List.iter
-        (fun q ->
-          if not (Hashtbl.mem tbl q) then begin
-            Hashtbl.add tbl q (Hashtbl.length tbl);
-            order := q :: !order
-          end)
-        g.Gate.qubits)
-    apps;
-  let local (g : Gate.app) =
-    { g with Gate.qubits = List.map (Hashtbl.find tbl) g.Gate.qubits }
+  let seen, n =
+    List.fold_left
+      (fun (seen, n) (g : Gate.app) -> note_wires seen n g.Gate.qubits)
+      ([], 0) apps
   in
-  ( { n_qubits = Hashtbl.length tbl; gates = List.map local apps },
-    List.rev !order )
+  let local (g : Gate.app) =
+    let qubits = relabel seen (n - 1) g.Gate.qubits in
+    if qubits == g.Gate.qubits then g else { g with Gate.qubits }
+  in
+  ({ n_qubits = n; gates = List.map local apps }, List.rev seen)
 
 (* Keys are structural: customized gates are flattened to their primitive
    bodies so that, e.g., the merged gate "grp17" wrapping [CX; RZ; CX] and
    the APA gate "apa2" wrapping the same body share one pulse-table entry
    (names are presentation, the pulse depends only on the unitary's
-   construction). *)
-let rec flatten_for_key (gates : Gate.app list) =
-  List.concat_map
-    (fun (a : Gate.app) ->
-      match a.Gate.kind with
-      | Gate.Custom cu ->
-        let wires = Array.of_list a.Gate.qubits in
-        flatten_for_key
-          (List.map
-             (fun (s : Gate.app) ->
-               { s with Gate.qubits = List.map (fun q -> wires.(q)) s.Gate.qubits })
-             cu.Gate.body)
-      | _ -> [ a ])
-    gates
+   construction). The walk writes each primitive's label and its wires
+   straight into the key buffer. *)
+let rec add_wires buf w = function
+  | [] -> ()
+  | [ q ] -> Angle.add_int buf (Gate.wire w q)
+  | q :: rest ->
+    Angle.add_int buf (Gate.wire w q);
+    Buffer.add_char buf ',';
+    add_wires buf w rest
 
 let serialize ~label g =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int g.n_qubits);
-  List.iter
-    (fun (a : Gate.app) ->
+  let buf = Buffer.create 128 in
+  Angle.add_int buf g.n_qubits;
+  Gate.iter_primitives
+    (fun k qs w ->
       Buffer.add_char buf ';';
-      Buffer.add_string buf (label a.Gate.kind);
+      label buf k;
       Buffer.add_char buf '@';
-      Buffer.add_string buf
-        (String.concat "," (List.map string_of_int a.Gate.qubits)))
-    (flatten_for_key g.gates);
+      add_wires buf w qs)
+    g.gates;
   Buffer.contents buf
 
-let key g = serialize ~label:Gate.mining_label g
-let shape_signature g = serialize ~label:Gate.name g
+let key g = serialize ~label:Gate.add_mining_label g
+
+let shape_signature g =
+  serialize ~label:(fun buf k -> Buffer.add_string buf (Gate.name k)) g
 
 type provenance = Db_format.provenance = Synthesized | Fallback
 
@@ -270,33 +281,22 @@ let avg_latency_for_size t nq =
 (* Coupled pairs present in the group's two-qubit gates; GRAPE only gets
    exchange controls on pairs the target actually entangles. *)
 let coupled_pairs_of g =
-  let rec collect acc (gs : Gate.app list) =
-    List.fold_left
-      (fun acc (a : Gate.app) ->
-        match (a.Gate.kind, a.Gate.qubits) with
-        | Gate.Custom cu, qs ->
-          let wires = Array.of_list qs in
-          collect acc
-            (List.map
-               (fun (s : Gate.app) ->
-                 { s with
-                   Gate.qubits = List.map (fun q -> wires.(q)) s.Gate.qubits
-                 })
-               cu.Gate.body)
-        | _, [ x; y ] ->
-          let e = if x < y then (x, y) else (y, x) in
-          if List.mem e acc then acc else e :: acc
-        | _, [ x; y; z ] ->
-          (* 3-qubit primitive: couple along the operand chain *)
-          let add acc (a, b) =
-            let e = if a < b then (a, b) else (b, a) in
-            if List.mem e acc then acc else e :: acc
-          in
-          add (add acc (x, y)) (y, z)
-        | _ -> acc)
-      acc gs
+  let pairs = ref [] in
+  let add a b =
+    let e = if a < b then (a, b) else (b, a) in
+    if not (List.mem e !pairs) then pairs := e :: !pairs
   in
-  List.rev (collect [] g.gates)
+  Gate.iter_primitives
+    (fun _ qs w ->
+      match qs with
+      | [ x; y ] -> add (Gate.wire w x) (Gate.wire w y)
+      | [ x; y; z ] ->
+        (* 3-qubit primitive: couple along the operand chain *)
+        add (Gate.wire w x) (Gate.wire w y);
+        add (Gate.wire w y) (Gate.wire w z)
+      | _ -> ())
+    g.gates;
+  List.rev !pairs
 
 let hamiltonian_for ~device g =
   Hamiltonian.make ~mu:(Device.synthesis_mu device)
@@ -742,19 +742,21 @@ let fallback_outcome t g =
   let cfg = model_config t in
   let clock = Array.make (max 1 g.n_qubits) 0.0 in
   let keep = ref 1.0 in
-  List.iter
-    (fun (a : Gate.app) ->
-      let l = Latency_model.fixed_gate_latency cfg a in
-      let start =
-        List.fold_left (fun m q -> Float.max m clock.(q)) 0.0 a.Gate.qubits
+  Gate.iter_primitives
+    (fun k qs w ->
+      (* a primitive's table pulse depends on its gate alone *)
+      let l =
+        Latency_model.fixed_gate_latency cfg { Gate.kind = k; qubits = qs }
       in
-      List.iter (fun q -> clock.(q) <- start +. l) a.Gate.qubits;
+      let start =
+        List.fold_left (fun m q -> Float.max m clock.(Gate.wire w q)) 0.0 qs
+      in
+      List.iter (fun q -> clock.(Gate.wire w q) <- start +. l) qs;
       let e =
-        Latency_model.group_error cfg ~latency:l
-          ~n_qubits:(List.length a.Gate.qubits)
+        Latency_model.group_error cfg ~latency:l ~n_qubits:(List.length qs)
       in
       keep := !keep *. (1.0 -. e))
-    (flatten_for_key g.gates);
+    g.gates;
   let latency = Array.fold_left Float.max 0.0 clock in
   let error = 1.0 -. !keep in
   { latency;
@@ -1090,9 +1092,10 @@ let priced_latency_locked t (g : group) k =
     Hashtbl.replace t.priced k l;
     l
 
-let priced_latency t g =
-  let k = key g in
+let priced_latency_with_key t g k =
   locked t (fun () -> priced_latency_locked t g k)
+
+let priced_latency t g = priced_latency_with_key t g (key g)
 
 let priced_latency_of_key t k =
   locked t (fun () -> Hashtbl.find_opt t.priced k)

@@ -270,6 +270,10 @@ val avg_latency_for_size : t -> int -> float
     never touches the hit/generated accounting. *)
 val priced_latency : t -> group -> float
 
+(** [priced_latency_with_key t g k] is [priced_latency t g] for a caller
+    that already rendered [k = key g]; it renders no key. *)
+val priced_latency_with_key : t -> group -> string -> float
+
 (** [priced_latency_of_key t k] reads the memo directly for a canonical
     key obtained earlier from {!key} — no group serialisation at all.
     [None] only when [k] has never been priced through

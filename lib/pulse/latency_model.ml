@@ -38,62 +38,77 @@ let default =
    116 dt). *)
 let repeat_discount = 0.45
 
-(* Flatten customs to primitives over the group's local wires. *)
-let rec flatten_apps (gates : Gate.app list) =
-  List.concat_map
-    (fun (g : Gate.app) ->
-      match g.Gate.kind with
-      | Gate.Custom cu ->
-        let wires = Array.of_list g.Gate.qubits in
-        flatten_apps
-          (List.map
-             (fun (s : Gate.app) ->
-               { s with Gate.qubits = List.map (fun q -> wires.(q)) s.Gate.qubits })
-             cu.Gate.body)
-      | _ -> [ g ])
-    gates
+(* One primitive's step of the interaction critical path. [clock] is
+   each wire's interaction time; [last_pair] the last interaction pair
+   seen on each wire, as a pair code, and [run_len] its run length — the
+   same-pair repetition discount. A pair code is [a * n + b] for the two
+   smallest operands [a <= b] of an [n]-wire group, and [no_pair] for a
+   gate with fewer than two. *)
+let no_pair = -1
+
+let rec pair_code n w m1 m2 = function
+  | [] -> if m2 = max_int then no_pair else (m1 * n) + m2
+  | q :: rest ->
+    let q = Gate.wire w q in
+    if q < m1 then pair_code n w q m1 rest
+    else if q < m2 then pair_code n w m1 q rest
+    else pair_code n w m1 m2 rest
+
+let rec latest (clock : float array) w m = function
+  | [] -> m
+  | q :: rest -> latest clock w (Float.max m clock.(Gate.wire w q)) rest
+
+let rec stamp (clock : float array) (last_pair : int array)
+    (run_len : int array) w t pair len = function
+  | [] -> ()
+  | q :: rest ->
+    let q = Gate.wire w q in
+    clock.(q) <- t;
+    last_pair.(q) <- pair;
+    run_len.(q) <- len;
+    stamp clock last_pair run_len w t pair len rest
+
+let rec stamp_break last_pair run_len w = function
+  | [] -> ()
+  | q :: rest ->
+    let q = Gate.wire w q in
+    last_pair.(q) <- no_pair;
+    run_len.(q) <- 0;
+    stamp_break last_pair run_len w rest
+
+let rec count_on rot w = function
+  | [] -> ()
+  | q :: rest ->
+    let q = Gate.wire w q in
+    rot.(q) <- rot.(q) + 1;
+    count_on rot w rest
+
+let path_step ~n_qubits clock last_pair run_len k qs w =
+  if Gate.arity k >= 2 then begin
+    let pair : int = pair_code n_qubits w max_int max_int qs in
+    let k' =
+      match qs with
+      | [ a; b ]
+        when last_pair.(Gate.wire w a) = pair
+             && last_pair.(Gate.wire w b) = pair ->
+        run_len.(Gate.wire w a)
+      | _ -> 0
+    in
+    let weight =
+      Gate.interaction_weight k *. (repeat_discount ** float_of_int k')
+    in
+    let start = latest clock w 0.0 qs in
+    stamp clock last_pair run_len w (start +. weight) pair (k' + 1) qs
+  end
+  else if not (Gate.is_diagonal k) then
+    (* a non-diagonal 1q gate breaks a same-pair interaction run *)
+    stamp_break last_pair run_len w qs
 
 let interaction_path_weight ~n_qubits gates =
   let clock = Array.make n_qubits 0.0 in
-  (* last interaction pair seen on each qubit and its run length, used for
-     the same-pair repetition discount *)
-  let last_pair = Array.make n_qubits (-1, -1) in
+  let last_pair = Array.make n_qubits no_pair in
   let run_len = Array.make n_qubits 0 in
-  List.iter
-    (fun (g : Gate.app) ->
-      if Gate.arity g.Gate.kind >= 2 then begin
-        let w = Gate.interaction_weight g.Gate.kind in
-        let pair =
-          match List.sort compare g.Gate.qubits with
-          | [ a; b ] -> (a, b)
-          | a :: b :: _ -> (a, b)
-          | _ -> (-1, -1)
-        in
-        let same_run =
-          List.length g.Gate.qubits = 2
-          && List.for_all (fun q -> last_pair.(q) = pair) g.Gate.qubits
-        in
-        let k = if same_run then run_len.(List.hd g.Gate.qubits) else 0 in
-        let w = w *. (repeat_discount ** float_of_int k) in
-        let start =
-          List.fold_left (fun m q -> Float.max m clock.(q)) 0.0 g.Gate.qubits
-        in
-        List.iter
-          (fun q ->
-            clock.(q) <- start +. w;
-            last_pair.(q) <- pair;
-            run_len.(q) <- k + 1)
-          g.Gate.qubits
-      end
-      else
-        (* a non-diagonal 1q gate breaks a same-pair interaction run *)
-        if not (Gate.is_diagonal g.Gate.kind) then
-          List.iter
-            (fun q ->
-              last_pair.(q) <- (-1, -1);
-              run_len.(q) <- 0)
-            g.Gate.qubits)
-    (flatten_apps gates);
+  Gate.iter_primitives (path_step ~n_qubits clock last_pair run_len) gates;
   Array.fold_left Float.max 0.0 clock
 
 (* Deterministic jitter in [-1, 1] keyed on the canonical group string. *)
@@ -110,24 +125,32 @@ let apply_jitter cfg key base =
     let jittered = base *. (1.0 +. (cfg.noise *. jitter_of_key key)) in
     Float.max 1.0 (Float.round jittered)
 
+(* One walk prices the group: it steps the interaction critical path and
+   counts each wire's non-diagonal gates for the interaction-less case. *)
 let group_latency cfg ~n_qubits ~key gates =
-  let gates = flatten_apps gates in
-  if gates = [] then 0.0
-  else if List.for_all (fun (g : Gate.app) -> Gate.is_diagonal g.Gate.kind) gates
-  then 0.0 (* virtual-Z only: free frame change *)
+  let clock = Array.make n_qubits 0.0 in
+  let last_pair = Array.make n_qubits no_pair in
+  let run_len = Array.make n_qubits 0 in
+  let rot = Array.make n_qubits 0 in
+  let primitives = ref 0 and non_diagonal = ref 0 in
+  Gate.iter_primitives
+    (fun k qs w ->
+      incr primitives;
+      if not (Gate.is_diagonal k) then begin
+        incr non_diagonal;
+        count_on rot w qs
+      end;
+      path_step ~n_qubits clock last_pair run_len k qs w)
+    gates;
+  if !primitives = 0 then 0.0
+  else if !non_diagonal = 0 then 0.0 (* virtual-Z only: free frame change *)
   else begin
-    let w = interaction_path_weight ~n_qubits gates in
+    let w = Array.fold_left Float.max 0.0 clock in
     if w > 0.0 then
       apply_jitter cfg key (cfg.ramp +. (cfg.l_cx *. (w ** cfg.alpha)))
     else begin
       (* interaction-less group: one collapsed rotation layer per wire,
          layers run in parallel *)
-      let rot = Array.make n_qubits 0 in
-      List.iter
-        (fun (g : Gate.app) ->
-          if not (Gate.is_diagonal g.Gate.kind) then
-            List.iter (fun q -> rot.(q) <- rot.(q) + 1) g.Gate.qubits)
-        gates;
       let layer =
         Array.fold_left
           (fun acc n ->

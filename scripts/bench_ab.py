@@ -14,7 +14,10 @@ which side runs first swaps from pair to pair, so host phases that move
 every timing hit both sides alike.
 
 For every metric the script prints both sides' medians and quartiles
-and how many pairs the change won. It then gives a verdict:
+and how many pairs the change won; for an end-to-end metric it also
+prints the quartiles of the per-pair change / parent ratio, which
+cancels host phases that move both runs of a pair alike (a diagnostic:
+the verdict does not read it). It then gives a verdict:
 
 * a claim (`--claim suite:warm_pass_s`) holds when the change wins at
   least 9 pairs in 10 and its median beats the parent's by more than
@@ -108,6 +111,14 @@ def bound_broken(pairs, direction, bound):
     return (rel > bound, rel)
 
 
+def pair_ratios(pairs):
+    """Per-pair change / parent ratios, skipping pairs whose parent is
+    0. The two runs of a pair are back to back, so a slow host phase
+    scales both and cancels in the ratio: a diagnostic that resolves
+    smaller changes than the medians do. The verdict does not read it."""
+    return [c / p for p, c in pairs if p != 0]
+
+
 def pin_problem(name, values):
     """None when a pinned metric took one value in every run (None
     marks a run that did not report it), else the reason."""
@@ -188,6 +199,10 @@ def report(workload, seed, runs, spec, claims, pins):
             line += "  %+.1f%% (%s is better, bound %.1f%%)%s" % (
                 100 * change, direction, 100 * end_to_end[name]["bound"],
                 "  WORSE" if broken else "")
+            ratios = pair_ratios(pairs)
+            if ratios:
+                line += "  change/parent %.3f / %.3f / %.3f" % quartiles(
+                    ratios)
             if broken:
                 problems.append("%s seed %s: %s worse than its bound"
                                 % (workload, seed, name))
@@ -255,6 +270,9 @@ def self_test():
     assert why and "differs" in why and "1047" in why, why
     why = pin_problem("trace.staged_mismatch", [0.0, None, 0.0])
     assert why and "missing from 1 of 3" in why, why
+    # the per-pair ratio diagnostic skips a zero parent
+    assert quartiles(pair_ratios([(2.0, 1.0), (4.0, 3.0), (0.0, 1.0),
+                                  (1.0, 1.0)])) == (0.625, 0.75, 0.875)
     assert failure_share({"attempted": 10, "failed": 1}) == 0.1
     assert failure_share({"attempted": 0, "failed": 0}) == 0.0
     print("bench_ab self-test: ok")

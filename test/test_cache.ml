@@ -30,6 +30,11 @@ let with_tmp f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let suite =
   [ case "publish, find, probe; duplicate publish is a no-op" (fun () ->
         let c = Cache.create () in
@@ -392,12 +397,6 @@ let suite =
             ignore (Cache.open_file path);
             Alcotest.failf "expected failure %S" want
           with Failure msg ->
-            let contains s sub =
-              let n = String.length s and m = String.length sub in
-              let rec go i = i + m <= n
-                             && (String.sub s i m = sub || go (i + 1)) in
-              go 0
-            in
             check_true
               (Printf.sprintf "%S mentions %S" msg want)
               (contains msg want)
@@ -585,5 +584,60 @@ let suite =
         check_int "fresh cache" 0 (Cache.size c);
         Cache.close c;
         check_true "initialised as v3"
-          (String.equal "paqoc-pulse-db v3\n" (read_file path)))
+          (String.equal "paqoc-pulse-db v3\n" (read_file path)));
+    case "impossible K-record values are refused untouched" (fun () ->
+        with_tmp @@ fun path ->
+        let refused want body =
+          let bytes = "paqoc-pulse-db v3\nS 2;cx@0,1\n" ^ body in
+          write_file path bytes;
+          (match Cache.open_file path with
+          | c ->
+            Cache.close c;
+            Alcotest.failf "%S opened" body
+          | exception Failure m ->
+            check_true
+              (Printf.sprintf "%S refused with %S (got %S)" body want m)
+              (contains m want));
+          check_true "bytes unchanged" (String.equal bytes (read_file path))
+        in
+        refused "line 3: bad latency" "K nan 0.01 0.99 q 2;cx@0,1\n";
+        refused "line 3: bad latency" "K inf 0.01 0.99 q 2;cx@0,1\n";
+        refused "line 3: bad latency" "K -1e9 0.01 0.99 q 2;cx@0,1\n";
+        refused "line 3: bad error" "K 100 nan 0.99 q 2;cx@0,1\n";
+        refused "line 3: bad error" "K 100 2.5 0.5 q 2;cx@0,1\n";
+        refused "line 3: bad error" "K 100 -5 0.5 q 2;cx@0,1\n";
+        refused "line 3: bad fidelity" "K 100 0.01 -inf q 2;cx@0,1\n";
+        refused "line 4: bad latency"
+          "K 100 0.01 0.99 q 2;cx@0,1\n+K nan nan nan q 2;cx@0,1;cx@1,0\n";
+        (* a QOC row stores 1 - achieved, which rounds below 0 when the
+           achieved fidelity rounds above 1 *)
+        write_file path
+          "paqoc-pulse-db v3\nK 100 -2.2e-16 1 q 2;cx@0,1\n";
+        Cache.with_file path (fun c ->
+            match Cache.find c "2;cx@0,1" with
+            | Some e ->
+              check_true "rounded error kept" (e.Cache.error = -2.2e-16)
+            | None -> Alcotest.fail "rounded-error entry lost"));
+    (* The latency golden sees keys only through their jitter, and the
+       17-benchmark search pin compares two modes that share one key
+       renderer, so neither catches a key byte that moved. This digest
+       of a cold Table I suite's pulse table does; it was recorded with
+       the list-copying renderer that test/reference_keys.ml keeps. *)
+    case "a cold Table I suite at jobs 1 writes the pinned cache bytes"
+      (fun () ->
+        with_tmp @@ fun path ->
+        check_int "Table I" 17 (List.length Suite.all);
+        Cache.with_file path (fun cache ->
+            List.iter
+              (fun (e : Suite.entry) ->
+                let physical =
+                  (Suite.transpiled e).Paqoc_topology.Transpile.physical
+                in
+                ignore
+                  (Paqoc.compile ~jobs:1 ~cache (Gen.model_default ())
+                     physical))
+              Suite.all);
+        Alcotest.(check string)
+          "cache file digest" "995ba8d6222da8104fc5f79165c7deef"
+          (Digest.to_hex (Digest.file path)))
   ]

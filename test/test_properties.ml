@@ -184,6 +184,148 @@ let estimate_and_peek_are_free () =
   check_true "estimate/peek mutate neither database nor accounting"
     (before = after)
 
+(* ------------------------------------------------------------------ *)
+(* The in-place walk against the list-copying oracle                  *)
+(* ------------------------------------------------------------------ *)
+
+module LM = Paqoc_pulse.Latency_model
+
+(* an angle of every label form: k*pi/d for each d in 1..16 (|k| up to
+   70, past the 64 cutoff), arbitrary floats (the %.9g fallback), named
+   and scaled symbols *)
+let gen_angle =
+  let open QCheck.Gen in
+  frequency
+    [ ( 5,
+        map3
+          (fun k d sign ->
+            Angle.const (sign *. float_of_int k *. Angle.pi /. float_of_int d))
+          (int_bound 70) (int_range 1 16)
+          (oneofl [ 1.0; -1.0 ]) );
+      (2, map Angle.const (float_range (-20.0) 20.0));
+      (1, map Angle.const (oneofl [ 0.0; -0.0; 1e-12; 3e7; -2.5e-5 ]));
+      (1, map Angle.sym (oneofl [ "gamma"; "beta"; "t0" ]));
+      ( 1,
+        map2
+          (fun s k -> Angle.Scaled (s, k))
+          (oneofl [ "gamma"; "beta" ])
+          (float_range (-4.0) 4.0) )
+    ]
+
+(* [k] distinct wires out of [0 .. n-1] *)
+let gen_wires n k =
+  let open QCheck.Gen in
+  map
+    (fun perm -> List.filteri (fun i _ -> i < k) perm)
+    (shuffle_l (List.init n Fun.id))
+
+(* a primitive gate on wires drawn from [0 .. n-1] *)
+let gen_primitive n =
+  let open QCheck.Gen in
+  let one =
+    [ (6, oneofl Gate.[ I; X; Y; Z; H; S; Sdg; T; Tdg; SX; SXdg ]);
+      (2, map (fun a -> Gate.RX a) gen_angle);
+      (2, map (fun a -> Gate.RY a) gen_angle);
+      (3, map (fun a -> Gate.RZ a) gen_angle);
+      (2, map3 (fun a b c -> Gate.U3 (a, b, c)) gen_angle gen_angle gen_angle)
+    ]
+  in
+  let two =
+    [ (5, oneofl Gate.[ CX; CZ; SWAP ]);
+      (2, map (fun a -> Gate.CPhase a) gen_angle)
+    ]
+  in
+  let three = [ (1, return Gate.CCX) ] in
+  frequency
+    (one @ (if n >= 2 then two else []) @ if n >= 3 then three else [])
+  >>= fun k ->
+  map (fun qs -> { Gate.kind = k; qubits = qs }) (gen_wires n (Gate.arity k))
+
+(* a custom of arity [a] (1-4) whose body nests a chain [depth] deep:
+   one nested custom per level, beside up to three primitives *)
+let rec gen_custom depth a =
+  let open QCheck.Gen in
+  let nested =
+    if depth = 0 then return []
+    else
+      int_range 1 a >>= fun a' ->
+      gen_custom (depth - 1) a' >>= fun cu ->
+      map
+        (fun qs -> [ { Gate.kind = Gate.Custom cu; qubits = qs } ])
+        (gen_wires a a')
+  in
+  nested >>= fun nested ->
+  list_size (int_bound 3) (gen_primitive a) >>= fun prims ->
+  int_bound (List.length prims) >>= fun at ->
+  let body =
+    List.filteri (fun i _ -> i < at) prims
+    @ nested
+    @ List.filteri (fun i _ -> i >= at) prims
+  in
+  oneofl [ "grp"; "apa3"; "m17" ] >>= fun cname ->
+  return { Gate.cname; arity = a; body }
+
+(* a top-level list over wires 0..12: primitives and customs nesting up
+   to 24 deep *)
+let gen_nested_apps =
+  let open QCheck.Gen in
+  let top =
+    frequency
+      [ (2, gen_primitive 13);
+        ( 3,
+          int_range 1 4 >>= fun a ->
+          int_bound 24 >>= fun depth ->
+          gen_custom depth a >>= fun cu ->
+          map
+            (fun qs -> { Gate.kind = Gate.Custom cu; qubits = qs })
+            (gen_wires 13 a)
+        )
+      ]
+  in
+  list_size (int_range 1 5) top
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let walk_matches_oracle =
+  qcheck
+    (QCheck.Test.make ~count:500
+       ~name:
+         "keys, labels and the latency model == the list-copying oracle on \
+          nested customs"
+       (QCheck.make
+          ~print:(fun apps ->
+            Reference_keys.key { Gen.n_qubits = 13; gates = apps })
+          gen_nested_apps)
+       (fun apps ->
+         let cfg = LM.default in
+         let agrees (g : Gen.group) =
+           let k = Gen.key g in
+           let n_qubits = g.Gen.n_qubits and gates = g.Gen.gates in
+           String.equal k (Reference_keys.key g)
+           && String.equal (Gen.shape_signature g)
+                (Reference_keys.shape_signature g)
+           && same_bits
+                (LM.group_latency cfg ~n_qubits ~key:k gates)
+                (Reference_keys.group_latency cfg ~n_qubits ~key:k gates)
+           && same_bits
+                (LM.group_latency cfg ~n_qubits ~key:"" gates)
+                (Reference_keys.group_latency cfg ~n_qubits ~key:"" gates)
+           && same_bits
+                (LM.interaction_path_weight ~n_qubits gates)
+                (Reference_keys.interaction_path_weight ~n_qubits gates)
+         in
+         let rec labels_agree (a : Gate.app) =
+           String.equal (Gate.mining_label a.Gate.kind)
+             (Reference_keys.mining_label a.Gate.kind)
+           &&
+           match a.Gate.kind with
+           | Gate.Custom cu -> List.for_all labels_agree cu.Gate.body
+           | _ -> true
+         in
+         List.for_all labels_agree apps
+         && agrees { Gen.n_qubits = 13; gates = apps }
+         && agrees (fst (Gen.group_of_apps apps))))
+
 let suite =
   [ case "key is invariant under qubit renaming (200 seeded trials)"
       key_permutation_invariant;
@@ -192,5 +334,6 @@ let suite =
     case "save/load round-trip preserves entries and canonical bytes"
       save_load_round_trip;
     case "estimate_latency and peek never mutate state"
-      estimate_and_peek_are_free
+      estimate_and_peek_are_free;
+    walk_matches_oracle
   ]

@@ -587,10 +587,77 @@ let qpe_stage_case =
           eng
       done)
 
+(* A merge chain as deep and as large as the deepest and the largest
+   group a warm suite pass prices: 22 nested customs, 134 primitives
+   (each level wraps the one below with six gates, on a rotated wire
+   order). Rendering its 1,040-byte key and pricing its
+   model estimate once costs 894 minor words, most of them the key
+   buffer's growth; the budget is about twice that. The list-copying
+   renderer and model (test/reference_keys.ml) rebuilt a relabelled copy
+   of the subtree at every level and spent 26,471 words. *)
+let deep_key_budget_words = 1_800.0
+
+let deep_merge_chain () =
+  let rz k q =
+    Gate.app1 (Gate.RZ (Angle.const (float_of_int k *. Angle.pi /. 4.0))) q
+  in
+  let block level =
+    [ Gate.app2 Gate.CX 0 1; rz level 1; Gate.app1 Gate.SX 1;
+      Gate.app2 Gate.CX 1 2; rz (level + 3) 2; Gate.app1 Gate.X 0 ]
+  in
+  let wrap level inner =
+    Gate.app
+      (Gate.Custom
+         (Gate.make_custom ~name:(Printf.sprintf "grp%d" level) ~arity:3
+            (inner @ block level)))
+      [ 0; 1; 2 ]
+  in
+  let rec chain level acc =
+    if level > 22 then acc
+    else
+      let rotated = { acc with Gate.qubits = [ 1; 2; 0 ] } in
+      chain (level + 1) (wrap level [ rotated ])
+  in
+  chain 2 (wrap 1 [ Gate.app2 Gate.CZ 0 2; Gate.app1 Gate.H 0 ])
+
+let deep_key_case =
+  case "a 22-deep merge chain renders and prices under the word budget"
+    (fun () ->
+      let top = deep_merge_chain () in
+      let g = fst (Gen.group_of_apps [ top ]) in
+      let primitives = ref 0 and depth = ref 0 in
+      let rec measure d (a : Gate.app) =
+        match a.Gate.kind with
+        | Gate.Custom cu ->
+          depth := max !depth (d + 1);
+          List.iter (measure (d + 1)) cu.Gate.body
+        | _ -> incr primitives
+      in
+      measure 0 top;
+      check_int "nesting depth" 22 !depth;
+      check_int "primitives" 134 !primitives;
+      let gen = Gen.model_default () in
+      let price () =
+        let k = Gen.key g in
+        ignore (Sys.opaque_identity (Gen.estimate_latency_of_key gen g k))
+      in
+      price ();
+      let reps = 100 in
+      let before = Gc.minor_words () in
+      for _ = 1 to reps do
+        price ()
+      done;
+      let per = (Gc.minor_words () -. before) /. float_of_int reps in
+      if per > deep_key_budget_words then
+        Alcotest.failf
+          "rendering and pricing the deep chain allocates %.0f minor words, \
+           over the %.0f budget"
+          per deep_key_budget_words)
+
 let suite =
   [ qcheck engine_differential;
     qcheck search_differential;
     suite_equivalence
   ]
   @ alloc_suite @ priced_memo_suite
-  @ [ dnn_step_case; preprocess_pin; qpe_stage_case ]
+  @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case ]
