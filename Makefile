@@ -1,14 +1,17 @@
 # Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time, a malformed QASM file that every
-# circuit-reading subcommand must refuse with exit 1, not crash on, a
-# sweep plan aimed at an unwritable path, a device grid over the
-# 1,024-qubit cap, a pulse waveform dump aimed at an unwritable path, a
-# negative sweep count, a negative per-task synthesis budget, a cache
-# file whose first line is empty (its bytes must stay untouched) and a
-# plan sidecar whose waveform shape overflows, all refused the same
-# way), then the IR, daemon and bit-exact QOC gates below.
+# all hits the second time, a canonical-cache and a sweep-plan smoke),
+# then the refusal table of scripts/check_refusals.py: each row is a
+# command that must exit 1 with its error line, not crash, leaving the
+# file or directory it refuses as it was (a malformed QASM file through
+# every circuit-reading subcommand, a sweep plan aimed at an unwritable
+# path, a device grid over the 1,024-qubit cap, a pulse waveform dump
+# aimed at an unwritable path, a negative sweep count, a negative
+# per-task synthesis budget, a cache file whose first line is empty, one
+# whose K record holds NaN, a plan sidecar whose waveform shape
+# overflows, a directory given as the cache and a directory given as
+# the circuit), then the IR, daemon and bit-exact QOC gates below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -44,70 +47,7 @@ check:
 	  --plan /tmp/paqoc_sweep.plan | grep -q 'interp hit rate 100.0%' \
 	  || (echo "check: warm sweep recompile not all interp hits" && exit 1)
 	@rm -f /tmp/paqoc_sweep.plan
-	@printf 'OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n' > /tmp/paqoc_bad.qasm
-	@for cmd in compile export-ir mine compile-sweep; do \
-	  _build/default/bin/paqoc_cli.exe $$cmd /tmp/paqoc_bad.qasm \
-	    $$([ $$cmd = export-ir ] && echo /tmp/paqoc_bad.json) \
-	    > /dev/null 2> /tmp/paqoc_bad.err; rc=$$?; \
-	  [ $$rc = 1 ] && grep -q '^error: QASM parse error' /tmp/paqoc_bad.err \
-	    || { echo "check: $$cmd on malformed QASM exited $$rc:"; \
-	         cat /tmp/paqoc_bad.err; exit 1; }; \
-	done
-	@_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep 1 \
-	  --plan /nonexistent_paqoc_dir/x.plan > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  || { echo "check: compile-sweep --plan to an unwritable path exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@_build/default/bin/paqoc_cli.exe compile bv --device 300x300 \
-	  > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  || { echo "check: compile on a 300x300 grid exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@_build/default/bin/paqoc_cli.exe pulse x \
-	  --dump /nonexistent_paqoc_dir/x.csv > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  || { echo "check: pulse --dump to an unwritable path exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep=-2 \
-	  > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  || { echo "check: compile-sweep --sweep=-2 exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@_build/default/bin/paqoc_cli.exe compile bv --task-seconds=-1 \
-	  > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: --task-seconds' /tmp/paqoc_bad.err \
-	  || { echo "check: compile --task-seconds=-1 exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@printf '\npaqoc-pulse-db v3\nK 100 0.01 0.99 q 1;cx@0,1\n' \
-	  > /tmp/paqoc_bad.db
-	@cp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db
-	@_build/default/bin/paqoc_cli.exe compile bv --cache /tmp/paqoc_bad.db \
-	  > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] \
-	  && grep -q '^error: Cache.open_file: bad header' /tmp/paqoc_bad.err \
-	  && cmp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db \
-	  || { echo "check: compile --cache on a newline-first file exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@printf 'paqoc-pulse-db v3\nK nan nan nan q 2;cx@0,1;cx@1,0;cx@0,1\n' \
-	  > /tmp/paqoc_bad.db
-	@cp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db
-	@_build/default/bin/paqoc_cli.exe compile bv --cache /tmp/paqoc_bad.db \
-	  > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  && cmp /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db \
-	  || { echo "check: compile --cache on a NaN K record exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@printf 'paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\nA 0x0p+0\n' \
-	  > /tmp/paqoc_bad.plan
-	@printf 'O 0x1p+6 0x0p+0 0x1p+0 synthesized\nW 0x1p+0 2305843009213693952 4\n' \
-	  >> /tmp/paqoc_bad.plan
-	@_build/default/bin/paqoc_cli.exe compile-sweep qaoa --sweep 1 \
-	  --plan /tmp/paqoc_bad.plan > /dev/null 2> /tmp/paqoc_bad.err; \
-	rc=$$?; [ $$rc = 1 ] && grep -q '^error: ' /tmp/paqoc_bad.err \
-	  || { echo "check: compile-sweep on an overflowing W line exited $$rc:"; \
-	       cat /tmp/paqoc_bad.err; exit 1; }
-	@rm -f /tmp/paqoc_bad.qasm /tmp/paqoc_bad.json /tmp/paqoc_bad.err \
-	  /tmp/paqoc_bad.db /tmp/paqoc_bad_orig.db /tmp/paqoc_bad.plan
+	python3 scripts/check_refusals.py _build/default/bin/paqoc_cli.exe
 	$(MAKE) check-ir
 	$(MAKE) check-daemon
 	$(MAKE) check-qoc

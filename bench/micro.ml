@@ -208,8 +208,10 @@ let run_bench_devices ?(path = "BENCH_devices.json") () =
           in
           let gen = Gen.model_default () in
           Gen.set_device gen dev;
+          Gen.set_shared_cache gen (Some cache);
+          Gen.set_canonical gen true;
           let s0 = Cache.stats cache in
-          let r = Paqoc.compile ~cache ~canonical:true gen physical in
+          let r = Paqoc.compile gen physical in
           let s1 = Cache.stats cache in
           ( synth + r.Paqoc.pulses_generated,
             hits + (s1.Cache.hits - s0.Cache.hits),

@@ -119,11 +119,19 @@ let or_exit f =
     exit 124
 
 (* A file path becomes inline QASM — the daemon never reads client
-   paths; anything else is a benchmark name Service resolves. *)
+   paths; anything else is a benchmark name Service resolves. A path
+   that cannot be read (a directory, say) exits 1 naming it. *)
 let request_circuit input =
-  if Sys.file_exists input then
-    Protocol.Qasm (In_channel.with_open_bin input In_channel.input_all)
-  else Protocol.Benchmark input
+  if not (Sys.file_exists input) then Protocol.Benchmark input
+  else
+    match
+      if Sys.is_directory input then Error "is a directory"
+      else Ok (In_channel.with_open_bin input In_channel.input_all)
+    with
+    | Ok qasm -> Protocol.Qasm qasm
+    | Error msg | (exception Sys_error msg) ->
+      Printf.eprintf "error: cannot read circuit: %s (%s)\n" msg input;
+      exit 1
 
 let grid_of_spec = function
   | "5x5" -> (5, 5)

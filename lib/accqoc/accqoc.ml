@@ -13,9 +13,7 @@ type report = {
   fallbacks : int;
 }
 
-let compile ?(slicer = Slicer.accqoc_n3d3) ?(jobs = 1) ?cache gen
-    (c : Circuit.t) =
-  Generator.with_shared_cache ?cache gen @@ fun () ->
+let compile ?(slicer = Slicer.accqoc_n3d3) ?(jobs = 1) gen (c : Circuit.t) =
   Paqoc_obs.Obs.with_span "accqoc.compile" @@ fun () ->
   let seconds0 = Generator.total_seconds gen in
   let generated0 = Generator.pulses_generated gen in

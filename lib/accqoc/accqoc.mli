@@ -17,18 +17,16 @@ type report = {
   fallbacks : int;  (** slices that degraded to decomposed-basis pulses *)
 }
 
-(** [compile ?slicer ?jobs ?cache gen c] runs the baseline on physical
+(** [compile ?slicer ?jobs gen c] runs the baseline on physical
     circuit [c] through generator [gen]. Default slicing is
     [accqoc_n3d3]. [jobs] (default 1) parallelises slice pricing across
     worker domains; the MST warm-start order is preserved and the result
-    is identical to the serial run. [cache] scopes a shared cross-run
-    {!Paqoc_pulse.Cache} to this compile (see
-    {!Paqoc.compile}); the generator's previous attachment is restored
-    on return. *)
+    is identical to the serial run. A shared cross-run
+    {!Paqoc_pulse.Cache} is the generator's: attach it with
+    {!Paqoc_pulse.Generator.set_shared_cache} before compiling. *)
 val compile :
   ?slicer:Slicer.config ->
   ?jobs:int ->
-  ?cache:Paqoc_pulse.Cache.t ->
   Paqoc_pulse.Generator.t ->
   Paqoc_circuit.Circuit.t ->
   report

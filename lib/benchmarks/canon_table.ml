@@ -21,12 +21,11 @@ let compute ?(jobs = 1) () =
   List.map
     (fun (e : Suite.entry) ->
       let gen = Gen.model_default () in
+      Gen.set_shared_cache gen (Some cache);
+      Gen.set_canonical gen true;
       let t = Suite.transpiled e in
       let s0 = Cache.stats cache in
-      let r =
-        Paqoc.compile ~jobs ~cache ~canonical:true gen
-          t.Paqoc_topology.Transpile.physical
-      in
+      let r = Paqoc.compile ~jobs gen t.Paqoc_topology.Transpile.physical in
       let s1 = Cache.stats cache in
       { name = e.Suite.name;
         synthesized = r.Paqoc.pulses_generated;

@@ -13,14 +13,16 @@ module Obs = Paqoc_obs.Obs
    bitwise equal to what a full analysis (price every episode,
    schedule the whole DAG: [analyze] in test/reference_criticality.ml)
    of the same circuit against the same generator state would produce.
-   This holds because (a) episode latencies come from the generator's
-   write-through priced-latency memo, i.e. they are exactly the
-   peek-or-estimate values the analysis schedules with, and a memo
-   entry moves only when the generator writes its key, which the
-   generator's write log reports; and (b) the est and cp_after values
-   are recomputed in full by the same max-plus folds as Dag.schedule,
-   over the same pred and succ lists. The differential battery in
-   test_search pins this.
+   This holds because (a) the engine keeps one price per interned key,
+   priced when it first meets the key as the pulse table's latency,
+   else the model estimate: the peek-or-estimate value the analysis
+   schedules with. A key's price moves only when the generator writes
+   its table row, the write log names every such key, and the engine
+   re-reads those keys from the table and reprices exactly the nodes
+   whose latency differs from their key's price; and (b) the est and
+   cp_after values are recomputed in full by the same max-plus folds
+   as Dag.schedule, over the same pred and succ lists. The
+   differential battery in test_search pins this.
 
    Ids with holes. The engine edits its DAG in place ({!Dag.edit}): a
    merge relinearises only its windows, lays their nodes back onto the
@@ -62,11 +64,9 @@ module Engine = struct
     uid : int array;
     mutable total : float;
     mutable epoch : int;  (** generator price epoch of [lat] *)
-    (* interned keys, and per key the price a reprice found written *)
+    (* interned keys, and one price per key *)
     key_ids : (string, int) Hashtbl.t;
-    mutable kmark : int array;  (** [kgen] when written since [epoch] *)
     mutable kprice : float array;
-    mutable kgen : int;
     (* staged state *)
     mutable s_valid : bool;
     mutable s_n : int;
@@ -81,51 +81,46 @@ module Engine = struct
     mutable w_uid : int array;
   }
 
-  let price_of_app gen (g : Gate.app) =
+  (* The interned key of [g]'s episode. A key met for the first time is
+     priced as its table latency, else its model estimate. *)
+  let intern e (g : Gate.app) =
     let grp, _ = Generator.group_of_apps [ g ] in
     let k = Generator.key grp in
-    (k, Generator.priced_latency_with_key gen grp k)
-
-  let intern e k =
     match Hashtbl.find_opt e.key_ids k with
     | Some i -> i
     | None ->
       let i = Hashtbl.length e.key_ids in
       Hashtbl.add e.key_ids k i;
-      let len = Array.length e.kmark in
-      if i = len then begin
-        let grow a fill =
-          let a' = Array.make (max 64 (2 * len)) fill in
-          Array.blit a 0 a' 0 len;
-          a'
-        in
-        e.kmark <- grow e.kmark 0;
-        e.kprice <- grow e.kprice 0.0
+      if i = Array.length e.kprice then begin
+        let a = Array.make (max 64 (2 * i)) 0.0 in
+        Array.blit e.kprice 0 a 0 i;
+        e.kprice <- a
       end;
+      e.kprice.(i) <-
+        (match Generator.table_latency e.gen k with
+        | Some l -> l
+        | None -> Generator.estimate_latency_of_key e.gen grp k);
       i
 
-  (* Marks each interned key the generator wrote since [e.epoch] with
-     its current price; false when none of them is interned. A written
-     key is always in the memo (a write goes through it). *)
-  let mark_written e =
-    e.kgen <- e.kgen + 1;
+  (* Re-reads from the table the price of every interned key the
+     generator wrote since [e.epoch]; false when none of them is
+     interned. A written key always has a table row. *)
+  let reread_written e =
     List.fold_left
       (fun any k ->
-        let price = Generator.priced_latency_of_key e.gen k in
-        match (Hashtbl.find_opt e.key_ids k, price) with
-        | Some i, Some l ->
-          e.kmark.(i) <- e.kgen;
-          e.kprice.(i) <- l;
+        match Hashtbl.find_opt e.key_ids k with
+        | Some i ->
+          Option.iter (fun l -> e.kprice.(i) <- l)
+            (Generator.table_latency e.gen k);
           true
-        | _ -> any)
+        | None -> any)
       false
       (Generator.written_since e.gen e.epoch)
 
-  (* the new price of node [v] if [mark_written] marked its key and the
-     price moved *)
-  let repriced e v =
+  (* node [v]'s latency differs from its key's price *)
+  let stale e v =
     let k = e.kid.(v) in
-    k >= 0 && e.kmark.(k) = e.kgen && e.kprice.(k) <> e.lat.(v)
+    k >= 0 && e.kprice.(k) <> e.lat.(v)
 
   (* [fold_max dst i a b l] raises [dst.(i)] to [a.(x) +. b.(x)] for
      every [x] in [l]: the est (a = est, b = lat over preds) and
@@ -191,9 +186,7 @@ module Engine = struct
         total = 0.0;
         epoch = Generator.price_epoch gen;
         key_ids = Hashtbl.create (max 16 n);
-        kmark = [||];
         kprice = [||];
-        kgen = 0;
         s_valid = false;
         s_n = 0;
         s_total = 0.0;
@@ -205,9 +198,9 @@ module Engine = struct
       }
     in
     for v = 0 to n - 1 do
-      let k, l = price_of_app gen (Dag.gate dagv v) in
-      e.kid.(v) <- intern e k;
-      e.lat.(v) <- l
+      let k = intern e (Dag.gate dagv v) in
+      e.kid.(v) <- k;
+      e.lat.(v) <- e.kprice.(k)
     done;
     est_wave dagv n e.est e.lat;
     cp_wave dagv n e.cp e.lat;
@@ -244,17 +237,18 @@ module Engine = struct
 
   (* [refresh e] re-resolves episode latencies after the pulse database
      changed under the unchanged circuit (a rolled-back attempt still
-     generates pulses): it reprices only the nodes whose key was
-     written, and reruns the waves when a price moved. No-op when the
-     price epoch is unchanged. *)
+     generates pulses): it re-reads the written keys' prices, reprices
+     the nodes whose latency differs from their key's price, and reruns
+     the waves when a price moved. No-op when the price epoch is
+     unchanged. *)
   let refresh e =
     let ep = Generator.price_epoch e.gen in
     if ep <> e.epoch then begin
       Obs.with_span "criticality.engine.refresh" @@ fun () ->
-      if mark_written e then begin
+      if reread_written e then begin
         let d = e.dagv and n = Dag.n_nodes e.dagv and moved = ref false in
         for v = 0 to n - 1 do
-          if repriced e v then begin
+          if stale e v then begin
             e.lat.(v) <- e.kprice.(e.kid.(v));
             moved := true
           end
@@ -328,17 +322,17 @@ module Engine = struct
       end
       else begin
         log_values e j;
-        let k, l = price_of_app e.gen (Dag.gate e.dagv j) in
-        e.kid.(j) <- intern e k;
-        e.lat.(j) <- l;
+        let k = intern e (Dag.gate e.dagv j) in
+        e.kid.(j) <- k;
+        e.lat.(j) <- e.kprice.(k);
         e.uid.(j) <- e.next_uid;
         e.next_uid <- e.next_uid + 1
       end
     done;
     (* reprice the nodes whose key the generator wrote *)
-    if ep <> e.epoch && mark_written e then
+    if ep <> e.epoch && reread_written e then
       for v = 0 to n - 1 do
-        if repriced e v then begin
+        if stale e v then begin
           log_values e v;
           e.lat.(v) <- e.kprice.(e.kid.(v))
         end

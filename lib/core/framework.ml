@@ -39,24 +39,7 @@ type report = {
   merge_stats : Merger.stats;
 }
 
-(* [?canonical] scopes the equivalence-class cache tier the way
-   [Generator.with_shared_cache] scopes [?cache]: enable for this
-   compile, restore the generator's previous setting on the way out.
-   [None] leaves the generator untouched. *)
-let with_canonical ?canonical gen f =
-  match canonical with
-  | None -> f ()
-  | Some b ->
-    let previous = Generator.canonical_enabled gen in
-    Generator.set_canonical gen b;
-    Fun.protect
-      ~finally:(fun () -> Generator.set_canonical gen previous)
-      f
-
-let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?cache ?canonical ?deadline gen
-    (c : Circuit.t) =
-  Generator.with_shared_cache ?cache gen @@ fun () ->
-  with_canonical ?canonical gen @@ fun () ->
+let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?deadline gen (c : Circuit.t) =
   Obs.with_span "paqoc.compile" @@ fun () ->
   Protocol.check_deadline deadline;
   (* wall time on the monotonic clock — [Sys.time] (CPU time) would count

@@ -50,7 +50,7 @@ type report = {
   merge_stats : Merger.stats;
 }
 
-(** [compile ?scheme ?jobs ?cache gen c] compiles physical
+(** [compile ?scheme ?jobs ?deadline gen c] compiles physical
     circuit [c]. Default scheme is [paqoc_m0]. [jobs] (default 1) is the
     worker-domain count for the two batch pulse-generation stages — the
     offline APA pulse pre-computation and the final episode sweep;
@@ -60,18 +60,15 @@ type report = {
     costly step, synthesising the pulse of each group it tries, is a
     single generation at a time.
 
-    [cache] scopes a shared cross-run {!Paqoc_pulse.Cache} to this
-    compile: groups already priced there skip synthesis, and freshly
-    synthesised groups are published back — the suite driver's
-    cross-benchmark dedup. The generator's previous attachment is
-    restored when the compile returns.
-
-    [canonical] (with a [cache]) additionally enables the
-    equivalence-class tier for this compile
-    ({!Paqoc_pulse.Generator.set_canonical}): groups locally equivalent
-    to an already-priced class representative replay its pulse instead
-    of synthesising. The generator's previous setting is restored when
-    the compile returns; omitted, the setting is left untouched.
+    The shared cross-run {!Paqoc_pulse.Cache} and the
+    equivalence-class tier are the generator's settings, made by its
+    creator before the compile
+    ({!Paqoc_pulse.Generator.set_shared_cache},
+    {!Paqoc_pulse.Generator.set_canonical}): groups already priced in
+    the cache skip synthesis and freshly synthesised groups are
+    published back (compile-suite's cross-benchmark dedup), and with
+    the class tier on, groups locally equivalent to an already-priced
+    class representative replay its pulse instead of synthesising.
 
     [deadline] is an absolute {!Paqoc_obs.Clock.now_s} time; when it
     passes, the pipeline raises {!Paqoc_pulse.Protocol.Deadline_exceeded}
@@ -84,8 +81,6 @@ type report = {
 val compile :
   ?scheme:scheme ->
   ?jobs:int ->
-  ?cache:Paqoc_pulse.Cache.t ->
-  ?canonical:bool ->
   ?deadline:float ->
   Paqoc_pulse.Generator.t ->
   Paqoc_circuit.Circuit.t ->

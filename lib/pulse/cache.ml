@@ -16,21 +16,12 @@ type stats = {
   appends : int;
 }
 
-(* One shard: a mutex and the tables it guards. Keys are sharded by
-   [Hashtbl.hash], so two compilations publishing different groups
-   almost always take different locks. *)
-type stripe = {
-  slock : Mutex.t;
-  entries : (string, entry) Hashtbl.t;
-  shapes : (string, unit) Hashtbl.t;
-  classes : (string, Db_format.class_info) Hashtbl.t;
-}
-
 (* The persistence side: a journal fd plus the append accounting that
    drives periodic compaction. [jlock] serialises appends and
-   compactions; it is never taken while a stripe lock is held (publish
-   inserts first, releases the stripe, then journals), so the lock order
-   jlock -> stripe locks (inside compaction) can never deadlock. *)
+   compactions; it is never taken while the table lock is held (publish
+   inserts first, releases the tables, then journals), so the lock order
+   jlock -> table lock (inside compaction) can never deadlock, and a
+   probe never waits on a file write. *)
 type journal = {
   jlock : Mutex.t;
   jpath : string;
@@ -42,8 +33,15 @@ type journal = {
           append upgrades a v3 file to v4 via compaction *)
 }
 
+(* One mutex guards the three tables. A compile touches the cache only
+   from its generator's serial plan and commit phases, so at most
+   [serve --jobs] compiles contend for it, a few thousand operations a
+   suite pass. *)
 type t = {
-  stripes : stripe array;
+  lock : Mutex.t;
+  entries : (string, entry) Hashtbl.t;
+  shapes : (string, unit) Hashtbl.t;
+  classes : (string, Db_format.class_info) Hashtbl.t;
   journal : journal option;
   n_hits : int Atomic.t;
   n_misses : int Atomic.t;
@@ -57,24 +55,14 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* the stripe holding [k], for entry keys, shape signatures and class
-   keys alike *)
-let stripe_of t k = t.stripes.(Hashtbl.hash k mod Array.length t.stripes)
-
-(* the shard count, and the journal length that triggers a compaction *)
-let n_stripes = 16
+(* the journal length that triggers a compaction *)
 let compact_every = 256
 
-let make_stripes n =
-  Array.init n (fun _ ->
-      { slock = Mutex.create ();
-        entries = Hashtbl.create 64;
-        shapes = Hashtbl.create 64;
-        classes = Hashtbl.create 64
-      })
-
 let make ~journal =
-  { stripes = make_stripes n_stripes;
+  { lock = Mutex.create ();
+    entries = Hashtbl.create 1024;
+    shapes = Hashtbl.create 1024;
+    classes = Hashtbl.create 64;
     journal;
     n_hits = Atomic.make 0;
     n_misses = Atomic.make 0;
@@ -101,9 +89,7 @@ let stats t =
 (* Lookup                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let probe t key =
-  let s = stripe_of t key in
-  locked s.slock (fun () -> Hashtbl.find_opt s.entries key)
+let probe t key = locked t.lock (fun () -> Hashtbl.find_opt t.entries key)
 
 (* Single accounting choke point for authoritative consults. Exposed so
    {!Generator}'s batch planner can score a consult it resolved from
@@ -131,43 +117,21 @@ let find t key =
     note_consult t `Miss;
     None
 
-let probe_class t ck =
-  let s = stripe_of t ck in
-  locked s.slock (fun () -> Hashtbl.find_opt s.classes ck)
-
-let mem_shape t sign =
-  let s = stripe_of t sign in
-  locked s.slock (fun () -> Hashtbl.mem s.shapes sign)
-
-let size t =
-  Array.fold_left
-    (fun acc s -> acc + locked s.slock (fun () -> Hashtbl.length s.entries))
-    0 t.stripes
-
-let n_shapes t =
-  Array.fold_left
-    (fun acc s -> acc + locked s.slock (fun () -> Hashtbl.length s.shapes))
-    0 t.stripes
-
-let n_classes t =
-  Array.fold_left
-    (fun acc s -> acc + locked s.slock (fun () -> Hashtbl.length s.classes))
-    0 t.stripes
+let probe_class t ck = locked t.lock (fun () -> Hashtbl.find_opt t.classes ck)
+let mem_shape t sign = locked t.lock (fun () -> Hashtbl.mem t.shapes sign)
+let size t = locked t.lock (fun () -> Hashtbl.length t.entries)
+let n_shapes t = locked t.lock (fun () -> Hashtbl.length t.shapes)
+let n_classes t = locked t.lock (fun () -> Hashtbl.length t.classes)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let collect t =
-  let entries = ref [] and shapes = ref [] and classes = ref [] in
-  Array.iter
-    (fun s ->
-      locked s.slock (fun () ->
-          Hashtbl.iter (fun k e -> entries := (k, e) :: !entries) s.entries;
-          Hashtbl.iter (fun sign () -> shapes := sign :: !shapes) s.shapes;
-          Hashtbl.iter (fun _ ci -> classes := ci :: !classes) s.classes))
-    t.stripes;
-  (!entries, !shapes, !classes)
+  locked t.lock (fun () ->
+      ( Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.entries [],
+        Hashtbl.fold (fun sign () acc -> sign :: acc) t.shapes [],
+        Hashtbl.fold (fun _ ci acc -> ci :: acc) t.classes [] ))
 
 (* Snapshot write shared by [compact] and [save], through the one
    pulse-DB writer. The header version is chosen by content: a cache
@@ -270,45 +234,27 @@ let append_class t ci =
 (* Publish                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [add_fresh t tbl k v] binds [k] unless bound; true when it did *)
+let add_fresh t tbl k v =
+  locked t.lock (fun () ->
+      if Hashtbl.mem tbl k then false
+      else begin
+        Hashtbl.replace tbl k v;
+        true
+      end)
+
 let publish t key e =
-  let s = stripe_of t key in
-  let fresh =
-    locked s.slock (fun () ->
-        if Hashtbl.mem s.entries key then false
-        else begin
-          Hashtbl.replace s.entries key e;
-          true
-        end)
-  in
-  if fresh then begin
+  if add_fresh t t.entries key e then begin
     Atomic.incr t.n_publishes;
     Obs.count "cache.publish";
     append t (Db_format.Priced (key, e))
   end
 
 let publish_shape t sign =
-  let s = stripe_of t sign in
-  let fresh =
-    locked s.slock (fun () ->
-        if Hashtbl.mem s.shapes sign then false
-        else begin
-          Hashtbl.replace s.shapes sign ();
-          true
-        end)
-  in
-  if fresh then append t (Db_format.Shape sign)
+  if add_fresh t t.shapes sign () then append t (Db_format.Shape sign)
 
 let publish_class t (ci : Db_format.class_info) =
-  let s = stripe_of t ci.Db_format.class_key in
-  let fresh =
-    locked s.slock (fun () ->
-        if Hashtbl.mem s.classes ci.Db_format.class_key then false
-        else begin
-          Hashtbl.replace s.classes ci.Db_format.class_key ci;
-          true
-        end)
-  in
-  if fresh then begin
+  if add_fresh t t.classes ci.Db_format.class_key ci then begin
     Obs.count "cache.class_publish";
     append_class t ci
   end
@@ -341,16 +287,12 @@ let evict_devices ?(keep = []) t =
     List.iter (Hashtbl.remove tbl) victims;
     List.length victims
   in
-  let dropped = ref 0 in
-  Array.iter
-    (fun s ->
-      locked s.slock (fun () ->
-          dropped :=
-            !dropped + drop_stale s.entries + drop_stale s.shapes
-            + drop_stale s.classes))
-    t.stripes;
-  if !dropped > 0 then begin
-    Obs.count ~n:!dropped "cache.device_evicted";
+  let dropped =
+    locked t.lock (fun () ->
+        drop_stale t.entries + drop_stale t.shapes + drop_stale t.classes)
+  in
+  if dropped > 0 then begin
+    Obs.count ~n:dropped "cache.device_evicted";
     (* fold the eviction into the backing file: the next snapshot is a
        pure function of the in-memory tables, so compacting now drops
        the stale records from disk as well *)
@@ -359,23 +301,19 @@ let evict_devices ?(keep = []) t =
     | Some j ->
       locked j.jlock (fun () -> if j.open_ then compact_locked t j)
   end;
-  !dropped
+  dropped
 
 (* ------------------------------------------------------------------ *)
 (* Open / close                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let insert_mem t = function
-  | Db_format.Priced (key, e) ->
-    let s = stripe_of t key in
-    locked s.slock (fun () -> Hashtbl.replace s.entries key e)
-  | Db_format.Shape sign ->
-    let s = stripe_of t sign in
-    locked s.slock (fun () -> Hashtbl.replace s.shapes sign ())
-  | Db_format.Class ci ->
-    let s = stripe_of t ci.Db_format.class_key in
-    locked s.slock (fun () ->
-        Hashtbl.replace s.classes ci.Db_format.class_key ci)
+let insert_mem t record =
+  locked t.lock (fun () ->
+      match record with
+      | Db_format.Priced (key, e) -> Hashtbl.replace t.entries key e
+      | Db_format.Shape sign -> Hashtbl.replace t.shapes sign ()
+      | Db_format.Class ci ->
+        Hashtbl.replace t.classes ci.Db_format.class_key ci)
 
 let open_file path =
   let exists = Sys.file_exists path in

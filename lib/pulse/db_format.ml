@@ -273,11 +273,13 @@ let parse_string s =
             valid_bytes = !valid
           })
 
+(* A directory opens for reading and then fails with an errno that does
+   not say why, so it is named first. *)
 let parse_file path =
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse_string s
+  match
+    if Sys.is_directory path then Error "is a directory"
+    else Ok (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | Ok s -> parse_string s
+  | Error _ as e -> e
+  | exception Sys_error msg -> Error msg

@@ -142,6 +142,7 @@ type contents = {
     only tear the last record). *)
 val parse_string : string -> (contents, string) result
 
-(** [parse_file path] reads and parses [path].
-    @raise Sys_error when the file cannot be opened or read. *)
+(** [parse_file path] reads and parses [path]. A path that cannot be
+    read (missing, a directory, an I/O error) is an [Error] too; this
+    never raises. *)
 val parse_file : string -> (contents, string) result

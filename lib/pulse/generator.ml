@@ -152,20 +152,12 @@ type t = {
           {!Device.lattice} (empty namespace — the historical bytes) *)
   replays : (string, replay) Hashtbl.t;
       (** class-tier hits taken this run, by the requesting group's key *)
-  priced : (string, float) Hashtbl.t;
-      (** write-through memo of the peek-or-estimate latency per canonical
-          key: entries are updated in place whenever [cache] gains a row,
-          so a stored value is always exactly what [peek]-or-
-          [estimate_latency] would return right now *)
   mutable price_epoch : int;
-      (** bumped on every [cache] write; lets callers that interned their
-          key strings skip even the memo lookup between writes *)
+      (** bumped on every [cache] write; lets a caller that priced its
+          keys earlier skip re-reading them between writes *)
   mutable written : string array;
       (** the write log: [written.(i)] is the key whose [cache] write
           moved [price_epoch] from [i] to [i + 1] *)
-  mutable price_misses : int;
-      (** priced-latency requests that had to do real work (a table peek
-          plus possibly a model estimate) instead of a memo hit *)
 }
 
 let locked t f =
@@ -210,19 +202,15 @@ let create ?(retry = default_retry) backend =
     canonical = false;
     device = Device.lattice;
     replays = Hashtbl.create 16;
-    priced = Hashtbl.create 256;
     price_epoch = 0;
-    written = [||];
-    price_misses = 0
+    written = [||]
   }
 
 (* Single choke point for local-table inserts: every row written to
-   [cache] refreshes the priced-latency memo in the same critical
-   section, so the memo can never serve a stale latency, and logs its
-   key, so a caller can tell which prices an epoch change moved. *)
+   [cache] logs its key, so a caller can tell which prices an epoch
+   change moved. *)
 let table_put t k (o : outcome) =
   Hashtbl.replace t.cache k o;
-  Hashtbl.replace t.priced k o.latency;
   let len = Array.length t.written in
   if t.price_epoch = len then begin
     let w = Array.make (max 64 (2 * len)) "" in
@@ -233,17 +221,7 @@ let table_put t k (o : outcome) =
   t.price_epoch <- t.price_epoch + 1
 
 let set_shared_cache t c = locked t (fun () -> t.shared <- c)
-let shared_cache t = locked t (fun () -> t.shared)
-
-let with_shared_cache ?cache t f =
-  match cache with
-  | None -> f ()
-  | Some c ->
-    let previous = shared_cache t in
-    set_shared_cache t (Some c);
-    Fun.protect ~finally:(fun () -> set_shared_cache t previous) f
 let set_canonical t b = locked t (fun () -> t.canonical <- b)
-let canonical_enabled t = locked t (fun () -> t.canonical)
 let set_device t d = locked t (fun () -> t.device <- d)
 let device t = locked t (fun () -> t.device)
 
@@ -395,11 +373,9 @@ let drop_edge_apps ~drop_last g =
 let prefix_apps g = drop_edge_apps ~drop_last:true g
 let suffix_apps g = drop_edge_apps ~drop_last:false g
 
-(* token-level edit distance between shape signatures, used for the
-   nearest-neighbour warm start *)
-let shape_distance a b =
-  let ta = Array.of_list (String.split_on_char ';' a) in
-  let tb = Array.of_list (String.split_on_char ';' b) in
+(* Token-level edit distance between two shape signatures split at
+   ';', used for the nearest-neighbour warm start. *)
+let token_distance (ta : string array) (tb : string array) =
   let la = Array.length ta and lb = Array.length tb in
   let prev = Array.init (lb + 1) Fun.id in
   let cur = Array.make (lb + 1) 0 in
@@ -411,7 +387,15 @@ let shape_distance a b =
     done;
     Array.blit cur 0 prev 0 (lb + 1)
   done;
-  (prev.(lb), max la lb)
+  prev.(lb)
+
+let tokens sign = Array.of_list (String.split_on_char ';' sign)
+
+(* the token count of [tokens sign], without splitting *)
+let n_tokens sign =
+  let n = ref 1 in
+  String.iter (fun c -> if c = ';' then incr n) sign;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic batch planner                                         *)
@@ -437,9 +421,9 @@ let shape_distance a b =
    database only, and every warm start is resolved against the same
    provider the serial loop would have used, a parallel run commits the
    same priced entries, latencies and seed classes as the serial run —
-   [jobs] only changes wall-clock time. The nearest-neighbour scan
-   iterates signatures in sorted order so ties break identically on every
-   run. *)
+   [jobs] only changes wall-clock time. The nearest-neighbour scan keeps
+   the minimum (distance, signature), so ties break identically on every
+   run whatever order the tables iterate in. *)
 
 (* who provides a key/signature needed by a later task *)
 type provider = Db | Batch of int
@@ -592,12 +576,38 @@ let plan_batch t groups =
     | Batch j -> Src_batch j
     | Db -> Src_db (Hashtbl.find t.by_shape sign, 0.0)
   in
-  let shape_candidates () =
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.iter (fun s _ -> Hashtbl.replace tbl s Db) t.by_shape;
-    Hashtbl.iter (fun s j -> Hashtbl.replace tbl s (Batch j)) batch_shape;
-    Hashtbl.fold (fun s p acc -> (s, p) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* nearest neighbour among the known shapes of the same qubit count:
+     the minimum (token distance, signature) within each candidate's
+     threshold, over [by_shape] minus the signatures this batch
+     overrides and the batch's own. The distance is at least the
+     token-count difference, so a candidate whose difference exceeds
+     its threshold or the best distance so far is skipped unsplit *)
+  let nearest_shape sign =
+    let ta = tokens sign in
+    let la = Array.length ta in
+    let best = ref None in
+    let visit sign' p =
+      if String.length sign' > 0 && sign'.[0] = sign.[0] then begin
+        let lb = n_tokens sign' in
+        let threshold = max 1 (max la lb * 2 / 5) in
+        let bound =
+          match !best with Some (d, _, _) -> min d threshold | None -> threshold
+        in
+        if abs (la - lb) <= bound then begin
+          let d = token_distance ta (tokens sign') in
+          if d <= threshold then
+            match !best with
+            | Some (d', s', _)
+              when d' < d || (d' = d && String.compare s' sign' < 0) -> ()
+            | _ -> best := Some (d, sign', p)
+        end
+      end
+    in
+    Hashtbl.iter
+      (fun s _ -> if not (Hashtbl.mem batch_shape s) then visit s Db)
+      t.by_shape;
+    Hashtbl.iter (fun s j -> visit s (Batch j)) batch_shape;
+    !best
   in
   let plan_seed g sign =
     match find_shape sign with
@@ -638,23 +648,8 @@ let plan_batch t groups =
       in
       match prefix_hit with
       | Some s -> s
-      | None ->
-        (* nearest neighbour among known shapes of the same qubit count;
-           candidates are visited in sorted signature order so the
-           tie-break is deterministic *)
-        let best = ref None in
-        List.iter
-          (fun (sign', p) ->
-            if String.length sign' > 0 && sign'.[0] = sign.[0] then begin
-              let d, len = shape_distance sign sign' in
-              let threshold = max 1 (len * 2 / 5) in
-              if d <= threshold then
-                match !best with
-                | Some (d', _, _) when d' <= d -> ()
-                | _ -> best := Some (d, sign', p)
-            end)
-          (shape_candidates ());
-        (match !best with
+      | None -> (
+        match nearest_shape sign with
         | Some (_, sign', p) -> (C_similar, shape_src sign' p)
         | None -> (C_cold, Src_none)))
   in
@@ -1072,33 +1067,9 @@ let peek t g =
       | Some o -> Some { o with cache_hit = true; gen_seconds = 0.0 }
       | None -> None)
 
-(* Peek-or-estimate with a write-through memo: the first request for a
-   key does the real work (a table lookup, then a model estimate on
-   miss) and records the answer; [table_put] refreshes recorded answers
-   whenever the tables change, so a memo hit never has to touch the
-   pulse tables and is still exactly the peek-or-estimate value. *)
-let priced_latency_locked t (g : group) k =
-  match Hashtbl.find_opt t.priced k with
-  | Some l -> l
-  | None ->
-    t.price_misses <- t.price_misses + 1;
-    let l =
-      match Hashtbl.find_opt t.cache k with
-      | Some (o : outcome) -> o.latency
-      | None ->
-        Latency_model.group_latency (model_config t) ~n_qubits:g.n_qubits
-          ~key:k g.gates
-    in
-    Hashtbl.replace t.priced k l;
-    l
-
-let priced_latency_with_key t g k =
-  locked t (fun () -> priced_latency_locked t g k)
-
-let priced_latency t g = priced_latency_with_key t g (key g)
-
-let priced_latency_of_key t k =
-  locked t (fun () -> Hashtbl.find_opt t.priced k)
+let table_latency t k =
+  locked t (fun () ->
+      Option.map (fun (o : outcome) -> o.latency) (Hashtbl.find_opt t.cache k))
 
 let price_epoch t = locked t (fun () -> t.price_epoch)
 
@@ -1108,7 +1079,6 @@ let written_since t epoch =
         if i < max 0 epoch then acc else collect (i - 1) (t.written.(i) :: acc)
       in
       collect (t.price_epoch - 1) [])
-let price_misses t = locked t (fun () -> t.price_misses)
 
 let seed_breakdown t =
   locked t (fun () -> (t.n_cold, t.n_prefix, t.n_shape, t.n_similar))

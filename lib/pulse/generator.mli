@@ -130,16 +130,11 @@ val pricing_is_analytic : t -> bool
     proceeds. *)
 
 (** [set_shared_cache t c] attaches ([Some]) or detaches ([None]) the
-    shared cache consulted by subsequent generations. *)
+    shared cache consulted by subsequent generations. The creator of a
+    generator configures it: every product compile builds a fresh
+    generator, attaches its cache, and drops the generator after one
+    compile. *)
 val set_shared_cache : t -> Cache.t option -> unit
-
-val shared_cache : t -> Cache.t option
-
-(** [with_shared_cache ?cache t f] runs [f] with [cache] attached and
-    then restores whatever was attached before, also when [f] raises;
-    without [cache] it runs [f] on the attachment as it is. It scopes a
-    cache to one compile. *)
-val with_shared_cache : ?cache:Cache.t -> t -> (unit -> 'a) -> 'a
 
 (** {1 Devices}
 
@@ -187,8 +182,6 @@ val device : t -> Paqoc_topology.Device.t
     subsequent generations. *)
 val set_canonical : t -> bool -> unit
 
-val canonical_enabled : t -> bool
-
 (** A class-tier replay taken by this generator, recorded for audit:
     [correction_l . U_rep . correction_r = U_target] up to global phase,
     verified to {!Paqoc_canon.Canon.verify_tol} in max norm at plan
@@ -232,8 +225,8 @@ val generate_batch : ?jobs:int -> t -> group list -> outcome list
 (** [peek t g] consults the pulse database without generating anything and
     without touching the accounting; [None] when [g]'s pulse has not been
     generated yet. The criticality search schedules with
-    [peek]-or-{!estimate_latency} so that, per Algorithm 1, QOC runs only
-    for committed merges. *)
+    [peek]-or-{!estimate_latency} ({!Pricing.episode_latency_estimate})
+    so that, per Algorithm 1, QOC runs only for committed merges. *)
 val peek : t -> group -> outcome option
 
 (** [estimate_latency t g] is a free model-based latency estimate — the
@@ -252,50 +245,29 @@ val estimate_latency_of_key : t -> group -> string -> float
     size-growing merges). Free, like {!estimate_latency}. *)
 val avg_latency_for_size : t -> int -> float
 
-(** {1 Priced-latency memo}
+(** {1 Prices and the write log}
 
-    The criticality search re-prices every gate of the circuit on every
-    analysis pass as [peek]-or-{!estimate_latency}. On a warm run that
-    is pure waste: the database rows never change mid-pass, yet each
-    price pays a canonical-key serialisation plus a table round-trip.
-    The generator therefore keeps a write-through memo from canonical
-    key to that peek-or-estimate value: every write to the pulse
-    database refreshes the memo entry in the same critical section, so
-    a memo hit is always exactly what [peek]-or-[estimate_latency]
-    would return, without touching the tables. *)
+    An episode's price is the latency of its pulse-table row when the
+    table has one, and the model estimate otherwise. The table is the
+    one source of every price: the criticality engine prices each key
+    once, when it first meets it, and re-reads from the table only the
+    keys the write log names. *)
 
-(** [priced_latency t g] is the latency {!peek} would report for [g] if
-    its pulse is in the database, and {!estimate_latency}'s figure
-    otherwise — served from the memo when possible. Never synthesises;
-    never touches the hit/generated accounting. *)
-val priced_latency : t -> group -> float
+(** [table_latency t k] is the latency of the pulse-table row under
+    canonical key [k] (as {!key} renders it), [None] when the table has
+    no such row. Never synthesises; never touches the accounting. *)
+val table_latency : t -> string -> float option
 
-(** [priced_latency_with_key t g k] is [priced_latency t g] for a caller
-    that already rendered [k = key g]; it renders no key. *)
-val priced_latency_with_key : t -> group -> string -> float
-
-(** [priced_latency_of_key t k] reads the memo directly for a canonical
-    key obtained earlier from {!key} — no group serialisation at all.
-    [None] only when [k] has never been priced through
-    {!priced_latency} or written to the database. *)
-val priced_latency_of_key : t -> string -> float option
-
-(** [price_epoch t] counts pulse-database writes since creation. A
-    caller holding interned keys may cache priced latencies as long as
-    the epoch is unchanged, skipping even the memo lookup. *)
+(** [price_epoch t] counts pulse-database writes since creation. Prices
+    read at an unchanged epoch are still current. *)
 val price_epoch : t -> int
 
 (** [written_since t e] lists, oldest first, the key of every
     pulse-database write that moved {!price_epoch} past [e] (a key
-    written twice appears twice). Only those keys' memo entries can
-    differ from what they were at epoch [e], so a caller holding prices
-    from epoch [e] reprices just the nodes that carry one of them. *)
+    written twice appears twice). Only those keys' prices can differ
+    from what they were at epoch [e], so a caller holding prices from
+    epoch [e] re-reads just those keys. *)
 val written_since : t -> int -> string list
-
-(** Priced-latency requests that missed the memo and had to do real
-    work since creation (unit-test hook for the memo's effectiveness;
-    not reset by {!reset_accounting}). *)
-val price_misses : t -> int
 
 (** {1 Accounting} *)
 
@@ -338,7 +310,7 @@ val reset_accounting : t -> unit
     {!Faultin.Db_save_error}); the target file is never left truncated. *)
 val save_database : t -> string -> unit
 
-(** @raise Failure on a malformed file. *)
+(** @raise Failure on a malformed or unreadable file. *)
 val load_database : t -> string -> unit
 
 (** Number of priced entries currently in the database. *)

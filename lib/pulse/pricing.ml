@@ -5,12 +5,13 @@ let episode t g =
   let group, _ = Generator.group_of_apps [ g ] in
   Generator.generate t group
 
-(* peek-or-estimate, served through the generator's write-through
-   priced-latency memo: warm re-analysis prices each distinct episode
-   once per database change instead of once per call. *)
+(* the table latency, else the model estimate, keyed on one render *)
 let episode_latency_estimate t g =
   let group, _ = Generator.group_of_apps [ g ] in
-  Generator.priced_latency t group
+  let k = Generator.key group in
+  match Generator.table_latency t k with
+  | Some l -> l
+  | None -> Generator.estimate_latency_of_key t group k
 
 let gate_latency t g = (episode t g).Generator.latency
 

@@ -11,11 +11,12 @@
 val episode : Generator.t -> Paqoc_circuit.Gate.app -> Generator.outcome
 
 (** [episode_latency_estimate t g] is the latency of [g]'s episode without
-    generating a pulse: the database value when present, the analytic
-    estimate otherwise — served through the generator's priced-latency
-    memo, so repeated analysis passes over an unchanged database cost a
-    hash lookup per episode. This is what the criticality search
-    schedules with (Algorithm 1 only runs QOC for committed merges). *)
+    generating a pulse: the pulse-table latency when present
+    ({!Generator.table_latency}), the analytic estimate otherwise
+    ({!Generator.estimate_latency}), a fallback row's price included.
+    This is what the criticality search schedules with (Algorithm 1
+    only runs QOC for committed merges); the search's engine prices
+    each key the same way, once. *)
 val episode_latency_estimate : Generator.t -> Paqoc_circuit.Gate.app -> float
 
 (** [circuit_latency t c] is the critical-path latency of [c] in device

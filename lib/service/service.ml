@@ -112,8 +112,10 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
   let t = transpile dev logical in
   let physical = t.Transpile.physical in
   let gen = fresh_gen ?retry req.Protocol.backend dev in
-  (* the generator is fresh, so this scopes the equivalence-class tier
-     to exactly this request — both the PAQOC and AccQOC paths *)
+  (* the generator is fresh, so this scopes the cache and the
+     equivalence-class tier to exactly this request — both the PAQOC
+     and AccQOC paths *)
+  Gen.set_shared_cache gen cache;
   Gen.set_canonical gen req.Protocol.canonical;
   let stats0 = Option.map Cache.stats cache in
   let jobs = req.Protocol.jobs in
@@ -127,7 +129,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
         if req.Protocol.scheme = Protocol.Acc3 then Slicer.accqoc_n3d3
         else Slicer.accqoc_n3d5
       in
-      let r = Accqoc.compile ~slicer ~jobs ?cache gen physical in
+      let r = Accqoc.compile ~slicer ~jobs gen physical in
       ( r.Accqoc.latency, r.Accqoc.esp, r.Accqoc.compile_seconds,
         r.Accqoc.n_groups, r.Accqoc.fallbacks, r.Accqoc.grouped )
     | (Protocol.M0 | Protocol.Mtuned | Protocol.Minf) as m ->
@@ -147,7 +149,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
             }
         }
       in
-      let r = Paqoc.compile ~scheme ~jobs ?cache ?deadline gen physical in
+      let r = Paqoc.compile ~scheme ~jobs ?deadline gen physical in
       ( r.Paqoc.latency, r.Paqoc.esp, r.Paqoc.compile_seconds,
         r.Paqoc.n_groups, r.Paqoc.fallbacks, r.Paqoc.grouped )
   in

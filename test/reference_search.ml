@@ -460,10 +460,10 @@ let run_reference ?(config = default_config) gen c =
       final_latency
     } )
 
-(* [Paqoc.compile ~cache]'s stages, in its order, with [preprocess] and
-   [run_reference] as pre-processing and search: APA mining, the offline
-   APA batch, Observation-1 pre-processing, the search, the finalize
-   batch, then pricing. Only
+(* [Paqoc.compile]'s stages on a generator with [cache] attached, in
+   its order, with [preprocess] and [run_reference] as pre-processing
+   and search: APA mining, the offline APA batch, Observation-1
+   pre-processing, the search, the finalize batch, then pricing. Only
    the default scheme (paqoc-m0, no commutation pass) at jobs 1 is
    mirrored, and [cache] stays attached to [gen] afterwards. *)
 let compile ~cache gen (c : Circuit.t) : Paqoc.report =

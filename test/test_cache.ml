@@ -1,4 +1,4 @@
-(* The shared cross-run pulse cache: sharding, journaled persistence,
+(* The shared cross-run pulse cache: one table lock, journaled persistence,
    crash-safe tail replay, v1/v2 migration, fault-injected appends, and
    the generator/compile integration (cold-vs-warm byte identity). *)
 open Test_util
@@ -226,6 +226,8 @@ let suite =
            with Failure _ -> true));
     slow_case "stripe-striped publishes race safely across 4 domains"
       (fun () ->
+        (* the tables have one lock; the name is kept so the case keeps
+           its identity *)
         with_tmp @@ fun path ->
         (* every domain publishes an overlapping window of keys through a
            journaled cache; 650 distinct keys cross the 256-append
@@ -266,7 +268,6 @@ let suite =
         in
         let gen1 = Gen.model_default () in
         Gen.set_shared_cache gen1 (Some cache);
-        check_true "attachment readable" (Gen.shared_cache gen1 <> None);
         let o1 = Gen.generate gen1 g in
         check_int "first generator synthesized" 1 (Gen.pulses_generated gen1);
         check_true "published to the shared cache"
@@ -330,11 +331,11 @@ let suite =
         let r1, bytes1, r2, bytes2 =
           Cache.with_file path (fun cache ->
               let gen1 = Gen.model_default () in
-              let r1 = Paqoc.compile ~cache gen1 physical in
+              let r1 = Paqoc.compile (attached cache gen1) physical in
               let b1 = save gen1 in
               (* warm: a fresh generator over the now-full cache *)
               let gen2 = Gen.model_default () in
-              let r2 = Paqoc.compile ~cache gen2 physical in
+              let r2 = Paqoc.compile (attached cache gen2) physical in
               (r1, b1, r2, save gen2))
         in
         check_true "cold run output is byte-identical to no-cache"
@@ -452,7 +453,7 @@ let suite =
         with_tmp @@ fun off_path ->
         Cache.with_file off_path (fun cache ->
             let gen = Gen.model_default () in
-            ignore (Paqoc.compile ~cache gen physical);
+            ignore (Paqoc.compile (attached cache gen) physical);
             check_int "off mode records no classes" 0 (Cache.n_classes cache);
             check_int "off mode scores no canonical hits" 0
               (Cache.stats cache).Cache.canonical_hits);
@@ -462,7 +463,8 @@ let suite =
         with_tmp @@ fun on_path ->
         Cache.with_file on_path (fun cache ->
             let gen = Gen.model_default () in
-            ignore (Paqoc.compile ~cache ~canonical:true gen physical);
+            ignore
+              (Paqoc.compile (attached ~canonical:true cache gen) physical);
             check_true "classes published" (Cache.n_classes cache > 0);
             check_true "in-batch class-mates replayed"
               ((Cache.stats cache).Cache.canonical_hits > 0));
@@ -634,10 +636,54 @@ let suite =
                   (Suite.transpiled e).Paqoc_topology.Transpile.physical
                 in
                 ignore
-                  (Paqoc.compile ~jobs:1 ~cache (Gen.model_default ())
+                  (Paqoc.compile ~jobs:1
+                     (attached cache (Gen.model_default ()))
                      physical))
               Suite.all);
         Alcotest.(check string)
           "cache file digest" "995ba8d6222da8104fc5f79165c7deef"
-          (Digest.to_hex (Digest.file path)))
+          (Digest.to_hex (Digest.file path)));
+    (* The cache bytes above do not see how a synthesis was seeded, and
+       on the model backend the seed class is what a warm start changes:
+       it sets the synthesis's modelled seconds. This pins the classes
+       a cold Table I suite plans (the nearest-neighbour scan picks the
+       137 similar seeds and leaves the 58 cold ones) and the bits of
+       their summed seconds, recorded with the sorted-candidate scan. *)
+    case "a cold Table I suite plans the pinned seed classes and seconds"
+      (fun () ->
+        let cache = Cache.create () in
+        let sum (c, p, s, m, secs) (e : Suite.entry) =
+          let gen = attached cache (Gen.model_default ()) in
+          ignore
+            (Paqoc.compile ~jobs:1 gen
+               (Suite.transpiled e).Paqoc_topology.Transpile.physical);
+          let c', p', s', m' = Gen.seed_breakdown gen in
+          (c + c', p + p', s + s', m + m', secs +. Gen.total_seconds gen)
+        in
+        let cold, prefix, shape, similar, secs =
+          List.fold_left sum (0, 0, 0, 0, 0.0) Suite.all
+        in
+        check_int "cold" 58 cold;
+        check_int "prefix" 650 prefix;
+        check_int "shape" 260 shape;
+        check_int "similar" 137 similar;
+        if Int64.bits_of_float secs <> 4644324789901409470L then
+          Alcotest.failf "summed total_seconds %h, pinned 0x1.3f4ca2b9d3cbep+8"
+            secs);
+    case "a directory path raises Failure and is left as it was" (fun () ->
+        let dir = Filename.temp_dir "paqoc_cache" ".d" in
+        Fun.protect
+          ~finally:(fun () -> Sys.rmdir dir)
+          (fun () ->
+            (match Cache.open_file dir with
+            | c ->
+              Cache.close c;
+              Alcotest.fail "a directory opened as a cache"
+            | exception Failure m ->
+              check_true
+                (Printf.sprintf "names the path (got %S)" m)
+                (String.equal m
+                   (Printf.sprintf "Cache.open_file: is a directory (%s)" dir)));
+            check_true "still a directory" (Sys.is_directory dir);
+            check_int "still empty" 0 (Array.length (Sys.readdir dir))))
   ]

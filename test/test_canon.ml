@@ -435,7 +435,8 @@ let test_devices_warm_residual () =
           in
           let gen = Gen.model_default () in
           Gen.set_device gen dev;
-          (e.Suite.name, Paqoc.compile ~cache ~canonical:true gen physical))
+          (e.Suite.name,
+           Paqoc.compile (attached ~canonical:true cache gen) physical))
         (through_qft Suite.all)
     in
     let synthesized =

@@ -182,7 +182,7 @@ let suite =
         in
         let cache = Cache.create () in
         let gen = Gen.qoc_default () in
-        ignore (Paqoc.compile ~cache ~canonical:true gen physical);
+        ignore (Paqoc.compile (attached ~canonical:true cache gen) physical);
         let replays = Gen.canonical_replays gen in
         check_true "bb84 replayed at least one class-mate"
           (List.length replays > 0);
@@ -235,9 +235,11 @@ let suite =
             Cache.with_file path (fun cache ->
                 List.map
                   (fun e ->
-                    let gen = Gen.model_default () in
+                    let gen =
+                      attached ~canonical:true cache (Gen.model_default ())
+                    in
                     let r =
-                      Paqoc.compile ~cache ~canonical:true ~jobs gen
+                      Paqoc.compile ~jobs gen
                         (Suite.transpiled e).Paqoc_topology.Transpile
                           .physical
                     in

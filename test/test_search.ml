@@ -274,7 +274,8 @@ let suite_equivalence =
       List.iter
         (fun (tag, jobs) ->
           let x, x_bytes =
-            suite_run (fun ~cache gen c -> Paqoc.compile ~jobs ~cache gen c)
+            suite_run (fun ~cache gen c ->
+                Paqoc.compile ~jobs (attached cache gen) c)
           in
           List.iter2
             (fun (name, (r : Paqoc.report), r_hits, r_misses)
@@ -388,21 +389,55 @@ let alloc_suite =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Priced-latency memo                                                 *)
+(* Prices: the pulse table, the model estimate and the write log       *)
 (* ------------------------------------------------------------------ *)
 
-let priced_memo_suite =
-  [ case "warm re-analysis performs no pricing work" (fun () ->
-        let c = (Suite.transpiled (Suite.find "rd32_270")).Transpile.physical in
-        let gen = Gen.model_default () in
-        ignore (Crit.analyze gen c);
-        let cold = Gen.price_misses gen in
-        check_true "cold analysis priced something" (cold > 0);
-        let t1 = Crit.analyze gen c in
-        check_int "warm analysis adds no misses" cold (Gen.price_misses gen);
-        let t2 = Crit.analyze gen c in
-        check_int "and stays warm" cold (Gen.price_misses gen);
-        check_bits "memoized totals agree" (Crit.total t1) (Crit.total t2));
+let prices_suite =
+  [ case
+      "a generator reused for a second search gives the engine the \
+       latencies of a fresh generator loaded with the same table"
+      (fun () ->
+        (* the product builds one search per generator; a generator that
+           served one compile must still hand the next engine exactly
+           the prices a fresh generator holding the same table would.
+           The first compile runs under an injected GRAPE divergence, so
+           its table holds fallback prices apart from the estimates *)
+        let physical name =
+          (Suite.transpiled (Suite.find name)).Transpile.physical
+        in
+        let first = physical "rd32_270" and second = physical "mod5d2_64" in
+        let reused =
+          Gen.model_default
+            ~retry:{ Gen.default_retry with Gen.max_attempts = 1 } ()
+        in
+        Faultin.with_faults
+          [ (Faultin.Grape_diverge, Faultin.Always) ]
+          (fun () -> ignore (Paqoc.compile reused first));
+        let loaded = Gen.model_default () in
+        let path = Filename.temp_file "paqoc_reused" ".db" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Gen.save_database reused path;
+            Gen.load_database loaded path);
+        let a = Engine.create reused second
+        and b = Engine.create loaded second in
+        check_int "nodes" (Engine.n_nodes b) (Engine.n_nodes a);
+        let from_table = ref 0 in
+        for v = 0 to Engine.n_nodes a - 1 do
+          check_bits
+            (Printf.sprintf "latency %d" v)
+            (Engine.latency b v) (Engine.latency a v);
+          let g = fst (Gen.group_of_apps [ Dag.gate (Engine.dag a) v ]) in
+          if bits (Engine.latency a v) <> bits (Gen.estimate_latency reused g)
+          then incr from_table
+        done;
+        check_true "the table, not the estimate, priced some nodes"
+          (!from_table > 0);
+        check_bits "total" (Engine.total b) (Engine.total a);
+        check_engine_matches "reused" reused a;
+        check_same_result "second search" (Merger.run loaded second)
+          (Merger.run reused second));
     case "generation writes prices through to the memo" (fun () ->
         let gen = Gen.model_default () in
         let g =
@@ -411,28 +446,56 @@ let priced_memo_suite =
                [ Gate.app1 Gate.H 0; Gate.app2 Gate.CX 0 1 ])
         in
         let epoch0 = Gen.price_epoch gen in
-        let misses0 = Gen.price_misses gen in
+        check_true "no row before the write"
+          (Gen.table_latency gen (Gen.key g) = None);
         let o = Gen.generate gen g in
         check_true "generate bumps the price epoch"
           (Gen.price_epoch gen > epoch0);
-        (match Gen.priced_latency_of_key gen (Gen.key g) with
-        | None -> Alcotest.fail "generated group missing from the memo"
-        | Some l -> check_bits "write-through latency" o.Gen.latency l);
-        check_bits "priced_latency reads the committed price" o.Gen.latency
-          (Gen.priced_latency gen g);
-        check_int "none of it counted as a miss" misses0
-          (Gen.price_misses gen));
-    case "an unseen group misses once, then never again" (fun () ->
-        let gen = Gen.model_default () in
-        let g = fst (Gen.group_of_apps [ Gate.app2 Gate.CZ 1 2 ]) in
-        let misses0 = Gen.price_misses gen in
-        let l1 = Gen.priced_latency gen g in
-        check_int "first lookup is the miss" (misses0 + 1)
-          (Gen.price_misses gen);
-        let l2 = Gen.priced_latency gen g in
-        check_int "second lookup is free" (misses0 + 1)
-          (Gen.price_misses gen);
-        check_bits "and returns the same price" l1 l2);
+        match Gen.table_latency gen (Gen.key g) with
+        | None -> Alcotest.fail "generated group missing from the table"
+        | Some l -> check_bits "table latency" o.Gen.latency l);
+    case
+      "episode_latency_estimate is the table latency, else the model \
+       estimate, a fallback price included"
+      (fun () ->
+        let gen =
+          Gen.model_default
+            ~retry:{ Gen.default_retry with Gen.max_attempts = 1 } ()
+        in
+        let episode arity body =
+          Gate.app
+            (Gate.Custom (Gate.make_custom ~name:"episode" ~arity body))
+            (List.init arity Fun.id)
+        in
+        let group app = fst (Gen.group_of_apps [ app ]) in
+        let estimate app = Gen.estimate_latency gen (group app) in
+        let price = Paqoc_pulse.Pricing.episode_latency_estimate gen in
+        let made =
+          episode 2
+            [ Gate.app2 Gate.CX 0 1;
+              Gate.app1 (Gate.RZ (Angle.const 0.7)) 1;
+              Gate.app2 Gate.CX 0 1
+            ]
+        in
+        check_bits "an unseen episode is the model estimate" (estimate made)
+          (price made);
+        let o = Gen.generate gen (group made) in
+        check_bits "a synthesised episode is its table latency" o.Gen.latency
+          (price made);
+        let failed =
+          episode 3
+            [ Gate.app2 Gate.CX 0 1; Gate.app2 Gate.CX 1 2; Gate.app1 Gate.H 2 ]
+        in
+        let fb =
+          Faultin.with_faults
+            [ (Faultin.Grape_diverge, Faultin.Always) ]
+            (fun () -> Gen.generate gen (group failed))
+        in
+        check_true "the episode fell back" (fb.Gen.provenance = Gen.Fallback);
+        check_true "a fallback is priced apart from the estimate"
+          (bits fb.Gen.latency <> bits (estimate failed));
+        check_bits "a fallback episode is its table latency" fb.Gen.latency
+          (price failed));
     case "the write log reports exactly the keys put since an epoch"
       (fun () ->
         let gen = Gen.model_default () in
@@ -659,5 +722,5 @@ let suite =
     qcheck search_differential;
     suite_equivalence
   ]
-  @ alloc_suite @ priced_memo_suite
+  @ alloc_suite @ prices_suite
   @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case ]

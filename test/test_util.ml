@@ -25,6 +25,13 @@ let check_mat_phase ?(tol = 1e-8) msg expected actual =
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+(* [gen] configured as a product caller configures a fresh generator:
+   [cache] attached, the equivalence-class tier on when [canonical] *)
+let attached ?(canonical = false) cache gen =
+  Paqoc_pulse.Generator.set_shared_cache gen (Some cache);
+  Paqoc_pulse.Generator.set_canonical gen canonical;
+  gen
+
 (* ------------------------------------------------------------------ *)
 (* QCheck generators                                                   *)
 (* ------------------------------------------------------------------ *)
