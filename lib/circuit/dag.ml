@@ -6,27 +6,36 @@ type t = {
   live : bool array;  (** false at the holes an in-place edit frees *)
 }
 
+(* [p] put into the strictly descending [l], unless already there *)
+let rec insert_desc (p : int) = function
+  | [] -> [ p ]
+  | x :: rest as l ->
+    if p > x then p :: l else if p = x then l else x :: insert_desc p rest
+
+(* [v]'s predecessors: the distinct last gates on its wires [qs], which
+   become [v]'s own *)
+let rec last_gates last v preds = function
+  | [] -> preds
+  | q :: rest ->
+    let p = last.(q) in
+    last.(q) <- v;
+    last_gates last v (if p >= 0 then insert_desc p preds else preds) rest
+
+let rec link succ v = function
+  | [] -> ()
+  | p :: rest ->
+    succ.(p) <- v :: succ.(p);
+    link succ v rest
+
 let of_circuit (c : Circuit.t) =
   let gates = Array.of_list c.Circuit.gates in
   let n = Array.length gates in
   let succ = Array.make n [] and pred = Array.make n [] in
   let last = Array.make c.Circuit.n_qubits (-1) in
   for v = 0 to n - 1 do
-    let srcs =
-      List.filter_map
-        (fun q ->
-          let p = last.(q) in
-          last.(q) <- v;
-          if p >= 0 then Some p else None)
-        gates.(v).Gate.qubits
-    in
-    List.iter
-      (fun p ->
-        if not (List.mem v succ.(p)) then begin
-          succ.(p) <- v :: succ.(p);
-          pred.(v) <- p :: pred.(v)
-        end)
-      (List.sort_uniq compare srcs)
+    let preds = last_gates last v [] gates.(v).Gate.qubits in
+    pred.(v) <- preds;
+    link succ v preds
   done;
   { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
 
@@ -60,7 +69,10 @@ let of_circuit_relaxed ~commute (c : Circuit.t) =
         in
         scan history.(q) 0;
         history.(q) <- v :: history.(q))
-      qs
+      qs;
+    (* the scans met [v]'s predecessors wire by wire; keep them largest
+       first, as every adjacency list is *)
+    pred.(v) <- List.sort (fun a b -> compare b a) pred.(v)
   done;
   { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
 

@@ -43,7 +43,11 @@ val is_live : t -> int -> bool
 (** [gate dag v] is the gate application at node [v]. *)
 val gate : t -> int -> Gate.app
 
-(** Direct successors / predecessors (deduplicated, any order). *)
+(** Direct successors / predecessors, each list strictly descending
+    (largest id first). {!of_circuit}, {!of_circuit_relaxed}, {!edit},
+    {!undo} and {!contract} all keep this order, and callers rely on it:
+    pre-merging walks a successor list back to front to visit it in
+    ascending order without a sorted copy. *)
 val succs : t -> int -> int list
 
 val preds : t -> int -> int list

@@ -16,13 +16,11 @@
     This module holds the first rule; the merge search applies the
     other three as it scores and selects. *)
 
-(** [qubit_union a b] is the sorted set of qubits the merged gate would
-    touch — the content-only ingredient of candidate admission, exposed
-    so the incremental search can memoize it per gate pair. *)
-val qubit_union :
-  Paqoc_circuit.Gate.app -> Paqoc_circuit.Gate.app -> int list
-
 (** [preprocess c ~maxN] exhaustively applies the Observation-1 rule
     (bounded by [maxN]) and returns the simplified circuit. Each round
-    merges a greedy span-disjoint set of compatible DAG edges. *)
+    merges a greedy span-disjoint set of compatible DAG edges, walking
+    each gate's successors in ascending id order. The walk reads
+    {!Paqoc_circuit.Dag.succs} back to front, since the DAG keeps every
+    adjacency list largest first, and each compatibility test counts
+    qubits against stamps, so neither copies a list. *)
 val preprocess : Paqoc_circuit.Circuit.t -> maxN:int -> Paqoc_circuit.Circuit.t

@@ -48,17 +48,27 @@ type pair_info = {
   state : key_state;  (** the merged key's blacklist state *)
 }
 
-let n_qubits_of (g : Gate.app) =
-  List.length (List.sort_uniq compare g.Gate.qubits)
+let rec mem_int (q : int) = function
+  | [] -> false
+  | x :: rest -> x = q || mem_int q rest
+
+(* the number of distinct qubits in [qs], without sorting: each one
+   counts at its last occurrence *)
+let rec distinct n = function
+  | [] -> n
+  | q :: rest -> distinct (if mem_int q rest then n else n + 1) rest
+
+let n_qubits_of (g : Gate.app) = distinct 0 g.Gate.qubits
 
 (* the pair's content: merged key, qubit-union size and latency
    estimate, priced exactly as the test-side reference scorer does. The
    key is rendered once and handed to the estimate, whose jitter is
-   keyed on the same string. *)
+   keyed on the same string; the union size is the merged group's wire
+   count. *)
 let pair_content gen (gu : Gate.app) (gv : Gate.app) =
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
   let mkey = Generator.key merged_group in
-  let union_n = List.length (Candidates.qubit_union gu gv) in
+  let union_n = merged_group.Generator.n_qubits in
   let grows = union_n > max (n_qubits_of gu) (n_qubits_of gv) in
   let model_est = Generator.estimate_latency_of_key gen merged_group mkey in
   let pair_est =
@@ -125,19 +135,23 @@ let run ?(config = default_config) ?jobs:_ gen c =
   let cands = Ranking.buffer () in
   let include_iii = not config.prune_noncritical in
   (* Candidate scoring over the committed engine state. Mirrors
-     enumerate+rank+filter of the reference loop with one deliberate
-     twist: the validity DFS (has_indirect_path) is postponed to the
-     selection walk below, where only the top few candidates ever need
-     it — skipping an invalid candidate there is indistinguishable from
-     its absence here, since scores are content+schedule functions and
-     invalid candidates reserve no span. *)
-  let rec score_succs lat cp crit u succs = function
+     enumerate+rank+filter of the reference loop with two deliberate
+     twists: a Case III edge (neither end critical) is dropped before
+     its pair content is looked up, since the pruning drops it whatever
+     that content is; and the validity DFS (has_indirect_path) is
+     postponed to the selection walk below, where only the top few
+     candidates ever need it — skipping an invalid candidate there is
+     indistinguishable from its absence here, since scores are
+     content+schedule functions and invalid candidates reserve no span. *)
+  let rec score_succs lat cp (crit : bool array) u succs = function
     | [] -> ()
     | v :: rest ->
-      let info = info_of u v in
-      if info.union_n <= config.max_n && not info.state.blacklisted then
-        Ranking.score_edge cands ~include_iii ~lat ~cp ~crit ~succs ~u ~v
-          ~est:info.pair_est;
+      if include_iii || crit.(u) || crit.(v) then begin
+        let info = info_of u v in
+        if info.union_n <= config.max_n && not info.state.blacklisted then
+          Ranking.score_edge cands ~include_iii ~lat ~cp ~crit ~succs ~u ~v
+            ~est:info.pair_est
+      end;
       score_succs lat cp crit u succs rest
   in
   let score_edges () =
@@ -194,7 +208,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
             let nodes = [ u; v ] in
             ( nodes,
               Rewrite.custom_of_nodes dag nodes
-                ~name:(Printf.sprintf "grp%d" !merge_counter) ))
+                ~name:("grp" ^ string_of_int !merge_counter) ))
           batch
       in
       (* Algorithm 1 line 18: pulses for the new customized gates are

@@ -17,7 +17,40 @@ let ext_size = 20
 let decay_delta = 0.001
 let decay_reset = 5
 
-let route ?initial (c : Circuit.t) (cg : Coupling.t) =
+(* SWAPs run along device edges, so a logical qubit never leaves the
+   component of the coupling graph it starts in: a two-qubit gate whose
+   operands start in different components can never be routed. Routing
+   starts from the trivial layout, so the logical operands are the
+   physical ones. *)
+let check_connected (c : Circuit.t) cg =
+  List.iteri
+    (fun i (g : Gate.app) ->
+      match g.Gate.qubits with
+      | [ a; b ] when Coupling.distance cg a b = max_int ->
+        failwith
+          (Printf.sprintf
+             "Sabre.route: gate %d (%s on qubits %d and %d) joins \
+              disconnected parts of the device"
+             i (Gate.name g.Gate.kind) a b)
+      | _ -> ())
+    c.Circuit.gates
+
+(* [sum_dist cg a b pa pb k] is the summed device distance of the
+   first [k] physical operand pairs [(pa.(i), pb.(i))] with the
+   physical qubits [a] and [b] exchanged. Every pair is connected, so
+   each distance is a small int and the sum equals, bit for bit once
+   converted, the float sum the published score is defined on. *)
+let sum_dist cg a b (pa : int array) (pb : int array) k =
+  let s = ref 0 in
+  for i = 0 to k - 1 do
+    let x = pa.(i) and y = pb.(i) in
+    let x = if x = a then b else if x = b then a else x in
+    let y = if y = a then b else if y = b then a else y in
+    s := !s + Coupling.distance cg x y
+  done;
+  !s
+
+let route (c : Circuit.t) (cg : Coupling.t) =
   Obs.with_span "sabre.route" @@ fun () ->
   let np = Coupling.n_qubits cg in
   if c.Circuit.n_qubits > np then
@@ -27,14 +60,21 @@ let route ?initial (c : Circuit.t) (cg : Coupling.t) =
       if List.length g.Gate.qubits > 2 then
         invalid_arg "Sabre.route: decompose 3+ qubit gates before routing")
     c.Circuit.gates;
-  let layout =
-    match initial with
-    | Some l -> Layout.copy l
-    | None -> Layout.trivial ~n_logical:c.Circuit.n_qubits ~n_physical:np
-  in
+  check_connected c cg;
+  let layout = Layout.trivial ~n_logical:c.Circuit.n_qubits ~n_physical:np in
   let initial_layout = Layout.copy layout in
   let gates = Array.of_list c.Circuit.gates in
   let n = Array.length gates in
+  (* the logical operands of each two-qubit gate; [-1] marks any other *)
+  let qa = Array.make n (-1) and qb = Array.make n (-1) in
+  Array.iteri
+    (fun v (g : Gate.app) ->
+      match g.Gate.qubits with
+      | [ a; b ] ->
+        qa.(v) <- a;
+        qb.(v) <- b
+      | _ -> ())
+    gates;
   let dag = Dag.of_circuit c in
   let unresolved = Array.make n 0 in
   List.iter
@@ -68,6 +108,13 @@ let route ?initial (c : Circuit.t) (cg : Coupling.t) =
         if unresolved.(s) = 0 then front := s :: !front)
       (Dag.succs dag v)
   in
+  (* A stall's state, in route-level arrays: the physical operand pairs
+     of the front's two-qubit gates ([fa], [fb], [nf] of them; front
+     gates share no qubit, so at most [np / 2]) and of the extended set
+     ([ea], [eb], [ne]). *)
+  let fa = Array.make np 0 and fb = Array.make np 0 and nf = ref 0 in
+  let ea = Array.make ext_size 0 and eb = Array.make ext_size 0 in
+  let ne = ref 0 in
   (* extended lookahead: the next few not-yet-front 2q gates. The
      visited marks are generation stamps in a route-level array (the
      Dag.reach_ws idiom), not a fresh bool array per call — the set is
@@ -75,95 +122,102 @@ let route ?initial (c : Circuit.t) (cg : Coupling.t) =
      hot path on congested circuits. *)
   let ext_stamp = Array.make n 0 in
   let ext_gen = ref 0 in
-  let extended_set () =
-    incr ext_gen;
-    let stamp_gen = !ext_gen in
-    let acc = ref [] and count = ref 0 in
-    let rec walk v depth =
-      if depth > 0 && !count < ext_size then
-        List.iter
-          (fun s ->
-            if ext_stamp.(s) <> stamp_gen then begin
-              ext_stamp.(s) <- stamp_gen;
-              (match gates.(s).Gate.qubits with
-              | [ _; _ ] when !count < ext_size ->
-                acc := s :: !acc;
-                incr count
-              | _ -> ());
-              walk s (depth - 1)
-            end)
-          (Dag.succs dag v)
-    in
-    List.iter (fun v -> walk v 3) !front;
-    !acc
+  let rec walk depth v =
+    if depth > 0 && !ne < ext_size then walk_succs depth (Dag.succs dag v)
+  and walk_succs depth = function
+    | [] -> ()
+    | s :: rest ->
+      if ext_stamp.(s) <> !ext_gen then begin
+        ext_stamp.(s) <- !ext_gen;
+        if qa.(s) >= 0 && !ne < ext_size then begin
+          ea.(!ne) <- Layout.phys layout qa.(s);
+          eb.(!ne) <- Layout.phys layout qb.(s);
+          incr ne
+        end;
+        walk (depth - 1) s
+      end;
+      walk_succs depth rest
   in
-  let dist_of v lay_probe =
-    match gates.(v).Gate.qubits with
-    | [ a; b ] -> float_of_int (Coupling.distance cg (lay_probe a) (lay_probe b))
-    | _ -> 0.0
+  (* The best swap of a stall: each candidate edge [(a, b)], [a < b], is
+     scored once and the least [(score, a, b)] kept. Candidates are the
+     device edges at a front pair's qubits; [mark] stamps those qubits
+     [gen] and each one [gen + 1] once expanded, so an edge between two
+     of them is taken once, from its smaller end. *)
+  let mark = Array.make np 0 and gen = ref 0 in
+  let best_s = ref infinity and best_a = ref (-1) and best_b = ref (-1) in
+  let consider a b =
+    let f = sum_dist cg a b fa fb !nf and e = sum_dist cg a b ea eb !ne in
+    let nf = float_of_int (max 1 !nf) and ne = float_of_int (max 1 !ne) in
+    let decay_factor = 1.0 +. Float.max decay.(a) decay.(b) in
+    let s =
+      decay_factor
+      *. ((float_of_int f /. nf) +. (ext_weight *. float_of_int e /. ne))
+    in
+    if s < !best_s
+       || (s = !best_s && (a < !best_a || (a = !best_a && b < !best_b)))
+    then begin
+      best_s := s;
+      best_a := a;
+      best_b := b
+    end
+  in
+  let rec expand_edges p = function
+    | [] -> ()
+    | p' :: rest ->
+      if mark.(p') < !gen then consider (min p p') (max p p')
+      else if p < p' then consider p p';
+      expand_edges p rest
+  in
+  let expand p =
+    if mark.(p) = !gen then begin
+      mark.(p) <- !gen + 1;
+      expand_edges p (Coupling.neighbors cg p)
+    end
   in
   (* safety bound: routing must terminate well within n * np^2 steps *)
   let fuel = ref ((n + 1) * np * np * 4) in
   while !front <> [] do
     decr fuel;
-    if !fuel < 0 then failwith "Sabre.route: no progress (disconnected device?)";
+    if !fuel < 0 then failwith "Sabre.route: no progress";
     let ready = List.sort compare (List.filter (fun v -> routable gates.(v)) !front) in
     if ready <> [] then List.iter emit ready
     else begin
-      let two_q_front =
-        List.filter (fun v -> List.length gates.(v).Gate.qubits = 2) !front
-      in
-      let ext = extended_set () in
-      (* candidate swaps: device edges incident to front-gate qubits *)
-      let cands = ref [] in
+      nf := 0;
       List.iter
         (fun v ->
-          List.iter
-            (fun l ->
-              let p = Layout.phys layout l in
-              List.iter
-                (fun p' ->
-                  let e = if p < p' then (p, p') else (p', p) in
-                  if not (List.mem e !cands) then cands := e :: !cands)
-                (Coupling.neighbors cg p))
-            gates.(v).Gate.qubits)
-        two_q_front;
-      let score (a, b) =
-        let probe l =
-          let p = Layout.phys layout l in
-          if p = a then b else if p = b then a else p
-        in
-        let f_sum =
-          List.fold_left (fun acc v -> acc +. dist_of v probe) 0.0 two_q_front
-        in
-        let e_sum =
-          List.fold_left (fun acc v -> acc +. dist_of v probe) 0.0 ext
-        in
-        let nf = float_of_int (max 1 (List.length two_q_front)) in
-        let ne = float_of_int (max 1 (List.length ext)) in
-        let decay_factor = 1.0 +. Float.max decay.(a) decay.(b) in
-        decay_factor *. ((f_sum /. nf) +. (ext_weight *. e_sum /. ne))
-      in
-      let best =
-        List.sort
-          (fun e1 e2 ->
-            let s1 = score e1 and s2 = score e2 in
-            if s1 <> s2 then compare s1 s2 else compare e1 e2)
-          !cands
-      in
-      match best with
-      | [] -> failwith "Sabre.route: stuck with no swap candidates"
-      | (a, b) :: _ ->
-        Layout.swap_physical layout a b;
-        emitted := Gate.app2 Gate.SWAP a b :: !emitted;
-        incr swaps;
-        decay.(a) <- decay.(a) +. decay_delta;
-        decay.(b) <- decay.(b) +. decay_delta;
-        incr swaps_since_reset;
-        if !swaps_since_reset >= decay_reset then begin
-          Array.fill decay 0 np 0.0;
-          swaps_since_reset := 0
-        end
+          if qa.(v) >= 0 then begin
+            fa.(!nf) <- Layout.phys layout qa.(v);
+            fb.(!nf) <- Layout.phys layout qb.(v);
+            incr nf
+          end)
+        !front;
+      incr ext_gen;
+      ne := 0;
+      List.iter (walk 3) !front;
+      gen := !gen + 2;
+      for i = 0 to !nf - 1 do
+        mark.(fa.(i)) <- !gen;
+        mark.(fb.(i)) <- !gen
+      done;
+      best_s := infinity;
+      best_a := -1;
+      best_b := -1;
+      for i = 0 to !nf - 1 do
+        expand fa.(i);
+        expand fb.(i)
+      done;
+      if !best_a < 0 then failwith "Sabre.route: stuck with no swap candidates";
+      let a = !best_a and b = !best_b in
+      Layout.swap_physical layout a b;
+      emitted := Gate.app2 Gate.SWAP a b :: !emitted;
+      incr swaps;
+      decay.(a) <- decay.(a) +. decay_delta;
+      decay.(b) <- decay.(b) +. decay_delta;
+      incr swaps_since_reset;
+      if !swaps_since_reset >= decay_reset then begin
+        Array.fill decay 0 np 0.0;
+        swaps_since_reset := 0
+      end
     end
   done;
   let physical = Circuit.make ~n_qubits:np (List.rev !emitted) in

@@ -30,9 +30,12 @@ module Pricing = Paqoc_pulse.Pricing
 module Apa = Paqoc_mining.Apa
 module Obs = Paqoc_obs.Obs
 module Criticality = Reference_criticality
-module Candidates = Paqoc.Candidates
 module Ranking = Paqoc.Ranking
 open Paqoc.Merger
+
+(* the sorted set of qubits a merged pair would touch *)
+let qubit_union (a : Gate.app) (b : Gate.app) =
+  List.sort_uniq compare (a.Gate.qubits @ b.Gate.qubits)
 
 (* ------------------------------------------------------------------ *)
 (* Reachability                                                        *)
@@ -219,7 +222,7 @@ let enumerate ?(include_case_iii = false) (crit : Criticality.t) ~maxN =
     List.iter
       (fun v ->
         let gu = Dag.gate dag u and gv = Dag.gate dag v in
-        let union = Candidates.qubit_union gu gv in
+        let union = qubit_union gu gv in
         if List.length union <= maxN && not (has_indirect_path dag u v)
         then
           match Criticality.case_of crit u v with
@@ -284,7 +287,7 @@ let rank gen crit cands = List.sort compare_scored (List.map (score gen crit) ca
    always (locally) beneficial. *)
 let obs1_compatible dag u v ~maxN =
   let gu = Dag.gate dag u and gv = Dag.gate dag v in
-  let union = Candidates.qubit_union gu gv in
+  let union = qubit_union gu gv in
   let nu = List.length (List.sort_uniq compare gu.Gate.qubits) in
   let nv = List.length (List.sort_uniq compare gv.Gate.qubits) in
   List.length union <= maxN

@@ -652,6 +652,60 @@ let contract_tests =
            true))
   ]
 
+(* Every adjacency list is strictly descending (largest id first), the
+   order pre-merging's ascending walk reads back to front. *)
+let check_descending what d =
+  let rec strictly = function
+    | a :: (b :: _ as rest) -> a > b && strictly rest
+    | _ -> true
+  in
+  for v = 0 to Dag.n_nodes d - 1 do
+    if not (strictly (Dag.succs d v)) then
+      Alcotest.failf "%s: succs of %d are not strictly descending" what v;
+    if not (strictly (Dag.preds d v)) then
+      Alcotest.failf "%s: preds of %d are not strictly descending" what v
+  done
+
+let order_case =
+  qcheck
+    (QCheck.Test.make ~count:150
+       ~name:"adjacency lists stay strictly descending through every edit"
+       (arb_circuit ~n:4 ~max_gates:16 ())
+       (fun c ->
+         check_descending "of_circuit" (Dag.of_circuit c);
+         check_descending "of_circuit_relaxed"
+           (Paqoc_circuit.Commutation.relaxed_dag c);
+         check_descending "of_circuit_relaxed, all commuting"
+           (Dag.of_circuit_relaxed ~commute:(fun _ _ -> true) c);
+         let st = Random.State.make [| 0xde5c; Circuit.n_gates c |] in
+         let d = Dag.of_circuit c in
+         let ed = Dag.editor d in
+         for _ = 1 to 6 do
+           let live = Array.of_list (Dag.nodes d) in
+           let dense = Dag.of_circuit (Dag.to_circuit d) in
+           let groups = random_groups st dense in
+           (match Dag.contract dense groups with
+           | exception Invalid_argument _ -> ()
+           | contracted, _ -> check_descending "contract" contracted);
+           let holed =
+             List.map (fun (ns, app) -> (List.map (Array.get live) ns, app))
+               groups
+           in
+           match Dag.edit ed holed with
+           | exception Invalid_argument _ -> ()
+           | () ->
+             check_descending "edit" d;
+             if Random.State.bool st then begin
+               Dag.undo ed;
+               check_descending "undo" d
+             end
+             else begin
+               Dag.keep ed;
+               check_descending "keep" d
+             end
+         done;
+         true))
+
 let suite =
   angle_tests @ gate_tests @ circuit_tests @ dag_tests @ decompose_tests
-  @ qasm_tests @ rewrite_tests @ prop_tests @ contract_tests
+  @ qasm_tests @ rewrite_tests @ prop_tests @ contract_tests @ [ order_case ]

@@ -354,5 +354,40 @@ let suite =
               | () -> false
               | exception Boom -> true);
             check_true "no .tmp left" (not (Sys.file_exists (path ^ ".tmp")));
-            check_true "no target created" (not (Sys.file_exists path))))
+            check_true "no target created" (not (Sys.file_exists path))));
+    case "routing across two device components fails in milliseconds"
+      (fun () ->
+        (* two disjoint 4x4 grids; 20 CX gates route inside them, the
+           21st joins them. A router that waits for its (n+1)·np²·4
+           iteration fuel to run out took 0.79 s here; the component
+           check refuses the circuit before routing anything *)
+        let grid = Coupling.edges (Coupling.grid ~rows:4 ~cols:4) in
+        let device =
+          Coupling.of_edges ~n:32
+            (grid @ List.map (fun (a, b) -> (a + 16, b + 16)) grid)
+        in
+        let inside =
+          List.init 20 (fun i ->
+              let base = if i mod 2 = 0 then 0 else 16 in
+              Gate.app2 Gate.CX (base + (i / 2)) (base + 15 - (i / 2)))
+        in
+        let c =
+          Circuit.make ~n_qubits:32 (inside @ [ Gate.app2 Gate.CX 3 19 ])
+        in
+        let t0 = Unix.gettimeofday () in
+        let msg =
+          try
+            ignore (Sabre.route c device);
+            None
+          with Failure m -> Some m
+        in
+        let seconds = Unix.gettimeofday () -. t0 in
+        (match msg with
+        | None -> Alcotest.fail "a cross-component CX was routed"
+        | Some m ->
+          check_true
+            (Printf.sprintf "the refusal names gate 20: %s" m)
+            (String.starts_with ~prefix:"Sabre.route: gate 20 (" m));
+        if seconds > 0.1 then
+          Alcotest.failf "the refusal took %.3f s, over 0.1 s" seconds)
   ]

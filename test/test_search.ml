@@ -717,10 +717,45 @@ let deep_key_case =
            over the %.0f budget"
           per deep_key_budget_words)
 
+(* Pre-merging dnn's APA circuit (3,788 gates in, 1,617 out) allocates
+   1,034,074 minor words, nearly all of it the merged gates and the
+   in-place edits. Each Observation-1 test counts qubits against stamps
+   and each successor list is walked back to front; the loop that ran
+   three sorted unions per test, sorted a copy of every list and named
+   each merge through Printf spent 6,159,276. The budget is about twice
+   the measured figure. *)
+let preprocess_budget_words = 2_100_000.0
+
+let preprocess_budget_case =
+  case "pre-merging dnn stays under the minor-word budget" (fun () ->
+      let physical = (Suite.transpiled (Suite.find "dnn")).Transpile.physical in
+      let scheme = Paqoc.paqoc_m0 in
+      let apa =
+        Paqoc_mining.Apa.apply ~miner:scheme.Paqoc.miner
+          ~mode:scheme.Paqoc.apa_mode physical
+      in
+      let c = apa.Paqoc_mining.Apa.circuit in
+      let maxN = scheme.Paqoc.merger.Merger.max_n in
+      let out = Paqoc.Candidates.preprocess c ~maxN in
+      let reps = 5 in
+      let before = Gc.minor_words () in
+      for _ = 1 to reps do
+        ignore (Sys.opaque_identity (Paqoc.Candidates.preprocess c ~maxN))
+      done;
+      let per = (Gc.minor_words () -. before) /. float_of_int reps in
+      if per > preprocess_budget_words then
+        Alcotest.failf
+          "pre-merging dnn (%d gates in, %d out) allocates %.0f minor words, \
+           over the %.0f budget"
+          (Circuit.n_gates c) (Circuit.n_gates out) per
+          preprocess_budget_words)
+
 let suite =
   [ qcheck engine_differential;
     qcheck search_differential;
     suite_equivalence
   ]
   @ alloc_suite @ prices_suite
-  @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case ]
+  @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case;
+      preprocess_budget_case
+    ]

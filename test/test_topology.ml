@@ -4,6 +4,8 @@ module Layout = Paqoc_topology.Layout
 module Sabre = Paqoc_topology.Sabre
 module Transpile = Paqoc_topology.Transpile
 module Decompose = Paqoc_circuit.Decompose
+module Device = Paqoc_topology.Device
+module Suite = Paqoc_benchmarks.Suite
 
 (* ------------------------------------------------------------------ *)
 (* Coupling                                                            *)
@@ -229,4 +231,121 @@ let prop_tests =
              t.Transpile.physical.Circuit.gates))
   ]
 
-let suite = coupling_tests @ layout_tests @ sabre_tests @ transpile_tests @ prop_tests
+(* ------------------------------------------------------------------ *)
+(* The router against its oracle                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* what Transpile.run hands the router: every gate with three or more
+   operands (and every custom body) lowered, SWAP kept *)
+let lowered (c : Circuit.t) =
+  let rec lower (g : Gate.app) =
+    match g.Gate.kind with
+    | Gate.Custom _ | Gate.CCX -> List.concat_map lower (Decompose.lower_app g)
+    | _ -> [ g ]
+  in
+  { c with Circuit.gates = List.concat_map lower c.Circuit.gates }
+
+let same_layout (a : Layout.t) (b : Layout.t) =
+  Layout.n_logical a = Layout.n_logical b
+  && Layout.n_physical a = Layout.n_physical b
+  && List.for_all
+       (fun l -> Layout.phys a l = Layout.phys b l)
+       (List.init (Layout.n_logical a) Fun.id)
+  && List.for_all
+       (fun p -> Layout.log a p = Layout.log b p)
+       (List.init (Layout.n_physical a) Fun.id)
+
+(* [Sabre.route] and the test-side oracle agree on a routing: the same
+   physical gate list, both layouts and the swap count, or both refuse
+   the circuit with the same exception constructor *)
+let check_against_oracle what c cg =
+  let outcome f =
+    match f () with
+    | r -> Ok r
+    | exception Invalid_argument _ -> Error "Invalid_argument"
+    | exception Failure _ -> Error "Failure"
+  in
+  match
+    ( outcome (fun () -> Sabre.route c cg),
+      outcome (fun () -> Reference_sabre.route c cg) )
+  with
+  | Error a, Error b ->
+    if a <> b then Alcotest.failf "%s: raises %s, the oracle %s" what a b
+  | Ok _, Error b -> Alcotest.failf "%s: the oracle raises %s" what b
+  | Error a, Ok _ -> Alcotest.failf "%s: Sabre.route raises %s" what a
+  | Ok r, Ok o ->
+    if r.Sabre.swaps_added <> o.Reference_sabre.swaps_added then
+      Alcotest.failf "%s: %d swaps, the oracle %d" what r.Sabre.swaps_added
+        o.Reference_sabre.swaps_added;
+    if Circuit.to_string r.Sabre.physical
+       <> Circuit.to_string o.Reference_sabre.physical
+    then Alcotest.failf "%s: the physical gate list differs" what;
+    if not (same_layout r.Sabre.initial o.Reference_sabre.initial) then
+      Alcotest.failf "%s: the initial layout differs" what;
+    if not (same_layout r.Sabre.final o.Reference_sabre.final) then
+      Alcotest.failf "%s: the final layout differs" what
+
+let oracle_case =
+  slow_case "Sabre.route == the oracle router on benchmarks and random circuits"
+    (fun () ->
+      List.iter
+        (fun dev ->
+          List.iter
+            (fun (e : Suite.entry) ->
+              check_against_oracle
+                (Printf.sprintf "%s on %s" e.Suite.name (Device.name dev))
+                (lowered (e.Suite.build ()))
+                (Device.coupling dev))
+            (Suite.all @ Suite.extras))
+        Device.all;
+      let devices =
+        [ ("line 5", Coupling.line 5); ("ring 6", Coupling.ring 6);
+          ("grid 2x3", Coupling.grid ~rows:2 ~cols:3);
+          ("grid 3x3", Coupling.grid ~rows:3 ~cols:3)
+        ]
+      in
+      List.iter
+        (fun (name, cg) ->
+          let np = Coupling.n_qubits cg in
+          for seed = 1 to 40 do
+            let rand = Random.State.make [| 0x5ab7e; seed; np |] in
+            let n = 2 + Random.State.int rand (np - 1) in
+            let c =
+              QCheck.Gen.generate1 ~rand (gen_circuit ~n ~max_gates:40 ())
+            in
+            check_against_oracle
+              (Printf.sprintf "random circuit %d on %s" seed name)
+              c cg
+          done)
+        devices)
+
+(* Routing dnn's lowered circuit on the 5x5 lattice (1,200 gates, 690
+   SWAPs) allocates 167,947 minor words: the front and extended-set
+   operand pairs live in route-level arrays and each candidate is scored
+   once, summing int distances. The router that sorted the candidates
+   with a rescoring comparator and folded float distances through
+   closures (test/reference_sabre.ml) spent 3,084,140. The budget is
+   about twice the measured figure. *)
+let route_budget_words = 340_000.0
+
+let route_budget_case =
+  case "routing dnn stays under the minor-word budget" (fun () ->
+      let c = lowered ((Suite.find "dnn").Suite.build ()) in
+      let cg = Transpile.default_device in
+      let swaps = (Sabre.route c cg).Sabre.swaps_added in
+      let reps = 5 in
+      let before = Gc.minor_words () in
+      for _ = 1 to reps do
+        ignore (Sys.opaque_identity (Sabre.route c cg))
+      done;
+      let per = (Gc.minor_words () -. before) /. float_of_int reps in
+      if per > route_budget_words then
+        Alcotest.failf
+          "routing dnn (%d gates, %d swaps) allocates %.0f minor words, over \
+           the %.0f budget"
+          (Circuit.n_gates c) swaps per route_budget_words)
+
+let suite =
+  coupling_tests @ layout_tests @ sabre_tests @ transpile_tests @ prop_tests
+  @ [ oracle_case; route_budget_case ]
+
