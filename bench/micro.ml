@@ -88,7 +88,8 @@ let tests =
     Test.make ~name:"fig14/dag-schedule"
       (Staged.stage
          (let d = Dag.of_circuit (Lazy.force qaoa_physical) in
-          fun () -> ignore (Dag.schedule d ~latency:(fun _ -> 1.0))));
+          let latency = Array.make (Dag.n_nodes d) 1.0 in
+          fun () -> ignore (Dag.schedule d ~latency)));
     (* table2: slice propagator (the pulse simulator's inner loop) *)
     Test.make ~name:"table2/pulse-propagator"
       (Staged.stage

@@ -34,11 +34,10 @@ let compile ?(slicer = Slicer.accqoc_n3d3) ?(jobs = 1) gen (c : Circuit.t) =
   in
   let ordered = Similarity.generation_order groups in
   ignore (Generator.generate_batch ~jobs gen ordered);
-  let latency = Pricing.circuit_latency gen grouped in
-  let esp = Pricing.circuit_esp gen grouped in
+  let priced = Pricing.price gen grouped in
   { grouped;
-    latency;
-    esp;
+    latency = priced.Pricing.schedule.Paqoc_circuit.Dag.total;
+    esp = priced.Pricing.esp;
     compile_seconds = Generator.total_seconds gen -. seconds0;
     n_groups = Circuit.n_gates grouped;
     pulses_generated = Generator.pulses_generated gen - generated0;

@@ -14,6 +14,9 @@ type report = {
   n_groups : int;  (** customized gates in the schedule *)
   pulses_generated : int;  (** distinct QOC runs *)
   cache_hits : int;
+      (** lookups answered without a synthesis: the MST batch's repeated
+          slices, plus one per slice when
+          {!Paqoc_pulse.Pricing.price} prices the schedule *)
   fallbacks : int;  (** slices that degraded to decomposed-basis pulses *)
 }
 

@@ -127,5 +127,3 @@ let normalize (c : Circuit.t) =
     done
   done;
   Circuit.make ~n_qubits:c.Circuit.n_qubits (Array.to_list gates)
-
-let relaxed_dag (c : Circuit.t) = Dag.of_circuit_relaxed ~commute c

@@ -13,7 +13,10 @@
     preserves the circuit unitary; [normalize] only ever applies commuting
     adjacent transpositions. Commutation is decided by a rule table for
     the hot cases, falling back to an exact unitary commutator check on
-    the (small) union space, memoised by gate labels. *)
+    the (small) union space, memoised by gate labels. The reordered
+    circuit is the whole product: the search then builds the ordinary
+    dependence DAG ({!Dag.of_circuit}) of it, never a DAG with the
+    commuting dependences dropped. *)
 
 (** [commute a b] — do the two gate applications commute as operators?
     Disjoint-qubit gates always do. *)
@@ -24,9 +27,3 @@ val commute : Gate.app -> Gate.app -> bool
     fixpoint, bounded). The result is unitarily equal — not just
     equivalent up to phase — to the input. *)
 val normalize : Circuit.t -> Circuit.t
-
-(** [relaxed_dag c] builds the dependence DAG with commuting dependences
-    dropped: an edge joins two gates sharing a qubit only when they do not
-    commute. Any topological order of this DAG is a valid execution
-    order. *)
-val relaxed_dag : Circuit.t -> Dag.t

@@ -39,43 +39,6 @@ let of_circuit (c : Circuit.t) =
   done;
   { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
 
-let of_circuit_relaxed ~commute (c : Circuit.t) =
-  let gates = Array.of_list c.Circuit.gates in
-  let n = Array.length gates in
-  let succ = Array.make n [] and pred = Array.make n [] in
-  (* per-qubit history of gates, newest first *)
-  let history = Array.make c.Circuit.n_qubits [] in
-  let add_edge p v =
-    if not (List.mem v succ.(p)) then begin
-      succ.(p) <- v :: succ.(p);
-      pred.(v) <- p :: pred.(v)
-    end
-  in
-  for v = 0 to n - 1 do
-    let qs = List.sort_uniq compare gates.(v).Gate.qubits in
-    List.iter
-      (fun q ->
-        (* depend on every earlier non-commuting gate on this wire; a
-           bounded scan with a hard edge at the cap keeps this linear *)
-        let rec scan l steps =
-          match l with
-          | [] -> ()
-          | p :: rest ->
-            if steps > 50 then add_edge p v
-            else begin
-              if not (commute gates.(p) gates.(v)) then add_edge p v;
-              scan rest (steps + 1)
-            end
-        in
-        scan history.(q) 0;
-        history.(q) <- v :: history.(q))
-      qs;
-    (* the scans met [v]'s predecessors wire by wire; keep them largest
-       first, as every adjacency list is *)
-    pred.(v) <- List.sort (fun a b -> compare b a) pred.(v)
-  done;
-  { nq = c.Circuit.n_qubits; gates; succ; pred; live = Array.make n true }
-
 let n_nodes d = Array.length d.gates
 let n_qubits d = d.nq
 let is_live d v = d.live.(v)
@@ -169,75 +132,55 @@ type schedule = {
   critical : bool array;
 }
 
-let schedule d ~latency =
-  let n = n_nodes d in
-  let est = Array.make n 0.0 in
-  let lat =
-    Array.init n (fun v -> if d.live.(v) then latency d.gates.(v) else 0.0)
-  in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun p -> if est.(p) +. lat.(p) > est.(v) then est.(v) <- est.(p) +. lat.(p))
-      d.pred.(v)
-  done;
-  let cp_after = Array.make n 0.0 in
-  for v = n - 1 downto 0 do
-    List.iter
-      (fun s ->
-        let through = lat.(s) +. cp_after.(s) in
-        if through > cp_after.(v) then cp_after.(v) <- through)
-      d.succ.(v)
-  done;
+(* The two waves, over every id in place: ids are topological and
+   holes have no edges, so each node reads only final values, and a
+   hole (latency 0) adds nothing. Each fold is a top-level
+   array-to-array loop, so a wave allocates nothing: no closure, no
+   boxed accumulator. *)
+
+(* raises [dst.(i)] to [a.(x) +. b.(x)] for every [x] in the list: the
+   est (a = est, b = latency, over preds) and cp_after (a = latency,
+   b = cp_after, over succs) recurrences *)
+let rec fold_max (dst : float array) i (a : float array) (b : float array)
+    = function
+  | [] -> ()
+  | x :: rest ->
+    let f = a.(x) +. b.(x) in
+    if f > dst.(i) then dst.(i) <- f;
+    fold_max dst i a b rest
+
+let est_wave d ~latency (est : float array) =
   let total = ref 0.0 in
-  for v = 0 to n - 1 do
-    let finish = est.(v) +. lat.(v) in
+  for v = 0 to n_nodes d - 1 do
+    est.(v) <- 0.0;
+    fold_max est v est latency d.pred.(v);
+    let finish = est.(v) +. latency.(v) in
     if finish > !total then total := finish
   done;
-  let eps = 1e-9 *. (1.0 +. !total) in
-  let critical = Array.make n false in
+  !total
+
+let cp_wave d ~latency ~est ~total (cp_after : float array)
+    (critical : bool array) =
+  let n = n_nodes d in
+  for v = n - 1 downto 0 do
+    cp_after.(v) <- 0.0;
+    fold_max cp_after v latency cp_after d.succ.(v)
+  done;
+  let eps = 1e-9 *. (1.0 +. total) in
   for v = 0 to n - 1 do
     critical.(v) <-
-      d.live.(v) && est.(v) +. lat.(v) +. cp_after.(v) >= !total -. eps
-  done;
-  { est; latency = lat; cp_after; total = !total; critical }
+      d.live.(v) && est.(v) +. latency.(v) +. cp_after.(v) >= total -. eps
+  done
 
-let critical_path d sched =
+let schedule d ~latency =
   let n = n_nodes d in
-  if n = 0 then []
-  else begin
-    (* start from a critical source (est = 0) and greedily follow critical
-       successors that continue a tight path *)
-    let eps = 1e-9 *. (1.0 +. sched.total) in
-    let tight v =
-      d.live.(v)
-      && sched.est.(v) +. sched.latency.(v) +. sched.cp_after.(v)
-         >= sched.total -. eps
-    in
-    let start =
-      let rec find v =
-        if v >= n then None
-        else if sched.est.(v) <= eps && tight v then Some v
-        else find (v + 1)
-      in
-      find 0
-    in
-    match start with
-    | None -> []
-    | Some s ->
-      let rec walk v acc =
-        let next =
-          List.find_opt
-            (fun w ->
-              tight w
-              && sched.est.(w) >= sched.est.(v) +. sched.latency.(v) -. eps)
-            (List.sort compare (succs d v))
-        in
-        match next with
-        | Some w -> walk w (w :: acc)
-        | None -> List.rev acc
-      in
-      walk s [ s ]
-  end
+  if Array.length latency <> n then
+    invalid_arg "Dag.schedule: one latency per node id";
+  let est = Array.make n 0.0 and cp_after = Array.make n 0.0 in
+  let critical = Array.make n false in
+  let total = est_wave d ~latency est in
+  cp_wave d ~latency ~est ~total cp_after critical;
+  { est; latency; cp_after; total; critical }
 
 let to_circuit d =
   let rec live_gates v acc =
@@ -639,40 +582,3 @@ let undo ed =
   ed.log <- []
 
 let keep ed = ed.log <- []
-
-(* ------------------------------------------------------------------ *)
-(* Contraction with renumbering                                        *)
-(* ------------------------------------------------------------------ *)
-
-let copy d =
-  { d with
-    gates = Array.copy d.gates;
-    succ = Array.copy d.succ;
-    pred = Array.copy d.pred;
-    live = Array.copy d.live
-  }
-
-(* An in-place edit of a copy, then a compaction onto dense ids: the
-   live ids keep their order, so every list stays largest first. *)
-let contract d groups =
-  let ed = editor (copy d) in
-  edit ed groups;
-  let e = ed.dag in
-  let live_ids = Array.of_list (nodes e) in
-  let dense = Array.make (n_nodes e) (-1) in
-  Array.iteri (fun j v -> dense.(v) <- j) live_ids;
-  let old_of_new = Array.copy live_ids in
-  for i = 0 to edit_size ed - 1 do
-    let j = edit_id ed i in
-    if e.live.(j) then old_of_new.(dense.(j)) <- edit_origin ed i
-  done;
-  let relabel adj =
-    Array.map (fun v -> List.map (Array.get dense) adj.(v)) live_ids
-  in
-  ( { nq = e.nq;
-      gates = Array.map (Array.get e.gates) live_ids;
-      succ = relabel e.succ;
-      pred = relabel e.pred;
-      live = Array.make (Array.length live_ids) true
-    },
-    old_of_new )

@@ -9,10 +9,10 @@
     counts, no edges, never visited), and every live id keeps its
     place, so between live ids the id order is still the program order.
 
-    The criticality quantities follow Section V-A of the paper: for a
-    latency function [L], [cp_after x] is the longest [L]-weighted path from
-    the {e end} of [x] to the circuit's end ({e excluding} [L(x)] itself,
-    matching the paper's use of [CP(X)] in expressions like
+    The criticality quantities follow Section V-A of the paper: for
+    per-node latencies [L], [cp_after x] is the longest [L]-weighted path
+    from the {e end} of [x] to the circuit's end ({e excluding} [L(x)]
+    itself, matching the paper's use of [CP(X)] in expressions like
     [L(A) + L(B) + CP(B)]), and a gate is {e critical} when it lies on some
     longest path of the whole circuit. *)
 
@@ -22,14 +22,6 @@ type t
 
 (** [of_circuit c] builds the dependence DAG. *)
 val of_circuit : Circuit.t -> t
-
-(** [of_circuit_relaxed ~commute c] drops dependences between gates that
-    [commute]: a gate depends on {e every} earlier non-commuting gate it
-    shares a qubit with (not just the latest), since commuting
-    intermediates no longer order them. Any topological order of the
-    result reaches the same unitary as [c]. *)
-val of_circuit_relaxed :
-  commute:(Gate.app -> Gate.app -> bool) -> Circuit.t -> t
 
 (** [n_nodes dag] is the size of the id range [0 .. n_nodes - 1]:
     the node count of a dense DAG, holes included after an {!edit}. *)
@@ -44,8 +36,8 @@ val is_live : t -> int -> bool
 val gate : t -> int -> Gate.app
 
 (** Direct successors / predecessors, each list strictly descending
-    (largest id first). {!of_circuit}, {!of_circuit_relaxed}, {!edit},
-    {!undo} and {!contract} all keep this order, and callers rely on it:
+    (largest id first). {!of_circuit}, {!edit} and {!undo} all keep
+    this order, and callers rely on it:
     pre-merging walks a successor list back to front to visit it in
     ascending order without a sorted copy. *)
 val succs : t -> int -> int list
@@ -76,19 +68,44 @@ val has_indirect_path_ws : reach_ws -> t -> int -> int -> bool
 
 type schedule = {
   est : float array;  (** earliest start time of each node *)
-  latency : float array;  (** [L] evaluated per node *)
+  latency : float array;  (** [L] per node: the array {!schedule} was given *)
   cp_after : float array;  (** longest path from node end to circuit end *)
   total : float;  (** whole-circuit latency (critical-path length) *)
   critical : bool array;  (** membership of some critical path *)
 }
 
-(** [schedule dag ~latency] computes ASAP start times, per-node [CP] values
-    and critical-path membership under the gate latency function
-    [latency]. *)
-val schedule : t -> latency:(Gate.app -> float) -> schedule
+(** [schedule dag ~latency] computes ASAP start times, per-node [CP]
+    values and critical-path membership, where [latency.(v)] is node
+    [v]'s latency (0 at a hole). It is {!est_wave} then {!cp_wave} on
+    fresh arrays, and keeps [latency] as the schedule's own.
+    @raise Invalid_argument unless [latency] has {!n_nodes} entries. *)
+val schedule : t -> latency:float array -> schedule
 
-(** [critical_path dag sched] is one maximal-latency path, in order. *)
-val critical_path : t -> schedule -> int list
+(** The two waves {!schedule} is built from, exposed so a caller that
+    keeps its own per-node arrays (the criticality engine) recomputes
+    them in place, with the same folds. Each visits every id, in id
+    order, and folds each node's list in its stored order, so equal
+    inputs give equal bits whoever calls it. Both allocate nothing. *)
+
+(** [est_wave dag ~latency est] sets [est.(v)] to the longest
+    [latency]-weighted path into [v], for every id, and returns the
+    total: the largest [est.(v) +. latency.(v)]. *)
+val est_wave : t -> latency:float array -> float array -> float
+
+(** [cp_wave dag ~latency ~est ~total cp_after critical] sets
+    [cp_after.(v)] to the longest [latency]-weighted path out of [v]'s
+    end, for every id, and [critical.(v)] to whether live node [v] lies
+    on a path of length [total]: [est.(v) +. latency.(v) +. cp_after.(v)]
+    is at least [total] minus a relative [1e-9]. [est] and [total] are
+    {!est_wave}'s. *)
+val cp_wave :
+  t ->
+  latency:float array ->
+  est:float array ->
+  total:float ->
+  float array ->
+  bool array ->
+  unit
 
 (** [to_circuit dag] linearises the DAG's live nodes back to a circuit in
     a topological order (stable: program order). *)
@@ -105,37 +122,13 @@ val to_circuit : t -> Circuit.t
     largest member. *)
 val is_convex : t -> int list -> bool
 
-(** [contract dag groups] replaces each [(nodes, replacement)] (disjoint,
-    convex, node ids of [dag]) by its replacement gate, which must act on
-    exactly the union of its group's qubits. It returns the contracted
-    DAG, with dense ids, and [old_of_new]: [old_of_new.(j)] is the node of
-    [dag] that node [j] survives from, or [-(gi+1)] when [j] is the
-    replacement of [List.nth groups gi].
-
-    The order is the stable min-id topological order of the quotient
-    DAG (repeatedly emit the ready node whose smallest member id is
-    least), computed window by window: only the nodes between a group's
-    smallest and largest member (overlapping windows merged) are
-    relinearised; every other node keeps its place. The adjacency is
-    the quotient's, which for such groups is exactly what {!of_circuit}
-    derives from {!to_circuit} of the result, in the same list order.
-    Empty groups are ignored. It is an {!edit} of a copy of [dag],
-    compacted onto dense ids.
-    @raise Invalid_argument on out-of-range ids, overlapping or
-    non-convex groups, or groups whose contraction creates a cycle. *)
-val contract : t -> (int list * Gate.app) list -> t * int array
-
 (** {1 In-place contraction}
 
     An editor contracts groups in its DAG in place and keeps an undo
-    log, so a merge step costs what its windows touch. Each window is
-    relinearised exactly as {!contract} does it, and the emitted nodes
-    are laid back onto the window's own live ids in emission order; the
-    ids the merges free, the window's last ones, become holes. Nodes
-    outside the windows keep their ids; only the lists that name a node
-    that moved are rewritten. Every list stays in {!of_circuit}'s order, so
-    compacting the live ids gives {!contract}'s result exactly. A
-    window only shrinks, so ids never need relabelling. *)
+    log, so a merge step costs what its windows touch. Nodes outside
+    the windows keep their ids; only the lists that name a node that
+    moved are rewritten. A window only shrinks, so ids never need
+    relabelling. *)
 
 type editor
 
@@ -143,10 +136,25 @@ type editor
     allocated once). *)
 val editor : t -> editor
 
-(** [edit ed groups] contracts [groups] (as {!contract}, on the
-    editor's DAG and its ids) in place, logging what it overwrites.
-    @raise Invalid_argument as {!contract} does, leaving the DAG
-    untouched. *)
+(** [edit ed groups] replaces each [(nodes, replacement)] (disjoint,
+    convex, live ids of the editor's DAG) by its replacement gate, which
+    must act on exactly the union of its group's qubits, in place,
+    logging what it overwrites. Empty groups are ignored.
+
+    The order is the stable min-id topological order of the quotient
+    DAG (repeatedly emit the ready node whose smallest member id is
+    least), computed window by window: only the live nodes between a
+    group's smallest and largest member (overlapping windows merged)
+    are relinearised, and the emitted nodes are laid back onto the
+    window's own live ids in emission order; the ids the merges free,
+    the window's last ones, become holes. Every other node keeps its
+    id. The adjacency is the quotient's, and every list stays in
+    {!of_circuit}'s order, so compacting the live ids gives exactly the
+    DAG that {!of_circuit} builds from {!to_circuit} of the result, list
+    for list.
+    @raise Invalid_argument on out-of-range or dead ids, overlapping or
+    non-convex groups, or groups whose contraction creates a cycle;
+    the DAG is then untouched. *)
 val edit : editor -> (int list * Gate.app) list -> unit
 
 (** [undo ed] restores the DAG as it was before every {!edit} since the

@@ -27,4 +27,6 @@ let custom_of_nodes dag nodes ~name =
   Gate.app (Gate.Custom (Gate.make_custom ~name ~arity body)) (List.rev wires)
 
 let contract c groups =
-  Dag.to_circuit (fst (Dag.contract (Dag.of_circuit c) groups))
+  let dag = Dag.of_circuit c in
+  Dag.edit (Dag.editor dag) groups;
+  Dag.to_circuit dag

@@ -3,7 +3,7 @@
     Both APA-basis substitution (replacing a mined pattern occurrence) and
     PAQOC's customized-gate merging replace a set of DAG nodes with one
     opaque gate. The set must be {e convex} (no dependence path leaving and
-    re-entering it, {!Dag.is_convex}); contraction ({!Dag.contract}) then
+    re-entering it, {!Dag.is_convex}); contraction ({!Dag.edit}) then
     builds the quotient DAG and emits a stable topological linearisation,
     preserving the circuit's unitary. *)
 
@@ -15,6 +15,8 @@ val custom_of_nodes : Dag.t -> int list -> name:string -> Gate.app
 
 (** [contract c groups] replaces each [(nodes, replacement)] (disjoint,
     convex, node ids into [Dag.of_circuit c]) by its replacement gate and
-    relinearises: [Dag.to_circuit] of {!Dag.contract} on [c]'s DAG.
-    @raise Invalid_argument on overlapping or non-convex groups. *)
+    relinearises: {!Dag.edit} on a fresh [Dag.of_circuit c], then
+    {!Dag.to_circuit}. The live ids keep their order, so the gates come
+    out in {!Dag.edit}'s order.
+    @raise Invalid_argument as {!Dag.edit} does. *)
 val contract : Circuit.t -> (int list * Gate.app) list -> Circuit.t

@@ -20,9 +20,11 @@ module Obs = Paqoc_obs.Obs
    its table row, the write log names every such key, and the engine
    re-reads those keys from the table and reprices exactly the nodes
    whose latency differs from their key's price; and (b) the est and
-   cp_after values are recomputed in full by the same max-plus folds
-   as Dag.schedule, over the same pred and succ lists. The
-   differential battery in test_search pins this.
+   cp_after values, the total and the flags are recomputed in full by
+   Dag.est_wave and Dag.cp_wave, the two waves Dag.schedule itself
+   runs, over the same pred and succ lists: there is no second copy
+   of the recurrences to drift. The differential battery in
+   test_search pins this against the oracle's own folds.
 
    Ids with holes. The engine edits its DAG in place ({!Dag.edit}): a
    merge relinearises only its windows, lays their nodes back onto the
@@ -30,8 +32,9 @@ module Obs = Paqoc_obs.Obs
    keeps its id, and between live ids the id order is the order a
    dense renumbering would give, so every loop and every id comparison
    reads the same as on dense ids. Holes have no edges, latency 0 and
-   est / cp_after 0, so they add nothing to a wave or a total. The
-   per-node arrays are sized once, at [create].
+   est / cp_after 0, so they add nothing to a wave or a total, and
+   they are never critical. The per-node arrays are sized once, at
+   [create].
 
    Full waves. Each wave recomputes every node in id order, in place:
    ids are topological, so a node reads only final values. A commit on
@@ -122,50 +125,6 @@ module Engine = struct
     let k = e.kid.(v) in
     k >= 0 && e.kprice.(k) <> e.lat.(v)
 
-  (* [fold_max dst i a b l] raises [dst.(i)] to [a.(x) +. b.(x)] for
-     every [x] in [l]: the est (a = est, b = lat over preds) and
-     cp_after (a = lat, b = cp over succs) recurrences of
-     Dag.schedule. Top-level and array-to-array, so a fold allocates
-     nothing — no closure, no boxed accumulator. *)
-  let rec fold_max (dst : float array) i (a : float array) (b : float array)
-      = function
-    | [] -> ()
-    | x :: rest ->
-      let f = a.(x) +. b.(x) in
-      if f > dst.(i) then dst.(i) <- f;
-      fold_max dst i a b rest
-
-  (* The two waves over the first [n] ids, in place. Ids are
-     topological and holes have no edges, so each node reads only
-     final values. *)
-  let est_wave d n (est : float array) (lat : float array) =
-    for v = 0 to n - 1 do
-      est.(v) <- 0.0;
-      fold_max est v est lat (Dag.preds d v)
-    done
-
-  let cp_wave d n (cp : float array) (lat : float array) =
-    for v = n - 1 downto 0 do
-      cp.(v) <- 0.0;
-      fold_max cp v lat cp (Dag.succs d v)
-    done
-
-  (* total and criticality flags over the first [n] ids *)
-  let finish_total n (est : float array) (lat : float array) =
-    let total = ref 0.0 in
-    for v = 0 to n - 1 do
-      let f = est.(v) +. lat.(v) in
-      if f > !total then total := f
-    done;
-    !total
-
-  let mark_critical n total (est : float array) (lat : float array)
-      (cp : float array) (crit : bool array) =
-    let eps = 1e-9 *. (1.0 +. total) in
-    for v = 0 to n - 1 do
-      crit.(v) <- est.(v) +. lat.(v) +. cp.(v) >= total -. eps
-    done
-
   let create gen c =
     Obs.with_span "criticality.engine.create" @@ fun () ->
     let dagv = Dag.of_circuit c in
@@ -202,10 +161,8 @@ module Engine = struct
       e.kid.(v) <- k;
       e.lat.(v) <- e.kprice.(k)
     done;
-    est_wave dagv n e.est e.lat;
-    cp_wave dagv n e.cp e.lat;
-    e.total <- finish_total n e.est e.lat;
-    mark_critical n e.total e.est e.lat e.cp e.crit;
+    e.total <- Dag.est_wave dagv ~latency:e.lat e.est;
+    Dag.cp_wave dagv ~latency:e.lat ~est:e.est ~total:e.total e.cp e.crit;
     e
 
   (* accessors over the committed state *)
@@ -254,10 +211,8 @@ module Engine = struct
           end
         done;
         if !moved then begin
-          est_wave d n e.est e.lat;
-          cp_wave d n e.cp e.lat;
-          e.total <- finish_total n e.est e.lat;
-          mark_critical n e.total e.est e.lat e.cp e.crit
+          e.total <- Dag.est_wave d ~latency:e.lat e.est;
+          Dag.cp_wave d ~latency:e.lat ~est:e.est ~total:e.total e.cp e.crit
         end
       end;
       e.epoch <- ep
@@ -276,7 +231,7 @@ module Engine = struct
           e.uid.(v) <- u)
         e.vlog;
       e.vlog <- [];
-      est_wave e.dagv (Dag.n_nodes e.dagv) e.est e.lat;
+      ignore (Dag.est_wave e.dagv ~latency:e.lat e.est : float);
       e.s_valid <- false
     end
 
@@ -337,8 +292,7 @@ module Engine = struct
           e.lat.(v) <- e.kprice.(e.kid.(v))
         end
       done;
-    est_wave e.dagv n e.est e.lat;
-    let total = finish_total n e.est e.lat in
+    let total = Dag.est_wave e.dagv ~latency:e.lat e.est in
     e.s_total <- total;
     e.s_n <- e.n - !holes;
     e.s_epoch <- ep;
@@ -354,9 +308,8 @@ module Engine = struct
     if not e.s_valid then
       invalid_arg "Criticality.Engine.commit: nothing staged";
     Obs.with_span "criticality.engine.commit" @@ fun () ->
-    let n = Dag.n_nodes e.dagv in
-    cp_wave e.dagv n e.cp e.lat;
-    mark_critical n e.s_total e.est e.lat e.cp e.crit;
+    Dag.cp_wave e.dagv ~latency:e.lat ~est:e.est ~total:e.s_total e.cp
+      e.crit;
     Dag.keep e.ed;
     e.vlog <- [];
     e.n <- e.s_n;

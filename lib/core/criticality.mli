@@ -16,14 +16,15 @@
     merge edits to a DAG edited in place ({!Paqoc_circuit.Dag.edit}),
     repricing only the episodes an edit or a pulse-database write
     changed instead of the whole circuit. The earliest-start and
-    [CP]-after waves are recomputed in full, in place, by the
-    recurrences of {!Paqoc_circuit.Dag.schedule}. Node ids have holes
-    where merges freed them; every other node keeps its id, and live
-    ids compare as their dense positions would. Every exposed value is
-    bitwise equal to a full analysis of the current circuit against
-    the current generator state, node for node in id order (see
-    docs/incremental-search.md; the differential battery in
-    test_search pins it).
+    [CP]-after waves are recomputed in full, in place, by the two waves
+    {!Paqoc_circuit.Dag.schedule} is built from
+    ({!Paqoc_circuit.Dag.est_wave}, {!Paqoc_circuit.Dag.cp_wave}).
+    Node ids have holes where merges freed them; every other node
+    keeps its id, and live ids compare as their dense positions would.
+    Every exposed value is bitwise equal to a full analysis of the
+    current circuit against the current generator state, node for node
+    in id order (see docs/incremental-search.md; the differential
+    battery in test_search pins it).
 
     Protocol: {!Engine.stage} edits the DAG in place, reprices what the
     edit and the generator's writes changed, runs the earliest-start

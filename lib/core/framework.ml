@@ -86,26 +86,24 @@ let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?deadline gen (c : Circuit.t) =
         Merger.run ~config:scheme.merger gen pre)
   in
   Protocol.check_deadline deadline;
-  (* 3. make sure every episode of the final schedule has its pulse; the
-     episodes are independent so the leftover (non-merged, non-APA) ones
-     synthesise in parallel too *)
-  Obs.with_span "paqoc.finalize" (fun () ->
-      ignore
-        (Generator.generate_batch ~jobs gen
-           (List.map
-              (fun g -> fst (Generator.group_of_apps [ g ]))
-              grouped.Circuit.gates)));
-  let latency = Pricing.circuit_latency gen grouped in
-  let esp = Pricing.circuit_esp gen grouped in
+  (* 3. price the final schedule: one batch over its episodes, which
+     also synthesises the leftover (non-merged, non-APA) ones, in
+     parallel since they are independent *)
+  let priced =
+    Obs.with_span "paqoc.finalize" (fun () -> Pricing.price ~jobs gen grouped)
+  in
   let qoc_seconds = Generator.total_seconds gen -. seconds0 in
   let wall = Clock.now_s () -. wall0 in
-  (* search time is the wall clock minus time spent inside real QOC; with
-     the analytic backend the generator cost is virtual, so the whole wall
-     time is search *)
-  let search_seconds = Float.max 0.0 wall in
+  (* the analytic backend's generation cost is virtual, so the whole
+     wall time is search; a real-QOC compile's wall time already holds
+     its syntheses, so they come off it *)
+  let search_seconds =
+    if Generator.pricing_is_analytic gen then Float.max 0.0 wall
+    else Float.max 0.0 (wall -. qoc_seconds)
+  in
   { grouped;
-    latency;
-    esp;
+    latency = priced.Pricing.schedule.Paqoc_circuit.Dag.total;
+    esp = priced.Pricing.esp;
     compile_seconds = qoc_seconds +. search_seconds;
     qoc_seconds;
     search_seconds;

@@ -37,12 +37,30 @@ type report = {
   grouped : Paqoc_circuit.Circuit.t;  (** final circuit of pulse episodes *)
   latency : float;  (** critical-path latency, device dt *)
   esp : float;  (** Eq. 2 *)
-  compile_seconds : float;  (** QOC cost + search wall time *)
-  qoc_seconds : float;  (** pulse-generation part of the above *)
-  search_seconds : float;  (** criticality search part *)
+  compile_seconds : float;
+      (** [qoc_seconds +. search_seconds]: the paper's compilation cost *)
+  qoc_seconds : float;
+      (** pulse-generation cost: the generator's charged seconds
+          ({!Paqoc_pulse.Generator.total_seconds}) over the compile —
+          modelled GRAPE time on the analytic backend, measured
+          synthesis time on the QOC backend *)
+  search_seconds : float;
+      (** the rest of the compile. On the analytic backend generation
+          cost is virtual, so this is the whole wall time. On the QOC
+          backend the wall time already holds every synthesis, so this
+          is the wall time minus [qoc_seconds] (at least 0): exact at
+          [jobs] 1, and a lower bound at [jobs > 1], where parallel
+          syntheses charge more seconds than they take of the wall *)
   n_groups : int;
   pulses_generated : int;
   cache_hits : int;
+      (** generator lookups answered from the pulse table (or by an
+          in-batch duplicate or class replay) over the compile: one per
+          offline APA group, per merge attempt's group and per final
+          episode that it did not synthesise. So with [pulses_generated]
+          it counts every generation request once:
+          [cache_hits + pulses_generated] is the offline batch's size
+          plus one per attempted group plus [n_groups] *)
   fallbacks : int;
       (** groups that degraded to decomposed default-basis pulses because
           every QOC attempt failed; 0 on a healthy compile *)
@@ -53,7 +71,8 @@ type report = {
 (** [compile ?scheme ?jobs ?deadline gen c] compiles physical
     circuit [c]. Default scheme is [paqoc_m0]. [jobs] (default 1) is the
     worker-domain count for the two batch pulse-generation stages — the
-    offline APA pulse pre-computation and the final episode sweep;
+    offline APA pulse pre-computation and the final episodes, which
+    {!Paqoc_pulse.Pricing.price} generates and prices in one batch;
     results are identical to the serial run
     ({!Paqoc_pulse.Generator.generate_batch}'s determinism guarantee).
     The merge search between them runs on the calling domain: its one

@@ -237,18 +237,10 @@ let price plan pairs =
   in
   (* the DAG is built from the symbolic slot gates and cached in the
      plan: binding angles never changes qubit sets, so the dependence
-     structure is iteration-invariant. The schedule's latency callback
-     receives those symbolic gates; structurally equal gates carry equal
-     canonical keys and hence equal prices, so a structural table is a
-     sound bridge from gate to this iteration's latency. *)
-  let lat = Hashtbl.create 64 in
-  Array.iteri
-    (fun i s ->
-      let _, _, (pr : priced) = keyed.(i) in
-      Hashtbl.replace lat (slot_gate s) pr.latency)
-    plan.slots;
+     structure is iteration-invariant, and its node [i] is slot [i] *)
   let sched =
-    Dag.schedule (plan_dag plan) ~latency:(fun g -> Hashtbl.find lat g)
+    Dag.schedule (plan_dag plan)
+      ~latency:(Array.map (fun (_, _, (pr : priced)) -> pr.latency) keyed)
   in
   let esp =
     Array.fold_left

@@ -149,11 +149,7 @@ let noisy_fidelity ?(noise = default_noise) gen (c : Circuit.t) =
     invalid_arg "Simulator.noisy_fidelity: bad noise parameters";
   let gates = Array.of_list c.Circuit.gates in
   (* schedule: start time and duration of each episode *)
-  let dag = Paqoc_circuit.Dag.of_circuit c in
-  let sched =
-    Paqoc_circuit.Dag.schedule dag ~latency:(fun g ->
-        (Pricing.episode gen g).Generator.latency)
-  in
+  let sched = (Pricing.price gen c).Pricing.schedule in
   let est = sched.Paqoc_circuit.Dag.est in
   let lat = sched.Paqoc_circuit.Dag.latency in
   let total = sched.Paqoc_circuit.Dag.total in

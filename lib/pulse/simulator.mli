@@ -65,7 +65,7 @@ val default_noise : noise
 
 (** [noisy_fidelity ?noise gen c] is the mean trajectory fidelity of [c]'s
     compiled schedule against the ideal circuit, with error locations
-    driven by the schedule the generator prices (episode starts and
+    driven by the schedule {!Pricing.price} gives it (episode starts and
     durations). Works on either backend — gates act ideally; only the
     timing and the noise are simulated. *)
 val noisy_fidelity :

@@ -25,6 +25,11 @@ the verdict does not read it). It then gives a verdict:
 * no end-to-end metric may be worse than the parent by more than its
   `BENCHMARK.json` bound (relative, on the medians), and no workload may
   fail a larger share of its requests;
+* an end-to-end metric whose parent runs spread (Q3 - Q1, relative to
+  the median) wider than its bound is labelled UNRESOLVED, unless every
+  change run beats every parent run: the medians then cannot show it
+  unchanged. The label is information only; a broken bound still fails
+  the verdict;
 * a pinned metric (`--pin core.search_iterations,trace.staged_mismatch`)
   must take one value in every run of a workload and seed, parent and
   change alike: counts that must repeat exactly, such as merge decisions
@@ -109,6 +114,28 @@ def bound_broken(pairs, direction, bound):
     if direction == "higher":
         rel = -rel
     return (rel > bound, rel)
+
+
+def unresolved(pairs, direction, bound):
+    """Is the parent's own quartile spread, relative to its median,
+    wider than the bound, while some change run fails to beat some
+    parent run? Such a metric is unresolved, not unchanged. The verdict
+    does not read it."""
+    p_q1, p_med, p_q3 = quartiles([p for p, _ in pairs])
+    spread = p_q3 - p_q1
+    if p_med != 0:
+        rel = spread / abs(p_med)
+    else:
+        rel = math.inf if spread > 0 else 0.0
+    if not rel > bound:
+        return False
+    parents = [p for p, _ in pairs]
+    changes = [c for _, c in pairs]
+    if direction == "lower":
+        every_run_better = max(changes) < min(parents)
+    else:
+        every_run_better = min(changes) > max(parents)
+    return not every_run_better
 
 
 def pair_ratios(pairs):
@@ -196,9 +223,11 @@ def report(workload, seed, runs, spec, claims, pins):
             broken, _ = bound_broken(pairs, direction,
                                      end_to_end[name]["bound"])
             change = (cq[1] - pq[1]) / abs(pq[1]) if pq[1] else 0.0
-            line += "  %+.1f%% (%s is better, bound %.1f%%)%s" % (
+            line += "  %+.1f%% (%s is better, bound %.1f%%)%s%s" % (
                 100 * change, direction, 100 * end_to_end[name]["bound"],
-                "  WORSE" if broken else "")
+                "  WORSE" if broken else "",
+                "  UNRESOLVED" if unresolved(
+                    pairs, direction, end_to_end[name]["bound"]) else "")
             ratios = pair_ratios(pairs)
             if ratios:
                 line += "  change/parent %.3f / %.3f / %.3f" % quartiles(
@@ -264,6 +293,24 @@ def self_test():
     assert not bound_broken([(0.90, 0.95)] * 5, "higher", 0.005)[0]
     assert not bound_broken([(100.0, 100.0)] * 5, "lower", 0.005)[0]
     assert bound_broken([(0.0, 1.0)] * 3, "lower", 0.25)[0]
+    # unresolved: the parent's spread (Q3 - Q1 over its median) is
+    # wider than the bound, and not every change run beats every parent
+    # run
+    wide = [1.00, 1.40, 0.80, 1.20, 0.90, 1.30, 1.00, 1.10, 0.85, 1.25]
+    assert unresolved(list(zip(wide, wide)), "lower", 0.25)
+    assert not unresolved(list(zip(wide, [0.5] * 10)), "lower", 0.25)
+    assert unresolved(list(zip(wide, [0.5] * 9 + [0.9])), "lower", 0.25)
+    assert not unresolved(list(zip(parent, parent)), "lower", 0.25)
+    assert not unresolved(list(zip(wide, wide)), "lower", 0.5)
+    assert not unresolved(list(zip(wide, [2.0] * 10)), "higher", 0.25)
+    assert unresolved(list(zip(wide, [1.39] * 10)), "higher", 0.25)
+    assert unresolved([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)],
+                      "lower", 0.25)
+    assert not unresolved([(0.0, 0.0)] * 4, "lower", 0.25)
+    # the label is information only: a broken bound still breaks
+    slow = [w * 1.5 for w in wide]
+    assert unresolved(list(zip(wide, slow)), "lower", 0.25)
+    assert bound_broken(list(zip(wide, slow)), "lower", 0.25)[0]
     # a pin holds only when every run, parent and change, agrees
     assert pin_problem("core.search_iterations", [1048.0] * 10) is None
     why = pin_problem("core.search_iterations", [1048.0] * 9 + [1047.0])

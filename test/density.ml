@@ -73,8 +73,12 @@ let noisy_fidelity ?(t2 = Simulator.default_noise.Simulator.t2) gen
   let dim_v = 1 lsl n in
   let dag = Dag.of_circuit c in
   let sched =
-    Dag.schedule dag ~latency:(fun g ->
-        (Pricing.episode gen g).Generator.latency)
+    Dag.schedule dag
+      ~latency:
+        (Array.of_list
+           (List.map
+              (fun g -> (Test_util.episode gen g).Generator.latency)
+              c.Circuit.gates))
   in
   let est = sched.Dag.est and lat = sched.Dag.latency in
   let total = sched.Dag.total in

@@ -17,11 +17,48 @@ module Pricing = Paqoc_pulse.Pricing
 
 type t = { circuit : Circuit.t; dag : Dag.t; sched : Dag.schedule }
 
+(* The schedule's max-plus folds, written out here instead of calling
+   [Dag.schedule], so the engine differential holds [Dag.est_wave] and
+   [Dag.cp_wave] (which the engine and [Dag.schedule] share) to an
+   independent copy: ASAP start over the predecessors, CP-after over
+   the successors, the total, then the critical flags. *)
+let schedule dag latency =
+  let n = Dag.n_nodes dag in
+  let est = Array.make n 0.0 in
+  let lat =
+    Array.init n (fun v ->
+        if Dag.is_live dag v then latency (Dag.gate dag v) else 0.0)
+  in
+  for v = 0 to n - 1 do
+    List.iter
+      (fun p ->
+        if est.(p) +. lat.(p) > est.(v) then est.(v) <- est.(p) +. lat.(p))
+      (Dag.preds dag v)
+  done;
+  let cp_after = Array.make n 0.0 in
+  for v = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        let through = lat.(s) +. cp_after.(s) in
+        if through > cp_after.(v) then cp_after.(v) <- through)
+      (Dag.succs dag v)
+  done;
+  let total = ref 0.0 in
+  for v = 0 to n - 1 do
+    let finish = est.(v) +. lat.(v) in
+    if finish > !total then total := finish
+  done;
+  let eps = 1e-9 *. (1.0 +. !total) in
+  let critical =
+    Array.init n (fun v ->
+        Dag.is_live dag v
+        && est.(v) +. lat.(v) +. cp_after.(v) >= !total -. eps)
+  in
+  { Dag.est; latency = lat; cp_after; total = !total; critical }
+
 let analyze gen c =
   let dag = Dag.of_circuit c in
-  let sched =
-    Dag.schedule dag ~latency:(Pricing.episode_latency_estimate gen)
-  in
+  let sched = schedule dag (Pricing.episode_latency_estimate gen) in
   { circuit = c; dag; sched }
 
 let is_critical t v = t.sched.Dag.critical.(v)

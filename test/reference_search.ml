@@ -6,8 +6,8 @@
      [Dag.has_indirect_path_ws] must agree with.
    - [contract] is the original global contraction: rebuild the DAG,
      relinearise every node with a stable min-id Kahn over a [Set]
-     queue. [Dag.contract] relinearises only the windows a merge
-     touches and must agree with it node for node.
+     queue. [Dag.edit] relinearises only the windows a merge touches,
+     in place, and must agree with it node for node.
    - [enumerate], [score], [compare_scored] and [rank] are the original
      candidate pipeline, over the [candidate] and [scored] records the
      product's candidate buffer no longer builds, and [preprocess] the

@@ -1,6 +1,5 @@
 open Test_util
 module Comm = Paqoc_circuit.Commutation
-module Dag = Paqoc_circuit.Dag
 
 let cx a b = Gate.app2 Gate.CX a b
 let rz t q = Gate.app1 (Gate.RZ (Angle.const t)) q
@@ -73,33 +72,6 @@ let normalize_tests =
           (List.for_all2 Gate.equal_app n1.Circuit.gates n2.Circuit.gates))
   ]
 
-let relaxed_tests =
-  [ case "relaxed DAG drops commuting dependences" (fun () ->
-        let c = Circuit.make ~n_qubits:2 [ cx 0 1; rz 0.4 0; cx 0 1 ] in
-        let strict = Dag.of_circuit c in
-        let relaxed = Comm.relaxed_dag c in
-        (* strictly, cx->rz->cx chains; relaxed, rz floats free *)
-        check_true "strict chains" (List.mem 1 (Dag.succs strict 0));
-        check_true "relaxed drops cx->rz" (not (List.mem 1 (Dag.succs relaxed 0)));
-        check_true "relaxed keeps nothing into rz" (Dag.preds relaxed 1 = []));
-    case "relaxed DAG keeps non-commuting dependences, even distant ones"
-      (fun () ->
-        (* x0; rz0 (commutes with neither... rz-x don't commute); h0 —
-           h does not commute with x even across the commuting rz *)
-        let c = Circuit.make ~n_qubits:1 [ xg 0; rz 0.3 0; hg 0 ] in
-        let relaxed = Comm.relaxed_dag c in
-        check_true "x -> h direct edge exists" (List.mem 2 (Dag.succs relaxed 0)));
-    case "relaxed schedule is never longer" (fun () ->
-        let c =
-          Circuit.make ~n_qubits:3
-            [ cx 0 1; rz 0.4 1; cx 1 2; rz 0.1 2; cx 0 1 ]
-        in
-        let lat (g : Gate.app) = if Gate.is_diagonal g.Gate.kind then 0.0 else 1.0 in
-        let strict = Dag.schedule (Dag.of_circuit c) ~latency:lat in
-        let relaxed = Dag.schedule (Comm.relaxed_dag c) ~latency:lat in
-        check_true "relaxed <= strict" (relaxed.Dag.total <= strict.Dag.total))
-  ]
-
 let prop_tests =
   [ qcheck
       (QCheck.Test.make ~count:60 ~name:"normalize preserves the unitary exactly"
@@ -131,42 +103,7 @@ let prop_tests =
            in
            (* the decision procedure may be conservative (false when the
               matrices commute) but must never claim commutation wrongly *)
-           (not (Comm.commute a b)) || really));
-    qcheck
-      (QCheck.Test.make ~count:40
-         ~name:"any topological order of the relaxed DAG is equivalent"
-         (arb_circuit ~n:3 ~max_gates:10 ())
-         (fun c ->
-           (* reverse-greedy linearisation: pick ready nodes LIFO, the
-              opposite of program order, to stress the reordering claim *)
-           let d = Paqoc_circuit.Commutation.relaxed_dag c in
-           let n = Dag.n_nodes d in
-           let indeg = Array.make n 0 in
-           List.iter
-             (fun v -> indeg.(v) <- List.length (Dag.preds d v))
-             (Dag.nodes d);
-           let ready = ref [] in
-           for v = n - 1 downto 0 do
-             if indeg.(v) = 0 then ready := v :: !ready
-           done;
-           let order = ref [] in
-           (* take the LAST ready node each time *)
-           while !ready <> [] do
-             let v = List.nth !ready (List.length !ready - 1) in
-             ready := List.filter (( <> ) v) !ready;
-             order := v :: !order;
-             List.iter
-               (fun s ->
-                 indeg.(s) <- indeg.(s) - 1;
-                 if indeg.(s) = 0 then ready := !ready @ [ s ])
-               (Dag.succs d v)
-           done;
-           let reordered =
-             Circuit.make ~n_qubits:c.Circuit.n_qubits
-               (List.rev_map (Dag.gate d) !order)
-           in
-           Circuit.n_gates reordered = Circuit.n_gates c
-           && Cmat.equal ~tol:1e-8 (Circuit.unitary c) (Circuit.unitary reordered)))
+           (not (Comm.commute a b)) || really))
   ]
 
-let suite = commute_tests @ normalize_tests @ relaxed_tests @ prop_tests
+let suite = commute_tests @ normalize_tests @ prop_tests

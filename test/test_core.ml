@@ -322,6 +322,67 @@ let prop_tests =
            Circuit.equivalent c (Circuit.flatten r.Paqoc.grouped)))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* What a compile report counts                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Suite = Paqoc_benchmarks.Suite
+
+let physical e = (Suite.transpiled e).Paqoc_topology.Transpile.physical
+
+(* On the QOC backend a compile's wall time already holds every GRAPE
+   run that [qoc_seconds] sums, so [compile_seconds] must not add them
+   a second time: at jobs 1 it is at most the wall time measured around
+   the call. *)
+let qoc_compile_seconds =
+  case "QOC compile_seconds counts each synthesis once (bb84)" (fun () ->
+      let c = physical (Suite.find "bb84") in
+      let t0 = Paqoc_obs.Clock.now_s () in
+      let r = Paqoc.compile (Gen.qoc_default ()) c in
+      let wall = Paqoc_obs.Clock.now_s () -. t0 in
+      check_true
+        (Printf.sprintf "qoc_seconds %.6f <= compile_seconds %.6f"
+           r.Paqoc.qoc_seconds r.Paqoc.compile_seconds)
+        (r.Paqoc.qoc_seconds > 0.0
+        && r.Paqoc.qoc_seconds <= r.Paqoc.compile_seconds);
+      check_true
+        (Printf.sprintf "compile_seconds %.6f <= wall %.6f"
+           r.Paqoc.compile_seconds wall)
+        (r.Paqoc.compile_seconds <= wall))
+
+(* Each generation request of a compile is answered once, by the table
+   or by a synthesis. Under paqoc-m0 at top-k 1 a PAQOC compile makes
+   one per merge attempt (one group each, committed or rolled back) and
+   one per final episode; M = 0 substitutes no APA gate, so its offline
+   batch is empty. An AccQOC compile makes one per distinct slice (its
+   MST batch) and one per slice (pricing the schedule). *)
+let lookup_identity =
+  case "one generator lookup per attempt and final episode (Table I)"
+    (fun () ->
+      List.iter
+        (fun (e : Suite.entry) ->
+          let c = physical e in
+          let r = Paqoc.compile (Gen.model_default ()) c in
+          let m = r.Paqoc.merge_stats in
+          check_int
+            (e.Suite.name ^ ": paqoc-m0 hits + synthesized")
+            (m.Merger.merges_committed + m.Merger.merges_rolled_back
+           + r.Paqoc.n_groups)
+            (r.Paqoc.cache_hits + r.Paqoc.pulses_generated);
+          let a = Paqoc_accqoc.Accqoc.compile (Gen.model_default ()) c in
+          let keys = Hashtbl.create 64 in
+          List.iter
+            (fun g ->
+              Hashtbl.replace keys (Gen.key (fst (Gen.group_of_apps [ g ]))) ())
+            a.Paqoc_accqoc.Accqoc.grouped.Circuit.gates;
+          check_int
+            (e.Suite.name ^ ": accqoc hits + synthesized")
+            (Hashtbl.length keys + a.Paqoc_accqoc.Accqoc.n_groups)
+            (a.Paqoc_accqoc.Accqoc.cache_hits
+           + a.Paqoc_accqoc.Accqoc.pulses_generated))
+        Suite.all)
+
 let suite =
   crit_tests @ cand_tests @ ranking_tests @ merger_tests @ paqoc_tests
   @ ablation_tests @ prop_tests
+  @ [ qoc_compile_seconds; lookup_identity ]

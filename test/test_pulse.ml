@@ -7,6 +7,7 @@ module LM = Paqoc_pulse.Latency_model
 module Gen = Paqoc_pulse.Generator
 module Sim = Paqoc_pulse.Simulator
 module Pricing = Paqoc_pulse.Pricing
+module Dag = Paqoc_circuit.Dag
 module Fidelity = Paqoc_linalg.Fidelity
 module Cvec = Paqoc_linalg.Cvec
 
@@ -411,7 +412,7 @@ let pricing_tests =
             [ Gate.app2 Gate.CX 0 1; Gate.app2 Gate.CX 0 1 ]
         in
         let l = Pricing.circuit_latency t c in
-        let single = (Pricing.episode t (Gate.app2 Gate.CX 0 1)).Gen.latency in
+        let single = (episode t (Gate.app2 Gate.CX 0 1)).Gen.latency in
         check_float "2x" (2.0 *. single) l);
     case "parallel gates share the clock" (fun () ->
         let t = Gen.model_default () in
@@ -419,7 +420,7 @@ let pricing_tests =
           Circuit.make ~n_qubits:4
             [ Gate.app2 Gate.CX 0 1; Gate.app2 Gate.CX 2 3 ]
         in
-        let single = (Pricing.episode t (Gate.app2 Gate.CX 0 1)).Gen.latency in
+        let single = (episode t (Gate.app2 Gate.CX 0 1)).Gen.latency in
         check_float "1x" single (Pricing.circuit_latency t c));
     case "esp in (0,1]" (fun () ->
         let t = Gen.model_default () in
@@ -560,6 +561,63 @@ let density_tests =
         check_true "longer schedule, lower fidelity" (f long < f short))
   ]
 
+(* [Pricing.price] against the per-episode path it replaced: one
+   [episode] per node, in node order, scheduled by the oracle's
+   own folds ([Reference_criticality.schedule]), then the ESP folded
+   over a second [episode] per gate. Seeded random circuits,
+   each priced on a fresh generator (syntheses and in-batch duplicates)
+   and again once it is warm (table hits), at jobs 1 and 4: the total,
+   every node's latency and the ESP agree bit for bit, and the one
+   batch answers exactly one lookup per episode fewer than the two
+   per-episode passes. *)
+let price_case =
+  case "Pricing.price == per-episode pricing, bit for bit" (fun () ->
+      let bits = Int64.bits_of_float in
+      let st = Random.State.make [| 0x9121 |] in
+      for trial = 1 to 40 do
+        let c =
+          QCheck.Gen.generate1 ~rand:st (gen_circuit ~n:4 ~max_gates:24 ())
+        in
+        let n = Circuit.n_gates c in
+        List.iter
+          (fun jobs ->
+            let fast = Gen.model_default () and slow = Gen.model_default () in
+            List.iter
+              (fun pass ->
+                let what field =
+                  Printf.sprintf "trial %d, jobs %d, %s: %s" trial jobs pass
+                    field
+                in
+                let hits0 = Gen.cache_hits fast
+                and slow0 = Gen.cache_hits slow in
+                let p = Pricing.price ~jobs fast c in
+                let s =
+                  Reference_criticality.schedule (Dag.of_circuit c) (fun g ->
+                      (episode slow g).Gen.latency)
+                in
+                let esp =
+                  List.fold_left
+                    (fun acc g -> acc *. (1.0 -. (episode slow g).Gen.error))
+                    1.0 c.Circuit.gates
+                in
+                let sched = p.Pricing.schedule in
+                check_true (what "total")
+                  (bits sched.Dag.total = bits s.Dag.total);
+                for v = 0 to n - 1 do
+                  if bits sched.Dag.latency.(v) <> bits s.Dag.latency.(v) then
+                    Alcotest.fail (what (Printf.sprintf "latency of %d" v))
+                done;
+                check_true (what "esp") (bits p.Pricing.esp = bits esp);
+                check_int (what "one lookup per episode fewer")
+                  (Gen.cache_hits slow - slow0 - n)
+                  (Gen.cache_hits fast - hits0);
+                check_int (what "synthesized") (Gen.pulses_generated slow)
+                  (Gen.pulses_generated fast))
+              [ "fresh"; "warm" ])
+          [ 1; 4 ]
+      done)
+
 let suite =
   hamiltonian_tests @ pulse_tests @ grape_tests @ model_tests
   @ generator_tests @ pricing_tests @ sim_tests @ noise_tests @ density_tests
+  @ [ price_case ]

@@ -32,6 +32,12 @@ let attached ?(canonical = false) cache gen =
   Paqoc_pulse.Generator.set_canonical gen canonical;
   gen
 
+(* one gate application's pulse episode, generated (or looked up) on its
+   own: the per-episode path that [Pricing.price] batches *)
+let episode gen g =
+  Paqoc_pulse.Generator.generate gen
+    (fst (Paqoc_pulse.Generator.group_of_apps [ g ]))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck generators                                                   *)
 (* ------------------------------------------------------------------ *)
