@@ -1,17 +1,19 @@
 # Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time, a canonical-cache and a sweep-plan smoke),
-# then the refusal table of scripts/check_refusals.py: each row is a
-# command that must exit 1 with its error line, not crash, leaving the
-# file or directory it refuses as it was (a malformed QASM file through
-# every circuit-reading subcommand, a sweep plan aimed at an unwritable
-# path, a device grid over the 1,024-qubit cap, a pulse waveform dump
-# aimed at an unwritable path, a negative sweep count, a negative
-# per-task synthesis budget, a cache file whose first line is empty, one
-# whose K record holds NaN, a plan sidecar whose waveform shape
-# overflows, a directory given as the cache and a directory given as
-# the circuit), then the IR, daemon and bit-exact QOC gates below.
+# all hits the second time, a canonical-cache and a sweep-plan smoke, a
+# QOC-backend compile whose compile cost must read non-zero and be
+# labelled with its backend), then the refusal table of
+# scripts/check_refusals.py: each row is a command that must exit 1 with
+# its error line, not crash, leaving the file or directory it refuses as
+# it was (a malformed QASM file through every circuit-reading
+# subcommand, a sweep plan aimed at an unwritable path, a device grid
+# over the 1,024-qubit cap, a pulse waveform dump aimed at an unwritable
+# path, a negative sweep count, a negative per-task synthesis budget, a
+# cache file whose first line is empty, one whose K record holds NaN, a
+# plan sidecar whose waveform shape overflows, a directory given as the
+# cache and a directory given as the circuit), then the IR, daemon and
+# bit-exact QOC gates below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc
@@ -47,6 +49,10 @@ check:
 	  --plan /tmp/paqoc_sweep.plan | grep -q 'interp hit rate 100.0%' \
 	  || (echo "check: warm sweep recompile not all interp hits" && exit 1)
 	@rm -f /tmp/paqoc_sweep.plan
+	@dune exec bin/paqoc_cli.exe -- compile bb84 --backend qoc \
+	  | grep -Eq '^compile cost    : ([1-9][0-9]*\.[0-9]+|0\.[0-9]*[1-9][0-9]*) s \(qoc backend: ' \
+	  || (echo "check: QOC compile cost not printed non-zero and backend-labelled" \
+	      && exit 1)
 	python3 scripts/check_refusals.py _build/default/bin/paqoc_cli.exe
 	$(MAKE) check-ir
 	$(MAKE) check-daemon

@@ -476,7 +476,7 @@ let compile_cmd =
              waveforms and is self-verifying — see $(b,paqoc \
              export-ir) and docs/pulse-ir.md). In-process only.")
   in
-  let print_result ?device input (r : Protocol.compile_result) =
+  let print_result ?device ~backend input (r : Protocol.compile_result) =
     Printf.printf
       "transpiled %s: %d logical qubits -> %d-qubit device, %d physical \
        gates (%d swaps inserted)\n"
@@ -485,8 +485,10 @@ let compile_cmd =
     Option.iter print_device device;
     Printf.printf "circuit latency : %.0f dt\n" r.Protocol.latency;
     Printf.printf "estimated ESP   : %.4f\n" r.Protocol.esp;
-    Printf.printf "compile cost    : %.1f s (modeled QOC time)\n"
-      r.Protocol.compile_seconds;
+    Printf.printf "compile cost    : %.3f s (%s)\n" r.Protocol.compile_seconds
+      (match backend with
+      | Protocol.Model -> "model backend: modeled QOC time + search"
+      | Protocol.Qoc -> "qoc backend: measured GRAPE time + search");
     Printf.printf "pulse episodes  : %d\n" r.Protocol.episodes;
     if r.Protocol.fallbacks > 0 then
       Printf.printf
@@ -516,7 +518,8 @@ let compile_cmd =
       with_observability ~metrics ~trace @@ fun () ->
       or_exit @@ fun () ->
       Server.with_connection sock (fun fd ->
-          print_result input (rpc_compile fd req))
+          print_result ~backend:req.Protocol.backend input
+            (rpc_compile fd req))
     | None ->
       arm_injection inject;
       with_observability ~metrics ~trace @@ fun () ->
@@ -527,7 +530,8 @@ let compile_cmd =
         Option.map (fun s -> Clock.now_s () +. s) req.Protocol.deadline_s
       in
       let c = Service.compile ?cache ~retry ~deadline req in
-      print_result ~device:c.Service.device input c.Service.result;
+      print_result ~device:c.Service.device ~backend:req.Protocol.backend input
+        c.Service.result;
       if show_groups then
         List.iteri
           (fun i (g : Gate.app) ->

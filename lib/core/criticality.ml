@@ -68,7 +68,7 @@ module Engine = struct
     mutable total : float;
     mutable epoch : int;  (** generator price epoch of [lat] *)
     (* interned keys, and one price per key *)
-    key_ids : (string, int) Hashtbl.t;
+    interned : (string, int) Hashtbl.t;
     mutable kprice : float array;
     (* staged state *)
     mutable s_valid : bool;
@@ -89,11 +89,11 @@ module Engine = struct
   let intern e (g : Gate.app) =
     let grp, _ = Generator.group_of_apps [ g ] in
     let k = Generator.key grp in
-    match Hashtbl.find_opt e.key_ids k with
+    match Hashtbl.find_opt e.interned k with
     | Some i -> i
     | None ->
-      let i = Hashtbl.length e.key_ids in
-      Hashtbl.add e.key_ids k i;
+      let i = Hashtbl.length e.interned in
+      Hashtbl.add e.interned k i;
       if i = Array.length e.kprice then begin
         let a = Array.make (max 64 (2 * i)) 0.0 in
         Array.blit e.kprice 0 a 0 i;
@@ -111,7 +111,7 @@ module Engine = struct
   let reread_written e =
     List.fold_left
       (fun any k ->
-        match Hashtbl.find_opt e.key_ids k with
+        match Hashtbl.find_opt e.interned k with
         | Some i ->
           Option.iter (fun l -> e.kprice.(i) <- l)
             (Generator.table_latency e.gen k);
@@ -144,7 +144,7 @@ module Engine = struct
         uid = Array.init n Fun.id;
         total = 0.0;
         epoch = Generator.price_epoch gen;
-        key_ids = Hashtbl.create (max 16 n);
+        interned = Hashtbl.create (max 16 n);
         kprice = [||];
         s_valid = false;
         s_n = 0;
@@ -181,10 +181,11 @@ module Engine = struct
   let est e v = e.est.(v)
   let cp_after e v = e.cp.(v)
   let is_critical e v = e.crit.(v)
-  let node_uid e v = e.uid.(v)
   let latencies e = e.lat
   let cp_afters e = e.cp
   let criticals e = e.crit
+  let uids e = e.uid
+  let key_ids e = e.kid
 
   let case_of e u v =
     match (e.crit.(u), e.crit.(v)) with

@@ -82,15 +82,20 @@ module Engine : sig
   val cp_afters : e -> float array
   val criticals : e -> bool array
 
+  (** Read-only views of each id's node uid and interned key id (both
+      -1 at a hole). A uid is a stable identity for the gate at a node:
+      it survives the moves inside an edit's windows, and a merged node
+      gets a fresh one. Two nodes have the same key id exactly when
+      their episodes have the same pulse key, within one engine. Like
+      the views above they are updated in place, and while an edit is
+      staged they hold the staged values; never mutate them. *)
+  val uids : e -> int array
+
+  val key_ids : e -> int array
+
   (** [case_of e u v] classifies the merge pair per Section V-A: [`I]
       both critical, [`II] exactly one critical, [`III] neither. *)
   val case_of : e -> int -> int -> [ `I | `II | `III ]
-
-  (** [node_uid e v] is a stable identity for the gate at node [v]:
-      uids survive the moves inside an edit's windows, and a merged node
-      gets a fresh uid. Search-level memos key on uid pairs, which never
-      go stale. *)
-  val node_uid : e -> int -> int
 
   (** [refresh e] folds any pulse-database changes into the committed
       state; no-op when the generator's price epoch is unchanged. *)

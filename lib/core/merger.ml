@@ -31,17 +31,13 @@ module Engine = Criticality.Engine
 
 (* A merged key's rollback state, shared by every pair whose merged
    group has that key: the blacklist is keyed on merged content, so one
-   rollback blocks them all. Each pair interns its key once, when its
-   memo entry is made, so the score walk reads a field instead of
-   hashing a string per candidate per iteration. *)
+   rollback blocks them all. *)
 type key_state = { mutable blacklisted : bool }
 
 (* Everything about a candidate pair that depends only on the two
    gates' content — never on their position in the circuit, the
-   schedule, or the pulse database. Keyed on the engine's stable node
-   uids, these entries are computed once per pair and never go stale,
-   which removes the reference loop's dominant cost (re-serialising
-   every candidate's merged group on every iteration). *)
+   schedule, or the pulse database — so it is computed once per
+   distinct content and never goes stale. *)
 type pair_info = {
   union_n : int;  (** qubit count of the merged gate *)
   pair_est : float;  (** Observation-1/2 merged-latency estimate *)
@@ -60,11 +56,6 @@ let rec distinct n = function
 
 let n_qubits_of (g : Gate.app) = distinct 0 g.Gate.qubits
 
-(* the pair's content: merged key, qubit-union size and latency
-   estimate, priced exactly as the test-side reference scorer does. The
-   key is rendered once and handed to the estimate, whose jitter is
-   keyed on the same string; the union size is the merged group's wire
-   count. *)
 let pair_content gen (gu : Gate.app) (gv : Gate.app) =
   let merged_group, _ = Generator.group_of_apps [ gu; gv ] in
   let mkey = Generator.key merged_group in
@@ -77,94 +68,184 @@ let pair_content gen (gu : Gate.app) (gv : Gate.app) =
   in
   (mkey, union_n, pair_est)
 
-(* The pair memo, indexed by uid: row [a] lists the [(b, info)] pairs
-   met with uid [b] as the second gate. Uids are dense (they count the
-   nodes ever made) and a node meets only a few successors over a
-   whole search, so a lookup is one array load and a short scan of
-   ints — no hashing, no allocation ([none] marks a miss). *)
-type memo = { mutable rows : (int * pair_info) list array }
+(* A pair's content key: the two nodes' interned key ids, then the wire
+   of each of [v]'s operands in the merged group's numbering. The merged
+   key is a function of the three (the first gate's wires come first in
+   that numbering, so its rendering is its own key's), and the estimate
+   a function of the merged key and the wire counts, so two pairs with
+   one content key have one entry. A list, so the key is exact for any
+   operand count. *)
+module Content = Hashtbl.Make (struct
+  type t = int list
 
-let none = { union_n = 0; pair_est = 0.0; state = { blacklisted = false } }
+  let equal = List.equal Int.equal
+  let hash = Hashtbl.hash
+end)
 
-let rec assoc_uid b = function
-  | [] -> none
-  | (x, i) :: rest -> if x = b then i else assoc_uid b rest
+module Pair_table = struct
+  type t = {
+    eng : Engine.e;
+    content : Gate.app -> Gate.app -> string * int * float;
+    max_n : int;
+    include_iii : bool;
+    table : pair_info Content.t;
+    states : (string, key_state) Hashtbl.t;  (** by merged key *)
+    mutable seen : int array;  (** a pair's qubits, by merged wire *)
+    (* slot rows, by node id: slot [i] of row [u] holds the entry of the
+       edge to [u]'s [i]-th successor *)
+    r_succs : int list array;  (** the successor list the row is sized for *)
+    r_uid : int array;  (** the node's uid the slots were filled for *)
+    r_suid : int array array;  (** each slot's successor uid; -1: empty *)
+    r_info : pair_info array array;
+  }
 
-let memo_find m a b =
-  if a < Array.length m.rows then assoc_uid b m.rows.(a) else none
+  (* the entry of every pair wider than [max_n]: never rendered, never
+     priced, never kept *)
+  let wide =
+    { union_n = max_int; pair_est = 0.0; state = { blacklisted = true } }
 
-let memo_add m a b info =
-  let len = Array.length m.rows in
-  if a >= len then begin
-    let rows = Array.make (max (2 * len) (a + 1)) [] in
-    Array.blit m.rows 0 rows 0 len;
-    m.rows <- rows
-  end;
-  m.rows.(a) <- (b, info) :: m.rows.(a)
+  let create (config : config) eng ~content =
+    let n = Dag.n_nodes (Engine.dag eng) in
+    { eng;
+      content;
+      max_n = config.max_n;
+      include_iii = not config.prune_noncritical;
+      table = Content.create 64;
+      states = Hashtbl.create 64;
+      seen = Array.make 8 0;
+      r_succs = Array.make n [];
+      r_uid = Array.make n (-1);
+      r_suid = Array.make n [||];
+      r_info = Array.make n [||]
+    }
+
+  (* [q]'s wire among the first [n] wires of [seen], or -1 *)
+  let rec wire_of seen n (q : int) w =
+    if w = n then -1 else if seen.(w) = q then w else wire_of seen n q (w + 1)
+
+  (* numbers the new qubits of [qs] in [t.seen] after its first [n]
+     wires, in first-appearance order (the merged group's numbering);
+     the new wire count *)
+  let rec number t n = function
+    | [] -> n
+    | q :: rest ->
+      if wire_of t.seen n q 0 >= 0 then number t n rest
+      else begin
+        if n = Array.length t.seen then begin
+          let a = Array.make (2 * n) 0 in
+          Array.blit t.seen 0 a 0 n;
+          t.seen <- a
+        end;
+        t.seen.(n) <- q;
+        number t (n + 1) rest
+      end
+
+  let rec wires_of seen n = function
+    | [] -> []
+    | q :: rest -> wire_of seen n q 0 :: wires_of seen n rest
+
+  (* The entry of the committed edge [u -> v]. The union size comes from
+     the two operand lists, so a wide pair stops before its key is
+     rendered or priced. *)
+  let lookup t u v =
+    let dag = Engine.dag t.eng and kid = Engine.key_ids t.eng in
+    let gu = Dag.gate dag u and gv = Dag.gate dag v in
+    let n = number t (number t 0 gu.Gate.qubits) gv.Gate.qubits in
+    if n > t.max_n then wide
+    else
+      let key = kid.(u) :: kid.(v) :: wires_of t.seen n gv.Gate.qubits in
+      match Content.find_opt t.table key with
+      | Some p -> p
+      | None ->
+        let mkey, union_n, pair_est = t.content gu gv in
+        let state =
+          match Hashtbl.find_opt t.states mkey with
+          | Some st -> st
+          | None ->
+            let st = { blacklisted = false } in
+            Hashtbl.add t.states mkey st;
+            st
+        in
+        let p = { union_n; pair_est; state } in
+        Content.add t.table key p;
+        p
+
+  let blacklist t u v = (lookup t u v).state.blacklisted <- true
+
+  (* A slot is current when its row was filled for [u]'s uid and it
+     names [v]'s uid: the entry is a function of the two gates, and a
+     uid names one gate for the whole search. A new successor list only
+     resizes the row: a slot whose successor kept its uid stays good. *)
+  let fit_row t u succs (uid : int array) =
+    if t.r_succs.(u) != succs then begin
+      t.r_succs.(u) <- succs;
+      let len = List.length succs in
+      if Array.length t.r_suid.(u) < len then begin
+        t.r_suid.(u) <- Array.make len (-1);
+        t.r_info.(u) <- Array.make len wide
+      end
+    end;
+    if t.r_uid.(u) <> uid.(u) then begin
+      t.r_uid.(u) <- uid.(u);
+      Array.fill t.r_suid.(u) 0 (Array.length t.r_suid.(u)) (-1)
+    end
+
+  (* Candidate scoring over the committed engine state. Mirrors
+     enumerate+rank+filter of the reference loop with two deliberate
+     twists: a Case III edge (neither end critical) is dropped before
+     its slot is read, since the pruning drops it whatever its content
+     is; and the validity DFS (has_indirect_path) is postponed to the
+     selection walk, where only the top few candidates ever need it —
+     skipping an invalid candidate there is indistinguishable from its
+     absence here, since scores are content+schedule functions and
+     invalid candidates reserve no span. *)
+  let rec score_slots t b lat cp (crit : bool array) (uid : int array) suid
+      info u succs i = function
+    | [] -> ()
+    | v :: rest ->
+      if t.include_iii || crit.(u) || crit.(v) then begin
+        let p =
+          if suid.(i) = uid.(v) then info.(i)
+          else begin
+            let p = lookup t u v in
+            suid.(i) <- uid.(v);
+            info.(i) <- p;
+            p
+          end
+        in
+        if p.union_n <= t.max_n && not p.state.blacklisted then
+          Ranking.score_edge b ~include_iii:t.include_iii ~lat ~cp ~crit
+            ~succs ~u ~v ~est:p.pair_est
+      end;
+      score_slots t b lat cp crit uid suid info u succs (i + 1) rest
+
+  let score t b =
+    let dag = Engine.dag t.eng in
+    let lat = Engine.latencies t.eng
+    and cp = Engine.cp_afters t.eng
+    and crit = Engine.criticals t.eng
+    and uid = Engine.uids t.eng in
+    Ranking.clear b;
+    for u = 0 to Dag.n_nodes dag - 1 do
+      match Dag.succs dag u with
+      | [] -> ()
+      | succs ->
+        fit_row t u succs uid;
+        score_slots t b lat cp crit uid t.r_suid.(u) t.r_info.(u) u succs 0
+          succs
+    done
+end
 
 let run ?(config = default_config) ?jobs:_ gen c =
-  let key_states : (string, key_state) Hashtbl.t = Hashtbl.create 64 in
   let merge_counter = ref 0 in
   let committed = ref 0 and rolled_back = ref 0 and iterations = ref 0 in
   let eng = Engine.create gen c in
   let initial_latency = Engine.total eng in
   let eps = 1e-6 in
   let reach = Dag.reach_ws (Dag.n_nodes (Engine.dag eng)) in
-  let memo = { rows = Array.make (Dag.n_nodes (Engine.dag eng)) [] } in
-  let remember a b (mkey, union_n, pair_est) =
-    let state =
-      match Hashtbl.find_opt key_states mkey with
-      | Some st -> st
-      | None ->
-        let st = { blacklisted = false } in
-        Hashtbl.add key_states mkey st;
-        st
-    in
-    let i = { union_n; pair_est; state } in
-    memo_add memo a b i;
-    i
-  in
-  let info_of u v =
-    let a = Engine.node_uid eng u and b = Engine.node_uid eng v in
-    let i = memo_find memo a b in
-    if i != none then i
-    else
-      let dag = Engine.dag eng in
-      remember a b (pair_content gen (Dag.gate dag u) (Dag.gate dag v))
-  in
+  let pairs = Pair_table.create config eng ~content:(pair_content gen) in
   let cands = Ranking.buffer () in
-  let include_iii = not config.prune_noncritical in
-  (* Candidate scoring over the committed engine state. Mirrors
-     enumerate+rank+filter of the reference loop with two deliberate
-     twists: a Case III edge (neither end critical) is dropped before
-     its pair content is looked up, since the pruning drops it whatever
-     that content is; and the validity DFS (has_indirect_path) is
-     postponed to the selection walk below, where only the top few
-     candidates ever need it — skipping an invalid candidate there is
-     indistinguishable from its absence here, since scores are
-     content+schedule functions and invalid candidates reserve no span. *)
-  let rec score_succs lat cp (crit : bool array) u succs = function
-    | [] -> ()
-    | v :: rest ->
-      if include_iii || crit.(u) || crit.(v) then begin
-        let info = info_of u v in
-        if info.union_n <= config.max_n && not info.state.blacklisted then
-          Ranking.score_edge cands ~include_iii ~lat ~cp ~crit ~succs ~u ~v
-            ~est:info.pair_est
-      end;
-      score_succs lat cp crit u succs rest
-  in
-  let score_edges () =
-    let dag = Engine.dag eng in
-    let lat = Engine.latencies eng
-    and cp = Engine.cp_afters eng
-    and crit = Engine.criticals eng in
-    Ranking.clear cands;
-    for u = 0 to Dag.n_nodes dag - 1 do
-      let succs = Dag.succs dag u in
-      score_succs lat cp crit u succs succs
-    done
-  in
+  let score_edges () = Pair_table.score pairs cands in
   (* Span-disjoint top-k selection over the candidates, best first, with
      validity checked lazily on the walk. [any_valid] reproduces the
      reference's termination test (its scored list was empty iff no
@@ -236,7 +317,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
              optimistic — roll back and blacklist *)
           incr rolled_back;
           let u, v = List.hd batch in
-          (info_of u v).state.blacklisted <- true;
+          Pair_table.blacklist pairs u v;
           None
         end
       end

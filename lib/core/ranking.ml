@@ -154,3 +154,4 @@ let next b =
 
 let cand_u b i = b.bu.(i)
 let cand_v b i = b.bv.(i)
+let cand_score b i = b.bscore.(i)

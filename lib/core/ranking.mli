@@ -67,3 +67,6 @@ val next : buffer -> int
 val cand_u : buffer -> int -> int
 
 val cand_v : buffer -> int -> int
+
+(** The score of kept candidate [i]. *)
+val cand_score : buffer -> int -> float

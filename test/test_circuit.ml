@@ -688,6 +688,29 @@ let order_case =
          done;
          true))
 
+(* The critical test's relative 1e-9 slack. On a one-wire chain priced
+   0.1, 0.2, 0.3 the total is (0.1 + 0.2) + 0.3 = 0.6000000000000001,
+   but the first node's est + latency + cp_after is 0.1 + (0.2 + 0.3) =
+   0.6: the two sums associate differently, so an exact comparison
+   would drop a node that lies on the only path. *)
+let slack_case =
+  case "critical flags absorb the rounding of a three-gate chain" (fun () ->
+      let c =
+        Circuit.make ~n_qubits:1
+          [ Gate.app1 Gate.H 0; Gate.app1 Gate.X 0; Gate.app1 Gate.SX 0 ]
+      in
+      let s = Dag.schedule (Dag.of_circuit c) ~latency:[| 0.1; 0.2; 0.3 |] in
+      check_true "total is (0.1 + 0.2) + 0.3"
+        (Int64.bits_of_float s.Dag.total
+        = Int64.bits_of_float 0.6000000000000001);
+      check_true "node 0's path sums to 0.6"
+        (s.Dag.est.(0) +. s.Dag.latency.(0) +. s.Dag.cp_after.(0) = 0.6);
+      Array.iteri
+        (fun v critical ->
+          if not critical then Alcotest.failf "node %d is not critical" v)
+        s.Dag.critical)
+
 let suite =
   angle_tests @ gate_tests @ circuit_tests @ dag_tests @ decompose_tests
-  @ qasm_tests @ rewrite_tests @ prop_tests @ contract_tests @ [ order_case ]
+  @ qasm_tests @ rewrite_tests @ prop_tests @ contract_tests
+  @ [ order_case; slack_case ]

@@ -750,6 +750,174 @@ let preprocess_budget_case =
           (Circuit.n_gates c) (Circuit.n_gates out) per
           preprocess_budget_words)
 
+(* ------------------------------------------------------------------ *)
+(* The pair table against a scorer that prices every edge afresh       *)
+(* ------------------------------------------------------------------ *)
+
+module Ranking = Paqoc.Ranking
+module Pair_table = Merger.Pair_table
+
+(* a score pass's kept candidates in walk order, scores as bit patterns *)
+let walk b =
+  Ranking.start_walk b;
+  let rec go acc =
+    let i = Ranking.next b in
+    if i < 0 then List.rev acc
+    else
+      go
+        ((Ranking.cand_u b i, Ranking.cand_v b i, bits (Ranking.cand_score b i))
+        :: acc)
+  in
+  go []
+
+(* the score pass with no table: [Merger.pair_content] on every edge
+   the pruning keeps, the blacklist a set of merged keys; [wide] counts
+   the kept edges wider than [max_n] *)
+let fresh_score gen (config : Merger.config) eng blacklisted wide b =
+  let dag = Engine.dag eng in
+  let lat = Engine.latencies eng
+  and cp = Engine.cp_afters eng
+  and crit = Engine.criticals eng in
+  let include_iii = not config.Merger.prune_noncritical in
+  Ranking.clear b;
+  for u = 0 to Dag.n_nodes dag - 1 do
+    let succs = Dag.succs dag u in
+    List.iter
+      (fun v ->
+        if include_iii || crit.(u) || crit.(v) then begin
+          let mkey, union_n, est =
+            Merger.pair_content gen (Dag.gate dag u) (Dag.gate dag v)
+          in
+          if union_n > config.Merger.max_n then incr wide
+          else if not (Hashtbl.mem blacklisted mkey) then
+            Ranking.score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~est
+        end)
+      succs
+  done
+
+(* Drive a random merge sequence on [c] and, after every score pass,
+   hold the table's candidates to the fresh scorer's, in walk order and
+   bit for bit. A step stages a merge of a candidate (valid ones) or of
+   any mergeable pair, synthesising its pulse a third of the time, then
+   commits it, discards it, or discards it and blacklists its merged key
+   as a rollback does; half the steps end with a pulse write, and every
+   score pass follows a refresh, as each search iteration's does. The
+   table computes
+   its entries through [content], which fails the case if it ever sees
+   a pair wider than [max_n]. Adds the wide edges the fresh scorer met
+   to [wide] and the blacklisted keys to [rollbacks]. *)
+let drive_pair_table st ~steps ~wide ~rollbacks (config : Merger.config) c =
+  let gen = Gen.model_default () in
+  let eng = Engine.create gen c in
+  let content gu gv =
+    let (_, union_n, _) as r = Merger.pair_content gen gu gv in
+    if union_n > config.Merger.max_n then
+      Alcotest.failf "a %d-qubit pair reached the key renderer (max_n %d)"
+        union_n config.Merger.max_n;
+    r
+  in
+  let table = Pair_table.create config eng ~content in
+  let blacklisted = Hashtbl.create 8 in
+  let b_table = Ranking.buffer () and b_fresh = Ranking.buffer () in
+  let check msg =
+    Engine.refresh eng;
+    Pair_table.score table b_table;
+    fresh_score gen config eng blacklisted wide b_fresh;
+    let got = walk b_table and expected = walk b_fresh in
+    let show = function
+      | [] -> "none"
+      | (u, v, s) :: _ ->
+        Printf.sprintf "(%d,%d) score %h" u v (Int64.float_of_bits s)
+    in
+    let rec differ i a b =
+      match (a, b) with
+      | x :: a', y :: b' when x = y -> differ (i + 1) a' b'
+      | [], [] -> ()
+      | _ ->
+        Alcotest.failf "%s: candidate %d of the walk: table %s, fresh %s" msg i
+          (show a) (show b)
+    in
+    differ 0 got expected;
+    got
+  in
+  let k = ref 0 in
+  let cands = ref (check "fresh") in
+  (try
+     for step = 1 to steps do
+       let dag = Engine.dag eng in
+       let valid =
+         List.filter_map
+           (fun (u, v, _) ->
+             if Reference_search.has_indirect_path dag u v then None
+             else Some (u, v))
+           !cands
+       in
+       let pairs =
+         if valid <> [] && Random.State.bool st then valid
+         else mergeable_pairs dag
+       in
+       if pairs = [] then raise Exit;
+       let u, v = List.nth pairs (Random.State.int st (List.length pairs)) in
+       incr k;
+       let app =
+         Rewrite.custom_of_nodes dag [ u; v ] ~name:(Printf.sprintf "pt%d" !k)
+       in
+       if Random.State.int st 3 = 0 then
+         ignore (Gen.generate gen (fst (Gen.group_of_apps [ app ])));
+       ignore (Engine.stage eng [ ([ u; v ], app) ]);
+       (match Random.State.int st 4 with
+       | 0 -> Engine.discard eng
+       | 1 ->
+         Engine.discard eng;
+         let mkey, _, _ =
+           Merger.pair_content gen (Dag.gate dag u) (Dag.gate dag v)
+         in
+         Hashtbl.replace blacklisted mkey ();
+         Pair_table.blacklist table u v;
+         incr rollbacks
+       | _ -> Engine.commit eng);
+       if Random.State.bool st then untouched_write st gen eng;
+       cands := check (Printf.sprintf "step %d" step)
+     done
+   with Exit -> ())
+
+let pair_configs =
+  [ Merger.default_config;
+    { Merger.default_config with Merger.max_n = 2 };
+    { Merger.default_config with Merger.max_n = 4; prune_noncritical = false }
+  ]
+
+let pair_table_case =
+  slow_case "pair table == pair_content afresh on every edge (random, dnn)"
+    (fun () ->
+      let wide = ref 0 and rollbacks = ref 0 in
+      let st = Random.State.make [| 0x9a1e; 28 |] in
+      for trial = 1 to 30 do
+        let c =
+          QCheck.Gen.generate1 ~rand:st (gen_circuit ~n:5 ~max_gates:24 ())
+        in
+        List.iter
+          (fun config ->
+            drive_pair_table
+              (Random.State.make [| trial; config.Merger.max_n |])
+              ~steps:12 ~wide ~rollbacks config c)
+          pair_configs
+      done;
+      let physical = (Suite.transpiled (Suite.find "dnn")).Transpile.physical in
+      let scheme = Paqoc.paqoc_m0 in
+      let apa =
+        Paqoc_mining.Apa.apply ~miner:scheme.Paqoc.miner
+          ~mode:scheme.Paqoc.apa_mode physical
+      in
+      let pre =
+        Paqoc.Candidates.preprocess apa.Paqoc_mining.Apa.circuit
+          ~maxN:scheme.Paqoc.merger.Merger.max_n
+      in
+      drive_pair_table (Random.State.make [| 0xd22 |]) ~steps:16 ~wide
+        ~rollbacks scheme.Paqoc.merger pre;
+      check_true "some kept edges were wider than max_n" (!wide > 0);
+      check_true "some steps rolled back and blacklisted" (!rollbacks > 0))
+
 let suite =
   [ qcheck engine_differential;
     qcheck search_differential;
@@ -757,5 +925,5 @@ let suite =
   ]
   @ alloc_suite @ prices_suite
   @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case;
-      preprocess_budget_case
+      preprocess_budget_case; pair_table_case
     ]
