@@ -11,7 +11,8 @@
 # over the 1,024-qubit cap, a pulse waveform dump aimed at an unwritable
 # path, a negative sweep count, a negative per-task synthesis budget, a
 # cache file whose first line is empty, one whose K record holds NaN, a
-# plan sidecar whose waveform shape overflows, a directory given as the
+# plan sidecar whose waveform shape overflows, one whose waveform holds
+# an infinite amplitude (left as it was), a directory given as the
 # cache and a directory given as the circuit), then the IR, daemon and
 # bit-exact QOC gates below.
 check:

@@ -691,9 +691,12 @@ let plan_of_string text =
     | None -> fail "unexpected end of plan"
   in
   let fields l = String.split_on_char ' ' l in
+  (* [plan_to_string]'s %h never writes inf or nan, and a waveform
+     number must be finite to re-simulate *)
   let float_field ~at tok =
     match float_of_string_opt tok with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail ~at (Printf.sprintf "non-finite number %S" tok)
     | None -> fail ~at (Printf.sprintf "bad float %S" tok)
   in
   let int_field ~at tok =

@@ -158,7 +158,9 @@ val sweep_angles :
     lines, then per slot an [S]/[R]/[M] record with [O] outcome lines,
     [A] anchor values and optional [W] waveform lines. Floats render as
     [%h] hex literals, so a parse is exact and save/load/save round-trips
-    byte-for-byte. See [docs/variational.md] for the grammar. *)
+    byte-for-byte; the reader refuses a non-finite number ([inf], [nan],
+    [1e999]) in a [V], [A], [O] or [W] field, which the writer never
+    writes. See [docs/variational.md] for the grammar. *)
 
 (** A typed parse failure: the 1-based line and a reason. [line = 0]
     flags an I/O-level failure (unreadable file). *)

@@ -68,81 +68,13 @@ let diag entries =
 let copy m =
   { m with re = Array.copy m.re; im = Array.copy m.im }
 
-let map2 f g a b =
+let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Cmat: dimension mismatch";
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    re.(k) <- f a.re.(k) b.re.(k);
-    im.(k) <- g a.im.(k) b.im.(k)
-  done;
-  { a with re; im }
-
-let add a b = map2 ( +. ) ( +. ) a b
-let sub a b = map2 ( -. ) ( -. ) a b
-
-let scale (z : Cx.t) m =
-  let zr = z.Complex.re and zi = z.Complex.im in
-  let n = Array.length m.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    re.(k) <- (zr *. m.re.(k)) -. (zi *. m.im.(k));
-    im.(k) <- (zr *. m.im.(k)) +. (zi *. m.re.(k))
-  done;
-  { m with re; im }
-
-let scale_re s m =
-  let n = Array.length m.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    re.(k) <- s *. m.re.(k);
-    im.(k) <- s *. m.im.(k)
-  done;
-  { m with re; im }
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Cmat.mul: dimension mismatch";
-  let out = create a.rows b.cols in
-  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
-  let n = a.cols and bc = b.cols in
-  for r = 0 to a.rows - 1 do
-    let abase = r * n and obase = r * bc in
-    for k = 0 to n - 1 do
-      let xr = ar.(abase + k) and xi = ai.(abase + k) in
-      if xr <> 0.0 || xi <> 0.0 then begin
-        let bbase = k * bc in
-        for c = 0 to bc - 1 do
-          let yr = br.(bbase + c) and yi = bi.(bbase + c) in
-          out.re.(obase + c) <- out.re.(obase + c) +. (xr *. yr) -. (xi *. yi);
-          out.im.(obase + c) <- out.im.(obase + c) +. (xr *. yi) +. (xi *. yr)
-        done
-      end
-    done
-  done;
-  out
-
-let mul_adjoint_left a b =
-  if a.rows <> b.rows then invalid_arg "Cmat.mul_adjoint_left: mismatch";
-  let out = create a.cols b.cols in
-  let ar = a.re and ai = a.im and br = b.re and bi = b.im in
-  let bc = b.cols and ac = a.cols in
-  for k = 0 to a.rows - 1 do
-    let abase = k * ac and bbase = k * bc in
-    for r = 0 to ac - 1 do
-      (* conj of a[k][r] *)
-      let xr = ar.(abase + r) and xi = -.ai.(abase + r) in
-      if xr <> 0.0 || xi <> 0.0 then begin
-        let obase = r * bc in
-        for c = 0 to bc - 1 do
-          let yr = br.(bbase + c) and yi = bi.(bbase + c) in
-          out.re.(obase + c) <- out.re.(obase + c) +. (xr *. yr) -. (xi *. yi);
-          out.im.(obase + c) <- out.im.(obase + c) +. (xr *. yi) +. (xi *. yr)
-        done
-      end
-    done
-  done;
-  out
+    invalid_arg "Cmat.add: dimension mismatch";
+  { a with
+    re = Array.map2 ( +. ) a.re b.re;
+    im = Array.map2 ( +. ) a.im b.im
+  }
 
 let matvec m ~re ~im =
   if m.cols <> Array.length re || m.cols <> Array.length im then
@@ -164,17 +96,6 @@ let matvec m ~re ~im =
 
 let transpose m =
   init m.cols m.rows (fun r c -> get m c r)
-
-let conj m =
-  let n = Array.length m.im in
-  let im = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    im.(k) <- -.m.im.(k)
-  done;
-  { m with re = Array.copy m.re; im }
-
-let adjoint m =
-  init m.cols m.rows (fun r c -> Cx.conj (get m c r))
 
 let kron a b =
   let out = create (a.rows * b.rows) (a.cols * b.cols) in
@@ -228,90 +149,6 @@ let max_abs_diff a b =
 
 let equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols && max_abs_diff a b <= tol
-
-let is_unitary ?(tol = 1e-9) m =
-  m.rows = m.cols && equal ~tol (mul_adjoint_left m m) (identity m.rows)
-
-let equal_up_to_phase ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  &&
-  (* Find the entry of b with the largest magnitude and read the relative
-     phase off it; then compare a against phase-aligned b. *)
-  let best = ref 0 and best_mag = ref (-1.0) in
-  Array.iteri
-    (fun k br ->
-      let mag = (br *. br) +. (b.im.(k) *. b.im.(k)) in
-      if mag > !best_mag then begin
-        best_mag := mag;
-        best := k
-      end)
-    b.re;
-  if !best_mag <= tol *. tol then max_abs a <= tol
-  else
-    let zb = Cx.make b.re.(!best) b.im.(!best) in
-    let za = Cx.make a.re.(!best) a.im.(!best) in
-    let phase = Cx.div za zb in
-    let mag = Cx.abs phase in
-    if abs_float (mag -. 1.0) > 1e-6 +. tol then false
-    else
-      let phase = Cx.scale (1.0 /. mag) phase in
-      max_abs_diff a (scale phase b) <= tol
-
-let solve a b =
-  if a.rows <> a.cols then invalid_arg "Cmat.solve: non-square";
-  if a.rows <> b.rows then invalid_arg "Cmat.solve: dimension mismatch";
-  let n = a.rows and nc = b.cols in
-  let m = copy a and x = copy b in
-  for col = 0 to n - 1 do
-    (* partial pivoting *)
-    let piv = ref col and piv_mag = ref 0.0 in
-    for r = col to n - 1 do
-      let vr = get_re m r col and vi = get_im m r col in
-      let mag = (vr *. vr) +. (vi *. vi) in
-      if mag > !piv_mag then begin
-        piv := r;
-        piv_mag := mag
-      end
-    done;
-    if !piv_mag < 1e-300 then failwith "Cmat.solve: singular matrix";
-    if !piv <> col then begin
-      for c = 0 to n - 1 do
-        let tr = get m col c in
-        set m col c (get m !piv c);
-        set m !piv c tr
-      done;
-      for c = 0 to nc - 1 do
-        let tr = get x col c in
-        set x col c (get x !piv c);
-        set x !piv c tr
-      done
-    end;
-    let d = get m col col in
-    for r = col + 1 to n - 1 do
-      let f = Cx.div (get m r col) d in
-      if f <> Cx.zero then begin
-        set m r col Cx.zero;
-        for c = col + 1 to n - 1 do
-          set m r c (Cx.sub (get m r c) (Cx.mul f (get m col c)))
-        done;
-        for c = 0 to nc - 1 do
-          set x r c (Cx.sub (get x r c) (Cx.mul f (get x col c)))
-        done
-      end
-    done
-  done;
-  (* back substitution *)
-  for r = n - 1 downto 0 do
-    let d = get m r r in
-    for c = 0 to nc - 1 do
-      let acc = ref (get x r c) in
-      for k = r + 1 to n - 1 do
-        acc := Cx.sub !acc (Cx.mul (get m r k) (get x k c))
-      done;
-      set x r c (Cx.div !acc d)
-    done
-  done;
-  x
 
 (* Qubit-space helpers. Basis-index convention: qubit 0 is the most
    significant bit of the index, so |q0 q1 ... q_{n-1}> has index
@@ -405,11 +242,11 @@ let permute_qubits m perm =
 (* ------------------------------------------------------------------ *)
 (* In-place kernels                                                    *)
 (*                                                                     *)
-(* Every [*_into] kernel performs bit-for-bit the same floating-point  *)
-(* operations, in the same order, as its allocating counterpart above  *)
-(* — test/test_kernels.ml pins the equivalence at 0 ulp. Element-wise  *)
-(* kernels tolerate any aliasing between [dst] and their inputs; the   *)
-(* product/adjoint/solve kernels reject aliasing (checked on the       *)
+(* Each operation below has this one implementation: the allocating    *)
+(* forms after it run these kernels into a fresh matrix, and the dense *)
+(* loops test/reference_linalg.ml keeps pin them at 0 ulp. Element-    *)
+(* wise kernels tolerate any aliasing between [dst] and their inputs;  *)
+(* the product/adjoint/solve kernels reject aliasing (checked on the   *)
 (* underlying arrays, so sharing through record copies is caught).     *)
 
 let check_same_dims name a b =
@@ -538,10 +375,10 @@ let adjoint_into ~dst m =
     done
   done
 
-(* In-place Gaussian elimination: [scratch] receives (and destroys) a
-   copy of [a], [dst] the solution. The complex division below is the
-   Smith-style algorithm of [Complex.div] transcribed to split floats so
-   the result is bit-identical to {!solve} without boxing an element. *)
+(* In-place Gaussian elimination with partial pivoting: [scratch]
+   receives (and destroys) a copy of [a], [dst] the solution. The
+   complex division below is the Smith-style algorithm of [Complex.div]
+   transcribed to split floats, so no element is boxed. *)
 let solve_into ~scratch a b ~dst =
   if a.rows <> a.cols then invalid_arg "Cmat.solve_into: non-square";
   if a.rows <> b.rows then invalid_arg "Cmat.solve_into: dimension mismatch";
@@ -653,6 +490,62 @@ let solve_into ~scratch a b ~dst =
       xi.((r * nc) + c) <- vi
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Allocating algebra: each kernel run into a fresh matrix             *)
+
+let scale z m =
+  let dst = create m.rows m.cols in
+  scale_into ~dst z m;
+  dst
+
+let scale_re s m =
+  let dst = create m.rows m.cols in
+  scale_re_into ~dst s m;
+  dst
+
+let mul a b =
+  let dst = create a.rows b.cols in
+  mul_into ~dst a b;
+  dst
+
+let mul_adjoint_left a b =
+  let dst = create a.cols b.cols in
+  mul_adjoint_left_into ~dst a b;
+  dst
+
+let adjoint m =
+  let dst = create m.cols m.rows in
+  adjoint_into ~dst m;
+  dst
+
+let is_unitary ?(tol = 1e-9) m =
+  m.rows = m.cols && equal ~tol (mul_adjoint_left m m) (identity m.rows)
+
+let equal_up_to_phase ?(tol = 1e-9) a b =
+  a.rows = b.rows && a.cols = b.cols
+  &&
+  (* Find the entry of b with the largest magnitude and read the relative
+     phase off it; then compare a against phase-aligned b. *)
+  let best = ref 0 and best_mag = ref (-1.0) in
+  Array.iteri
+    (fun k br ->
+      let mag = (br *. br) +. (b.im.(k) *. b.im.(k)) in
+      if mag > !best_mag then begin
+        best_mag := mag;
+        best := k
+      end)
+    b.re;
+  if !best_mag <= tol *. tol then max_abs a <= tol
+  else
+    let zb = Cx.make b.re.(!best) b.im.(!best) in
+    let za = Cx.make a.re.(!best) a.im.(!best) in
+    let phase = Cx.div za zb in
+    let mag = Cx.abs phase in
+    if abs_float (mag -. 1.0) > 1e-6 +. tol then false
+    else
+      let phase = Cx.scale (1.0 /. mag) phase in
+      max_abs_diff a (scale phase b) <= tol
 
 (* ------------------------------------------------------------------ *)
 (* Zero-pattern kernels                                                *)

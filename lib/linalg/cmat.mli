@@ -41,18 +41,22 @@ val cols : t -> int
     underlying array's. *)
 val get : t -> int -> int -> Cx.t
 
-val set : t -> int -> int -> Cx.t -> unit
-
 (** Unsafe split accessors used by hot loops. *)
 val get_re : t -> int -> int -> float
 
 val get_im : t -> int -> int -> float
 val set_re_im : t -> int -> int -> float -> float -> unit
 
-(** {1 Algebra} *)
+(** {1 Algebra}
 
+    {!scale}, {!scale_re}, {!mul}, {!mul_adjoint_left} and {!adjoint}
+    allocate their result and run the matching in-place kernel
+    ({!scale_into}, ...) into it: each operation has one
+    implementation. *)
+
+(** [add a b] is the entry-wise sum.
+    @raise Invalid_argument on dimension mismatch. *)
 val add : t -> t -> t
-val sub : t -> t -> t
 
 (** [scale z m] multiplies every entry by the complex scalar [z]. *)
 val scale : Cx.t -> t -> t
@@ -65,7 +69,8 @@ val scale_re : float -> t -> t
 val mul : t -> t -> t
 
 (** [mul_adjoint_left a b] is [a† * b], fused to avoid materialising the
-    adjoint. *)
+    adjoint.
+    @raise Invalid_argument on dimension mismatch. *)
 val mul_adjoint_left : t -> t -> t
 
 (** [matvec m v] applies [m] to a split-array vector, writing into fresh
@@ -74,7 +79,6 @@ val matvec :
   t -> re:float array -> im:float array -> float array * float array
 
 val transpose : t -> t
-val conj : t -> t
 
 (** Conjugate transpose. *)
 val adjoint : t -> t
@@ -90,7 +94,8 @@ val trace : t -> Cx.t
 (** [max_abs m] is the largest entry magnitude (max norm). *)
 val max_abs : t -> float
 
-(** [max_abs_diff a b] is [max_abs (sub a b)] without the intermediate. *)
+(** [max_abs_diff a b] is the largest entry magnitude of [a - b],
+    without the intermediate. *)
 val max_abs_diff : t -> t -> float
 
 (** [equal ?tol a b] holds when every entry differs by at most [tol]
@@ -103,13 +108,6 @@ val is_unitary : ?tol:float -> t -> bool
 (** [equal_up_to_phase ?tol a b] holds when [a = e^{i phi} b] for some global
     phase [phi]; this is the right equality for circuit unitaries. *)
 val equal_up_to_phase : ?tol:float -> t -> t -> bool
-
-(** {1 Linear solving} *)
-
-(** [solve a b] solves [a x = b] by Gaussian elimination with partial
-    pivoting; [b] may have any number of columns.
-    @raise Failure if [a] is (numerically) singular. *)
-val solve : t -> t -> t
 
 (** {1 Qubit-space helpers}
 
@@ -127,12 +125,13 @@ val permute_qubits : t -> int array -> t
 
 (** {1 In-place kernels}
 
-    Allocation-free counterparts of the algebra above, for hot paths that
-    reuse preallocated buffers (GRAPE's per-optimize workspace). Every
-    kernel performs bit-for-bit the same floating-point operations, in
-    the same order, as its allocating counterpart — callers may switch
-    between the two without perturbing a single mantissa bit
-    (test/test_kernels.ml pins this at 0 ulp).
+    Allocation-free operations into caller-owned buffers, for hot paths
+    that reuse them (GRAPE's per-optimize workspace, the slice loop of
+    [Pulse.propagator]). They are the only implementation of each
+    operation: the allocating algebra above runs them into a fresh
+    result. test/test_kernels.ml pins each at 0 ulp against the dense
+    loops of test/reference_linalg.ml, so swapping one in for a dense
+    loop moves no mantissa bit.
 
     Aliasing contract: the element-wise kernels ({!blit}, {!scale_into},
     {!scale_re_into}, {!axpy_re_into}) accept [dst] aliasing any input. The kernels that read inputs after writing
@@ -162,7 +161,8 @@ val scale_re_into : dst:t -> float -> t -> unit
 (** [axpy2_re_into ~dst s ~dst2 s2 m] accumulates [dst <- dst + s * m]
     and [dst2 <- dst2 + s2 * m] in one pass over [m], each with rounding
     identical to [add dst (scale_re s m)] — the Padé accumulation of
-    [Expm.expm_into]. Neither destination may alias the other or [m]. *)
+    [Expm.expm_into]. Neither destination may alias the other or [m].
+    @raise Invalid_argument on dimension mismatch or aliasing. *)
 val axpy2_re_into : dst:t -> float -> dst2:t -> float -> t -> unit
 
 (** [mul_into ~dst a b] writes [a * b] into [dst].
@@ -178,10 +178,12 @@ val mul_adjoint_left_into : dst:t -> t -> t -> unit
     [m]. *)
 val adjoint_into : dst:t -> t -> unit
 
-(** [solve_into ~scratch a b ~dst] solves [a x = b] into [dst],
-    destroying [scratch] (same shape as [a]) in the process. [dst] may
-    alias [b]; every other aliasing is rejected.
-    @raise Failure if [a] is (numerically) singular. *)
+(** [solve_into ~scratch a b ~dst] solves [a x = b] into [dst] by
+    Gaussian elimination with partial pivoting, destroying [scratch]
+    (same shape as [a]) in the process; [b] may have any number of
+    columns. [dst] may alias [b]; every other aliasing is rejected.
+    @raise Failure if [a] is (numerically) singular.
+    @raise Invalid_argument on dimension mismatch or aliasing. *)
 val solve_into : scratch:t -> t -> t -> dst:t -> unit
 
 (** {1 Zero patterns}
@@ -191,13 +193,14 @@ val solve_into : scratch:t -> t -> t -> dst:t -> unit
     {!pattern} records where a matrix's nonzero entries sit, and the
     kernels below do arithmetic at those positions only, yet round bit
     for bit like the dense loops they replace (test/test_kernels.ml pins
-    this at 0 ulp against {!mul} and a dense trace). The argument: each
+    this at 0 ulp against test/reference_linalg.ml's dense product and a
+    dense trace). The argument: each
     accumulator starts at
     [+0.0]; under round-to-nearest a sum that starts at [+0.0] never
     becomes [-0.0]; and adding or subtracting [x * 0], which is [+-0.0]
     for finite [x], leaves such a sum unchanged. A skipped term is
-    therefore one that could not have moved a bit. {!mul} already skips
-    its left operand's zeros on this argument.
+    therefore one that could not have moved a bit. {!mul_into} already
+    skips its left operand's zeros on this argument.
 
     The contract covers finite inputs: [inf * 0] is NaN, which the dense
     loops would propagate and a skip drops. A pattern handed in for a
@@ -217,16 +220,17 @@ val nonzeros : t -> pattern
 val nonzeros_into : pattern -> t -> unit
 
 (** [mul_nz_into ~dst a b ~nz] writes [a * b] into [dst], visiting only
-    the positions [nz] lists for [b]; bit-identical to {!mul} on finite
-    inputs.
+    the positions [nz] lists for [b]; bit-identical to {!mul_into} on
+    finite inputs.
     @raise Invalid_argument on dimension or pattern-shape mismatch, or if
     [dst] aliases an input. *)
 val mul_nz_into : dst:t -> t -> t -> nz:pattern -> unit
 
 (** [mul_entries_into ~dst a b ~at] writes the entries of [a * b] at the
     positions [at] lists (a pattern of [dst]'s shape), each summed
-    exactly as {!mul} sums it, and leaves every other entry of [dst]
-    untouched. Bit-identical to {!mul} on those entries for any input.
+    exactly as {!mul_into} sums it, and leaves every other entry of
+    [dst] untouched. Bit-identical to {!mul_into} on those entries for
+    any input.
     @raise Invalid_argument as {!mul_nz_into}. *)
 val mul_entries_into : dst:t -> t -> t -> at:pattern -> unit
 
@@ -248,5 +252,5 @@ val trace_prod_into : float array -> t -> nz:pattern -> t -> unit
     @raise Invalid_argument on dimension or pattern-shape mismatch. *)
 val axpy_re_into : dst:t -> float -> t -> nz:pattern -> unit
 
-val pp : Format.formatter -> t -> unit
+(** [to_string m] renders the entries row by row, for diagnostics. *)
 val to_string : t -> string

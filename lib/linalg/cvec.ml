@@ -23,21 +23,10 @@ let basis ~dim k =
   v.re.(k) <- 1.0;
   v
 
-let copy v = { re = Array.copy v.re; im = Array.copy v.im }
-
 let of_list l =
   let v = create (List.length l) in
   List.iteri (fun k z -> set v k z) l;
   v
-
-let to_list v = List.init (dim v) (get v)
-
-let map2 f a b =
-  if dim a <> dim b then invalid_arg "Cvec: dimension mismatch";
-  { re = Array.map2 f a.re b.re; im = Array.map2 f a.im b.im }
-
-let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
 
 let scale (z : Cx.t) v =
   let zr = z.Complex.re and zi = z.Complex.im in
@@ -91,11 +80,3 @@ let kron a b =
   out
 
 let overlap2 a b = Cx.abs2 (dot a b)
-
-let pp ppf v =
-  Format.fprintf ppf "@[<h>[";
-  for k = 0 to dim v - 1 do
-    if k > 0 then Format.fprintf ppf ", ";
-    Cx.pp ppf (get v k)
-  done;
-  Format.fprintf ppf "]@]"

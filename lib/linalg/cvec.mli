@@ -18,13 +18,7 @@ val basis : dim:int -> int -> t
 val dim : t -> int
 val get : t -> int -> Cx.t
 val set : t -> int -> Cx.t -> unit
-val copy : t -> t
 val of_list : Cx.t list -> t
-val to_list : t -> Cx.t list
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : Cx.t -> t -> t
 
 (** [dot a b] is the Hermitian inner product [<a|b>] (conjugate-linear in
     [a]). *)
@@ -44,5 +38,3 @@ val kron : t -> t -> t
 
 (** [overlap2 a b] is [|<a|b>|^2], the state fidelity for pure states. *)
 val overlap2 : t -> t -> float
-
-val pp : Format.formatter -> t -> unit

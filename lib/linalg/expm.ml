@@ -16,39 +16,6 @@ let squarings norm =
   if norm <= 0.5 then 0
   else max 0 (int_of_float (ceil (log (norm /. 0.5) /. log 2.0)))
 
-let expm a =
-  if Cmat.rows a <> Cmat.cols a then invalid_arg "Expm.expm: non-square";
-  let n = Cmat.rows a in
-  if n = 0 then Cmat.create 0 0
-  else begin
-    let s = squarings (Cmat.max_abs a) in
-    let a_scaled = Cmat.scale_re (ldexp 1.0 (-s)) a in
-    (* powers of a_scaled *)
-    let id = Cmat.identity n in
-    let p = ref (Cmat.scale_re pade_coeffs.(0) id) in
-    let q = ref (Cmat.scale_re pade_coeffs.(0) id) in
-    let pow = ref id in
-    for k = 1 to Array.length pade_coeffs - 1 do
-      pow := Cmat.mul !pow a_scaled;
-      let term = Cmat.scale_re pade_coeffs.(k) !pow in
-      p := Cmat.add !p term;
-      q :=
-        (if k mod 2 = 0 then Cmat.add !q term else Cmat.sub !q term)
-    done;
-    let r = ref (Cmat.solve !q !p) in
-    for _ = 1 to s do
-      r := Cmat.mul !r !r
-    done;
-    !r
-  end
-
-let expm_i_h ~dt h =
-  (* -i * dt * h *)
-  expm (Cmat.scale (Cx.make 0.0 (-.dt)) h)
-
-(* ------------------------------------------------------------------ *)
-(* Allocation-free variant                                             *)
-
 module Workspace = struct
   (* Scratch for one [expm_into]: the scaled input and its nonzero
      pattern, the running power, the two Padé accumulators, the
@@ -89,13 +56,14 @@ module Workspace = struct
   let dim ws = ws.dim
 end
 
-(* Same algorithm as [expm], step for step, on the workspace buffers:
-   the scaling, the Padé accumulation, the solve and the squarings all
-   round identically, so the result matches [expm] bit for bit. The six
-   Padé products visit only the scaled input's nonzeros (recorded once
-   per call), which is exact on finite input — see Cmat's zero-pattern
-   kernels. [src] may alias [ws.a] (the caller may have staged the input
-   there); then a zero squaring count skips the x1.0 scaling. *)
+(* Scale [src] by 2^-s, accumulate the Padé numerator and denominator
+   from its powers, solve q x = p and square s times, all on the
+   workspace buffers. The six Padé products visit only the scaled
+   input's nonzeros (recorded once per call), which is exact on finite
+   input — see Cmat's zero-pattern kernels; test/reference_linalg.ml
+   keeps the dense form this matches bit for bit. [src] may alias
+   [ws.a] (the caller may have staged the input there); then a zero
+   squaring count skips the x1.0 scaling. *)
 let expm_into (ws : Workspace.t) src ~dst =
   if Cmat.rows src <> Cmat.cols src then
     invalid_arg "Expm.expm_into: non-square";

@@ -3,25 +3,17 @@
     GRAPE builds each time-slice propagator as [exp(-i dt H)]; this module
     provides a Padé(6) scaling-and-squaring exponential for general complex
     matrices, which is accurate to near machine precision for the small,
-    well-conditioned Hamiltonians PAQOC produces. *)
+    well-conditioned Hamiltonians PAQOC produces.
 
-(** [expm m] is [e^m] for a square complex matrix. *)
-val expm : Cmat.t -> Cmat.t
-
-(** [expm_i_h ~dt h] is [exp(-i * dt * h)], the unitary propagator of the
-    Hermitian matrix [h] over time step [dt]. *)
-val expm_i_h : dt:float -> Cmat.t -> Cmat.t
-
-(** {1 Allocation-free variant}
-
-    The in-place exponential runs the exact same scaling-and-squaring
-    steps as {!expm} on preallocated scratch, producing bit-identical
-    results with zero matrix allocation — the kernel under GRAPE's
-    per-iteration propagator builds. It records the scaled input's
-    nonzero pattern once per call and runs the six Padé products over
-    those nonzeros only ({!Cmat.mul_nz_into}); skipping an exact zero
-    cannot move a bit on finite input (see {!Cmat} "Zero patterns"),
-    which is the contract. *)
+    The exponential runs in place on preallocated scratch, with zero
+    matrix allocation — the kernel under GRAPE's per-iteration
+    propagator builds and [Pulse.propagator]'s slice loop. It records
+    the scaled input's nonzero pattern once per call and runs the six
+    Padé products over those nonzeros only ({!Cmat.mul_nz_into});
+    skipping an exact zero cannot move a bit on finite input (see
+    {!Cmat} "Zero patterns"), so the result equals, bit for bit, the
+    dense Padé loop test/reference_linalg.ml keeps as the oracle
+    (test/test_kernels.ml pins it). *)
 
 module Workspace : sig
   (** Scratch matrices for one exponential of a fixed dimension. A
@@ -36,12 +28,14 @@ module Workspace : sig
 end
 
 (** [expm_into ws src ~dst] writes [e^src] into [dst] using [ws]'s
-    scratch; bit-identical to {!expm} on finite input. [src] is left
-    untouched (it may alias the staging buffer a previous call used).
+    scratch. [src] is left untouched (it may alias the staging buffer a
+    previous call used).
     @raise Invalid_argument when [src] or [dst] does not match [ws]'s
     dimension. *)
 val expm_into : Workspace.t -> Cmat.t -> dst:Cmat.t -> unit
 
-(** [expm_i_h_into ws ~dt h ~dst] writes [exp(-i * dt * h)] into [dst];
-    bit-identical to {!expm_i_h} on finite input. *)
+(** [expm_i_h_into ws ~dt h ~dst] writes [exp(-i * dt * h)], the unitary
+    propagator of the Hermitian matrix [h] over time step [dt], into
+    [dst].
+    @raise Invalid_argument as {!expm_into}. *)
 val expm_i_h_into : Workspace.t -> dt:float -> Cmat.t -> dst:Cmat.t -> unit

@@ -15,6 +15,3 @@ let avg_gate_fidelity target u =
   let d = float_of_int (Cmat.rows target) in
   let f_pro = gate_fidelity target u in
   ((d *. f_pro) +. 1.0) /. (d +. 1.0)
-
-let esp errors =
-  List.fold_left (fun acc e -> acc *. (1.0 -. e)) 1.0 errors

@@ -2,8 +2,9 @@
 
     GRAPE optimises the phase-insensitive trace fidelity
     [F = |Tr(U_target† U)|² / d²]; the paper's per-gate error term is
-    [ε = |U - H(t)| := 1 - F], and the circuit-level metric is
-    [ESP = Π (1 - ε_i)] (Eq. 2). *)
+    [ε = |U - H(t)| := 1 - F]; the circuit-level metric
+    [ESP = Π (1 - ε_i)] (Eq. 2) is folded where circuits are priced
+    ([Paqoc_pulse.Pricing.price]). *)
 
 (** [trace_overlap target u] is [|Tr(target† u)| / d] in [0, 1]. *)
 val trace_overlap : Cmat.t -> Cmat.t -> float
@@ -20,7 +21,3 @@ val gate_error : Cmat.t -> Cmat.t -> float
     fidelity [(d·F_pro + 1) / (d + 1)] with [F_pro] the process (trace)
     fidelity. *)
 val avg_gate_fidelity : Cmat.t -> Cmat.t -> float
-
-(** [esp errors] is [Π (1 - ε_i)] — estimated success probability of a
-    grouped circuit (Eq. 2 of the paper). *)
-val esp : float list -> float

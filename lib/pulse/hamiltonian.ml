@@ -60,22 +60,12 @@ let make ?(mu = mu_max) ?drive_bound ~n_qubits ~coupled_pairs () =
 
 let n_controls h = Array.length h.controls
 
-let at h amps =
-  if Array.length amps <> n_controls h then
-    invalid_arg "Hamiltonian.at: amplitude count mismatch";
-  let acc = ref (Cmat.copy h.drift) in
-  Array.iteri
-    (fun k u ->
-      if u <> 0.0 then acc := Cmat.add !acc (Cmat.scale_re u h.controls.(k).op))
-    amps;
-  !acc
-
-(* In-place [at]: drift plus the amplitude-weighted controls accumulated
-   directly into [dst], each control over its nonzeros [nz.(k)] only.
-   Same skip on zero amplitudes and same two-step rounding per entry as
-   [at]; a skipped entry would add [u * 0], which moves no drift entry
-   that is not -0.0 ([make]'s drift is all +0.0), so the result is
-   bit-identical. *)
+(* Drift plus the amplitude-weighted controls accumulated directly into
+   [dst], each control over its nonzeros [nz.(k)] only, zero amplitudes
+   skipped, each entry rounded in two steps (product, then sum) as the
+   dense sum rounds it. A skipped entry would add [u * 0], which moves
+   no drift entry that is not -0.0 ([make]'s drift is all +0.0), so the
+   result is bit-identical to the dense sum. *)
 let at_into h ~nz amps ~dst =
   if Array.length amps <> n_controls h then
     invalid_arg "Hamiltonian.at_into: amplitude count mismatch";

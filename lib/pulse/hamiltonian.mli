@@ -54,17 +54,15 @@ val make :
 
 val n_controls : t -> int
 
-(** [at h amps] assembles [H = drift + sum_k amps.(k) * H_k].
-    @raise Invalid_argument when [amps] length differs from the control
-    count. *)
-val at : t -> float array -> Paqoc_linalg.Cmat.t
-
-(** [at_into h ~nz amps ~dst] is {!at} into a preallocated [dst]
-    ([dim x dim]), allocation-free — GRAPE's per-slice assembly. Control
-    [k] is added only at the positions [nz.(k)] lists, which must cover
-    its operator's nonzeros ({!Paqoc_linalg.Cmat.nonzeros}). The result
-    is bit-identical to {!at} for finite amplitudes when [h.drift] holds
-    no [-0.0] entry; {!make} builds the drift as all [+0.0].
+(** [at_into h ~nz amps ~dst] assembles the slice Hamiltonian
+    [H = drift + sum_k amps.(k) * H_k] into a preallocated [dst]
+    ([dim x dim]), allocation-free — the per-slice assembly of GRAPE and
+    [Pulse.propagator]. A zero amplitude adds nothing, and control [k]
+    is added only at the positions [nz.(k)] lists, which must cover its
+    operator's nonzeros ({!Paqoc_linalg.Cmat.nonzeros}). The result is
+    bit-identical to the dense sum (test/reference_linalg.ml) for finite
+    amplitudes when [h.drift] holds no [-0.0] entry; {!make} builds the
+    drift as all [+0.0].
     @raise Invalid_argument on amplitude-count, pattern-count or
     dimension mismatch. *)
 val at_into :

@@ -22,12 +22,25 @@ let clamp h p =
   in
   { p with amplitudes = Array.map (Array.mapi clip) p.amplitudes }
 
+(* GRAPE's forward pass on one workspace: assemble each slice, take its
+   exponential and multiply it in on the left, swapping the running
+   product with its scratch instead of allocating *)
 let propagator h p =
-  let u = ref (Cmat.identity h.Hamiltonian.dim) in
+  let dim = h.Hamiltonian.dim in
+  let nz =
+    Array.map (fun c -> Cmat.nonzeros c.Hamiltonian.op) h.Hamiltonian.controls
+  in
+  let hmat = Cmat.create dim dim and slice = Cmat.create dim dim in
+  let ew = Expm.Workspace.create dim in
+  let u = ref (Cmat.identity dim) and next = ref (Cmat.create dim dim) in
   Array.iter
     (fun amps ->
-      let hmat = Hamiltonian.at h amps in
-      u := Cmat.mul (Expm.expm_i_h ~dt:p.dt hmat) !u)
+      Hamiltonian.at_into h ~nz amps ~dst:hmat;
+      Expm.expm_i_h_into ew ~dt:p.dt hmat ~dst:slice;
+      Cmat.mul_into ~dst:!next slice !u;
+      let t = !u in
+      u := !next;
+      next := t)
     p.amplitudes;
   !u
 

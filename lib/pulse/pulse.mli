@@ -24,7 +24,13 @@ val duration : t -> float
 val clamp : Hamiltonian.t -> t -> t
 
 (** [propagator h p] is the time-ordered product of slice propagators
-    [exp(-i dt H(u_j))]; the unitary the pulse implements. *)
+    [exp(-i dt H(u_j))], each slice multiplied in on the left: the
+    unitary the pulse implements. It runs GRAPE's in-place kernels
+    ({!Hamiltonian.at_into}, [Expm.expm_i_h_into], [Cmat.mul_into]) over
+    one workspace, so its amplitudes and [dt] must be finite (see
+    {!Hamiltonian.at_into}).
+    @raise Invalid_argument when a slice's amplitude count differs from
+    [h]'s control count. *)
 val propagator : Hamiltonian.t -> t -> Paqoc_linalg.Cmat.t
 
 (** [resample p ~slices] linearly interpolates the amplitude envelope onto

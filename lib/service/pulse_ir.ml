@@ -289,8 +289,11 @@ let str path = function
   | Json.Str s -> Ok s
   | _ -> Error (Bad_field (path, "expected a string"))
 
+(* JSON has no inf or nan, but [1e999] reads as inf; the writer never
+   writes one, and a waveform number must be finite to re-simulate *)
 let num path = function
-  | Json.Num x -> Ok x
+  | Json.Num x when Float.is_finite x -> Ok x
+  | Json.Num _ -> Error (Bad_field (path, "non-finite number"))
   | _ -> Error (Bad_field (path, "expected a number"))
 
 let int_field path j =
@@ -312,12 +315,14 @@ let req_num kv path name =
   num (if path = "" then name else path ^ "." ^ name) v
 
 let float_list path l =
-  let rec go acc = function
+  let rec go k acc = function
     | [] -> Ok (Array.of_list (List.rev acc))
-    | Json.Num x :: rest -> go (x :: acc) rest
+    | (Json.Num _ as j) :: rest ->
+      let* x = num (Printf.sprintf "%s[%d]" path k) j in
+      go (k + 1) (x :: acc) rest
     | _ -> Error (Bad_field (path, "expected numbers"))
   in
-  go [] l
+  go 0 [] l
 
 let parse_channel path j =
   let* kv = objv path j in
@@ -480,36 +485,38 @@ let verify ?(tol = 1e-9) t =
     | Some w -> (
       let where why = Printf.sprintf "schedule[%d] (%s): %s" i ins.name why in
       let n = List.length ins.qubits in
-      let h =
-        Hamiltonian.make ~mu:t.synthesis_mu ~drive_bound:t.drive_bound
-          ~n_qubits:n
-          ~coupled_pairs:(coupled_pairs_of_labels w.channels)
-          ()
-      in
-      let want =
-        Array.to_list
-          (Array.map (fun (c : Hamiltonian.control) -> c.Hamiltonian.label)
-             h.Hamiltonian.controls)
-      in
-      if List.map (fun c -> c.label) w.channels <> want then
-        Error
-          (where
-             (Printf.sprintf "channel labels do not form a Hamiltonian \
-                              (expected %s)"
-                (String.concat " " want)))
-      else
-        let slices = Array.length (List.hd w.channels).samples in
-        if slices = 0 then Error (where "empty waveform")
+      (* the target first: it refuses a group on no qubits or on more
+         than three before a Hamiltonian of that size is built *)
+      match Canon.unitary_of_floats ~n_qubits:n w.unitary with
+      | Error msg -> Error (where ("bad unitary: " ^ msg))
+      | Ok target ->
+        let h =
+          Hamiltonian.make ~mu:t.synthesis_mu ~drive_bound:t.drive_bound
+            ~n_qubits:n
+            ~coupled_pairs:(coupled_pairs_of_labels w.channels)
+            ()
+        in
+        let want =
+          Array.to_list
+            (Array.map (fun (c : Hamiltonian.control) -> c.Hamiltonian.label)
+               h.Hamiltonian.controls)
+        in
+        if List.map (fun c -> c.label) w.channels <> want then
+          Error
+            (where
+               (Printf.sprintf "channel labels do not form a Hamiltonian \
+                                (expected %s)"
+                  (String.concat " " want)))
         else
-          let channels = Array.of_list w.channels in
-          let amplitudes =
-            Array.init slices (fun j ->
-                Array.map (fun c -> c.samples.(j)) channels)
-          in
-          let pulse = { Pulse.dt = w.dt; amplitudes } in
-          match Canon.unitary_of_floats ~n_qubits:n w.unitary with
-          | Error msg -> Error (where ("bad unitary: " ^ msg))
-          | Ok target ->
+          let slices = Array.length (List.hd w.channels).samples in
+          if slices = 0 then Error (where "empty waveform")
+          else
+            let channels = Array.of_list w.channels in
+            let amplitudes =
+              Array.init slices (fun j ->
+                  Array.map (fun c -> c.samples.(j)) channels)
+            in
+            let pulse = { Pulse.dt = w.dt; amplitudes } in
             let f = Fidelity.gate_fidelity target (Pulse.propagator h pulse) in
             let drift = abs_float (f -. ins.fidelity) in
             if drift > tol then

@@ -122,7 +122,10 @@ type error =
 val error_to_string : error -> string
 
 (** [of_string s] parses one document. Total: any byte string either
-    decodes or yields a typed [Error]. *)
+    decodes or yields a typed [Error]. Every number must be finite: a
+    literal that overflows a double (say [1e999]) is a [Bad_field], or a
+    [Bad_instruction] inside the schedule, naming its path (a list
+    element by its index). *)
 val of_string : string -> (t, error) result
 
 (** [load path] reads and parses a file; an unreadable file is
@@ -143,6 +146,8 @@ type verify_report = {
     achieved {!Paqoc_linalg.Fidelity.gate_fidelity} against the embedded
     target unitary must agree with the instruction's recorded [fidelity]
     to within [tol] (default [1e-9]). [Error] carries the first failing
-    instruction and reason (label mismatch, bad unitary, or fidelity
-    drift beyond [tol]). *)
+    instruction and reason (a target unitary that is not one of one to
+    three qubits — a waveform on no qubits included —, label mismatch,
+    or fidelity drift beyond [tol]). The waveform numbers must be finite,
+    as {!of_string} guarantees. *)
 val verify : ?tol:float -> t -> (verify_report, string) result

@@ -29,6 +29,10 @@ FILES = {
     "overflow.plan": "paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\n"
     "A 0x0p+0\nO 0x1p+6 0x0p+0 0x1p+0 synthesized\n"
     "W 0x1p+0 2305843009213693952 4\n",
+    # the same plan whose waveform holds an infinite amplitude
+    "inf.plan": "paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\n"
+    "A 0x0p+0\nO 0x1p+6 0x0p+0 0x1p+0 synthesized\n"
+    "W 0x1p+0 1 2 inf 0x0p+0\n",
 }
 
 # (arguments, stderr pattern, the {name} that must stay as it was)
@@ -47,6 +51,8 @@ ROWS = [
      "header.db"),
     ("compile bv --cache {nan.db}", "error: ", "nan.db"),
     ("compile-sweep qaoa --sweep 1 --plan {overflow.plan}", "error: ", None),
+    ("compile-sweep qaoa --sweep 1 --plan {inf.plan}",
+     "error: {inf.plan}: bad plan sidecar (line 9", "inf.plan"),
     ("compile bv --cache {dir}",
      "error: Cache.open_file: is a directory ({dir})", "dir"),
     ("compile {dir}", "error: cannot read circuit: is a directory ({dir})",

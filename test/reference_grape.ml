@@ -3,16 +3,16 @@
    [Paqoc_pulse.Grape.evaluate] skips the Hamiltonian's exact zeros in
    slice assembly, in the Padé products of each propagator, in the
    backward products and in the gradient traces; this evaluation
-   computes every one of those terms, through the dense reference
-   forms [Hamiltonian.at], [Expm.expm_i_h], [Cmat.mul] and a full trace
-   of a product, in the same order, and takes the backward product at
-   every step, the last one included, although nothing reads it.
-   test_kernels holds the two to the same bits in the fidelity and
-   every gradient cell. *)
+   computes every one of those terms, through the dense forms of
+   test/reference_linalg.ml ([at], [expm_i_h], [mul],
+   [mul_adjoint_left], [adjoint]) and a full trace of a product, in the
+   same order, and takes the backward product at every step, the last
+   one included, although nothing reads it. test_kernels holds the two
+   to the same bits in the fidelity and every gradient cell. *)
 module Cmat = Paqoc_linalg.Cmat
 module Cx = Paqoc_linalg.Cx
-module Expm = Paqoc_linalg.Expm
 module Hamiltonian = Paqoc_pulse.Hamiltonian
+module R = Reference_linalg
 
 (* Tr(a * b) over every (r, c) in row-major order, through the public
    cell accessors *)
@@ -42,20 +42,20 @@ let evaluate h target ~dt ~n_slices x =
         Array.mapi (fun k v -> controls.(k).Hamiltonian.bound *. tanh v) xj)
       x
   in
-  let us = Array.map (fun aj -> Expm.expm_i_h ~dt (Hamiltonian.at h aj)) amps in
+  let us = Array.map (fun aj -> R.expm_i_h ~dt (R.at h aj)) amps in
   let xs = Array.copy us in
   for j = 1 to n_slices - 1 do
-    xs.(j) <- Cmat.mul us.(j) xs.(j - 1)
+    xs.(j) <- R.mul us.(j) xs.(j - 1)
   done;
-  let tr = Cmat.trace (Cmat.mul_adjoint_left target xs.(n_slices - 1)) in
+  let tr = Cmat.trace (R.mul_adjoint_left target xs.(n_slices - 1)) in
   let sphi = 1.0 /. d in
   let phi_re = sphi *. Cx.re tr and phi_im = sphi *. Cx.im tr in
   let fidelity = (phi_re *. phi_re) +. (phi_im *. phi_im) in
   let grad = Array.make_matrix n_slices nc 0.0 in
   (* A_j = target† U_N ... U_{j+1} *)
-  let back = ref (Cmat.adjoint target) in
+  let back = ref (R.adjoint target) in
   for j = n_slices - 1 downto 0 do
-    let prod = Cmat.mul xs.(j) !back in
+    let prod = R.mul xs.(j) !back in
     for k = 0 to nc - 1 do
       let t_re, t_im = trace_prod controls.(k).Hamiltonian.op prod in
       (* dphi = (-i dt / d) * t, with the 0-weighted products kept *)
@@ -68,6 +68,6 @@ let evaluate h target ~dt ~n_slices x =
       let du_dx = bound *. (1.0 -. (th *. th)) in
       grad.(j).(k) <- df *. du_dx
     done;
-    back := Cmat.mul !back us.(j)
+    back := R.mul !back us.(j)
   done;
   (fidelity, grad)

@@ -321,5 +321,77 @@ let suite =
         expect_ir_error "instruction qubit 1e19"
           (replace_first ~needle:"\"qubits\": [1,0,2]"
              ~by:"\"qubits\": [1,1e19,2]" golden)
-          (function Pulse_ir.Bad_instruction (0, _) -> true | _ -> false))
+          (function Pulse_ir.Bad_instruction (0, _) -> true | _ -> false));
+    case "pulse IR: non-finite numbers and waveforms on no qubits are errors"
+      (fun () ->
+        (* one QOC instruction on one qubit whose target is its own
+           waveform's propagator, so the document verifies *)
+        let module H = Paqoc_pulse.Hamiltonian in
+        let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
+        let x0 = 0.015625 (* printed as 0.015625: a unique needle *) in
+        let pulse =
+          { Paqoc_pulse.Pulse.dt = 2.0; amplitudes = [| [| x0; 0.0 |] |] }
+        in
+        let wave =
+          { Pulse_ir.dt = 2.0;
+            channels =
+              [ { Pulse_ir.label = "x0"; samples = [| x0 |] };
+                { Pulse_ir.label = "y0"; samples = [| 0.0 |] }
+              ];
+            unitary =
+              Paqoc_canon.Canon.unitary_to_floats
+                (Paqoc_pulse.Pulse.propagator h pulse)
+          }
+        in
+        let ins =
+          { Pulse_ir.name = "x0";
+            qubits = [ 0 ];
+            t0 = 0.0;
+            duration = 2.0;
+            error = 0.0;
+            fidelity = 1.0;
+            provenance = Pulse_ir.Synthesized;
+            waveform = Some wave
+          }
+        in
+        let ir =
+          { Pulse_ir.backend = "qoc";
+            device_name = "1x1";
+            device_hash = "0";
+            device_qubits = 1;
+            synthesis_mu = H.mu_max;
+            drive_bound = H.drive_max;
+            latency = 2.0;
+            esp = 1.0;
+            schedule = [ ins ]
+          }
+        in
+        let doc = Pulse_ir.to_string ir in
+        (match Result.map Pulse_ir.verify (Pulse_ir.of_string doc) with
+        | Ok (Ok r) -> check_int "control document verifies" 1 r.Pulse_ir.checked
+        | Ok (Error msg) -> Alcotest.failf "control document: %s" msg
+        | Error e ->
+          Alcotest.failf "control document: %s" (Pulse_ir.error_to_string e));
+        (* 1e999 reads as +inf: refused where it stands, by path *)
+        let names needle = function
+          | Pulse_ir.Bad_instruction (0, why) ->
+            String.length why >= String.length needle
+            && String.sub why 0 (String.length needle) = needle
+          | _ -> false
+        in
+        expect_ir_error "infinite sample"
+          (replace_first ~needle:"0.015625" ~by:"1e999" doc)
+          (names "field schedule[0].channels[0].samples[0]: non-finite");
+        expect_ir_error "infinite dt"
+          (replace_first ~needle:"\"dt\": 2," ~by:"\"dt\": 1e999," doc)
+          (names "field schedule[0].dt: non-finite");
+        expect_ir_error "infinite esp"
+          (replace_first ~needle:"\"esp\": 1," ~by:"\"esp\": -1e999," doc)
+          (function Pulse_ir.Bad_field ("esp", _) -> true | _ -> false);
+        (* a waveform on no qubits is refused by verify, not raised *)
+        match
+          Pulse_ir.verify { ir with schedule = [ { ins with qubits = [] } ] }
+        with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "a waveform on no qubits verified")
   ]

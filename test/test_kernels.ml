@@ -1,13 +1,16 @@
-(* In-place kernel layer: every [*_into] kernel must be bit-for-bit
-   identical to its allocating counterpart — not "close", the same
-   Int64 pattern in every cell. That is the contract that lets GRAPE's
-   hot path swap between the two formulations without perturbing the
-   pulse database's byte determinism, so the checks here compare raw
-   float bits, never a tolerance. The suite also pins the two runtime
-   guarantee the workspace design makes: a warmed-up [Grape.evaluate]
-   stays under a fixed minor-heap budget per call. *)
+(* In-place kernel layer: every [*_into] kernel, the only implementation
+   of its operation in the product, must be bit-for-bit identical to the
+   dense loop test/reference_linalg.ml keeps — not "close", the same
+   Int64 pattern in every cell. That is the contract that let the
+   product's allocating forms, [Pulse.propagator] and GRAPE's hot path
+   move onto the kernels without perturbing the pulse database's byte
+   determinism, so the checks here compare raw float bits, never a
+   tolerance. The suite also pins the runtime guarantee the workspace
+   design makes: a warmed-up [Grape.evaluate] stays under a fixed
+   minor-heap budget per call. *)
 open Test_util
 module Expm = Paqoc_linalg.Expm
+module R = Reference_linalg
 module Hamiltonian = Paqoc_pulse.Hamiltonian
 module Grape = Paqoc_pulse.Grape
 
@@ -68,7 +71,7 @@ let state () = Random.State.make [| 0x5eed; 0xca7 |]
 let dims = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Element-wise kernels vs allocating counterparts                      *)
+(* Element-wise kernels vs the dense oracle                              *)
 (* ------------------------------------------------------------------ *)
 
 let elementwise_suite =
@@ -106,11 +109,11 @@ let elementwise_suite =
             Cmat.scale_into ~dst z m;
             check_bits_mat
               (Printf.sprintf "scale dim %d" n)
-              (Cmat.scale z m) dst;
+              (R.scale z m) dst;
             Cmat.scale_re_into ~dst s m;
             check_bits_mat
               (Printf.sprintf "scale_re dim %d" n)
-              (Cmat.scale_re s m) dst)
+              (R.scale_re s m) dst)
           dims);
     case "axpy_re_into rounds like add-of-scale" (fun () ->
         let st = state () in
@@ -118,7 +121,7 @@ let elementwise_suite =
           (fun n ->
             let acc = rand_mat st n n and m = rand_mat st n n in
             let s = entry st in
-            let expected = Cmat.add acc (Cmat.scale_re s m) in
+            let expected = R.add acc (R.scale_re s m) in
             Cmat.axpy_re_into ~dst:acc s m ~nz:(Cmat.nonzeros m);
             check_bits_mat (Printf.sprintf "axpy dim %d" n) expected acc)
           dims);
@@ -130,15 +133,15 @@ let elementwise_suite =
         let z = scalar st in
         let m = Cmat.copy a0 in
         Cmat.scale_into ~dst:m z m;
-        check_bits_mat "scale in place" (Cmat.scale z a0) m;
+        check_bits_mat "scale in place" (R.scale z a0) m;
         let s = entry st in
         let m = Cmat.copy a0 in
         Cmat.scale_re_into ~dst:m s m;
-        check_bits_mat "scale_re in place" (Cmat.scale_re s a0) m;
+        check_bits_mat "scale_re in place" (R.scale_re s a0) m;
         (* axpy onto itself: dst <- dst + s*dst *)
         let m = Cmat.copy a0 in
         Cmat.axpy_re_into ~dst:m s m ~nz:(Cmat.nonzeros m);
-        check_bits_mat "axpy dst==m" (Cmat.add a0 (Cmat.scale_re s a0)) m;
+        check_bits_mat "axpy dst==m" (R.add a0 (R.scale_re s a0)) m;
         (* blit onto itself is the identity *)
         let m = Cmat.copy a0 in
         Cmat.blit ~src:m ~dst:m;
@@ -159,7 +162,7 @@ let product_suite =
             Cmat.mul_into ~dst a b;
             check_bits_mat
               (Printf.sprintf "mul dim %d" n)
-              (Cmat.mul a b) dst)
+              (R.mul a b) dst)
           dims);
     case "mul_into matches mul on rectangular shapes" (fun () ->
         let st = state () in
@@ -170,7 +173,7 @@ let product_suite =
             Cmat.mul_into ~dst a b;
             check_bits_mat
               (Printf.sprintf "mul %dx%d * %dx%d" m k k n)
-              (Cmat.mul a b) dst)
+              (R.mul a b) dst)
           [ (1, 3, 2); (4, 2, 5); (3, 8, 1); (2, 1, 2) ]);
     case "mul_adjoint_left_into matches mul_adjoint_left" (fun () ->
         let st = state () in
@@ -181,7 +184,7 @@ let product_suite =
             Cmat.mul_adjoint_left_into ~dst a b;
             check_bits_mat
               (Printf.sprintf "mul_adjoint_left dim %d" n)
-              (Cmat.mul_adjoint_left a b) dst)
+              (R.mul_adjoint_left a b) dst)
           dims);
     case "adjoint_into matches adjoint" (fun () ->
         let st = state () in
@@ -192,7 +195,13 @@ let product_suite =
             Cmat.adjoint_into ~dst m;
             check_bits_mat
               (Printf.sprintf "adjoint %dx%d" n (9 - n))
-              (Cmat.adjoint m) dst)
+              (R.adjoint m) dst;
+            (* and the other dense reading: the conjugate, transposed *)
+            let cj = R.conj m in
+            check_bits_mat
+              (Printf.sprintf "conj-transpose %dx%d" n (9 - n))
+              (Cmat.init (9 - n) n (fun r c -> Cmat.get cj c r))
+              dst)
           dims);
     case "trace_prod_into matches the boxed-accessor formulation" (fun () ->
         let st = state () in
@@ -220,7 +229,7 @@ let product_suite =
               (Printf.sprintf "trace_prod im dim %d" n)
               !acc_im acc.(1);
             (* and it agrees with trace (mul a b) to rounding *)
-            let tr = Cmat.trace (Cmat.mul a b) in
+            let tr = Cmat.trace (R.mul a b) in
             check_float ~eps:1e-12
               (Printf.sprintf "trace_prod vs trace-of-mul dim %d" n)
               (Cx.re tr) acc.(0))
@@ -236,7 +245,7 @@ let product_suite =
                 (Cmat.get_im a i i)
             done;
             let b = rand_mat st n 2 in
-            let expected = Cmat.solve a b in
+            let expected = R.solve a b in
             let scratch = Cmat.create n n in
             let dst = Cmat.create n 2 in
             Cmat.solve_into ~scratch a b ~dst;
@@ -281,7 +290,7 @@ let expm_suite =
             check_int "workspace dim" n (Expm.Workspace.dim ws);
             let dst = rand_mat st n n in
             Expm.expm_into ws m ~dst;
-            check_bits_mat (Printf.sprintf "expm dim %d" n) (Expm.expm m)
+            check_bits_mat (Printf.sprintf "expm dim %d" n) (R.expm m)
               dst)
           dims);
     case "expm_i_h_into matches expm_i_h on Hermitian input" (fun () ->
@@ -295,7 +304,7 @@ let expm_suite =
             Expm.expm_i_h_into ws ~dt:2.0 h ~dst;
             check_bits_mat
               (Printf.sprintf "expm_i_h dim %d" n)
-              (Expm.expm_i_h ~dt:2.0 h) dst;
+              (R.expm_i_h ~dt:2.0 h) dst;
             check_true
               (Printf.sprintf "propagator unitary dim %d" n)
               (Cmat.is_unitary dst);
@@ -311,7 +320,7 @@ let expm_suite =
           (fun _ ->
             let m = Cmat.scale_re 0.5 (rand_mat st n n) in
             Expm.expm_into ws m ~dst;
-            check_bits_mat "reused workspace" (Expm.expm m) dst)
+            check_bits_mat "reused workspace" (R.expm m) dst)
           [ 1; 2; 3; 4; 5 ]);
     case "Hamiltonian.at_into matches at" (fun () ->
         let st = state () in
@@ -331,7 +340,7 @@ let expm_suite =
             Hamiltonian.at_into h ~nz amps ~dst;
             check_bits_mat
               (Printf.sprintf "at %dq" nq)
-              (Hamiltonian.at h amps) dst)
+              (R.at h amps) dst)
           [ (1, []); (2, [ (0, 1) ]); (3, [ (0, 1); (1, 2) ]) ])
   ]
 
@@ -538,16 +547,16 @@ let pattern_suite =
             let nz_b = Cmat.nonzeros b in
             let dst = rand_mat st n n in
             Cmat.mul_nz_into ~dst a b ~nz:nz_b;
-            check_bits_mat (name "mul_nz_into") (Cmat.mul a b) dst;
+            check_bits_mat (name "mul_nz_into") (R.mul a b) dst;
             (* a pattern re-recorded in place serves a new matrix *)
             let b' = sparse_mat st n n in
             Cmat.nonzeros_into nz_b b';
             Cmat.mul_nz_into ~dst a b' ~nz:nz_b;
             check_bits_mat (name "mul_nz_into (re-recorded)")
-              (Cmat.mul a b') dst;
+              (R.mul a b') dst;
             (* only the listed entries are written, each as mul's *)
             let mask = sparse_mat st n n in
-            let full = Cmat.mul a b in
+            let full = R.mul a b in
             let sentinel = rand_mat st n n in
             let dst = Cmat.copy sentinel in
             Cmat.mul_entries_into ~dst a b ~at:(Cmat.nonzeros mask);
@@ -569,14 +578,14 @@ let pattern_suite =
             let m = sparse_mat st n n in
             let s = Random.State.float st 2.0 -. 1.0 in
             let acc_m = rand_mat st n n in
-            let expected = Cmat.add acc_m (Cmat.scale_re s m) in
+            let expected = R.add acc_m (R.scale_re s m) in
             Cmat.axpy_re_into ~dst:acc_m s m ~nz:(Cmat.nonzeros m);
             check_bits_mat (name "axpy_re_into") expected acc_m;
             (* the fused two-destination update is dense: any zeros *)
             let p = sparse_mat st n n and q = sparse_mat st n n in
             let s2 = -.s in
-            let ep = Cmat.add p (Cmat.scale_re s m)
-            and eq = Cmat.add q (Cmat.scale_re s2 m) in
+            let ep = R.add p (R.scale_re s m)
+            and eq = R.add q (R.scale_re s2 m) in
             Cmat.axpy2_re_into ~dst:p s ~dst2:q s2 m;
             check_bits_mat (name "axpy2_re_into dst") ep p;
             check_bits_mat (name "axpy2_re_into dst2") eq q;
@@ -590,7 +599,7 @@ let pattern_suite =
                 Expm.expm_into ws m ~dst;
                 check_bits_mat
                   (name (Printf.sprintf "expm_into x%g" scale))
-                  (Expm.expm m) dst)
+                  (R.expm m) dst)
               [ 0.1; 3.0 ])
           dims;
         (* a pattern made for another shape is refused *)
@@ -639,7 +648,7 @@ let pattern_suite =
                       if Random.State.int st 4 = 0 then 0.0
                       else Random.State.float st 3.0 -. 1.5))
             in
-            let target = Expm.expm_i_h ~dt:1.0 (rand_herm st dim) in
+            let target = R.expm_i_h ~dt:1.0 (rand_herm st dim) in
             let f_ref, g_ref =
               Reference_grape.evaluate h target ~dt:2.0 ~n_slices x
             in
@@ -683,6 +692,59 @@ let pattern_suite =
                ignore (Grape.evaluate ~ws h_copy target ~dt:2.0 ~n_slices x))))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The pulse propagator vs the dense slice fold                         *)
+(* ------------------------------------------------------------------ *)
+
+let propagator_suite =
+  [ case "Pulse.propagator matches the dense slice fold bit for bit"
+      (fun () ->
+        let st = state () in
+        let problems =
+          [| (1, []);
+             (2, []);
+             (2, [ (0, 1) ]);
+             (3, [ (0, 1); (1, 2) ]);
+             (3, [ (0, 2); (1, 2) ])
+          |]
+        in
+        for trial = 0 to 29 do
+          let nq, pairs = problems.(trial mod Array.length problems) in
+          let h = Hamiltonian.make ~n_qubits:nq ~coupled_pairs:pairs () in
+          let slices =
+            match trial with 0 -> 1 | 1 -> 40 | _ -> 1 + Random.State.int st 40
+          in
+          (* even trials stay within the control bounds; odd ones reach
+             norms that take the exponential through its squarings *)
+          let reach c =
+            if trial mod 2 = 0 then c.Hamiltonian.bound else 1.5
+          in
+          let amplitudes =
+            Array.init slices (fun _ ->
+                Array.map
+                  (fun c ->
+                    (* exact zeros drop a control from the slice *)
+                    if Random.State.int st 4 = 0 then 0.0
+                    else reach c *. (Random.State.float st 2.0 -. 1.0))
+                  h.Hamiltonian.controls)
+          in
+          let p =
+            { Paqoc_pulse.Pulse.dt = 0.5 +. Random.State.float st 3.5;
+              amplitudes
+            }
+          in
+          let coupled =
+            String.concat " "
+              (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) pairs)
+          in
+          check_bits_mat
+            (Printf.sprintf "trial %d: %dq [%s], %d slices" trial nq coupled
+               slices)
+            (R.propagator h p)
+            (Paqoc_pulse.Pulse.propagator h p)
+        done)
+  ]
+
 let suite =
   elementwise_suite @ product_suite @ expm_suite @ contract_suite
-  @ grape_suite @ pattern_suite
+  @ grape_suite @ pattern_suite @ propagator_suite

@@ -12,6 +12,24 @@ let h_mat =
 let pauli_x = Cmat.of_real_lists [ [ 0.; 1. ]; [ 1.; 0. ] ]
 let pauli_z = Cmat.of_real_lists [ [ 1.; 0. ]; [ 0.; -1. ] ]
 
+(* the product's solve and exponential kernels, run into fresh buffers *)
+let solve a b =
+  let dst = Cmat.create (Cmat.rows b) (Cmat.cols b) in
+  Cmat.solve_into ~scratch:(Cmat.create (Cmat.rows a) (Cmat.cols a)) a b ~dst;
+  dst
+
+let expm m =
+  let n = Cmat.rows m in
+  let dst = Cmat.create n n in
+  Expm.expm_into (Expm.Workspace.create n) m ~dst;
+  dst
+
+let expm_i_h ~dt h =
+  let n = Cmat.rows h in
+  let dst = Cmat.create n n in
+  Expm.expm_i_h_into (Expm.Workspace.create n) ~dt h ~dst;
+  dst
+
 (* ------------------------------------------------------------------ *)
 (* Cx                                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -89,11 +107,12 @@ let cmat_tests =
             [ [ Cx.make 1. 0. ]; [ Cx.make 0. 1. ]; [ Cx.make 2. (-1.) ] ]
         in
         let b = Cmat.mul a x in
-        check_mat ~tol:1e-10 "solve(A, Ax) = x" x (Cmat.solve a b));
+        check_mat ~tol:1e-10 "solve(A, Ax) = x" x (solve a b));
     case "solve rejects singular" (fun () ->
         let a = Cmat.of_real_lists [ [ 1.; 2. ]; [ 2.; 4. ] ] in
-        Alcotest.check_raises "singular" (Failure "Cmat.solve: singular matrix")
-          (fun () -> ignore (Cmat.solve a (Cmat.identity 2))))
+        Alcotest.check_raises "singular"
+          (Failure "Cmat.solve_into: singular matrix")
+          (fun () -> ignore (solve a (Cmat.identity 2))))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -155,16 +174,16 @@ let cvec_tests =
 
 let expm_tests =
   [ case "expm of zero is identity" (fun () ->
-        check_mat "e^0 = I" (Cmat.identity 3) (Expm.expm (Cmat.create 3 3)));
+        check_mat "e^0 = I" (Cmat.identity 3) (expm (Cmat.create 3 3)));
     case "expm of diagonal" (fun () ->
         let d = Cmat.diag [| Cx.of_float 1.0; Cx.of_float (-2.0) |] in
-        let e = Expm.expm d in
+        let e = expm d in
         check_float ~eps:1e-12 "e^1" (exp 1.0) (Cx.re (Cmat.get e 0 0));
         check_float ~eps:1e-12 "e^-2" (exp (-2.0)) (Cx.re (Cmat.get e 1 1)));
     case "exp(-i t X) rotation" (fun () ->
         (* exp(-i t X) = cos t I - i sin t X *)
         let t = 0.73 in
-        let e = Expm.expm_i_h ~dt:t pauli_x in
+        let e = expm_i_h ~dt:t pauli_x in
         check_float ~eps:1e-12 "cos" (cos t) (Cx.re (Cmat.get e 0 0));
         check_float ~eps:1e-12 "-sin" (-.sin t) (Cx.im (Cmat.get e 0 1)));
     case "propagator of hermitian is unitary" (fun () ->
@@ -173,15 +192,15 @@ let expm_tests =
             [ [ Cx.of_float 0.4; Cx.make 0.1 0.3 ];
               [ Cx.make 0.1 (-0.3); Cx.of_float (-0.2) ] ]
         in
-        check_true "unitary" (Cmat.is_unitary ~tol:1e-10 (Expm.expm_i_h ~dt:2.0 h)));
+        check_true "unitary" (Cmat.is_unitary ~tol:1e-10 (expm_i_h ~dt:2.0 h)));
     case "expm additivity for commuting" (fun () ->
         let a = Cmat.scale_re 0.3 pauli_z and b = Cmat.scale_re 0.9 pauli_z in
         check_mat ~tol:1e-12 "e^{a+b} = e^a e^b"
-          (Expm.expm (Cmat.add a b))
-          (Cmat.mul (Expm.expm a) (Expm.expm b)));
+          (expm (Cmat.add a b))
+          (Cmat.mul (expm a) (expm b)));
     case "large-norm scaling and squaring" (fun () ->
         let d = Cmat.diag [| Cx.of_float 5.0; Cx.of_float (-7.0) |] in
-        let e = Expm.expm d in
+        let e = expm d in
         check_float ~eps:1e-6 "e^5" (exp 5.0) (Cx.re (Cmat.get e 0 0)))
   ]
 
@@ -203,9 +222,7 @@ let fidelity_tests =
         check_float "e = 1-f" 1.0 (e +. f));
     case "avg gate fidelity of identity" (fun () ->
         check_float "avg F" 1.0
-          (Fidelity.avg_gate_fidelity (Cmat.identity 4) (Cmat.identity 4)));
-    case "esp product" (fun () ->
-        check_float "esp" (0.9 *. 0.8) (Fidelity.esp [ 0.1; 0.2 ]))
+          (Fidelity.avg_gate_fidelity (Cmat.identity 4) (Cmat.identity 4)))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -228,7 +245,7 @@ let prop_tests =
          (QCheck.make (QCheck.Gen.pair gen_unitary_2q gen_unitary_2q))
          (fun (u, x) ->
            let b = Cmat.mul u x in
-           Cmat.equal ~tol:1e-8 (Cmat.solve u b) x));
+           Cmat.equal ~tol:1e-8 (solve u b) x));
     qcheck
       (QCheck.Test.make ~count:60 ~name:"gate fidelity in [0,1]"
          (QCheck.make (QCheck.Gen.pair gen_unitary_2q gen_unitary_2q))
@@ -241,7 +258,7 @@ let prop_tests =
          (fun u ->
            (* hermitise u to get a random hermitian, then exponentiate *)
            let h = Cmat.scale_re 0.5 (Cmat.add u (Cmat.adjoint u)) in
-           Cmat.is_unitary ~tol:1e-8 (Expm.expm_i_h ~dt:0.7 h)))
+           Cmat.is_unitary ~tol:1e-8 (expm_i_h ~dt:0.7 h)))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -256,17 +273,16 @@ let huge_norm_tests =
         List.iter
           (fun v ->
             let m = Cmat.of_real_lists [ [ v ] ] in
-            let e = Expm.expm m in
+            let e = expm m in
             check_float (Printf.sprintf "exp %g" v) 0.0
               (Cx.re (Cmat.get e 0 0));
             check_float (Printf.sprintf "exp %g im" v) 0.0
               (Cx.im (Cmat.get e 0 0));
-            let dst = Cmat.create 1 1 in
-            Expm.expm_into (Expm.Workspace.create 1) m ~dst;
+            let dense = Reference_linalg.expm m in
             check_true
-              (Printf.sprintf "expm_into = expm bitwise at %g" v)
-              (bits (Cmat.get_re dst 0 0) = bits (Cmat.get_re e 0 0)
-              && bits (Cmat.get_im dst 0 0) = bits (Cmat.get_im e 0 0)))
+              (Printf.sprintf "expm_into = dense expm bitwise at %g" v)
+              (bits (Cmat.get_re dense 0 0) = bits (Cmat.get_re e 0 0)
+              && bits (Cmat.get_im dense 0 0) = bits (Cmat.get_im e 0 0)))
           [ -2e18; -3e18; -1e19; -1e30 ])
   ]
 

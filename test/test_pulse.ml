@@ -36,7 +36,10 @@ let hamiltonian_tests =
     case "assembled H is hermitian" (fun () ->
         let h = H.make ~n_qubits:2 ~coupled_pairs:[ (0, 1) ] () in
         let amps = Array.init (H.n_controls h) (fun k -> 0.01 *. float_of_int (k + 1)) in
-        check_true "H(t) hermitian" (is_hermitian (H.at h amps)));
+        let hmat = Cmat.create h.H.dim h.H.dim in
+        let nz = Array.map (fun c -> Cmat.nonzeros c.H.op) h.H.controls in
+        H.at_into h ~nz amps ~dst:hmat;
+        check_true "H(t) hermitian" (is_hermitian hmat));
     case "bad pair rejected" (fun () ->
         check_true "raises"
           (try ignore (H.make ~n_qubits:2 ~coupled_pairs:[ (0, 2) ] ()); false
@@ -596,9 +599,9 @@ let price_case =
                       (episode slow g).Gen.latency)
                 in
                 let esp =
-                  List.fold_left
-                    (fun acc g -> acc *. (1.0 -. (episode slow g).Gen.error))
-                    1.0 c.Circuit.gates
+                  Reference_linalg.esp
+                    (List.map (fun g -> (episode slow g).Gen.error)
+                       c.Circuit.gates)
                 in
                 let sched = p.Pricing.schedule in
                 check_true (what "total")

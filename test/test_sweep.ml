@@ -313,5 +313,34 @@ let suite =
         expect_error ~line:9 ~needle:"bad waveform shape"
           (plan_with "W 0x1p+0 4611686018427387903 0");
         expect_error ~line:9 ~needle:"bad waveform shape"
-          (plan_with "W 0x1p+0 3 0"))
+          (plan_with "W 0x1p+0 3 0"));
+    case "a non-finite number in a V, A, O or W field is an error"
+      (fun () ->
+        (* the one-slot plan above: V is line 4, A line 7, O line 8 and
+           the waveform line 9 *)
+        let plan_with ?(v = "V 0x0p+0") ?(a = "A 0x0p+0")
+            ?(o = "O 0x1p+6 0x0p+0 0x1p+0 synthesized") w =
+          String.concat "\n"
+            [ "paqoc-plan v1"; "Q 1"; "P t"; v; "N 1"; "R t rz(St)@0"; a; o;
+              w; "" ]
+        in
+        let w = "W 0x1p+0 1 2 0x1p-6 0x0p+0" in
+        (match V.plan_of_string (plan_with w) with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "control plan rejected at line %d: %s" e.V.line
+            e.V.reason);
+        List.iter
+          (fun bad -> expect_error ~line:9 ~needle:"non-finite" (plan_with bad))
+          [ "W 0x1p+0 1 2 inf 0x0p+0";
+            "W inf 1 2 0x1p-6 0x0p+0";
+            "W 0x1p+0 1 2 0x1p-6 nan";
+            "W 0x1p+0 1 2 1e999 0x0p+0";
+            "W -inf 1 2 0x1p-6 0x0p+0"
+          ];
+        expect_error ~line:4 ~needle:"non-finite"
+          (plan_with ~v:"V 0x0p+0 infinity" w);
+        expect_error ~line:7 ~needle:"non-finite" (plan_with ~a:"A nan" w);
+        expect_error ~line:8 ~needle:"non-finite"
+          (plan_with ~o:"O 0x1p+6 0x0p+0 inf synthesized" w))
   ]
