@@ -1,13 +1,16 @@
 # Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
 # clean metrics run, one fault-injected run that must still succeed via
 # the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time, a canonical-cache and a sweep-plan smoke, a
-# QOC-backend compile whose compile cost must read non-zero and be
-# labelled with its backend), then the refusal table of
+# all hits the second time, a cold compile-suite into a fresh cache file
+# that must report at most 4 cache.compaction (compaction is amortized:
+# 256, 512 and 1,024 appends, then close), a canonical-cache and a
+# sweep-plan smoke, a QOC-backend compile whose compile cost must read
+# non-zero and be labelled with its backend), then the refusal table of
 # scripts/check_refusals.py: each row is a command that must exit 1 with
 # its error line, not crash, leaving the file or directory it refuses as
 # it was (a malformed QASM file through every circuit-reading
-# subcommand, a sweep plan aimed at an unwritable path, a device grid
+# subcommand, a QASM angle that is not finite (rx(1e999)), a sweep plan
+# aimed at an unwritable path, a device grid
 # over the 1,024-qubit cap, a pulse waveform dump aimed at an unwritable
 # path, a negative sweep count, a negative per-task synthesis budget, a
 # cache file whose first line is empty, one whose K record holds NaN, a
@@ -32,6 +35,14 @@ check:
 	  | grep -q '/ 0 misses' \
 	  || (echo "check: warm cache run still missed" && exit 1)
 	@rm -f /tmp/paqoc_metrics.json /tmp/paqoc_trace.json /tmp/paqoc_cache.db
+	@rm -f /tmp/paqoc_compact.db /tmp/paqoc_compact.json
+	dune exec bin/paqoc_cli.exe -- compile-suite --cache /tmp/paqoc_compact.db \
+	  --metrics /tmp/paqoc_compact.json > /dev/null
+	@python3 -c "import json, sys; \
+	  n = json.load(open('/tmp/paqoc_compact.json'))['counters']['cache.compaction']; \
+	  sys.exit(0 if n <= 4 else \
+	    'check: a cold suite compacted its cache %d times (at most 4)' % n)"
+	@rm -f /tmp/paqoc_compact.db /tmp/paqoc_compact.json
 	@rm -f /tmp/paqoc_canon.db
 	dune exec bin/paqoc_cli.exe -- compile bb84 --canonical-cache \
 	  --cache /tmp/paqoc_canon.db > /dev/null

@@ -8,7 +8,9 @@
     by its most similar already-generated neighbour. *)
 
 (** [distance a b] is a Levenshtein-style distance between group shape
-    signatures, tokenised per gate. *)
+    signatures, tokenised per gate: {!Paqoc_pulse.Generator.token_distance}
+    over the two groups' per-gate tokens, plus 4 per qubit of
+    qubit-count difference. *)
 val distance : Paqoc_pulse.Generator.group -> Paqoc_pulse.Generator.group -> int
 
 (** [generation_order groups] returns the groups reordered along an MST

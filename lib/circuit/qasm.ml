@@ -211,6 +211,20 @@ and parse_unary lx =
     e
   | _ -> error lx "expected parameter expression"
 
+(* A gate parameter: an expression whose folded constant, or the
+   coefficient of its symbol, is finite. A literal past the float range
+   ([1e999]) or a fold that overflows or divides by zero ([1e308*10],
+   [pi/0]) would otherwise reach the pulse stack as inf or NaN. *)
+let parse_param lx =
+  let e = parse_expr lx in
+  (match e with
+  | Pconst f when not (Float.is_finite f) ->
+    error lx (Printf.sprintf "parameter is not finite (%g)" f)
+  | Psym (s, k) when not (Float.is_finite k) ->
+    error lx (Printf.sprintf "coefficient of %s is not finite (%g)" s k)
+  | Pconst _ | Psym _ -> ());
+  e
+
 let angle_of_pexpr = function
   | Pconst f -> Angle.Const f
   | Psym (s, k) ->
@@ -388,7 +402,7 @@ let parse src =
             | Punct '(' ->
               advance lx;
               let rec loop acc =
-                let e = parse_expr lx in
+                let e = parse_param lx in
                 match lx.tok with
                 | Punct ',' ->
                   advance lx;
@@ -441,7 +455,7 @@ let parse src =
         | Punct '(' ->
           advance lx;
           let rec loop acc =
-            let e = parse_expr lx in
+            let e = parse_param lx in
             match lx.tok with
             | Punct ',' ->
               advance lx;

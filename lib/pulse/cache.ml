@@ -17,7 +17,7 @@ type stats = {
 }
 
 (* The persistence side: a journal fd plus the append accounting that
-   drives periodic compaction. [jlock] serialises appends and
+   drives amortized compaction. [jlock] serialises appends and
    compactions; it is never taken while the table lock is held (publish
    inserts first, releases the tables, then journals), so the lock order
    jlock -> table lock (inside compaction) can never deadlock, and a
@@ -27,6 +27,9 @@ type journal = {
   jpath : string;
   mutable fd : Unix.file_descr;
   mutable pending : int;  (** journal records since the last compaction *)
+  mutable snapshot_records : int;
+      (** records in the file's snapshot section: set by each compaction
+          and by [open_file]'s parse *)
   mutable open_ : bool;
   mutable disk_version : Db_format.version;
       (** header version of the backing file right now; the first class
@@ -55,7 +58,11 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* the journal length that triggers a compaction *)
+(* The least journal length that triggers a compaction. A larger
+   snapshot raises the trigger to its own record count, so the journal
+   always pays for the rewrite: each compaction rewrites at most twice
+   the journal records it folds in, and a record is rewritten O(1)
+   times amortized however large the cache grows. *)
 let compact_every = 256
 
 let make ~journal =
@@ -159,6 +166,8 @@ let compact_locked t j =
   let entries, shapes, classes = collect t in
   j.disk_version <-
     write_snapshot ~ctx:"Cache.compact" ~path:j.jpath entries shapes classes;
+  j.snapshot_records <-
+    List.length entries + List.length shapes + List.length classes;
   (* the old fd points at the pre-rename inode; swap it for the new file *)
   (try Unix.close j.fd with Unix.Unix_error _ -> ());
   j.fd <- open_append j.jpath;
@@ -206,7 +215,7 @@ let append_locked t j record =
      failwith (Printf.sprintf "Cache.publish: %s (%s)" msg j.jpath));
   j.pending <- j.pending + 1;
   Atomic.incr t.n_appends;
-  if j.pending >= compact_every then compact_locked t j
+  if j.pending >= max compact_every j.snapshot_records then compact_locked t j
 
 let append t record =
   match t.journal with
@@ -331,6 +340,7 @@ let open_file path =
       jpath = path;
       fd = Unix.stdin;  (* placeholder; replaced below *)
       pending = 0;
+      snapshot_records = 0;
       open_ = true;
       disk_version = Db_format.V3
     }
@@ -358,7 +368,8 @@ let open_file path =
            failwith
              (Printf.sprintf "Cache.open_file: %s (%s)"
                 (Unix.error_message err) path));
-      journal.pending <- List.length c.journal
+      journal.pending <- List.length c.journal;
+      journal.snapshot_records <- List.length c.snapshot
     | Db_format.V1 | Db_format.V2 ->
       (* migrate the snapshot format in place *)
       journal.fd <- open_append path;

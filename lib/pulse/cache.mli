@@ -18,7 +18,8 @@
     - {b persistent across runs} — a cache opened with {!open_file} is
       backed by a ["paqoc-pulse-db v3"] journal file: every fresh publish
       appends one record (a single [write]), and the journal is
-      periodically {e compacted} back into the sorted snapshot form.
+      {e compacted} back into the sorted snapshot form once it is as
+      long as that snapshot (and at least 256 records).
       A crash can tear at most the final append; {!Db_format}'s replay
       rule drops a torn tail, and {!open_file} truncates it away before
       appending again. v1/v2 snapshot files load transparently and are
@@ -76,9 +77,12 @@ val create : unit -> t
       file stays v3 unless a class record is published into it
       ({!publish_class}'s v4 upgrade).
 
-    The journal is bounded: the append that brings it to 256 records
-    since the last compaction compacts the file back to a sorted
-    snapshot.
+    The journal is bounded by the snapshot it follows: the append that
+    brings it to as many records as the file's snapshot section holds,
+    and never fewer than 256, compacts the file back to a sorted
+    snapshot. Each record is thus rewritten O(1) times amortized: the
+    compactions before {!close} rewrite at most twice the records
+    journaled.
 
     @raise Failure on a malformed file, a path that cannot be read (a
     directory, say, which is left as it was) or an I/O error. *)

@@ -119,6 +119,19 @@ type replay = {
   target : Cmat.t;
 }
 
+(* A known shape signature: the waveform that warm-starts its next
+   synthesis (QOC backend only), and the signature's token codes, which
+   the nearest-shape scan interns the first time it reaches the shape. *)
+type shape = {
+  mutable wave : Pulse.t option;
+  mutable codes : int array;  (** [[||]] until a scan reaches the shape *)
+  mutable plan : int;
+      (** the number of the plan whose batch overrides this shape with a
+          task of its own, else -1 *)
+}
+
+let new_shape wave = { wave; codes = [||]; plan = -1 }
+
 type t = {
   backend : backend;
   retry : retry;
@@ -127,8 +140,11 @@ type t = {
           serial entry points hold it for their whole call, the batch
           entry point only while planning and committing *)
   cache : (string, outcome) Hashtbl.t;
-  by_shape : (string, Pulse.t option) Hashtbl.t;
+  by_shape : (string, shape) Hashtbl.t;
       (** every generated shape; waveform present on the QOC backend *)
+  token_codes : (string, int) Hashtbl.t;
+      (** the interned signature tokens [shape.codes] are made of *)
+  mutable plans : int;  (** batches planned so far *)
   mutable seconds : float;
   mutable generated : int;
   mutable hits : int;
@@ -190,6 +206,8 @@ let create ?(retry = default_retry) backend =
     lock = Mutex.create ();
     cache = Hashtbl.create 256;
     by_shape = Hashtbl.create 256;
+    token_codes = Hashtbl.create 64;
+    plans = 0;
     seconds = 0.0;
     generated = 0;
     hits = 0;
@@ -373,29 +391,43 @@ let drop_edge_apps ~drop_last g =
 let prefix_apps g = drop_edge_apps ~drop_last:true g
 let suffix_apps g = drop_edge_apps ~drop_last:false g
 
-(* Token-level edit distance between two shape signatures split at
-   ';', used for the nearest-neighbour warm start. *)
-let token_distance (ta : string array) (tb : string array) =
+(* Token-level edit distance over interned token codes, used for the
+   nearest-neighbour warm start (and AccQOC's generation order). Every
+   comparison is on ints, so no cell calls the polymorphic compare. *)
+let token_distance (ta : int array) (tb : int array) =
   let la = Array.length ta and lb = Array.length tb in
   let prev = Array.init (lb + 1) Fun.id in
   let cur = Array.make (lb + 1) 0 in
   for i = 1 to la do
     cur.(0) <- i;
+    let a = ta.(i - 1) in
     for j = 1 to lb do
-      let cost = if String.equal ta.(i - 1) tb.(j - 1) then 0 else 1 in
-      cur.(j) <- min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+      let cost = if a = tb.(j - 1) then 0 else 1 in
+      cur.(j) <-
+        Int.min (Int.min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
     done;
     Array.blit cur 0 prev 0 (lb + 1)
   done;
   prev.(lb)
 
-let tokens sign = Array.of_list (String.split_on_char ';' sign)
+let token_codes table tokens =
+  List.map
+    (fun tok ->
+      match Hashtbl.find_opt table tok with
+      | Some c -> c
+      | None ->
+        let c = Hashtbl.length table in
+        Hashtbl.add table tok c;
+        c)
+    tokens
+  |> Array.of_list
 
-(* the token count of [tokens sign], without splitting *)
-let n_tokens sign =
-  let n = ref 1 in
-  String.iter (fun c -> if c = ';' then incr n) sign;
-  !n
+(* [sign]'s ';'-separated tokens as codes; a signature never splits into
+   zero tokens, so [[||]] means unset *)
+let shape_codes t sign r =
+  if Array.length r.codes = 0 then
+    r.codes <- token_codes t.token_codes (String.split_on_char ';' sign);
+  r.codes
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic batch planner                                         *)
@@ -466,6 +498,7 @@ type plan =
       g : group;
       k : string;
       sign : string;
+      shape : shape;  (** [sign]'s record, entered in [by_shape] at commit *)
       cls : seed_class;
       src : seed_source;
       canon : (string * Cmat.t) option;
@@ -506,6 +539,8 @@ let strip_namespace ns k =
 let plan_batch t groups =
   let n = Array.length groups in
   let ns = Device.cache_namespace t.device in
+  t.plans <- t.plans + 1;
+  let stamp = t.plans in
   (* in-batch providers, replace semantics like the real tables *)
   let batch_cache = Hashtbl.create (2 * n) in
   let batch_shape = Hashtbl.create (2 * n) in
@@ -516,8 +551,28 @@ let plan_batch t groups =
   in
   let find_shape s =
     match Hashtbl.find_opt batch_shape s with
-    | Some j -> Some (Batch j)
+    | Some (j, _) -> Some (Batch j)
     | None -> if Hashtbl.mem t.by_shape s then Some Db else None
+  in
+  (* The one record of [sign] while planning: [by_shape]'s, else the one
+     an earlier task of this batch made, else a fresh one. A signature in
+     both tables therefore has one record, stamped with this plan, which
+     is how the scan skips the [by_shape] side without hashing. *)
+  let shape_record sign =
+    match Hashtbl.find_opt t.by_shape sign with
+    | Some r -> r
+    | None -> (
+      match Hashtbl.find_opt batch_shape sign with
+      | Some (_, r) -> r
+      | None -> new_shape None)
+  in
+  (* a signature a shared-cache hit makes known while planning; an empty
+     batch has no record to share, so an all-hit batch skips the lookup *)
+  let note_shape sign =
+    if not (Hashtbl.mem t.by_shape sign) then
+      Hashtbl.replace t.by_shape sign
+        (if Hashtbl.length batch_shape = 0 then new_shape None
+         else shape_record sign)
   in
   (* shared-cache consults, all after the batch and local tables miss.
      The authoritative consult replays the serial commit order over
@@ -574,27 +629,33 @@ let plan_batch t groups =
   in
   let shape_src sign = function
     | Batch j -> Src_batch j
-    | Db -> Src_db (Hashtbl.find t.by_shape sign, 0.0)
+    | Db -> Src_db ((Hashtbl.find t.by_shape sign).wave, 0.0)
   in
   (* nearest neighbour among the known shapes of the same qubit count:
      the minimum (token distance, signature) within each candidate's
      threshold, over [by_shape] minus the signatures this batch
-     overrides and the batch's own. The distance is at least the
-     token-count difference, so a candidate whose difference exceeds
-     its threshold or the best distance so far is skipped unsplit *)
-  let nearest_shape sign =
-    let ta = tokens sign in
+     overrides and the batch's own. Each record keeps its token codes,
+     so a visit compares two lengths and runs the integer distance only
+     when the token-count difference (a lower bound on the distance) is
+     within the candidate's threshold and the best distance so far.
+     [query] is [sign]'s own record, which keeps the codes for the scans
+     that later reach it as a batch shape *)
+  let nearest_shape sign query =
+    let ta = shape_codes t sign query in
     let la = Array.length ta in
     let best = ref None in
-    let visit sign' p =
+    let visit sign' r p =
       if String.length sign' > 0 && sign'.[0] = sign.[0] then begin
-        let lb = n_tokens sign' in
-        let threshold = max 1 (max la lb * 2 / 5) in
+        let tb = shape_codes t sign' r in
+        let lb = Array.length tb in
+        let threshold = Int.max 1 (Int.max la lb * 2 / 5) in
         let bound =
-          match !best with Some (d, _, _) -> min d threshold | None -> threshold
+          match !best with
+          | Some (d, _, _) -> Int.min d threshold
+          | None -> threshold
         in
         if abs (la - lb) <= bound then begin
-          let d = token_distance ta (tokens sign') in
+          let d = token_distance ta tb in
           if d <= threshold then
             match !best with
             | Some (d', s', _)
@@ -604,12 +665,12 @@ let plan_batch t groups =
       end
     in
     Hashtbl.iter
-      (fun s _ -> if not (Hashtbl.mem batch_shape s) then visit s Db)
+      (fun s r -> if r.plan <> stamp then visit s r Db)
       t.by_shape;
-    Hashtbl.iter (fun s j -> visit s (Batch j)) batch_shape;
+    Hashtbl.iter (fun s (j, r) -> visit s r (Batch j)) batch_shape;
     !best
   in
-  let plan_seed g sign =
+  let plan_seed g sign shape =
     match find_shape sign with
     | Some p -> (C_shape, shape_src sign p)
     | None when shared_mem_shape sign ->
@@ -649,7 +710,7 @@ let plan_batch t groups =
       match prefix_hit with
       | Some s -> s
       | None -> (
-        match nearest_shape sign with
+        match nearest_shape sign shape with
         | Some (_, sign', p) -> (C_similar, shape_src sign' p)
         | None -> (C_cold, Src_none)))
   in
@@ -670,21 +731,22 @@ let plan_batch t groups =
              would have *)
           let o = outcome_of_entry e in
           table_put t k o;
-          if not (Hashtbl.mem t.by_shape sign) then
-            Hashtbl.replace t.by_shape sign None;
+          note_shape sign;
           o
         in
         let plan_synth () =
-          let cls, src = plan_seed g sign in
+          let shape = shape_record sign in
+          let cls, src = plan_seed g sign shape in
           Hashtbl.replace batch_cache k i;
-          Hashtbl.replace batch_shape sign i;
+          shape.plan <- stamp;
+          Hashtbl.replace batch_shape sign (i, shape);
           (match canon with
           | Some (ck, u) when not (Hashtbl.mem batch_class ck) ->
             (* first-planned-wins, mirroring [Cache.publish_class]'s
                first-publisher-wins under serial commits *)
             Hashtbl.add batch_class ck (i, k, u)
           | _ -> ());
-          P_synth { g; k; sign; cls; src; canon }
+          P_synth { g; k; sign; shape; cls; src; canon }
         in
         match t.shared with
         | None -> plan_synth ()
@@ -720,8 +782,7 @@ let plan_batch t groups =
               match batch_class_mate canon with
               | Some (j, rep_key, l, r, target) ->
                 Cache.note_consult c `Canonical_hit;
-                if not (Hashtbl.mem t.by_shape sign) then
-                  Hashtbl.replace t.by_shape sign None;
+                note_shape sign;
                 P_replay_batch { j; k; sign; rep_key; l; r; target }
               | None ->
                 Cache.note_consult c `Miss;
@@ -977,7 +1038,7 @@ let commit_batch t plans results =
             target
           };
         o
-      | P_synth { g; k; sign; cls; canon; _ } ->
+      | P_synth { g; k; sign; shape; cls; canon; _ } ->
         let o = outcome_of i in
         (match cls with
         | C_cold ->
@@ -998,7 +1059,11 @@ let commit_batch t plans results =
           Obs.count "generator.fallback"
         | Synthesized -> ());
         table_put t k o;
-        Hashtbl.replace t.by_shape sign o.pulse;
+        (match Hashtbl.find_opt t.by_shape sign with
+        | Some r -> r.wave <- o.pulse
+        | None ->
+          shape.wave <- o.pulse;
+          Hashtbl.replace t.by_shape sign shape);
         (* share synthesized pulses with other compilations and future
            runs; fallbacks are this run's degradation and must not poison
            the cross-run cache. The commit phase is serial and in input
@@ -1134,7 +1199,7 @@ let load_database t path =
             table_put t key (outcome_of_entry e)
         | Db_format.Shape sign ->
           if not (Hashtbl.mem t.by_shape sign) then
-            Hashtbl.replace t.by_shape sign None
+            Hashtbl.replace t.by_shape sign (new_shape None)
         | Db_format.Class _ ->
           (* class records belong to the shared cache's tier; the
              per-run table neither stores nor writes them (it saves v2) *)

@@ -33,6 +33,18 @@ val key : group -> string
     are "similar" and share GRAPE initial guesses. *)
 val shape_signature : group -> string
 
+(** [token_distance a b] is the edit distance between two sequences of
+    token codes (unit insertion, deletion and substitution costs). The
+    nearest-shape warm start runs it over the interned [';']-separated
+    tokens of two shape signatures, and AccQOC's generation order over
+    per-gate tokens. *)
+val token_distance : int array -> int array -> int
+
+(** [token_codes table tokens] is [tokens] as the codes interned in
+    [table]: a token met for the first time gets the next free code, so
+    two tokens share a code exactly when they are equal. *)
+val token_codes : (string, int) Hashtbl.t -> string list -> int array
+
 (** How an outcome was obtained: [Synthesized] is the normal QOC (or
     model) path; [Fallback] means every synthesis attempt failed and the
     group was priced from its decomposed default-basis calibration pulses

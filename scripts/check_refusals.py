@@ -21,6 +21,8 @@ import tempfile
 # nothing writes.
 FILES = {
     "bad.qasm": "OPENQASM 2.0;\nqreg q[1];\nfoo q[0];\n",
+    # a QASM angle past the float range
+    "inf.qasm": "OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n",
     # a cache file whose first line is empty
     "header.db": "\npaqoc-pulse-db v3\nK 100 0.01 0.99 q 1;cx@0,1\n",
     # a cache file whose K record holds NaN values
@@ -41,6 +43,7 @@ ROWS = [
     ("export-ir {bad.qasm} {out.json}", "error: QASM parse error", None),
     ("mine {bad.qasm}", "error: QASM parse error", None),
     ("compile-sweep {bad.qasm}", "error: QASM parse error", None),
+    ("compile {inf.qasm}", "error: QASM parse error", None),
     ("compile-sweep qaoa --sweep 1 --plan /nonexistent_paqoc_dir/x.plan",
      "error: ", None),
     ("compile bv --device 300x300", "error: ", None),

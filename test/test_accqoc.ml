@@ -146,4 +146,47 @@ let prop_tests =
              (Slicer.slice Slicer.accqoc_n3d3 c)))
   ]
 
-let suite = slicer_tests @ similarity_tests @ compile_tests @ prop_tests
+(* AccQOC's generation order, coded once per group and run on the
+   generator's integer distance, held to the order the string DP gave
+   (test/reference_distance.ml) on seeded random group lists: repeats
+   exercise the key de-duplication, small gate mixes the distance ties
+   Prim's first-minimum pick breaks, and 1-3 qubit groups the qubit-count
+   penalty. *)
+let order_case =
+  case "generation order == the string-distance oracle on random groups"
+    (fun () ->
+      let rng = Random.State.make [| 0xacc0 |] in
+      let gate n =
+        let q = Random.State.int rng n in
+        let q' = (q + 1 + Random.State.int rng (max 1 (n - 1))) mod n in
+        match Random.State.int rng (if n > 1 then 5 else 3) with
+        | 0 -> Gate.app1 Gate.H q
+        | 1 -> Gate.app1 Gate.X q
+        | 2 -> Gate.app1 (Gate.RZ (Angle.const 0.25)) q
+        | 3 -> Gate.app2 Gate.CX q q'
+        | _ -> Gate.app2 Gate.CZ q q'
+      in
+      let group () =
+        let n = 1 + Random.State.int rng 3 in
+        group_of (List.init (1 + Random.State.int rng 6) (fun _ -> gate n))
+      in
+      for trial = 1 to 200 do
+        let pool =
+          Array.init (1 + Random.State.int rng 12) (fun _ -> group ())
+        in
+        let groups =
+          List.init (Random.State.int rng 30) (fun _ ->
+              pool.(Random.State.int rng (Array.length pool)))
+        in
+        let got = Similarity.generation_order groups in
+        let expected = Reference_distance.generation_order groups in
+        if not
+             (List.length got = List.length expected
+             && List.for_all2 ( == ) got expected)
+        then
+          Alcotest.failf "trial %d: %d groups ordered differently" trial
+            (List.length groups)
+      done)
+
+let suite =
+  slicer_tests @ similarity_tests @ compile_tests @ prop_tests @ [ order_case ]

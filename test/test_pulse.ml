@@ -620,7 +620,57 @@ let price_case =
           [ 1; 4 ]
       done)
 
+(* The nearest-shape scan's integer edit distance, held to the string DP
+   it replaced (test/reference_distance.ml) on seeded random token
+   sequences. Small alphabets make ties and repeats common; lengths 0-40
+   and edited copies put many pairs near the scan's 2/5 threshold, where
+   a distance one off would change the warm start it picks. *)
+let distance_case =
+  case "token_distance == the string DP oracle on random token arrays"
+    (fun () ->
+      let alphabet = [| "2"; "cx@0,1"; "cx@1,0"; "rz@0"; "sx@1" |] in
+      let rng = Random.State.make [| 0x70ce |] in
+      let draw k =
+        Array.init (Random.State.int rng 41) (fun _ -> Random.State.int rng k)
+      in
+      (* [a] after up to eight random deletions, insertions and
+         substitutions *)
+      let edit k a =
+        let b = ref a in
+        for _ = 1 to Random.State.int rng 9 do
+          let n = Array.length !b in
+          let at = Random.State.int rng (n + 1) in
+          let c = Random.State.int rng k in
+          b :=
+            match Random.State.int rng 3 with
+            | 0 when at < n ->
+              Array.append (Array.sub !b 0 at)
+                (Array.sub !b (at + 1) (n - at - 1))
+            | 1 ->
+              Array.concat
+                [ Array.sub !b 0 at; [| c |]; Array.sub !b at (n - at) ]
+            | _ when at < n ->
+              let b' = Array.copy !b in
+              b'.(at) <- c;
+              b'
+            | _ -> !b
+        done;
+        !b
+      in
+      let names = Array.map (fun c -> alphabet.(c)) in
+      for i = 1 to 4000 do
+        let k = 1 + Random.State.int rng (Array.length alphabet) in
+        let a = draw k in
+        let b = if i mod 2 = 0 then draw k else edit k a in
+        let expected = Reference_distance.token_distance (names a) (names b) in
+        let got = Gen.token_distance a b in
+        if got <> expected then
+          Alcotest.failf
+            "pair %d (lengths %d, %d): token_distance %d, oracle %d" i
+            (Array.length a) (Array.length b) got expected
+      done)
+
 let suite =
   hamiltonian_tests @ pulse_tests @ grape_tests @ model_tests
   @ generator_tests @ pricing_tests @ sim_tests @ noise_tests @ density_tests
-  @ [ price_case ]
+  @ [ price_case; distance_case ]

@@ -42,7 +42,11 @@ let malformed =
     ("stray characters", "qreg q[2];\nh q[0]; $$$");
     ("unclosed gate body", "gate foo a { h a;\nqreg q[1];\nfoo q[0];");
     ("empty register name", "qreg [2];\nh q[0];");
-    ("binary junk", "\x00\x01\x02qreg q[1];")
+    ("binary junk", "\x00\x01\x02qreg q[1];");
+    ("infinite angle literal", "qreg q[1];\nrx(1e999) q[0];");
+    ("negative infinite angle literal", "qreg q[1];\nrx(-1e999) q[0];");
+    ("angle divided by zero", "qreg q[1];\nrx(pi/0) q[0];");
+    ("angle whose fold overflows", "qreg q[1];\nrx(1e308*10) q[0];")
   ]
 
 let fuzz_cases =
