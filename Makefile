@@ -16,8 +16,10 @@
 # cache file whose first line is empty, one whose K record holds NaN, a
 # plan sidecar whose waveform shape overflows, one whose waveform holds
 # an infinite amplitude (left as it was), a directory given as the
-# cache and a directory given as the circuit), then the IR, daemon and
-# bit-exact QOC gates below.
+# cache and a directory given as the circuit, a v4 cache file whose
+# class record's unitary holds NaN (refused by line, left as it was),
+# and a circuit with a free parameter (rx(theta)) through compile and
+# export-ir), then the IR, daemon and bit-exact QOC gates below.
 check:
 	dune build && dune runtest
 	$(MAKE) doc

@@ -45,9 +45,12 @@ module Obs = Paqoc_obs.Obs
    Stage, commit, discard. [stage] edits the DAG in place (the editor
    logs what it overwrites), updates latencies, keys and uids in place
    for the window ids and the repriced ids (logging them too), and
-   runs the est wave. [commit] runs the cp_after wave and the flags and
-   drops the logs; [discard] replays the logs and reruns the est wave,
-   which gives back the committed est exactly. Steady-state staging
+   runs the est wave. [commit] runs the cp_after wave and the flags,
+   hands the ids its value log names to [take_changed] (with the ids a
+   [refresh] reprices, the whole set of ids whose node, key, uid or
+   latency moved, so a consumer never rescans all ids) and drops the
+   logs; [discard] replays the logs and reruns the est wave, which
+   gives back the committed est exactly. Steady-state staging
    allocates only what the windows touch: no id-sized array, no
    circuit, no per-node boxing. *)
 module Engine = struct
@@ -65,6 +68,9 @@ module Engine = struct
     crit : bool array;
     kid : int array;  (** interned key of each id; -1 at a hole *)
     uid : int array;
+    mutable inv : int array;  (** committed id of each live uid *)
+    mutable changed : int list;
+        (** ids a commit or a refresh overwrote since [take_changed] *)
     mutable total : float;
     mutable epoch : int;  (** generator price epoch of [lat] *)
     (* interned keys, and one price per key *)
@@ -142,6 +148,8 @@ module Engine = struct
         crit = Array.make n false;
         kid = Array.make n (-1);
         uid = Array.init n Fun.id;
+        inv = Array.init n Fun.id;
+        changed = [];
         total = 0.0;
         epoch = Generator.price_epoch gen;
         interned = Hashtbl.create (max 16 n);
@@ -186,6 +194,12 @@ module Engine = struct
   let criticals e = e.crit
   let uids e = e.uid
   let key_ids e = e.kid
+  let id_of_uid e = e.inv
+
+  let take_changed e =
+    let ids = e.changed in
+    e.changed <- [];
+    ids
 
   let case_of e u v =
     match (e.crit.(u), e.crit.(v)) with
@@ -208,6 +222,7 @@ module Engine = struct
         for v = 0 to n - 1 do
           if stale e v then begin
             e.lat.(v) <- e.kprice.(e.kid.(v));
+            e.changed <- v :: e.changed;
             moved := true
           end
         done;
@@ -312,6 +327,19 @@ module Engine = struct
     Dag.cp_wave e.dagv ~latency:e.lat ~est:e.est ~total:e.s_total e.cp
       e.crit;
     Dag.keep e.ed;
+    (* the undo log names every id the edit or a reprice overwrote: hand
+       them to [take_changed], and point each new or moved uid at its id *)
+    if Array.length e.inv < e.next_uid then begin
+      let a = Array.make (max e.next_uid (2 * Array.length e.inv)) (-1) in
+      Array.blit e.inv 0 a 0 (Array.length e.inv);
+      e.inv <- a
+    end;
+    List.iter
+      (fun (v, _, _, _) ->
+        e.changed <- v :: e.changed;
+        let x = e.uid.(v) in
+        if x >= 0 then e.inv.(x) <- v)
+      e.vlog;
     e.vlog <- [];
     e.n <- e.s_n;
     e.circuit <- None;

@@ -93,6 +93,21 @@ module Engine : sig
 
   val key_ids : e -> int array
 
+  (** A read-only view from each committed uid to its node's id. A uid
+      that is no longer live maps to an id that now holds another uid or
+      a hole, so check [(uids e).(id) = uid]; a uid no commit has made
+      maps anywhere. {!commit} updates the view in place and may
+      replace it with a longer array, so fetch it again after each
+      commit; never mutate it. *)
+  val id_of_uid : e -> int array
+
+  (** [take_changed e] lists the ids whose node, key, uid or latency a
+      {!commit} or a {!refresh} has overwritten since the last call,
+      newest first and possibly repeated, and forgets them. A
+      {!discard}ed edit adds nothing. Every other id holds the same node
+      with the same latency as at the last call. *)
+  val take_changed : e -> int list
+
   (** [case_of e u v] classifies the merge pair per Section V-A: [`I]
       both critical, [`II] exactly one critical, [`III] neither. *)
   val case_of : e -> int -> int -> [ `I | `II | `III ]

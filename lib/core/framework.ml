@@ -80,7 +80,11 @@ let compile ?(scheme = paqoc_m0) ?(jobs = 1) ?deadline gen (c : Circuit.t) =
       ignore (Generator.generate_batch ~jobs gen apa_groups));
   Protocol.check_deadline deadline;
   (* 2. Observation-1 pre-processing, then the criticality search *)
-  let pre = Candidates.preprocess apa.Apa.circuit ~maxN:scheme.merger.Merger.max_n in
+  let pre =
+    Obs.with_span "paqoc.preprocess" (fun () ->
+        Candidates.preprocess apa.Apa.circuit
+          ~maxN:scheme.merger.Merger.max_n)
+  in
   let grouped, merge_stats =
     Obs.with_span "paqoc.search" (fun () ->
         Merger.run ~config:scheme.merger gen pre)

@@ -29,11 +29,6 @@ type stats = {
 
 module Engine = Criticality.Engine
 
-(* A merged key's rollback state, shared by every pair whose merged
-   group has that key: the blacklist is keyed on merged content, so one
-   rollback blocks them all. *)
-type key_state = { mutable blacklisted : bool }
-
 (* Everything about a candidate pair that depends only on the two
    gates' content — never on their position in the circuit, the
    schedule, or the pulse database — so it is computed once per
@@ -41,7 +36,10 @@ type key_state = { mutable blacklisted : bool }
 type pair_info = {
   union_n : int;  (** qubit count of the merged gate *)
   pair_est : float;  (** Observation-1/2 merged-latency estimate *)
-  state : key_state;  (** the merged key's blacklist state *)
+  state : Ranking.key_state;
+      (** the merged key's rollback state, shared by every pair whose
+          merged group has that key: the blacklist is keyed on merged
+          content, so one rollback blocks them all *)
 }
 
 let rec mem_int (q : int) = function
@@ -89,34 +87,56 @@ module Pair_table = struct
     max_n : int;
     include_iii : bool;
     table : pair_info Content.t;
-    states : (string, key_state) Hashtbl.t;  (** by merged key *)
+    states : (string, Ranking.key_state) Hashtbl.t;  (** by merged key *)
     mutable seen : int array;  (** a pair's qubits, by merged wire *)
-    (* slot rows, by node id: slot [i] of row [u] holds the entry of the
-       edge to [u]'s [i]-th successor *)
-    r_succs : int list array;  (** the successor list the row is sized for *)
-    r_uid : int array;  (** the node's uid the slots were filled for *)
-    r_suid : int array array;  (** each slot's successor uid; -1: empty *)
-    r_info : pair_info array array;
+    walk : Ranking.buffer;
+    mutable loaded : bool;
+    (* by uid *)
+    mutable stamps : int array;  (** bumped when the uid's latency moves *)
+    mutable ulat : float array;  (** the latency its edges were added at *)
+    mutable mark : int array;  (** the last sync that re-added its edges *)
+    mutable round : int;
+    mutable view : Ranking.view;
   }
 
   (* the entry of every pair wider than [max_n]: never rendered, never
      priced, never kept *)
   let wide =
-    { union_n = max_int; pair_est = 0.0; state = { blacklisted = true } }
+    { union_n = max_int;
+      pair_est = 0.0;
+      state = { Ranking.blacklisted = true }
+    }
+
+  let view_of eng ~stamps ~include_iii =
+    { Ranking.lat = Engine.latencies eng;
+      cp = Engine.cp_afters eng;
+      crit = Engine.criticals eng;
+      dag = Engine.dag eng;
+      uid = Engine.uids eng;
+      id_of_uid = Engine.id_of_uid eng;
+      stamps;
+      include_iii;
+      total = Engine.total eng
+    }
 
   let create (config : config) eng ~content =
     let n = Dag.n_nodes (Engine.dag eng) in
+    let stamps = Array.make n 0 in
+    let include_iii = not config.prune_noncritical in
     { eng;
       content;
       max_n = config.max_n;
-      include_iii = not config.prune_noncritical;
+      include_iii;
       table = Content.create 64;
       states = Hashtbl.create 64;
       seen = Array.make 8 0;
-      r_succs = Array.make n [];
-      r_uid = Array.make n (-1);
-      r_suid = Array.make n [||];
-      r_info = Array.make n [||]
+      walk = Ranking.buffer ();
+      loaded = false;
+      stamps;
+      ulat = Array.copy (Engine.latencies eng);
+      mark = Array.make n 0;
+      round = 0;
+      view = view_of eng ~stamps ~include_iii
     }
 
   (* [q]'s wire among the first [n] wires of [seen], or -1 *)
@@ -162,7 +182,7 @@ module Pair_table = struct
           match Hashtbl.find_opt t.states mkey with
           | Some st -> st
           | None ->
-            let st = { blacklisted = false } in
+            let st = { Ranking.blacklisted = false } in
             Hashtbl.add t.states mkey st;
             st
         in
@@ -172,68 +192,91 @@ module Pair_table = struct
 
   let blacklist t u v = (lookup t u v).state.blacklisted <- true
 
-  (* A slot is current when its row was filled for [u]'s uid and it
-     names [v]'s uid: the entry is a function of the two gates, and a
-     uid names one gate for the whole search. A new successor list only
-     resizes the row: a slot whose successor kept its uid stays good. *)
-  let fit_row t u succs (uid : int array) =
-    if t.r_succs.(u) != succs then begin
-      t.r_succs.(u) <- succs;
-      let len = List.length succs in
-      if Array.length t.r_suid.(u) < len then begin
-        t.r_suid.(u) <- Array.make len (-1);
-        t.r_info.(u) <- Array.make len wide
-      end
-    end;
-    if t.r_uid.(u) <> uid.(u) then begin
-      t.r_uid.(u) <- uid.(u);
-      Array.fill t.r_suid.(u) 0 (Array.length t.r_suid.(u)) (-1)
+  (* adds the committed edge [u -> v] to the walk when it is eligible:
+     no wider than [max_n], its merged key not blacklisted *)
+  let add_edge t lat (uid : int array) u v =
+    let p = lookup t u v in
+    if p.union_n <= t.max_n && not p.state.blacklisted then begin
+      let ua = uid.(u) and ub = uid.(v) in
+      Ranking.add t.walk ~lat ~u ~v ~ua ~ub
+        ~stamp:(t.stamps.(ua) + t.stamps.(ub))
+        ~est:p.pair_est p.state
     end
 
-  (* Candidate scoring over the committed engine state. Mirrors
-     enumerate+rank+filter of the reference loop with two deliberate
-     twists: a Case III edge (neither end critical) is dropped before
-     its slot is read, since the pruning drops it whatever its content
-     is; and the validity DFS (has_indirect_path) is postponed to the
-     selection walk, where only the top few candidates ever need it —
-     skipping an invalid candidate there is indistinguishable from its
-     absence here, since scores are content+schedule functions and
-     invalid candidates reserve no span. *)
-  let rec score_slots t b lat cp (crit : bool array) (uid : int array) suid
-      info u succs i = function
-    | [] -> ()
-    | v :: rest ->
-      if t.include_iii || crit.(u) || crit.(v) then begin
-        let p =
-          if suid.(i) = uid.(v) then info.(i)
-          else begin
-            let p = lookup t u v in
-            suid.(i) <- uid.(v);
-            info.(i) <- p;
-            p
-          end
-        in
-        if p.union_n <= t.max_n && not p.state.blacklisted then
-          Ranking.score_edge b ~include_iii:t.include_iii ~lat ~cp ~crit
-            ~succs ~u ~v ~est:p.pair_est
-      end;
-      score_slots t b lat cp crit uid suid info u succs (i + 1) rest
+  let ensure t x =
+    let len = Array.length t.stamps in
+    if x >= len then begin
+      let cap = max (x + 1) (2 * len) in
+      let grow a fill =
+        let a' = Array.make cap fill in
+        Array.blit a 0 a' 0 len;
+        a'
+      in
+      t.stamps <- grow t.stamps 0;
+      t.ulat <- grow t.ulat Float.nan;
+      t.mark <- grow t.mark 0
+    end
 
-  let score t b =
-    let dag = Engine.dag t.eng in
-    let lat = Engine.latencies t.eng
-    and cp = Engine.cp_afters t.eng
-    and crit = Engine.criticals t.eng
+  (* Brings the walk's entries up to date with the engine's committed
+     state. An entry is a function of its two uids' gates and
+     latencies, and an edge between two surviving nodes survives every
+     merge, so only two kinds of node need their edges added: a node
+     whose uid is new (a merged gate), and a node whose latency moved
+     (a reprice), whose stamp bump retires its old entries. The engine
+     names every id whose node or latency changed; a node that only
+     moved to another id keeps its entries, found through the engine's
+     uid view. An edge between two such nodes is added once, as the
+     successor edge of its first node. *)
+  let sync t =
+    let dag = Engine.dag t.eng
+    and lat = Engine.latencies t.eng
     and uid = Engine.uids t.eng in
-    Ranking.clear b;
-    for u = 0 to Dag.n_nodes dag - 1 do
-      match Dag.succs dag u with
+    if not t.loaded then begin
+      t.loaded <- true;
+      ignore (Engine.take_changed t.eng : int list);
+      for u = 0 to Dag.n_nodes dag - 1 do
+        List.iter (fun v -> add_edge t lat uid u v) (Dag.succs dag u)
+      done
+    end
+    else
+      match Engine.take_changed t.eng with
       | [] -> ()
-      | succs ->
-        fit_row t u succs uid;
-        score_slots t b lat cp crit uid t.r_suid.(u) t.r_info.(u) u succs 0
-          succs
-    done
+      | ids ->
+        t.round <- t.round + 1;
+        let moved =
+          List.filter
+            (fun j ->
+              let x = uid.(j) in
+              x >= 0
+              && begin
+                   ensure t x;
+                   t.ulat.(x) <> lat.(j)
+                   && begin
+                        t.stamps.(x) <- t.stamps.(x) + 1;
+                        t.ulat.(x) <- lat.(j);
+                        t.mark.(x) <- t.round;
+                        true
+                      end
+                 end)
+            ids
+        in
+        List.iter
+          (fun u ->
+            List.iter (fun v -> add_edge t lat uid u v) (Dag.succs dag u);
+            List.iter
+              (fun p ->
+                if t.mark.(uid.(p)) <> t.round then add_edge t lat uid p u)
+              (Dag.preds dag u))
+          moved
+
+  let start t =
+    sync t;
+    t.view <- view_of t.eng ~stamps:t.stamps ~include_iii:t.include_iii;
+    Ranking.start t.walk t.view
+
+  let next t = Ranking.next t.walk t.view
+  let candidates t = t.walk
+  let scored t = Ranking.scored t.walk
 end
 
 let run ?(config = default_config) ?jobs:_ gen c =
@@ -244,19 +287,17 @@ let run ?(config = default_config) ?jobs:_ gen c =
   let eps = 1e-6 in
   let reach = Dag.reach_ws (Dag.n_nodes (Engine.dag eng)) in
   let pairs = Pair_table.create config eng ~content:(pair_content gen) in
-  let cands = Ranking.buffer () in
-  let score_edges () = Pair_table.score pairs cands in
-  (* Span-disjoint top-k selection over the candidates, best first, with
-     validity checked lazily on the walk. [any_valid] reproduces the
-     reference's termination test (its scored list was empty iff no
-     valid candidate survived). The batch is the picked [(u, v)] pairs,
-     best first. *)
+  let cands = Pair_table.candidates pairs in
+  (* Span-disjoint top-k selection over the walk's candidates, best
+     first, with validity checked lazily on the walk. [any_valid]
+     reproduces the reference's termination test (its scored list was
+     empty iff no valid candidate survived). The batch is the picked
+     [(u, v)] pairs, best first. *)
   let select () =
     let dag = Engine.dag eng in
-    Ranking.start_walk cands;
     let spans = ref [] and picked = ref 0 in
     let batch = ref [] and any_valid = ref false in
-    let i = ref (Ranking.next cands) in
+    let i = ref (Pair_table.next pairs) in
     while !i >= 0 && not (!picked >= config.top_k && !any_valid) do
       let u = Ranking.cand_u cands !i and v = Ranking.cand_v cands !i in
       let valid () = not (Dag.has_indirect_path_ws reach dag u v) in
@@ -273,7 +314,8 @@ let run ?(config = default_config) ?jobs:_ gen c =
          incr picked;
          batch := (u, v) :: !batch
        end);
-      i := Ranking.next cands
+      if not (!picked >= config.top_k && !any_valid) then
+        i := Pair_table.next pairs
     done;
     (List.rev !batch, !any_valid)
   in
@@ -328,7 +370,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
       incr iterations;
       Obs.count "merger.iterations";
       Engine.refresh eng;
-      Obs.with_span "merger.score" score_edges;
+      Obs.with_span "merger.order" (fun () -> Pair_table.start pairs);
       let batch, any_valid = Obs.with_span "merger.select" select in
       match batch with
       | [] -> if any_valid then loop prev_total
@@ -346,6 +388,7 @@ let run ?(config = default_config) ?jobs:_ gen c =
   let final = Engine.circuit eng in
   let final_latency = Engine.total eng in
   Obs.count ~n:!committed "merger.committed";
+  Obs.count ~n:(Pair_table.scored pairs) "merger.scored";
   Obs.count ~n:!rolled_back "merger.rolled_back";
   ( final,
     { iterations = !iterations;

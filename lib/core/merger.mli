@@ -37,9 +37,13 @@ type stats = {
     an edit or a pulse-database write changed instead of re-analysing
     the whole circuit per merge step. Candidate content (merged key,
     qubit-union size and latency estimate) is computed once per
-    distinct content in a {!Pair_table} and read back per edge from
-    slot rows; a pair wider than [max_n] is dropped before its key is
-    rendered. Each candidate is kept as its pair and score alone, and
+    distinct content in a {!Pair_table}; a pair wider than [max_n] is
+    dropped before its key is rendered. Each pass scores the eligible
+    edges in descending order of a bound with no critical-path term
+    ({!Ranking.bound}) and stops as soon as the best candidate beats
+    every bound left, so it scores the edges that can win, not every
+    edge; one [merger.scored] count per search records how many it
+    scored. Each candidate is kept as its pair and score alone, and
     validity checks run allocation-free. The search runs on the calling
     domain; [jobs] is accepted and ignored, kept so existing callers
     still compile. The decision sequence, the generated pulse keys and
@@ -55,10 +59,11 @@ val run :
   Paqoc_circuit.Circuit.t ->
   Paqoc_circuit.Circuit.t * stats
 
-(** {1 The score pass}
+(** {1 The candidate walk}
 
     What {!run} scores its candidates with, exposed so the test suite
-    can hold it to a scorer that prices every edge afresh. *)
+    can hold it to a scorer that prices and scores every edge
+    afresh. *)
 
 (** [pair_content gen gu gv] is the pair's merged key, qubit-union size
     and Observations 1/2 latency estimate, computed afresh: the merged
@@ -71,23 +76,30 @@ val pair_content :
   Paqoc_circuit.Gate.app ->
   string * int * float
 
-(** The per-search pair table. An entry holds a pair's union size,
-    estimate and the blacklist state of its merged key, and is keyed on
-    the two nodes' interned key ids ({!Criticality.Engine.key_ids}) plus
-    the wire of each of the second gate's operands in the merged
-    numbering: the merged key is a function of those, and the estimate
-    of the key, so each distinct content is computed once. Per node,
-    a slot row aligned with {!Paqoc_circuit.Dag.succs} holds each
-    edge's entry; a slot is read back while the row's node and the
-    slot's successor keep their uids ({!Criticality.Engine.uids}). *)
+(** The per-search pair table and the bound-ordered walk over it.
+
+    An entry holds a pair's union size, estimate and the blacklist
+    state of its merged key, and is keyed on the two nodes' interned key
+    ids ({!Criticality.Engine.key_ids}) plus the wire of each of the
+    second gate's operands in the merged numbering: the merged key is a
+    function of those, and the estimate of the key, so each distinct
+    content is computed once. Every eligible edge (no wider than
+    [max_n], its merged key not blacklisted) sits in a {!Ranking.buffer}
+    by its bound, keyed by its nodes' uids ({!Criticality.Engine.uids});
+    the table adds the edges of a merged node and of a repriced node
+    when a pass starts after a commit or a refresh, reading the ids the
+    engine names ({!Criticality.Engine.take_changed}), and the walk
+    skips an entry whose node died, moved latency or was
+    blacklisted. *)
 module Pair_table : sig
   type t
 
-  (** [create config eng ~content] is an empty table over [eng]'s
-      committed state, for [config]'s [max_n] and Case III pruning.
-      [content] computes a missing entry: {!run} passes
-      [pair_content gen]. It is called only for pairs no wider than
-      [max_n]. *)
+  (** [create config eng ~content] is a table over [eng]'s committed
+      state, for [config]'s [max_n] and Case III pruning; [eng] must
+      have committed nothing yet, so each node's uid is its id. [content]
+      computes a missing entry: {!run} passes [pair_content gen]. It is
+      called only for pairs no wider than [max_n]. The first {!start}
+      adds every edge. *)
   val create :
     config ->
     Criticality.Engine.e ->
@@ -97,11 +109,23 @@ module Pair_table : sig
       string * int * float) ->
     t
 
-  (** [score t b] refills [b] with the candidates of the engine's
-      committed state: each edge that Case III pruning keeps, whose
-      pair is no wider than [max_n] and whose merged key is not
-      blacklisted, scored by {!Ranking.score_edge}. *)
-  val score : t -> Ranking.buffer -> unit
+  (** [start t] begins a pass over the engine's committed state: it
+      brings the ordered edges up to date and forgets the previous
+      pass's candidates. *)
+  val start : t -> unit
+
+  (** [next t] is the index in {!candidates} of the pass's next
+      candidate, or [-1]: the candidates are the edges Case III pruning
+      keeps, eligible and scoring above [1e-9] by {!Ranking.score_value},
+      in score-descending, then [(u, v)]-ascending order
+      ({!Ranking.next}). *)
+  val next : t -> int
+
+  (** The buffer {!next}'s indices point into. *)
+  val candidates : t -> Ranking.buffer
+
+  (** The exact scores computed since [t] was made. *)
+  val scored : t -> int
 
   (** [blacklist t u v] blocks the merged key of the committed edge
       [u -> v], and so every pair with that merged key. *)

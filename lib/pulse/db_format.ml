@@ -164,8 +164,8 @@ let parse_record version line =
                 | [] -> Error "truncated class record"
                 | x :: tl -> (
                   match float_of_string_opt x with
-                  | Some f -> take (k - 1) (f :: acc) tl
-                  | None -> Error "bad class float")
+                  | Some f when Float.is_finite f -> take (k - 1) (f :: acc) tl
+                  | Some _ | None -> Error "bad class float")
             in
             match take need [] rest with
             | Error e -> Error e

@@ -131,7 +131,8 @@ type contents = {
     [+K]/[+S]/[+C] after the first journal record; blank lines are
     skipped); a snapshot record after a journal record is an error, as is
     a [C] record in a pre-v4 file and a malformed or truncated class
-    record (["bad class arity"], ["bad class float"],
+    record (["bad class arity"], ["bad class float"] — a class
+    record's unitary entries must be finite —,
     ["truncated class record"]). A [K] record's values must be finite,
     its latency non-negative and its error at most 1 and at least
     [-1e-9] (a QOC row's [1 - fidelity] may round a few ulps below 0):

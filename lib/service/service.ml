@@ -31,6 +31,18 @@ let resolve_circuit = function
     | exception Not_found -> bad_request "unknown benchmark %s" name)
   | Protocol.Qasm src -> parse_qasm src
 
+(* A compile binds no parameter, so a circuit with a free one would
+   reach the backends unbound; only a sweep ([sweep_handle]) binds
+   them. The test walks the gates without allocating; the names are
+   gathered only to refuse. *)
+let refuse_free_params (c : Circuit.t) =
+  if Circuit.is_symbolic c then
+    let names = Circuit.free_params c in
+    bad_request "circuit has unbound parameter%s %s (only compile-sweep binds \
+                 parameters)"
+      (if List.length names > 1 then "s" else "")
+      (String.concat ", " names)
+
 (* The largest bare grid a request may ask for. Building a device
    costs an all-pairs distance table, so a grid's memory grows with the
    square of its qubit count: 32x32 resolves in tens of milliseconds,
@@ -104,6 +116,7 @@ let compile ?cache ?retry ~deadline (req : Protocol.compile_request) =
   if req.Protocol.max_n < 1 || req.Protocol.top_k < 1 then
     bad_request "max_qubits and top_k must be >= 1";
   let logical = resolve_circuit req.Protocol.circuit in
+  refuse_free_params logical;
   let dev =
     resolve_device ~device:req.Protocol.device ~rows:req.Protocol.rows
       ~cols:req.Protocol.cols ~drift_seed:req.Protocol.drift_seed

@@ -26,7 +26,9 @@
 
     Requests the compiler cannot serve — an unknown benchmark, sweep
     benchmark or device, malformed QASM, a circuit wider than its
-    device, out-of-range knobs — raise
+    device, a compile whose circuit has a free (unbound) parameter —
+    only a sweep binds parameters, and the refusal names them —,
+    out-of-range knobs — raise
     {!Paqoc_pulse.Protocol.Bad_request} before any compile work; the
     server answers them with the [bad_request] wire error and the CLI
     exits 1 with the same text. *)

@@ -31,6 +31,11 @@ FILES = {
     "overflow.plan": "paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\n"
     "A 0x0p+0\nO 0x1p+6 0x0p+0 0x1p+0 synthesized\n"
     "W 0x1p+0 2305843009213693952 4\n",
+    # a v4 cache file whose class record's unitary holds NaN values
+    "cnan.db": "paqoc-pulse-db v4\n"
+    "C abc 1 nan nan nan nan nan nan nan nan q 1;x@0\n",
+    # a one-gate circuit whose angle is a free parameter
+    "free.qasm": "OPENQASM 2.0;\nqreg q[1];\nrx(theta) q[0];\n",
     # the same plan whose waveform holds an infinite amplitude
     "inf.plan": "paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\n"
     "A 0x0p+0\nO 0x1p+6 0x0p+0 0x1p+0 synthesized\n"
@@ -60,6 +65,12 @@ ROWS = [
      "error: Cache.open_file: is a directory ({dir})", "dir"),
     ("compile {dir}", "error: cannot read circuit: is a directory ({dir})",
      "dir"),
+    ("compile bv --canonical-cache --cache {cnan.db}",
+     "error: Cache.open_file: line 2: bad class float", "cnan.db"),
+    ("compile {free.qasm}", "error: circuit has unbound parameter theta",
+     None),
+    ("export-ir {free.qasm} {out.json}",
+     "error: circuit has unbound parameter theta", None),
 ]
 
 PLACEHOLDER = re.compile(r"\{([^}]+)\}")

@@ -751,5 +751,43 @@ let suite =
         let final = tables c in
         Cache.close c;
         check_true "the closed file is Cache.save's bytes"
-          (String.equal (read_file path) final))
+          (String.equal (read_file path) final));
+    (* A class record's unitary entries reach Canon's relation test, so
+       a non-finite one is refused like a K record's values: by line,
+       with the file left as it was. *)
+    case "non-finite class-record entries are refused untouched" (fun () ->
+        with_tmp @@ fun path ->
+        (* six zeros: with a leading 1 and one more entry, the eight
+           floats of a one-qubit unitary *)
+        let fin = "0 0 0 0 0 0" in
+        let refused want body =
+          let bytes = "paqoc-pulse-db v4\n" ^ body in
+          write_file path bytes;
+          (match Cache.open_file path with
+          | c ->
+            Cache.close c;
+            Alcotest.failf "%S opened" body
+          | exception Failure m ->
+            check_true
+              (Printf.sprintf "%S refused with %S (got %S)" body want m)
+              (contains m want));
+          check_true "bytes unchanged" (String.equal bytes (read_file path))
+        in
+        refused "line 2: bad class float"
+          "C abc 1 nan nan nan nan nan nan nan nan q 1;x@0\n";
+        List.iter
+          (fun x ->
+            refused "line 2: bad class float"
+              (Printf.sprintf "C abc 1 1 %s %s q 1;x@0\n" fin x))
+          [ "inf"; "-inf"; "nan"; "1e999"; "-1e999" ];
+        refused "line 4: bad class float"
+          (Printf.sprintf "K 100 0.01 0.99 q 1;x@0\nC abc 1 1 %s 0 q 1;x@0\n\
+                           +C abd 1 1 %s inf q 1;x@0\n" fin fin);
+        let ok =
+          Printf.sprintf "K 100 0.01 0.99 q 1;x@0\nC abc 1 1 %s 0 q 1;x@0\n"
+            fin
+        in
+        write_file path ("paqoc-pulse-db v4\n" ^ ok);
+        Cache.with_file path (fun c ->
+            check_int "a finite class record loads" 1 (Cache.n_classes c)))
   ]

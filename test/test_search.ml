@@ -757,11 +757,13 @@ let preprocess_budget_case =
 module Ranking = Paqoc.Ranking
 module Pair_table = Merger.Pair_table
 
-(* a score pass's kept candidates in walk order, scores as bit patterns *)
-let walk b =
-  Ranking.start_walk b;
+(* a pass of the walk drained in full: its candidates in the order it
+   hands them out, scores as bit patterns *)
+let drain table =
+  Pair_table.start table;
+  let b = Pair_table.candidates table in
   let rec go acc =
-    let i = Ranking.next b in
+    let i = Pair_table.next table in
     if i < 0 then List.rev acc
     else
       go
@@ -770,34 +772,61 @@ let walk b =
   in
   go []
 
-(* the score pass with no table: [Merger.pair_content] on every edge
-   the pruning keeps, the blacklist a set of merged keys; [wide] counts
-   the kept edges wider than [max_n] *)
-let fresh_score gen (config : Merger.config) eng blacklisted wide b =
+(* the ranking order, as the reference ranks: score descending, then
+   pair ascending *)
+let fresh_order l =
+  List.sort
+    (fun (u, v, s) (u', v', s') ->
+      let s = Int64.float_of_bits s and s' = Int64.float_of_bits s' in
+      if s <> s' then compare s' s else compare (u, v) (u', v'))
+    l
+
+(* the score pass with no table and no order: [Merger.pair_content] on
+   every edge the pruning keeps, the blacklist a set of merged keys,
+   every such edge scored by [Ranking.score_value] and the positive
+   ones sorted into the ranking order; [wide] counts the kept edges
+   wider than [max_n] *)
+let fresh_score gen (config : Merger.config) eng blacklisted wide =
   let dag = Engine.dag eng in
-  let lat = Engine.latencies eng
-  and cp = Engine.cp_afters eng
-  and crit = Engine.criticals eng in
   let include_iii = not config.Merger.prune_noncritical in
-  Ranking.clear b;
+  let kept = ref [] in
   for u = 0 to Dag.n_nodes dag - 1 do
     let succs = Dag.succs dag u in
     List.iter
       (fun v ->
-        if include_iii || crit.(u) || crit.(v) then begin
+        let cu = Engine.is_critical eng u and cv = Engine.is_critical eng v in
+        if include_iii || cu || cv then begin
           let mkey, union_n, est =
             Merger.pair_content gen (Dag.gate dag u) (Dag.gate dag v)
           in
           if union_n > config.Merger.max_n then incr wide
-          else if not (Hashtbl.mem blacklisted mkey) then
-            Ranking.score_edge b ~include_iii ~lat ~cp ~crit ~succs ~u ~v ~est
+          else if not (Hashtbl.mem blacklisted mkey) then begin
+            let alt =
+              List.fold_left
+                (fun acc s ->
+                  if s = v then acc
+                  else
+                    Float.max acc
+                      (Engine.latency eng s +. Engine.cp_after eng s))
+                0.0 succs
+            in
+            let s =
+              Ranking.score_value ~case:(Engine.case_of eng u v)
+                ~u_critical:cu ~l_u:(Engine.latency eng u)
+                ~l_v:(Engine.latency eng v) ~cp_v:(Engine.cp_after eng v)
+                ~alt_after_u:alt ~est
+            in
+            if s > 1e-9 then kept := (u, v, bits s) :: !kept
+          end
         end)
       succs
-  done
+  done;
+  fresh_order !kept
 
-(* Drive a random merge sequence on [c] and, after every score pass,
-   hold the table's candidates to the fresh scorer's, in walk order and
-   bit for bit. A step stages a merge of a candidate (valid ones) or of
+(* Drive a random merge sequence on [c] and, after every step, drain
+   the walk in full and hold it to the fresh scorer's order, bit for
+   bit: draining makes the order the walk hands out depend on its stop
+   test. A step stages a merge of a candidate (valid ones) or of
    any mergeable pair, synthesising its pulse a third of the time, then
    commits it, discards it, or discards it and blacklists its merged key
    as a rollback does; half the steps end with a pulse write, and every
@@ -818,12 +847,10 @@ let drive_pair_table st ~steps ~wide ~rollbacks (config : Merger.config) c =
   in
   let table = Pair_table.create config eng ~content in
   let blacklisted = Hashtbl.create 8 in
-  let b_table = Ranking.buffer () and b_fresh = Ranking.buffer () in
   let check msg =
     Engine.refresh eng;
-    Pair_table.score table b_table;
-    fresh_score gen config eng blacklisted wide b_fresh;
-    let got = walk b_table and expected = walk b_fresh in
+    let got = drain table in
+    let expected = fresh_score gen config eng blacklisted wide in
     let show = function
       | [] -> "none"
       | (u, v, s) :: _ ->
@@ -918,6 +945,180 @@ let pair_table_case =
       check_true "some kept edges were wider than max_n" (!wide > 0);
       check_true "some steps rolled back and blacklisted" (!rollbacks > 0))
 
+(* ------------------------------------------------------------------ *)
+(* The walk's stop test on synthetic arrays                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Five disjoint edges 0->1, 2->3, 4->5, 6->7 and 8->9 with hand-set
+   latencies, CP-after values and critical flags:
+   - e = (0, 1), Case I, whose computed score exceeds its computed bound
+     by one ulp (2^-45), as rounding allows;
+   - c = (2, 3), Case II (v critical), whose bound is above e's and
+     whose score ties e's exactly: e must still come first, by its pair,
+     so the walk may not emit c before it has scored e;
+   - (4, 5) and (6, 7), Case III, whose scores tie each other at their
+     shared bound (scored only in the pruning ablation);
+   - (8, 9), whose bound is negative: filler that no pass may score.
+   With a total of 8 dt the margin is 8 * 2^-48 = 2^-45, so e's score
+   sits exactly at its bound plus the margin: a walk that emits c on
+   [>=] instead of [>] fails there, and one with no margin fails at any
+   total. *)
+let stop_test_lat =
+  [| 0x1.5acf9b2c9e384p+7;
+     0x1.875cdb8d7fadcp+7;
+     0.5;
+     0x1.b38d47f9d1f80p+7 +. 1.0;
+     100.0; 100.0; 100.0; 100.0; 10.0; 10.0
+  |]
+
+let stop_test_est =
+  [ (0, 0x1.2e9f2ec04bee1p+7); (2, 1.0); (4, 50.0); (6, 50.0); (8, 1e6) ]
+
+let stop_test_dag =
+  let g a = Gate.app2 Gate.CX a (a + 1) in
+  Dag.of_circuit
+    (Circuit.make ~n_qubits:10
+       (List.concat_map (fun a -> [ g a; g a ]) [ 0; 2; 4; 6; 8 ]))
+
+let stop_test_view ~include_iii ~total =
+  let n = Array.length stop_test_lat in
+  let cp = Array.make n 0.0 in
+  cp.(1) <- 0x1.6addd6848b37bp+14;
+  let crit = Array.make n false in
+  crit.(0) <- true;
+  crit.(1) <- true;
+  crit.(3) <- true;
+  { Ranking.lat = stop_test_lat;
+    cp;
+    crit;
+    dag = stop_test_dag;
+    uid = Array.init n Fun.id;
+    id_of_uid = Array.init n Fun.id;
+    stamps = Array.make n 0;
+    include_iii;
+    total
+  }
+
+(* every kept score of the view, in the ranking order *)
+let stop_test_fresh (w : Ranking.view) =
+  fresh_order
+    (List.filter_map
+       (fun (u, est) ->
+         let v = u + 1 in
+         let cu = w.Ranking.crit.(u) and cv = w.Ranking.crit.(v) in
+         if not (w.Ranking.include_iii || cu || cv) then None
+         else
+           let case = if cu && cv then `I else if cu || cv then `II else `III in
+           let s =
+             Ranking.score_value ~case ~u_critical:cu ~l_u:w.Ranking.lat.(u)
+               ~l_v:w.Ranking.lat.(v) ~cp_v:w.Ranking.cp.(v) ~alt_after_u:0.0
+               ~est
+           in
+           if s > 1e-9 then Some (u, v, bits s) else None)
+       stop_test_est)
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+    List.concat_map
+      (fun x ->
+        List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+      l
+
+let stop_test_case =
+  case "the walk's stop test: an ulp over the bound, and ties at it"
+    (fun () ->
+      let e_score =
+        Ranking.score_value ~case:`I ~u_critical:true ~l_u:stop_test_lat.(0)
+          ~l_v:stop_test_lat.(1) ~cp_v:0x1.6addd6848b37bp+14 ~alt_after_u:0.0
+          ~est:0x1.2e9f2ec04bee1p+7
+      and e_bound =
+        Ranking.bound ~l_u:stop_test_lat.(0) ~l_v:stop_test_lat.(1)
+          ~est:0x1.2e9f2ec04bee1p+7
+      in
+      check_bits "e's score is its bound plus one ulp" (e_bound +. 0x1p-45)
+        e_score;
+      check_bits "a margin of 2^-45 at 8 dt" 0x1p-45 (Ranking.margin 8.0);
+      List.iter
+        (fun (include_iii, total) ->
+          let w = stop_test_view ~include_iii ~total in
+          let expected = stop_test_fresh w in
+          check_int "the fresh order keeps e, c and the ties"
+            (if include_iii then 4 else 2)
+            (List.length expected);
+          List.iter
+            (fun order ->
+              (* the entries added before the filler's compaction land in
+                 the sorted run, the rest in the run added since *)
+              for split = 0 to List.length order do
+                let b = Ranking.buffer () in
+                let add (u, est) =
+                  Ranking.add b ~lat:stop_test_lat ~u ~v:(u + 1) ~ua:u
+                    ~ub:(u + 1) ~stamp:0 ~est
+                    { Ranking.blacklisted = false }
+                in
+                List.iteri (fun i x -> if i < split then add x) order;
+                for _ = 1 to 40 do
+                  add (8, 1e6)
+                done;
+                Ranking.start b w;
+                List.iteri (fun i x -> if i >= split then add x) order;
+                Ranking.start b w;
+                let rec go acc =
+                  let i = Ranking.next b w in
+                  if i < 0 then List.rev acc
+                  else
+                    go
+                      (( Ranking.cand_u b i,
+                         Ranking.cand_v b i,
+                         bits (Ranking.cand_score b i) )
+                      :: acc)
+                in
+                let got = go [] in
+                if got <> expected then
+                  Alcotest.failf
+                    "total %g, Case III %b, order %s, split %d: the walk \
+                     handed out %s"
+                    total include_iii
+                    (String.concat " "
+                       (List.map (fun (u, _) -> string_of_int u) order))
+                    split
+                    (String.concat " "
+                       (List.map
+                          (fun (u, v, _) -> Printf.sprintf "(%d,%d)" u v)
+                          got))
+              done)
+            (permutations (List.filter (fun (u, _) -> u < 8) stop_test_est)))
+        [ (false, 50_000.0); (true, 50_000.0); (false, 8.0); (true, 8.0) ])
+
+(* ------------------------------------------------------------------ *)
+(* The work budget                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A walk that quietly scored every edge again would keep every output
+   bit and lose its point; this pins the work. The 17 Table I
+   benchmarks under paqoc-m0 at jobs 1 make 189,375 exact scores; the
+   every-edge pass they replaced made 525,870. The budget is about 1.5
+   times the measured count. *)
+let scored_budget = 285_000
+
+let work_budget_case =
+  slow_case "a Table I suite's walk scores at most its budget of edges"
+    (fun () ->
+      let module Obs = Paqoc_obs.Obs in
+      Fun.protect ~finally:Obs.reset @@ fun () ->
+      Obs.reset ();
+      Obs.enable ();
+      ignore
+        (suite_run (fun ~cache gen c ->
+             Paqoc.compile ~scheme:Paqoc.paqoc_m0 ~jobs:1 (attached cache gen)
+               c));
+      let scored = Obs.counter_value "merger.scored" in
+      check_true "the walk scored something" (scored > 0);
+      if scored > scored_budget then
+        Alcotest.failf "the walk made %d exact scores, over the %d budget"
+          scored scored_budget)
+
 let suite =
   [ qcheck engine_differential;
     qcheck search_differential;
@@ -925,5 +1126,6 @@ let suite =
   ]
   @ alloc_suite @ prices_suite
   @ [ dnn_step_case; preprocess_pin; qpe_stage_case; deep_key_case;
-      preprocess_budget_case; pair_table_case
+      preprocess_budget_case; pair_table_case; stop_test_case;
+      work_budget_case
     ]

@@ -907,6 +907,51 @@ let test_warm_suite_submits_no_pool_task () =
   check_int "warm pass synthesized nothing" 0 (pass ());
   check_int "warm pass submitted no pool task" 0 (Obs.span_count "pool.task")
 
+(* A compile binds no parameter: a circuit with a free one is refused
+   by name, in-process and through the daemon, before any backend sees
+   it unbound; a sweep over the same circuit still binds it. *)
+let test_free_parameters_are_bad_requests () =
+  let src = "OPENQASM 2.0;\nqreg q[1];\nrx(theta) q[0];\n" in
+  let want = "circuit has unbound parameter theta" in
+  let names label msg =
+    check_true
+      (Printf.sprintf "%s: the refusal names theta (got %S)" label msg)
+      (String.starts_with ~prefix:want msg)
+  in
+  let req =
+    { Protocol.default_compile with
+      Protocol.circuit = Protocol.Qasm src;
+      rows = 1;
+      cols = 1
+    }
+  in
+  List.iter
+    (fun backend ->
+      match Service.compile ~deadline:None { req with Protocol.backend } with
+      | _ -> Alcotest.fail "a circuit with a free parameter compiled"
+      | exception Protocol.Bad_request msg -> names "in-process" msg)
+    [ Protocol.Model; Protocol.Qoc ];
+  (with_server ~sweep:(Service.sweep_handler ()) (Service.handler ())
+   @@ fun socket _t ->
+   Server.with_connection socket @@ fun fd ->
+   match Server.rpc fd (Protocol.Compile req) with
+   | Protocol.Refused (Protocol.Bad_request msg) -> names "daemon" msg
+   | Protocol.Refused e ->
+     Alcotest.failf "daemon: refused as %s" (Protocol.error_name e)
+   | _ -> Alcotest.fail "daemon: a circuit with a free parameter compiled");
+  let r =
+    Service.sweep_handle ~deadline:None
+      { Protocol.default_recompile with
+        Protocol.rc_circuit = Protocol.Qasm src;
+        rc_rows = 1;
+        rc_cols = 1;
+        rc_angles = [ [ ("theta", 0.3) ] ]
+      }
+  in
+  Alcotest.(check (list string)) "the sweep binds theta" [ "theta" ]
+    r.Protocol.sweep_params;
+  check_int "one bound iteration" 1 (List.length r.Protocol.iterations)
+
 let suite =
   [ case "protocol: requests round-trip" test_request_roundtrip;
     case "protocol: responses round-trip" test_response_roundtrip;
@@ -954,6 +999,8 @@ let suite =
     case "server: oversized device grids are refused as bad requests"
       test_oversized_grids_are_bad_requests;
     case "pool: a warm jobs-4 suite submits no pool task"
-      test_warm_suite_submits_no_pool_task
+      test_warm_suite_submits_no_pool_task;
+    case "server: a free parameter is refused by name; a sweep binds it"
+      test_free_parameters_are_bad_requests
   ]
 
