@@ -1,7 +1,16 @@
-# Tier-1 gate in one command: build, tests, docs, and CLI smoke runs (one
-# clean metrics run, one fault-injected run that must still succeed via
-# the decomposed-basis fallback, one shared-cache round trip that must be
-# all hits the second time, a cold compile-suite into a fresh cache file
+# Tier-1 gate in one command: first a lint that fails when
+# float_of_string or int_of_string (either form, or a Float/Int/Int32/
+# Int64.of_string alias) appears in lib/ or bin/ outside
+# lib/obs/scalar.ml, so every reader keeps one number grammar
+# (Paqoc_obs.Scalar); then build and tests (which include the mutation
+# harness, test/mutation.ml: every truncation, deletion and byte
+# substitution of each reader's seeds gives a typed error or a parse,
+# every number replaced by inf, -inf, nan or 1e999 is refused, and a
+# parsed seed prints back to itself, for Db_format v1-v4, the plan
+# sidecar, paqoc-ir, the --inject spec, QASM and Protocol frames),
+# docs, and CLI smoke runs (one clean metrics run, one fault-injected
+# run that must still succeed via the decomposed-basis fallback, one
+# shared-cache round trip that must be all hits the second time, a cold compile-suite into a fresh cache file
 # that must report at most 4 cache.compaction (compaction is amortized:
 # 256, 512 and 1,024 appends, then close), a canonical-cache and a
 # sweep-plan smoke, a QOC-backend compile whose compile cost must read
@@ -18,9 +27,16 @@
 # an infinite amplitude (left as it was), a directory given as the
 # cache and a directory given as the circuit, a v4 cache file whose
 # class record's unitary holds NaN (refused by line, left as it was),
-# and a circuit with a free parameter (rx(theta)) through compile and
-# export-ir), then the IR, daemon and bit-exact QOC gates below.
+# a circuit with a free parameter (rx(theta)) through compile and
+# export-ir, a one-slot plan sidecar whose gate angle reads rz(Cinf)
+# (refused by line, left as it was) and a sweep angle file whose first
+# binding reads inf), then the IR, daemon and bit-exact QOC gates below.
 check:
+	@if grep -rnE '(float|int)_of_string|(Float|Int|Int32|Int64)\.of_string' \
+	  lib bin | grep -v '^lib/obs/scalar\.ml:'; then \
+	  echo "check: a number is parsed outside lib/obs/scalar.ml (read it" \
+	    "through Paqoc_obs.Scalar)"; \
+	  exit 1; fi
 	dune build && dune runtest
 	$(MAKE) doc
 	dune exec bin/paqoc_cli.exe -- compile bv --jobs 2 \

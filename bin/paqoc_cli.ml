@@ -30,6 +30,23 @@ module Suite = Paqoc_benchmarks.Suite
 module Miner = Paqoc_mining.Miner
 module Obs = Paqoc_obs.Obs
 module Clock = Paqoc_obs.Clock
+module Scalar = Paqoc_obs.Scalar
+
+(* Every float flag reads through Scalar: inf and nan are refused the
+   way cmdliner refuses any word that is not a number (exit 124), so no
+   flag sends one into a request or to the daemon's JSON reader. The
+   docv and the printer are those of cmdliner's float converter. *)
+let finite_float =
+  let parse s =
+    let invalid what =
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected a %s" s what))
+    in
+    match Scalar.float s with
+    | Ok f -> Ok f
+    | Error Scalar.Not_a_number -> invalid "floating point number"
+    | Error Scalar.Not_finite -> invalid "finite floating point number"
+  in
+  Arg.conv ~docv:(Arg.conv_docv Arg.float) (parse, Arg.conv_printer Arg.float)
 
 (* Shared --metrics/--trace plumbing: enable the sink before the work,
    dump the reports after it. Dumps are atomic (tmp + rename); a bad path
@@ -138,7 +155,7 @@ let grid_of_spec = function
   | spec -> (
     match String.split_on_char 'x' spec with
     | [ r; c ] -> (
-      match (int_of_string_opt r, int_of_string_opt c) with
+      match (Scalar.int r, Scalar.int c) with
       | Some r, Some c when r > 0 && c > 0 -> (r, c)
       | _ ->
         Printf.eprintf "error: bad device spec %s (want RxC)\n" spec;
@@ -318,7 +335,7 @@ let reject_with_connect flags =
 let deadline_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some finite_float) None
     & info [ "deadline-seconds" ] ~docv:"S"
         ~doc:
           "Wall-clock budget for the whole compile or sweep (exit 124 \
@@ -457,7 +474,7 @@ let compile_cmd =
   in
   let task_seconds =
     Arg.(
-      value & opt (some float) None
+      value & opt (some finite_float) None
       & info [ "task-seconds" ] ~docv:"S"
           ~doc:
             "Wall-clock budget per synthesis task, in seconds (> 0); once \
@@ -659,7 +676,7 @@ let compile_sweep_cmd =
   in
   let interp_tol =
     Arg.(
-      value & opt float 1e-6
+      value & opt finite_float 1e-6
       & info [ "interp-tol" ] ~docv:"T"
           ~doc:
             "Max |predicted - resimulated| trace-fidelity drift accepted \
@@ -689,9 +706,9 @@ let compile_sweep_cmd =
       | Some i when i > 0 -> (
         let name = String.sub tok 0 i in
         let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match float_of_string_opt v with
-        | Some v -> (name, v)
-        | None ->
+        match Scalar.float v with
+        | Ok v -> (name, v)
+        | Error _ ->
           Printf.ksprintf failwith "%s:%d: bad angle value in %s" path lineno
             tok)
       | _ ->
@@ -849,7 +866,7 @@ let export_ir_cmd =
   in
   let tol =
     Arg.(
-      value & opt float 1e-9
+      value & opt finite_float 1e-9
       & info [ "tol" ] ~docv:"T"
           ~doc:"Max |recorded - re-simulated| fidelity drift $(b,--check) \
                 accepts.")
@@ -977,7 +994,7 @@ let pulse_cmd =
   in
   let fidelity =
     Arg.(
-      value & opt float 0.999
+      value & opt finite_float 0.999
       & info [ "fidelity" ] ~docv:"F" ~doc:"Target gate fidelity.")
   in
   let dump =
@@ -1101,7 +1118,7 @@ let serve_cmd =
   let deadline =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "deadline-seconds" ] ~docv:"S"
           ~doc:
             "Default per-request budget for requests that name none; \
@@ -1110,7 +1127,7 @@ let serve_cmd =
   let idle =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "idle-timeout" ] ~docv:"S"
           ~doc:
             "Drain and exit after $(docv) seconds with no connection and \

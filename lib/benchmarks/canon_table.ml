@@ -57,10 +57,8 @@ let parse s =
   |> List.map (fun l ->
          match String.split_on_char ' ' l with
          | [ name; synth; hits; canon; _rate ] -> (
-           match
-             (int_of_string_opt synth, int_of_string_opt hits,
-              int_of_string_opt canon)
-           with
+           let int = Paqoc_obs.Scalar.int in
+           match (int synth, int hits, int canon) with
            | Some synthesized, Some hits, Some canonical_hits ->
              { name; synthesized; hits; canonical_hits }
            | _ -> failwith ("Canon_table.parse: bad row " ^ l))

@@ -37,7 +37,7 @@ let parse s =
   |> List.map (fun l ->
          match String.split_on_char ' ' l with
          | [ name; lat; groups ] -> (
-           match (float_of_string_opt lat, int_of_string_opt groups) with
-           | Some latency, Some n_groups -> { name; latency; n_groups }
+           match (Paqoc_obs.Scalar.float lat, Paqoc_obs.Scalar.int groups) with
+           | Ok latency, Some n_groups -> { name; latency; n_groups }
            | _ -> failwith ("Latency_table.parse: bad row " ^ l))
          | _ -> failwith ("Latency_table.parse: bad row " ^ l))

@@ -65,13 +65,11 @@ let parse s =
   |> List.map (fun l ->
          match String.split_on_char ' ' l with
          | [ iter; lat; esp; interp; fallback; resynth ] -> (
+           let int = Paqoc_obs.Scalar.int
+           and float s = Result.to_option (Paqoc_obs.Scalar.float s) in
            match
-             ( int_of_string_opt iter,
-               float_of_string_opt lat,
-               float_of_string_opt esp,
-               int_of_string_opt interp,
-               int_of_string_opt fallback,
-               int_of_string_opt resynth )
+             (int iter, float lat, float esp, int interp, int fallback,
+              int resynth)
            with
            | ( Some iter,
                Some latency,

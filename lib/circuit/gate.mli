@@ -94,8 +94,6 @@ val is_diagonal : kind -> bool
 val interaction_weight : kind -> float
 
 (** Structural equality with angle tolerance; customs compare by body. *)
-val equal_kind : kind -> kind -> bool
-
 val equal_app : app -> app -> bool
 
 (** Adjoint gate. Customs are inverted body-wise. *)
@@ -127,6 +125,5 @@ val unitary : kind -> Paqoc_linalg.Cmat.t
     order (later gates multiply on the left). *)
 val unitary_of_apps : n_qubits:int -> app list -> Paqoc_linalg.Cmat.t
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp_app : Format.formatter -> app -> unit
 val app_to_string : app -> string

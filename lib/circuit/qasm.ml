@@ -76,9 +76,12 @@ let read_token lx =
         else continue := false
       done;
       let text = String.sub lx.src start (lx.pos - start) in
-      match float_of_string_opt text with
-      | Some f -> Number f
-      | None -> error lx (Printf.sprintf "bad number %S" text)
+      match Paqoc_obs.Scalar.float text with
+      | Ok f -> Number f
+      | Error Paqoc_obs.Scalar.Not_a_number ->
+        error lx (Printf.sprintf "bad number %S" text)
+      | Error Paqoc_obs.Scalar.Not_finite ->
+        error lx (Printf.sprintf "number %S is past the float range" text)
     end
     else if c = '"' then begin
       let start = lx.pos + 1 in
@@ -212,9 +215,10 @@ and parse_unary lx =
   | _ -> error lx "expected parameter expression"
 
 (* A gate parameter: an expression whose folded constant, or the
-   coefficient of its symbol, is finite. A literal past the float range
-   ([1e999]) or a fold that overflows or divides by zero ([1e308*10],
-   [pi/0]) would otherwise reach the pulse stack as inf or NaN. *)
+   coefficient of its symbol, is finite. The lexer refuses a literal
+   past the float range ([1e999]); a fold that overflows or divides by
+   zero ([1e308*10], [pi/0]) would otherwise reach the pulse stack as
+   inf or NaN. *)
 let parse_param lx =
   let e = parse_expr lx in
   (match e with

@@ -417,6 +417,13 @@ let magic = "paqoc-plan v1"
 
 exception Bad_token of string
 
+(* the reason a plan number was refused, naming its token: the sidecar
+   never writes inf or nan, and a waveform number or a gate angle must
+   be finite to re-simulate *)
+let float_reason tok = function
+  | Paqoc_obs.Scalar.Not_a_number -> Printf.sprintf "bad float %S" tok
+  | Paqoc_obs.Scalar.Not_finite -> Printf.sprintf "non-finite number %S" tok
+
 let delimiter_free name =
   String.for_all
     (fun c ->
@@ -526,9 +533,9 @@ let app_of_token s =
   in
   let parse_float stop =
     let tok = take_while (fun c -> not (stop c)) in
-    match float_of_string_opt tok with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "bad float %S" tok)
+    match Paqoc_obs.Scalar.float tok with
+    | Ok f -> f
+    | Error e -> fail (float_reason tok e)
   in
   let parse_angle stop =
     match peek () with
@@ -548,7 +555,7 @@ let app_of_token s =
   in
   let parse_int stop =
     let tok = take_while (fun c -> not (stop c)) in
-    match int_of_string_opt tok with
+    match Paqoc_obs.Scalar.int tok with
     | Some i -> i
     | None -> fail (Printf.sprintf "bad integer %S" tok)
   in
@@ -691,16 +698,13 @@ let plan_of_string text =
     | None -> fail "unexpected end of plan"
   in
   let fields l = String.split_on_char ' ' l in
-  (* [plan_to_string]'s %h never writes inf or nan, and a waveform
-     number must be finite to re-simulate *)
   let float_field ~at tok =
-    match float_of_string_opt tok with
-    | Some f when Float.is_finite f -> f
-    | Some _ -> fail ~at (Printf.sprintf "non-finite number %S" tok)
-    | None -> fail ~at (Printf.sprintf "bad float %S" tok)
+    match Paqoc_obs.Scalar.float tok with
+    | Ok f -> f
+    | Error e -> fail ~at (float_reason tok e)
   in
   let int_field ~at tok =
-    match int_of_string_opt tok with
+    match Paqoc_obs.Scalar.int tok with
     | Some i -> i
     | None -> fail ~at (Printf.sprintf "bad integer %S" tok)
   in

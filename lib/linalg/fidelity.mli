@@ -6,11 +6,8 @@
     [ESP = Π (1 - ε_i)] (Eq. 2) is folded where circuits are priced
     ([Paqoc_pulse.Pricing.price]). *)
 
-(** [trace_overlap target u] is [|Tr(target† u)| / d] in [0, 1]. *)
-val trace_overlap : Cmat.t -> Cmat.t -> float
-
-(** [gate_fidelity target u] is [trace_overlap² ] — the functional GRAPE
-    maximises. *)
+(** [gate_fidelity target u] is [(|Tr(target† u)| / d)²] in [0, 1] —
+    the functional GRAPE maximises. *)
 val gate_fidelity : Cmat.t -> Cmat.t -> float
 
 (** [gate_error target u] is [1 - gate_fidelity target u], the paper's

@@ -127,7 +127,7 @@ let of_string s =
           let hex = String.sub s !pos 4 in
           pos := !pos + 4;
           let code =
-            match int_of_string_opt ("0x" ^ hex) with
+            match Scalar.hex hex with
             | Some c -> c
             | None -> err "bad \\u escape"
           in
@@ -154,9 +154,11 @@ let of_string s =
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some v -> v
-    | None -> err (Printf.sprintf "bad number %S" tok)
+    match Scalar.float tok with
+    | Ok v -> v
+    | Error Scalar.Not_a_number -> err (Printf.sprintf "bad number %S" tok)
+    | Error Scalar.Not_finite ->
+      err (Printf.sprintf "number %S is past the float range" tok)
   in
   let rec parse_value () =
     skip_ws ();

@@ -39,6 +39,9 @@ val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 (** [of_string s] parses one JSON value (surrounding whitespace allowed;
-    trailing garbage is an error). Unicode escapes are accepted for ASCII
+    trailing garbage is an error). A number reads through
+    {!Scalar.float}, so one past the float range ([1e999]) is an error
+    naming it, and a parsed [Num] is always finite. A Unicode escape is
+    [\u] and exactly four hex digits ({!Scalar.hex}), accepted for ASCII
     code points only — the writer never produces any other. *)
 val of_string : string -> (t, string) result

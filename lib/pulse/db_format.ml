@@ -98,10 +98,11 @@ type contents = {
   valid_bytes : int;
 }
 
-(* A K record's values must be finite, its latency non-negative and its
-   error a probability: [1 - error] in [0, 1]. A QOC row stores
-   [1 - achieved], and a fidelity that rounds above 1 makes that a few
-   ulps negative (-2^-52 seen), so the lower bound allows rounding. *)
+(* A K record's values are finite ({!Paqoc_obs.Scalar.float}), its
+   latency non-negative and its error a probability: [1 - error] in
+   [0, 1]. A QOC row stores [1 - achieved], and a fidelity that rounds
+   above 1 makes that a few ulps negative (-2^-52 seen), so the lower
+   bound allows rounding. *)
 let error_rounding = 1e-9
 let valid_error e = e <= 1.0 && e >= -.error_rounding
 
@@ -112,9 +113,9 @@ let parse_record version line =
     match String.split_on_char ' ' line with
     | "K" :: lat :: err :: fid :: rest when rest <> [] -> (
       let num name valid s =
-        match float_of_string_opt s with
-        | Some f when Float.is_finite f && valid f -> Ok f
-        | Some _ | None -> Error ("bad " ^ name)
+        match Paqoc_obs.Scalar.float s with
+        | Ok f when valid f -> Ok f
+        | Ok _ | Error _ -> Error ("bad " ^ name)
       in
       let provenance_and_key =
         match version with
@@ -150,7 +151,7 @@ let parse_record version line =
     | V4 -> (
       match String.split_on_char ' ' line with
       | "C" :: ck :: nq :: rest when ck <> "" -> (
-        match int_of_string_opt nq with
+        match Paqoc_obs.Scalar.int nq with
         | None -> Error "bad class arity"
         | Some n_qubits ->
           if n_qubits < 1 || n_qubits > 3 then Error "bad class arity"
@@ -163,9 +164,9 @@ let parse_record version line =
                 match rest with
                 | [] -> Error "truncated class record"
                 | x :: tl -> (
-                  match float_of_string_opt x with
-                  | Some f when Float.is_finite f -> take (k - 1) (f :: acc) tl
-                  | Some _ | None -> Error "bad class float")
+                  match Paqoc_obs.Scalar.float x with
+                  | Ok f -> take (k - 1) (f :: acc) tl
+                  | Error _ -> Error "bad class float")
             in
             match take need [] rest with
             | Error e -> Error e

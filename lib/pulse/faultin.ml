@@ -113,7 +113,7 @@ let parse_clause clause =
           let k = String.sub opt 0 i in
           let v = String.sub opt (i + 1) (String.length opt - i - 1) in
           let int_v name =
-            match int_of_string_opt v with
+            match Paqoc_obs.Scalar.int v with
             | Some n when n >= 1 -> Ok n
             | _ -> Error (Printf.sprintf "bad %s value %S" name v)
           in
@@ -123,14 +123,14 @@ let parse_clause clause =
           | "every" ->
             Result.map (fun n -> counted := Some (Every n)) (int_v "every")
           | "seed" -> (
-            match int_of_string_opt v with
+            match Paqoc_obs.Scalar.int v with
             | Some n ->
               seed := n;
               Ok ()
             | None -> Error (Printf.sprintf "bad seed value %S" v))
           | "prob" -> (
-            match float_of_string_opt v with
-            | Some f when f >= 0.0 && f <= 1.0 ->
+            match Paqoc_obs.Scalar.float v with
+            | Ok f when f >= 0.0 && f <= 1.0 ->
               prob := Some f;
               Ok ()
             | _ -> Error (Printf.sprintf "bad prob value %S (want [0,1])" v))

@@ -75,10 +75,6 @@ let shape_signature g =
 
 type provenance = Db_format.provenance = Synthesized | Fallback
 
-let provenance_name = function
-  | Synthesized -> "synthesized"
-  | Fallback -> "fallback"
-
 type outcome = {
   latency : float;
   error : float;

@@ -52,8 +52,6 @@ val token_codes : (string, int) Hashtbl.t -> string list -> int array
     type lives in {!Db_format} (persistence shares it with {!Cache}). *)
 type provenance = Db_format.provenance = Synthesized | Fallback
 
-val provenance_name : provenance -> string
-
 type outcome = {
   latency : float;  (** pulse duration in device dt *)
   error : float;  (** per-group infidelity [ε] (for ESP) *)

@@ -106,11 +106,6 @@ val evaluate :
     The reference run pins that promise in [test/golden/grape_amplitudes.txt]
     (refreshed with [make update-golden]). *)
 
-(** [render_amplitudes p] renders the amplitude envelope as hexadecimal
-    ([%h]) floats, one line per slice — bit-faithful, unlike any decimal
-    rounding. *)
-val render_amplitudes : Pulse.t -> string
-
 (** [reference_golden ()] runs a fixed 2-qubit CX optimisation and
     renders iterations, fidelity and amplitudes. *)
 val reference_golden : unit -> string

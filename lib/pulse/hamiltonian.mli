@@ -71,8 +71,3 @@ val at_into :
   float array ->
   dst:Paqoc_linalg.Cmat.t ->
   unit
-
-(** Pauli matrices, exposed for tests. *)
-val sigma_x : Paqoc_linalg.Cmat.t
-
-val sigma_y : Paqoc_linalg.Cmat.t

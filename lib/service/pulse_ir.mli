@@ -122,10 +122,9 @@ type error =
 val error_to_string : error -> string
 
 (** [of_string s] parses one document. Total: any byte string either
-    decodes or yields a typed [Error]. Every number must be finite: a
-    literal that overflows a double (say [1e999]) is a [Bad_field], or a
-    [Bad_instruction] inside the schedule, naming its path (a list
-    element by its index). *)
+    decodes or yields a typed [Error]. Every number is finite: the JSON
+    reader refuses a literal that overflows a double (say [1e999]) as
+    [Bad_json], naming the literal and its byte offset. *)
 val of_string : string -> (t, error) result
 
 (** [load path] reads and parses a file; an unreadable file is

@@ -63,9 +63,6 @@ val default_mu : float
     [drive_ratio *. default_mu]. *)
 val drive_ratio : float
 
-(** Default transmon anharmonicity metadata (-0.34 GHz). *)
-val default_anharmonicity : float
-
 (** {1 The registry} *)
 
 (** The paper's evaluation platform: the 5x5 nearest-neighbour lattice

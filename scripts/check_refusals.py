@@ -40,6 +40,12 @@ FILES = {
     "inf.plan": "paqoc-plan v1\nQ 1\nP t\nV 0x0p+0\nN 1\nR t rz(St)@0\n"
     "A 0x0p+0\nO 0x1p+6 0x0p+0 0x1p+0 synthesized\n"
     "W 0x1p+0 1 2 inf 0x0p+0\n",
+    # a one-slot plan with no parameters whose gate angle is infinite
+    "cinf.plan": "paqoc-plan v1\nQ 1\nP\nV\nN 1\nS rz(Cinf)@0\n"
+    "O 0x1p+5 0x0p+0 0x1p+0 synthesized\n",
+    # a sweep angle file whose first binding is infinite
+    "inf.angles": "beta_0=inf beta_1=0.1 beta_2=0.2 gamma_0=0.3 gamma_1=0.4 "
+    "gamma_2=0.5\n",
 }
 
 # (arguments, stderr pattern, the {name} that must stay as it was)
@@ -71,6 +77,10 @@ ROWS = [
      None),
     ("export-ir {free.qasm} {out.json}",
      "error: circuit has unbound parameter theta", None),
+    ("compile-sweep qaoa --sweep 1 --plan {cinf.plan}",
+     "error: {cinf.plan}: bad plan sidecar (line 6", "cinf.plan"),
+    ("compile-sweep qaoa --angles-file {inf.angles}",
+     "error: {inf.angles}:1: bad angle value", None),
 ]
 
 PLACEHOLDER = re.compile(r"\{([^}]+)\}")

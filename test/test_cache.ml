@@ -789,5 +789,78 @@ let suite =
         in
         write_file path ("paqoc-pulse-db v4\n" ^ ok);
         Cache.with_file path (fun c ->
-            check_int "a finite class record loads" 1 (Cache.n_classes c)))
+            check_int "a finite class record loads" 1 (Cache.n_classes c)));
+    case "Db_format v1-v4 under the mutation harness" (fun () ->
+        (* a v1 K record carries no provenance token *)
+        let line version r =
+          let l = Db.record_line r in
+          match (version, r, String.split_on_char ' ' l) with
+          | Db.V1, Db.Priced _, k :: lat :: err :: fid :: _ :: key ->
+            String.concat " " (k :: lat :: err :: fid :: key)
+          | _ -> l
+        in
+        let print (c : Db.contents) =
+          String.concat ""
+            ((Db.magic c.Db.version ^ "\n")
+            :: List.map (fun r -> line c.Db.version r ^ "\n") c.Db.snapshot
+            @ List.map (fun r -> "+" ^ line c.Db.version r ^ "\n") c.Db.journal
+            )
+        in
+        (* a K record's latency, error and fidelity; a C record's arity
+           and unitary entries *)
+        let numbers doc =
+          List.concat_map
+            (fun (off, len) ->
+              match Mutation.tokens ~sep:" " doc ~off ~len with
+              | tag :: rest -> (
+                let field (o, l) = String.sub doc o l in
+                match (field tag, rest) with
+                | ("K" | "+K"), lat :: err :: fid :: _ -> [ lat; err; fid ]
+                | ("C" | "+C"), _ :: arity :: rest ->
+                  let d = 1 lsl int_of_string (field arity) in
+                  arity :: List.filteri (fun i _ -> i < 2 * d * d) rest
+                | _ -> [])
+              | [] -> [])
+            (Mutation.lines doc)
+        in
+        let k ?(provenance = Db.Synthesized) key latency =
+          Db.Priced
+            (key, { Db.latency; error = 0.01; fidelity = 0.99; provenance })
+        in
+        let cls class_key rep_key =
+          Db.Class
+            { Db.class_key;
+              n_qubits = 1;
+              unitary = [| 1.; 0.; 0.; 0.; 0.; 0.; 0.5; -0.25 |];
+              rep_key
+            }
+        in
+        let doc version snapshot journal =
+          print
+            { Db.version;
+              snapshot;
+              journal;
+              torn_tail = false;
+              valid_bytes = 0
+            }
+        in
+        Mutation.check
+          { Mutation.name = "pulse database";
+            parse = Db.parse_string;
+            print;
+            numbers;
+            alphabet = Mutation.line_alphabet
+          }
+          [ doc Db.V1 [ k "2;cx@0,1" 100.; Db.Shape "2;cx" ] [];
+            doc Db.V2
+              [ k "1;x@0" 38.5; k ~provenance:Db.Fallback "2;cx@0,1" 160.;
+                Db.Shape "1;x" ]
+              [];
+            doc Db.V3
+              [ k "1;x@0" 38.5; Db.Shape "1;x" ]
+              [ k "2;cz@0,1" 96.; Db.Shape "2;cz" ];
+            doc Db.V4
+              [ k "1;x@0" 38.5; cls "c1" "1;x@0" ]
+              [ k "1;h@0" 40.; cls "c2" "1;h@0" ]
+          ])
   ]

@@ -77,6 +77,50 @@ let words_per_call ?(reps = 50) f =
   done;
   (Gc.minor_words () -. before) /. float_of_int reps
 
+(* One QOC instruction on one qubit whose target is its own waveform's
+   propagator, so the document verifies; its one x0 sample, 0.015625,
+   prints as a unique needle. *)
+let one_qubit_qoc_ir () =
+  let module H = Paqoc_pulse.Hamiltonian in
+  let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
+  let x0 = 0.015625 in
+  let pulse =
+    { Paqoc_pulse.Pulse.dt = 2.0; amplitudes = [| [| x0; 0.0 |] |] }
+  in
+  let wave =
+    { Pulse_ir.dt = 2.0;
+      channels =
+        [ { Pulse_ir.label = "x0"; samples = [| x0 |] };
+          { Pulse_ir.label = "y0"; samples = [| 0.0 |] }
+        ];
+      unitary =
+        Paqoc_canon.Canon.unitary_to_floats
+          (Paqoc_pulse.Pulse.propagator h pulse)
+    }
+  in
+  let ins =
+    { Pulse_ir.name = "x0";
+      qubits = [ 0 ];
+      t0 = 0.0;
+      duration = 2.0;
+      error = 0.0;
+      fidelity = 1.0;
+      provenance = Pulse_ir.Synthesized;
+      waveform = Some wave
+    }
+  in
+  ( { Pulse_ir.backend = "qoc";
+      device_name = "1x1";
+      device_hash = "0";
+      device_qubits = 1;
+      synthesis_mu = H.mu_max;
+      drive_bound = H.drive_max;
+      latency = 2.0;
+      esp = 1.0;
+      schedule = [ ins ]
+    },
+    ins )
+
 let suite =
   [ case "registry: names resolve, order is pinned, hashes are distinct"
       (fun () ->
@@ -324,74 +368,70 @@ let suite =
           (function Pulse_ir.Bad_instruction (0, _) -> true | _ -> false));
     case "pulse IR: non-finite numbers and waveforms on no qubits are errors"
       (fun () ->
-        (* one QOC instruction on one qubit whose target is its own
-           waveform's propagator, so the document verifies *)
-        let module H = Paqoc_pulse.Hamiltonian in
-        let h = H.make ~n_qubits:1 ~coupled_pairs:[] () in
-        let x0 = 0.015625 (* printed as 0.015625: a unique needle *) in
-        let pulse =
-          { Paqoc_pulse.Pulse.dt = 2.0; amplitudes = [| [| x0; 0.0 |] |] }
-        in
-        let wave =
-          { Pulse_ir.dt = 2.0;
-            channels =
-              [ { Pulse_ir.label = "x0"; samples = [| x0 |] };
-                { Pulse_ir.label = "y0"; samples = [| 0.0 |] }
-              ];
-            unitary =
-              Paqoc_canon.Canon.unitary_to_floats
-                (Paqoc_pulse.Pulse.propagator h pulse)
-          }
-        in
-        let ins =
-          { Pulse_ir.name = "x0";
-            qubits = [ 0 ];
-            t0 = 0.0;
-            duration = 2.0;
-            error = 0.0;
-            fidelity = 1.0;
-            provenance = Pulse_ir.Synthesized;
-            waveform = Some wave
-          }
-        in
-        let ir =
-          { Pulse_ir.backend = "qoc";
-            device_name = "1x1";
-            device_hash = "0";
-            device_qubits = 1;
-            synthesis_mu = H.mu_max;
-            drive_bound = H.drive_max;
-            latency = 2.0;
-            esp = 1.0;
-            schedule = [ ins ]
-          }
-        in
+        let ir, ins = one_qubit_qoc_ir () in
         let doc = Pulse_ir.to_string ir in
         (match Result.map Pulse_ir.verify (Pulse_ir.of_string doc) with
         | Ok (Ok r) -> check_int "control document verifies" 1 r.Pulse_ir.checked
         | Ok (Error msg) -> Alcotest.failf "control document: %s" msg
         | Error e ->
           Alcotest.failf "control document: %s" (Pulse_ir.error_to_string e));
-        (* 1e999 reads as +inf: refused where it stands, by path *)
-        let names needle = function
-          | Pulse_ir.Bad_instruction (0, why) ->
-            String.length why >= String.length needle
-            && String.sub why 0 (String.length needle) = needle
+        (* 1e999 is past the float range: the JSON reader refuses it,
+           naming the number *)
+        let names number = function
+          | Pulse_ir.Bad_json why ->
+            String.starts_with
+              ~prefix:(Printf.sprintf "number %S is past" number)
+              why
           | _ -> false
         in
         expect_ir_error "infinite sample"
           (replace_first ~needle:"0.015625" ~by:"1e999" doc)
-          (names "field schedule[0].channels[0].samples[0]: non-finite");
+          (names "1e999");
         expect_ir_error "infinite dt"
           (replace_first ~needle:"\"dt\": 2," ~by:"\"dt\": 1e999," doc)
-          (names "field schedule[0].dt: non-finite");
+          (names "1e999");
         expect_ir_error "infinite esp"
           (replace_first ~needle:"\"esp\": 1," ~by:"\"esp\": -1e999," doc)
-          (function Pulse_ir.Bad_field ("esp", _) -> true | _ -> false);
+          (names "-1e999");
         (* a waveform on no qubits is refused by verify, not raised *)
         match
           Pulse_ir.verify { ir with schedule = [ { ins with qubits = [] } ] }
         with
         | Error _ -> ()
-        | Ok _ -> Alcotest.failf "a waveform on no qubits verified")
+        | Ok _ -> Alcotest.failf "a waveform on no qubits verified");
+    case "pulse IR: the reader under the mutation harness" (fun () ->
+        let qoc, ins = one_qubit_qoc_ir () in
+        let model =
+          { qoc with
+            Pulse_ir.backend = "model";
+            latency = 4.5;
+            esp = 0.998;
+            schedule =
+              [ { ins with
+                  Pulse_ir.waveform = None;
+                  provenance = Pulse_ir.Class_replay
+                };
+                { ins with
+                  Pulse_ir.name = "cx";
+                  t0 = 2.0;
+                  duration = 2.5;
+                  error = 0.002;
+                  fidelity = 0.998;
+                  waveform = None;
+                  provenance = Pulse_ir.Interp
+                }
+              ]
+          }
+        in
+        Mutation.check
+          { Mutation.name = "paqoc-ir";
+            parse =
+              (fun s ->
+                Result.map_error Pulse_ir.error_to_string
+                  (Pulse_ir.of_string s));
+            print = Pulse_ir.to_string;
+            numbers = Mutation.json_numbers;
+            alphabet = Mutation.json_alphabet
+          }
+          [ Pulse_ir.to_string qoc; Pulse_ir.to_string model ])
   ]

@@ -162,5 +162,60 @@ let suite =
       (QCheck.Test.make ~count:500
          ~name:"json: of_string (to_string j) = Ok j"
          (QCheck.make ~print:Json.to_string gen_json)
-         (fun j -> Json.of_string (Json.to_string j) = Ok j))
+         (fun j -> Json.of_string (Json.to_string j) = Ok j));
+    case "scalar: finite floats and exact ints in OCaml syntax" (fun () ->
+        let float s = Paqoc_obs.Scalar.float s in
+        List.iter
+          (fun (s, v) ->
+            check_true (Printf.sprintf "%S reads" s) (float s = Ok v))
+          [ ("0x1p-2", 0.25); ("1_000", 1000.0); ("+5", 5.0);
+            ("0.10000000000000001", 0.1); ("-0x1.8p+1", -3.0);
+            ("1.7976931348623157e+308", max_float) ];
+        List.iter
+          (fun s ->
+            check_true (Printf.sprintf "%S is not finite" s)
+              (float s = Error Paqoc_obs.Scalar.Not_finite))
+          [ "inf"; "-inf"; "nan"; "infinity"; "1e999"; "-1e999"; "0x1p9999" ];
+        List.iter
+          (fun s ->
+            check_true (Printf.sprintf "%S is not a number" s)
+              (float s = Error Paqoc_obs.Scalar.Not_a_number))
+          [ ""; "abc"; "1e"; "0x"; "1.5.2"; "--1" ];
+        let int s = Paqoc_obs.Scalar.int s in
+        List.iter
+          (fun (s, v) ->
+            check_true (Printf.sprintf "%S reads" s) (int s = Some v))
+          [ ("42", 42); ("-7", -7); ("+5", 5); ("1_000", 1000); ("0x1f", 31);
+            ("-0", 0); ("-0x4000000000000000", min_int) ];
+        (* past the int range, or a prefixed literal that would wrap to
+           the other sign *)
+        List.iter
+          (fun s ->
+            check_true (Printf.sprintf "%S is refused" s) (int s = None))
+          [ ""; "1.0"; "inf"; "4611686018427387904"; "0x4000000000000000";
+            "0x7fffffffffffffff"; "-0x7fffffffffffffff";
+            "0u4611686018427387904" ];
+        Alcotest.(check (option int)) "four hex digits" (Some 0x41)
+          (Paqoc_obs.Scalar.hex "0041");
+        List.iter
+          (fun s ->
+            check_true (Printf.sprintf "hex %S is refused" s)
+              (Paqoc_obs.Scalar.hex s = None))
+          [ ""; "0_41"; "+041"; "0x41"; "g" ]);
+    case "json: numbers past the float range and loose \\u escapes are \
+          refused" (fun () ->
+        let refused s want =
+          match Json.of_string s with
+          | Ok _ -> Alcotest.failf "%S was read" s
+          | Error msg ->
+            check_true
+              (Printf.sprintf "%S: %S names %S" s msg want)
+              (contains ~needle:want msg)
+        in
+        refused "[1e999]" "number \"1e999\" is past the float range";
+        refused "{\"x\":-1e999}" "number \"-1e999\" is past the float range";
+        refused "\"\\u0_41\"" "bad \\u escape";
+        refused "\"\\u+041\"" "bad \\u escape";
+        check_true "four hex digits still read"
+          (Json.of_string "\"\\u0041\"" = Ok (Json.Str "A")))
   ]

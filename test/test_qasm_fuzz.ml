@@ -28,6 +28,36 @@ let roundtrip_props =
            String.equal once (Qasm.parse once |> Qasm.to_qasm)))
   ]
 
+(* The compile path's QASM reader for the mutation harness: a parse
+   error, or a circuit with a free parameter (which [Service.compile]
+   refuses by name; [nan] and [inf] lex as identifiers), is a refusal. *)
+let reader =
+  { Mutation.name = "QASM";
+    parse =
+      (fun src ->
+        match Qasm.parse src with
+        | exception Qasm.Parse_error msg -> Error msg
+        | c -> (
+          match Circuit.free_params c with
+          | [] -> Ok c
+          | ps -> Error ("unbound parameters " ^ String.concat "," ps)));
+    print = Qasm.to_qasm;
+    numbers =
+      (* register sizes, qubit indices and parameter literals; the
+         header's version is skipped, not read *)
+      (fun src ->
+        List.concat_map
+          (fun (off, len) ->
+            if String.starts_with ~prefix:"OPENQASM" (String.sub src off len)
+            then []
+            else
+              List.filter
+                (Mutation.reads_as_number src)
+                (Mutation.tokens ~sep:" ;,()[]*/" src ~off ~len))
+          (Mutation.lines src));
+    alphabet = Mutation.line_alphabet
+  }
+
 (* Every entry must raise [Parse_error] — a crash with any other exception
    or a silent acceptance fails the case. *)
 let malformed =
@@ -88,10 +118,31 @@ let fuzz_cases =
                let i = Random.State.int rng n in
                String.sub base 0 i ^ "rz(" ^ String.sub base i (n - i)
            in
-           match Qasm.parse src with
-           | _ -> true
-           | exception Qasm.Parse_error _ -> true
-           | exception _ -> false))
+           Mutation.total reader src));
+    case "mutation harness: seeded programs, parse after print, non-finite \
+          literals" (fun () ->
+        let seed ~n gates =
+          Qasm.to_qasm (Circuit.make ~n_qubits:n gates)
+        in
+        Mutation.check reader
+          [ seed ~n:3
+              [ Gate.app1 Gate.H 0;
+                Gate.app2 Gate.CX 0 1;
+                Gate.app1 (Gate.RZ (Angle.Const 0.25)) 2;
+                Gate.app1 (Gate.RX (Angle.Const (-1.5))) 1;
+                Gate.app1 (Gate.RY (Angle.Const 1e-05)) 0;
+                Gate.app Gate.CCX [ 0; 1; 2 ]
+              ];
+            seed ~n:2
+              [ Gate.app1
+                  (Gate.U3
+                     ( Angle.Const 0.5,
+                       Angle.Const 2.5,
+                       Angle.Const (-0.125) ))
+                  1;
+                Gate.app2 (Gate.CPhase (Angle.Const 0.75)) 0 1
+              ]
+          ])
   ]
 
 let suite = roundtrip_props @ fuzz_cases

@@ -342,7 +342,28 @@ let budget_tests =
                       ());
                  false
                with Invalid_argument _ -> true))
-          [ 0.0; -1.0; Float.nan ])
+          [ 0.0; -1.0; Float.nan ]);
+    case "--inject spec under the mutation harness" (fun () ->
+        Mutation.check
+          { Mutation.name = "--inject spec";
+            parse = F.parse_spec;
+            print = F.spec_to_string;
+            numbers =
+              (* each option's value, after its '=' *)
+              (fun spec ->
+                List.filter_map
+                  (fun (off, len) ->
+                    match String.index_from_opt spec off '=' with
+                    | Some i when i < off + len ->
+                      Some (i + 1, off + len - i - 1)
+                    | _ -> None)
+                  (Mutation.tokens ~sep:",:" spec ~off:0
+                     ~len:(String.length spec)));
+            alphabet = Mutation.line_alphabet
+          }
+          [ "grape-diverge:first=2,timeout";
+            "journal-append-error:prob=0.25:seed=7,db-save-error:every=3";
+            "pool-task-crash:prob=1:seed=-4,drift-shock:first=12" ])
   ]
 
 let suite = faultin_tests @ retry_tests @ pool_tests @ db_tests @ budget_tests

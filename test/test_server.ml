@@ -748,48 +748,36 @@ let test_wire_bytes_pinned () =
   Alcotest.(check (list string))
     "frames byte-identical" pinned_frames sample_frames
 
+(* A daemon frame for the mutation harness: a response (it carries
+   "ok") or a request. Both decoders run on every frame that is JSON, as
+   the daemon runs one and the client the other. *)
+type frame = Request of Protocol.request | Response of Protocol.response
+
+let frame_reader =
+  { Mutation.name = "protocol frame";
+    parse =
+      (fun m ->
+        Result.bind (Protocol.json_of_string m) (fun j ->
+            let request = Protocol.request_of_json j
+            and response = Protocol.response_of_json j in
+            match j with
+            | Protocol.Obj kv when List.mem_assoc "ok" kv ->
+              Result.map (fun r -> Response r) response
+            | _ -> Result.map (fun r -> Request r) request));
+    print =
+      (function
+      | Request r -> Protocol.json_to_string (Protocol.request_to_json r)
+      | Response r -> Protocol.json_to_string (Protocol.response_to_json r));
+    numbers = Mutation.json_numbers;
+    alphabet = Mutation.json_alphabet
+  }
+
 (* Decoding arbitrary bytes yields [Ok] or [Error], never an exception:
    every truncation, every single-byte deletion and substitution (from
    an alphabet of JSON-significant bytes), and seeded multi-byte edits
    of each sample frame, through both message decoders. *)
 let test_mutated_frames_never_raise () =
-  let decode m =
-    match Protocol.json_of_string m with
-    | Error _ -> ()
-    | Ok j ->
-      ignore (Protocol.request_of_json j);
-      ignore (Protocol.response_of_json j)
-  in
-  let check_frame m =
-    match decode m with
-    | () -> ()
-    | exception e ->
-      Alcotest.failf "decoding %S raised %s" m (Printexc.to_string e)
-  in
-  let alphabet = "{}[]\",:\\-+.0129eEtfnx \000\255" in
-  let rng = Random.State.make [| 17 |] in
-  List.iter
-    (fun s ->
-      let n = String.length s in
-      for k = 0 to n - 1 do
-        check_frame (String.sub s 0 k);
-        check_frame (String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1));
-        String.iter
-          (fun c ->
-            let b = Bytes.of_string s in
-            Bytes.set b k c;
-            check_frame (Bytes.to_string b))
-          alphabet
-      done;
-      for _ = 1 to 200 do
-        let b = Bytes.of_string s in
-        for _ = 1 to 1 + Random.State.int rng 4 do
-          Bytes.set b (Random.State.int rng n)
-            alphabet.[Random.State.int rng (String.length alphabet)]
-        done;
-        check_frame (Bytes.to_string b)
-      done)
-    sample_frames
+  Mutation.check_total frame_reader sample_frames
 
 (* Integers are read only when exact (an integral number within 2^53),
    and an enum field of the wrong JSON type is refused, not defaulted. *)
@@ -952,6 +940,41 @@ let test_free_parameters_are_bad_requests () =
     r.Protocol.sweep_params;
   check_int "one bound iteration" 1 (List.length r.Protocol.iterations)
 
+(* Every number in a sample frame, replaced by inf, -inf, nan or 1e999,
+   is refused by the JSON reader; a printed frame reads back to itself. *)
+let test_frames_refuse_non_finite_numbers () =
+  Mutation.check_print_parse frame_reader sample_frames;
+  Mutation.check_non_finite frame_reader sample_frames
+
+(* A recompile whose interp_tol reads past the float range is a bad
+   request naming the number; with a finite tolerance the same frame is
+   swept. An infinite tolerance would pass every interpolation's drift
+   check. *)
+let test_infinite_interp_tol_is_a_bad_request () =
+  let frame tol =
+    "{\"op\":\"recompile\",\"circuit\":{\"qasm\":\"OPENQASM 2.0;\\n\
+     qreg q[1];\\nrx(theta) q[0];\\n\"},\"rows\":1,\"cols\":1,\
+     \"interp_tol\":" ^ tol ^ ",\"angles\":[{\"theta\":0.3}]}"
+  in
+  with_server ~sweep:(Service.sweep_handler ()) (Service.handler ())
+  @@ fun socket _t ->
+  Server.with_connection socket @@ fun fd ->
+  Protocol.write_frame fd (frame "1e-6");
+  (match Protocol.read_response fd with
+  | Ok (Protocol.Sweep r) ->
+    check_int "the control frame is swept" 1 (List.length r.Protocol.iterations)
+  | _ -> Alcotest.fail "the control frame was not swept");
+  Protocol.write_frame fd (frame "1e999");
+  match Protocol.read_response fd with
+  | Ok (Protocol.Refused (Protocol.Bad_request msg)) ->
+    check_true
+      (Printf.sprintf "the refusal names the number (got %S)" msg)
+      (String.starts_with
+         ~prefix:"bad JSON: number \"1e999\" is past the float range" msg)
+  | Ok (Protocol.Refused e) ->
+    Alcotest.failf "refused as %s" (Protocol.error_name e)
+  | _ -> Alcotest.fail "a recompile with interp_tol 1e999 was served"
+
 let suite =
   [ case "protocol: requests round-trip" test_request_roundtrip;
     case "protocol: responses round-trip" test_response_roundtrip;
@@ -1001,6 +1024,11 @@ let suite =
     case "pool: a warm jobs-4 suite submits no pool task"
       test_warm_suite_submits_no_pool_task;
     case "server: a free parameter is refused by name; a sweep binds it"
-      test_free_parameters_are_bad_requests
+      test_free_parameters_are_bad_requests;
+    case "protocol: frames refuse non-finite numbers and print back to \
+          themselves"
+      test_frames_refuse_non_finite_numbers;
+    case "server: a recompile with interp_tol 1e999 is a bad request"
+      test_infinite_interp_tol_is_a_bad_request
   ]
 

@@ -342,5 +342,89 @@ let suite =
           (plan_with ~v:"V 0x0p+0 infinity" w);
         expect_error ~line:7 ~needle:"non-finite" (plan_with ~a:"A nan" w);
         expect_error ~line:8 ~needle:"non-finite"
-          (plan_with ~o:"O 0x1p+6 0x0p+0 inf synthesized" w))
+          (plan_with ~o:"O 0x1p+6 0x0p+0 inf synthesized" w));
+    case "a non-finite gate-token angle in an S, R or M line is an error"
+      (fun () ->
+        (* the S slot is line 6, its O line 7; the R slot line 8; the M
+           slot line 11 *)
+        let plan ?(s = "rz(C0x1p-1)@0") ?(r = "rz(St)@0")
+            ?(m = "u3(St;C0x0p+0;C0x0p+0)@0") () =
+          String.concat "\n"
+            [ "paqoc-plan v1"; "Q 1"; "P t"; "V 0x0p+0"; "N 3"; "S " ^ s;
+              "O 0x1p+5 0x0p+0 0x1p+0 synthesized"; "R t " ^ r; "A 0x0p+0";
+              "O 0x1p+6 0x0p+0 0x1p+0 synthesized"; "M t " ^ m; "" ]
+        in
+        (match V.plan_of_string (plan ()) with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "control plan rejected at line %d: %s" e.V.line
+            e.V.reason);
+        List.iter
+          (fun bad ->
+            let angle = Printf.sprintf "rz(%s)@0" bad in
+            expect_error ~line:6 ~needle:"non-finite" (plan ~s:angle ());
+            expect_error ~line:8 ~needle:"non-finite" (plan ~r:angle ());
+            expect_error ~line:11 ~needle:"non-finite"
+              (plan ~m:(Printf.sprintf "u3(St;%s;C0x0p+0)@0" bad) ()))
+          [ "Cinf"; "Cnan"; "C1e999"; "K1e999:t"; "C-inf"; "Kinfinity:t" ]);
+    case "plan sidecar under the mutation harness, with and without W lines"
+      (fun () ->
+        let at_line (e : V.parse_error) =
+          Printf.sprintf "line %d: %s" e.V.line e.V.reason
+        in
+        (* the numbers a plan line holds, by its tag; a gate token's are
+           its C/K angles, qubits and custom arities *)
+        let numbers doc =
+          let in_token (off, len) =
+            List.filter_map
+              (fun (o, l) ->
+                if Mutation.reads_as_number doc (o, l) then Some (o, l)
+                else if
+                  l > 1
+                  && (doc.[o] = 'C' || doc.[o] = 'K')
+                  && Mutation.reads_as_number doc (o + 1, l - 1)
+                then Some (o + 1, l - 1)
+                else None)
+              (Mutation.tokens ~sep:"()@,;:|{}!" doc ~off ~len)
+          in
+          List.concat_map
+            (fun (off, len) ->
+              match Mutation.tokens ~sep:" " doc ~off ~len with
+              | [] -> []
+              | tag :: rest -> (
+                match String.sub doc (fst tag) (snd tag) with
+                | "Q" | "V" | "N" | "A" | "W" -> rest
+                | "O" -> List.filteri (fun i _ -> i < 3) rest
+                | "S" -> List.concat_map in_token rest
+                | "R" | "M" -> List.concat_map in_token (List.tl rest)
+                | _ -> []))
+            (Mutation.lines doc)
+        in
+        let reader =
+          { Mutation.name = "plan sidecar";
+            parse = (fun s -> Result.map_error at_line (V.plan_of_string s));
+            print = V.plan_to_string;
+            numbers;
+            alphabet = Mutation.line_alphabet
+          }
+        in
+        Mutation.check reader
+          [ String.concat "\n"
+              [ "paqoc-plan v1"; "Q 2"; "P t u";
+                "V 0x0p+0 0x1.921fb54442d18p+1"; "N 5"; "S cx@0,1";
+                "O 0x1p+6 0x1p-7 0x1.fcp-1 synthesized";
+                "S !{g:2:cx@0,1|rz(C-0x1p-2)@1}@1,0";
+                "O 0x1.8p+6 0x1p-6 0x1.f8p-1 fallback";
+                "R t rz(K0x1p+1:t)@0"; "A 0x0p+0";
+                "O 0x1p+5 0x0p+0 0x1p+0 synthesized";
+                "A 0x1.921fb54442d18p+1";
+                "O 0x1.8p+5 0x1p-8 0x1.fep-1 synthesized"; "R u rx(Su)@1";
+                "A 0x0p+0"; "O 0x1p+5 0x0p+0 0x1p+0 synthesized";
+                "M t,u u3(St;C0x1p-1;Su)@1"; "" ];
+            String.concat "\n"
+              [ "paqoc-plan v1"; "Q 1"; "P t"; "V 0x0p+0"; "N 1";
+                "R t rz(St)@0"; "A 0x0p+0";
+                "O 0x1p+6 0x0p+0 0x1p+0 synthesized";
+                "W 0x1p+0 2 2 0x1p-6 0x0p+0 -0x1.8p-3 0x1p-4"; "" ]
+          ])
   ]
